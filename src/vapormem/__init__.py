@@ -33,7 +33,7 @@ from .core import (
     default_params,
     default_rails,
 )
-from .engine import Memory, new_memory, render_waveform, run_sequence
+from .engine import Memory, render_waveform, run_sequence
 from .harness import (
     CriteriaReport,
     CriterionCheck,
@@ -69,7 +69,7 @@ __all__ = [
     "PhysicsParams", "RailCalibration", "Sequence", "SpinWaveComponent",
     "TimeOrderError", "Trace", "TraceEvent", "UnknownRailError",
     "VaporMemError", "default_optical", "default_params", "default_rails",
-    "Memory", "new_memory", "render_waveform", "run_sequence",
+    "Memory", "render_waveform", "run_sequence",
     "CriteriaReport", "CriterionCheck", "ScanResult", "check_criteria",
     "extrapolate_efficiency", "fit_exponential", "monte_carlo_overlap",
     "random_access_sequence", "scan_crosstalk", "scan_lifetime",

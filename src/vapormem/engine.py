@@ -13,7 +13,6 @@ parallel simulations. Sequences and traces are immutable.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Iterable
 
 import numpy as np
@@ -24,8 +23,10 @@ from .core import (
     DomainError,
     DuplicateRailError,
     OpKind,
+    Operation,
     OpticalConfig,
     OutOfBandError,
+    ParamError,
     PhysicsParams,
     RailCalibration,
     Sequence,
@@ -42,8 +43,16 @@ NS_PER_US = 1000.0
 class Memory:
     """Multi-rail memory state: parameters, rail calibrations, component pool.
 
-    All mutation goes through :meth:`pump`, :meth:`write`, :meth:`read`
-    and :meth:`advance`; time never moves backwards.
+    All mutation goes through :meth:`apply` (or :meth:`pump`,
+    :meth:`write` and :meth:`read`) and :meth:`advance`; time never moves
+    backwards.
+
+    The pool holds live components only. A write, read or perfect pump on
+    a rail depletes every component centered there by exactly dep(0) = 1,
+    which leaves amplitude 0.0; a component at exactly 0.0 adds exactly
+    nothing to any later read or :meth:`stored_on` sum, so it is dropped.
+    At most one component per rail stays live, and the cost of a run is
+    linear in its number of operations.
     """
 
     def __init__(self, params: PhysicsParams, rails: Iterable[RailCalibration]):
@@ -60,7 +69,8 @@ class Memory:
                 raise OutOfBandError(
                     f"rail {cal.f_rail} MHz outside deflector band [{lo}, {hi}] MHz")
             self._cal[cal.f_rail] = cal
-        self.components: list[SpinWaveComponent] = []
+        # live components, oldest first, as [amplitude, x_center, s2, t_birth_ns, tau_us]
+        self._rows: list[list[float]] = []
         self.t_now_ns = 0.0
         self.last_op_t_ns: float | None = None
         # cell diffusion coefficient is fixed for the lifetime of the state
@@ -69,6 +79,11 @@ class Memory:
     @property
     def rails(self) -> tuple[RailCalibration, ...]:
         return tuple(self._cal.values())
+
+    @property
+    def components(self) -> list[SpinWaveComponent]:
+        """Snapshot of the live components, oldest first."""
+        return [SpinWaveComponent(*row) for row in self._rows]
 
     def calibration(self, f_rail: float) -> RailCalibration:
         try:
@@ -82,17 +97,28 @@ class Memory:
             raise TimeOrderError(
                 f"cannot move from {self.t_now_ns} ns back to {t_ns} ns")
         dt_us = (t_ns - self.t_now_ns) / NS_PER_US
-        if dt_us > 0.0 and self.components:
-            self.components = [
-                replace(c, s2=physics.spread_variance_um2(c.s2, dt_us, self._diff))
-                for c in self.components
-            ]
+        if dt_us > 0.0:
+            for row in self._rows:
+                row[2] = physics.spread_variance_um2(row[2], dt_us, self._diff)
         self.t_now_ns = t_ns
 
     def stored_on(self, f_rail: float) -> float:
         """Total remaining amplitude of components centered on a rail."""
         x = physics.rail_position_um(self.calibration(f_rail).f_rail, self.params)
-        return sum((c.amplitude for c in self.components if c.x_center == x), 0.0)
+        return sum((row[0] for row in self._rows if row[1] == x), 0.0)
+
+    def apply(self, op: Operation) -> float:
+        """Perform one operation.
+
+        Returns the leakage of a write, the energy retrieved by a read and
+        0.0 for a pump.
+        """
+        if op.kind is OpKind.WRITE:
+            return self.write(op.f_rail, op.t_ns, op.energy)
+        if op.kind is OpKind.READ:
+            return self.read(op.f_rail, op.t_ns)
+        self.pump(op.f_rail, op.t_ns)
+        return 0.0
 
     def pump(self, f_rail: float, t_ns: float) -> None:
         """Optically pump the addressed region, removing residual excitation.
@@ -102,13 +128,8 @@ class Memory:
         """
         cal = self.calibration(f_rail)
         self.advance(t_ns)
-        x_op = physics.rail_position_um(cal.f_rail, self.params)
-        fid = self.params.pump_fidelity
-        self.components = [
-            replace(c, amplitude=c.amplitude * (
-                1.0 - fid * physics.depletion_fraction(abs(x_op - c.x_center), self.params)))
-            for c in self.components
-        ]
+        self._deplete(physics.rail_position_um(cal.f_rail, self.params),
+                      self.params.pump_fidelity)
         self.last_op_t_ns = t_ns
 
     def write(self, f_rail: float, t_ns: float, energy: float = 1.0) -> float:
@@ -123,20 +144,17 @@ class Memory:
             raise DomainError("write energy must be strictly positive")
         self.advance(t_ns)
         x_op = physics.rail_position_um(cal.f_rail, self.params)
-        self.components = [
-            replace(c, amplitude=c.amplitude * (
-                1.0 - physics.depletion_fraction(abs(x_op - c.x_center), self.params)))
-            for c in self.components
-        ]
+        self._deplete(x_op, 1.0)
         stored = energy * cal.eta_write
         leakage = energy - stored
-        self.components.append(SpinWaveComponent(
+        born = SpinWaveComponent(
             amplitude=stored,
             x_center=x_op,
             s2=self.params.sigma0 ** 2,
             t_birth_ns=t_ns,
             tau_us=cal.tau_us,
-        ))
+        )
+        self._rows.append([born.amplitude, born.x_center, born.s2, born.t_birth_ns, born.tau_us])
         self.last_op_t_ns = t_ns
         return leakage
 
@@ -153,26 +171,32 @@ class Memory:
         x_op = physics.rail_position_um(cal.f_rail, self.params)
         diffusive = self.params.decay_mode is DecayMode.DIFFUSIVE
         retrieved = 0.0
-        updated = []
-        for c in self.components:
-            d = abs(x_op - c.x_center)
+        for amplitude, x_center, s2, t_birth_ns, tau_us in self._rows:
             if diffusive:
-                decay = physics.diffusive_retention(c.s2, self.params)
+                decay = physics.diffusive_retention(s2, self.params)
             else:
-                age_us = (t_ns - c.t_birth_ns) / NS_PER_US
-                decay = physics.temporal_decay(1.0, age_us, c.tau_us)
-            retrieved += (c.amplitude * cal.eta_read * decay
-                          * physics.overlap_factor(d, c.s2, self.params))
-            updated.append(replace(c, amplitude=c.amplitude * (
-                1.0 - physics.depletion_fraction(d, self.params))))
-        self.components = updated
+                age_us = (t_ns - t_birth_ns) / NS_PER_US
+                decay = physics.temporal_decay(1.0, age_us, tau_us)
+            retrieved += (amplitude * cal.eta_read * decay
+                          * physics.overlap_factor(abs(x_op - x_center), s2, self.params))
+        self._deplete(x_op, 1.0)
         self.last_op_t_ns = t_ns
         return retrieved
 
+    def _deplete(self, x_op: float, fidelity: float) -> None:
+        """Scale each component by (1 - fidelity * dep(d)) for a pulse at x_op.
 
-def new_memory(params: PhysicsParams, rails: Iterable[RailCalibration]) -> Memory:
-    """Fresh memory with an empty component pool at t = 0."""
-    return Memory(params, rails)
+        Components left at exactly 0.0 are then dropped. An amplitude that
+        is not >= 0 (NaN, from an infinite one fully depleted) is rejected
+        first.
+        """
+        for row in self._rows:
+            amplitude = row[0] * (
+                1.0 - fidelity * physics.depletion_fraction(abs(x_op - row[1]), self.params))
+            if not amplitude >= 0.0:
+                raise ParamError("amplitude must be non-negative")
+            row[0] = amplitude
+        self._rows = [row for row in self._rows if row[0] != 0.0]
 
 
 def run_sequence(state: Memory, seq: Sequence) -> Trace:
@@ -187,18 +211,11 @@ def run_sequence(state: Memory, seq: Sequence) -> Trace:
         raise seqlang.ValidationFailure(errors)
     events = []
     for op in seq.ops:
-        if op.kind is OpKind.WRITE:
-            out = state.write(op.f_rail, op.t_ns, op.energy)
-        elif op.kind is OpKind.READ:
-            out = state.read(op.f_rail, op.t_ns)
-        else:
-            state.pump(op.f_rail, op.t_ns)
-            out = 0.0
         events.append(TraceEvent(
             t_ns=op.t_ns,
             kind=op.kind,
             f_rail=op.f_rail,
-            out_energy=out,
+            out_energy=state.apply(op),
             stored_after=state.stored_on(op.f_rail),
         ))
     return Trace(tuple(events))

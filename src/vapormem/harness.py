@@ -309,13 +309,7 @@ def check_criteria(trace: Trace, seq: Sequence, params: PhysicsParams,
                 c.x_center == x and c.amplitude > 1e-12 for c in mem.components))
         else:
             live_before.append(None)
-        if op.kind is OpKind.WRITE:
-            out = mem.write(op.f_rail, op.t_ns, op.energy)
-        elif op.kind is OpKind.READ:
-            out = mem.read(op.f_rail, op.t_ns)
-        else:
-            mem.pump(op.f_rail, op.t_ns)
-            out = 0.0
+        out = mem.apply(op)
         if abs(out - ev.out_energy) > 1e-9 * max(1.0, abs(out)):
             raise TraceMismatchError("trace energies do not match a replay")
         outs.append(out)
