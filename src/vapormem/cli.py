@@ -168,6 +168,10 @@ def cmd_run(args, params, rails) -> int:
         return 1
     mem = engine.Memory(params, rails)
     trace = engine.run_sequence(mem, seq)
+    if args.waveform_out:
+        t, y = engine.render_waveform(trace, default_optical(), args.sample_period_ns,
+                                      noise_floor=args.noise_floor,
+                                      span_ns=args.waveform_span_ns)
     print("t_ns kind rail_mhz out_energy stored_after")
     for ev in trace:
         print(f"{ev.t_ns!r} {ev.kind.value} {ev.f_rail!r} "
@@ -176,9 +180,6 @@ def cmd_run(args, params, rails) -> int:
         _write_text(args.trace_out, trace_csv(trace))
         print(f"wrote {args.trace_out}")
     if args.waveform_out:
-        t, y = engine.render_waveform(trace, default_optical(), args.sample_period_ns,
-                                      noise_floor=args.noise_floor,
-                                      span_ns=args.waveform_span_ns)
         _write_text(args.waveform_out, waveform_csv(t, y))
         print(f"wrote {args.waveform_out}")
     return 0
@@ -190,6 +191,8 @@ def _grid(args, default_min, default_max, default_step, default_axis) -> list[fl
     lo = default_min if args.min is None else args.min
     hi = default_max if args.max is None else args.max
     step = default_step if args.step is None else args.step
+    if not all(math.isfinite(v) for v in (lo, hi, step)):
+        raise ConfigError("scan min, max and step must be finite")
     if step <= 0.0:
         raise ConfigError("scan step must be strictly positive")
     if lo > hi:

@@ -139,28 +139,16 @@ class PhysicsParams:
 
 @dataclass(frozen=True)
 class OpticalConfig:
-    """Descriptive optical settings used for waveform rendering and reports.
+    """Pulse shape used by waveform rendering.
 
-    These parameterize presentation (pulse shapes, documentation of the
-    optical configuration); they do not enter the storage dynamics.
+    fwhm_signal_ns is the full width at half maximum of a rendered signal
+    pulse, in ns. It does not enter the storage dynamics.
     """
 
-    delta_mhz: float = 0.0
-    omega_signal: str = "F=3 -> F'=3"
-    omega_control: str = "F=4 -> F'=3"
-    omega_pump: str = "F=4 -> F'=4"
     fwhm_signal_ns: float = 25.0
-    fwhm_control_ns: float = 43.75
-    norm_detuning_ghz: float = 2.0
-    pump_power_mw: float = 20.0
-    pump_duration_ns: float = 900.0
-    control_power_mw: float = 200.0
-    control_gate_ns: float = 120.0
 
     def __post_init__(self) -> None:
         _require(self.fwhm_signal_ns > 0.0, "fwhm_signal_ns must be strictly positive")
-        _require(self.fwhm_control_ns > 0.0, "fwhm_control_ns must be strictly positive")
-        _require(self.norm_detuning_ghz > 0.0, "norm_detuning_ghz must be strictly positive")
 
 
 _ETA_SPLIT_RTOL = 1e-12
@@ -388,10 +376,3 @@ def default_rails() -> tuple[RailCalibration, ...]:
 
 def default_optical() -> OpticalConfig:
     return OpticalConfig()
-
-
-def sampling_std_from_radius(w_um: float) -> float:
-    """Intensity standard deviation of a Gaussian beam with 1/e² radius w."""
-    if w_um <= 0.0:
-        raise DomainError("beam radius must be strictly positive")
-    return w_um / 2.0

@@ -13,6 +13,7 @@ parallel simulations. Sequences and traces are immutable.
 
 from __future__ import annotations
 
+import math
 from typing import Iterable
 
 import numpy as np
@@ -25,7 +26,6 @@ from .core import (
     OpKind,
     Operation,
     OpticalConfig,
-    OutOfBandError,
     ParamError,
     PhysicsParams,
     RailCalibration,
@@ -60,25 +60,22 @@ class Memory:
         if not rails:
             raise DomainError("a memory needs at least one rail")
         self.params = params
-        self._cal: dict[float, RailCalibration] = {}
+        # each rail's calibration and beam position; the position is computed
+        # (and its band checked) here once, not on every operation
+        self._rails: dict[float, tuple[RailCalibration, float]] = {}
         for cal in rails:
-            if cal.f_rail in self._cal:
+            if cal.f_rail in self._rails:
                 raise DuplicateRailError(f"rail {cal.f_rail} MHz declared twice")
-            if not params.in_band(cal.f_rail):
-                lo, hi = params.band
-                raise OutOfBandError(
-                    f"rail {cal.f_rail} MHz outside deflector band [{lo}, {hi}] MHz")
-            self._cal[cal.f_rail] = cal
+            self._rails[cal.f_rail] = (cal, physics.rail_position_um(cal.f_rail, params))
         # live components, oldest first, as [amplitude, x_center, s2, t_birth_ns, tau_us]
         self._rows: list[list[float]] = []
         self.t_now_ns = 0.0
-        self.last_op_t_ns: float | None = None
         # cell diffusion coefficient is fixed for the lifetime of the state
         self._diff = physics.diffusion_coefficient(params)
 
     @property
     def rails(self) -> tuple[RailCalibration, ...]:
-        return tuple(self._cal.values())
+        return tuple(cal for cal, _ in self._rails.values())
 
     @property
     def components(self) -> list[SpinWaveComponent]:
@@ -86,14 +83,18 @@ class Memory:
         return [SpinWaveComponent(*row) for row in self._rows]
 
     def calibration(self, f_rail: float) -> RailCalibration:
+        return self._rail(f_rail)[0]
+
+    def _rail(self, f_rail: float) -> tuple[RailCalibration, float]:
+        """Calibration and beam position of a declared rail."""
         try:
-            return self._cal[f_rail]
+            return self._rails[f_rail]
         except KeyError:
             raise UnknownRailError(f"rail {f_rail} MHz was not declared") from None
 
     def advance(self, t_ns: float) -> None:
         """Advance time without performing an operation; components spread."""
-        if t_ns < self.t_now_ns:
+        if not t_ns >= self.t_now_ns:
             raise TimeOrderError(
                 f"cannot move from {self.t_now_ns} ns back to {t_ns} ns")
         dt_us = (t_ns - self.t_now_ns) / NS_PER_US
@@ -104,7 +105,7 @@ class Memory:
 
     def stored_on(self, f_rail: float) -> float:
         """Total remaining amplitude of components centered on a rail."""
-        x = physics.rail_position_um(self.calibration(f_rail).f_rail, self.params)
+        x = self._rail(f_rail)[1]
         return sum((row[0] for row in self._rows if row[1] == x), 0.0)
 
     def apply(self, op: Operation) -> float:
@@ -126,11 +127,9 @@ class Memory:
         Every component is scaled by (1 - pump_fidelity * dep(d)); with
         perfect pump fidelity the addressed region is emptied.
         """
-        cal = self.calibration(f_rail)
+        x_op = self._rail(f_rail)[1]
         self.advance(t_ns)
-        self._deplete(physics.rail_position_um(cal.f_rail, self.params),
-                      self.params.pump_fidelity)
-        self.last_op_t_ns = t_ns
+        self._deplete(x_op, self.params.pump_fidelity)
 
     def write(self, f_rail: float, t_ns: float, energy: float = 1.0) -> float:
         """Store a pulse on a rail; returns the leakage energy.
@@ -139,11 +138,10 @@ class Memory:
         components exactly as a read would; whatever it retrieves from
         them is discarded, not added to the leakage.
         """
-        cal = self.calibration(f_rail)
+        cal, x_op = self._rail(f_rail)
         if energy <= 0.0:
             raise DomainError("write energy must be strictly positive")
         self.advance(t_ns)
-        x_op = physics.rail_position_um(cal.f_rail, self.params)
         self._deplete(x_op, 1.0)
         stored = energy * cal.eta_write
         leakage = energy - stored
@@ -155,7 +153,6 @@ class Memory:
             tau_us=cal.tau_us,
         )
         self._rows.append([born.amplitude, born.x_center, born.s2, born.t_birth_ns, born.tau_us])
-        self.last_op_t_ns = t_ns
         return leakage
 
     def read(self, f_rail: float, t_ns: float) -> float:
@@ -166,9 +163,8 @@ class Memory:
         read with its spread Gaussian; afterwards each component loses
         the depletion fraction for its distance.
         """
-        cal = self.calibration(f_rail)
+        cal, x_op = self._rail(f_rail)
         self.advance(t_ns)
-        x_op = physics.rail_position_um(cal.f_rail, self.params)
         diffusive = self.params.decay_mode is DecayMode.DIFFUSIVE
         retrieved = 0.0
         for amplitude, x_center, s2, t_birth_ns, tau_us in self._rows:
@@ -180,7 +176,6 @@ class Memory:
             retrieved += (amplitude * cal.eta_read * decay
                           * physics.overlap_factor(abs(x_op - x_center), s2, self.params))
         self._deplete(x_op, 1.0)
-        self.last_op_t_ns = t_ns
         return retrieved
 
     def _deplete(self, x_op: float, fidelity: float) -> None:
@@ -230,13 +225,17 @@ def render_waveform(trace: Trace, cfg: OpticalConfig, sample_period_ns: float,
     time, with area equal to its energy; a constant noise floor is added
     to every sample. Returns (times_ns, intensity) arrays covering
     [0, span_ns) at the given period. The default span runs 600 ns past
-    the last event so pulse tails are captured.
+    the last event so pulse tails are captured. A sample period that is
+    not finite and positive, or a span that is not finite and
+    non-negative, raises DomainError.
     """
-    if sample_period_ns <= 0.0:
-        raise DomainError("sample period must be strictly positive")
+    if not (math.isfinite(sample_period_ns) and sample_period_ns > 0.0):
+        raise DomainError("sample period must be finite and strictly positive")
     if span_ns is None:
         last = trace.events[-1].t_ns if trace.events else 0.0
         span_ns = last + 600.0
+    if not (math.isfinite(span_ns) and span_ns >= 0.0):
+        raise DomainError("waveform span must be finite and non-negative")
     n = int(np.ceil(span_ns / sample_period_ns))
     t = np.arange(n) * sample_period_ns
     y = np.full(n, float(noise_floor))

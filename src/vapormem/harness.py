@@ -26,7 +26,6 @@ from .core import (
     FitResult,
     OpKind,
     Operation,
-    OutOfBandError,
     PhysicsParams,
     RailCalibration,
     Sequence,
@@ -117,10 +116,6 @@ def scan_crosstalk(params: PhysicsParams, rails_cal: Iterable[RailCalibration],
     """
     rails_cal = tuple(rails_cal)
     base = _find_cal(rails_cal, write_rail_mhz)
-    for sep in separations_mhz:
-        if not params.in_band(write_rail_mhz + sep):
-            raise OutOfBandError(
-                f"separation {sep} MHz puts the read rail outside the deflector band")
     peak1, peak2 = [], []
     for sep in separations_mhz:
         if sep == 0.0:

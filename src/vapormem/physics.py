@@ -37,11 +37,18 @@ def transit_time_us(delta_x_um: float, d_cm2_s: float) -> float:
     return delta_x_um * delta_x_um / (4.0 * d_cm2_s * _CM2_PER_S_TO_UM2_PER_US)
 
 
-def rail_position_um(f_mhz: float, p: PhysicsParams) -> float:
-    """Lateral beam position for a drive frequency; band center maps to 0."""
+def _require_in_band(f_mhz: float, p: PhysicsParams) -> None:
     if not p.in_band(f_mhz):
         lo, hi = p.band
         raise OutOfBandError(f"{f_mhz} MHz outside deflector band [{lo}, {hi}] MHz")
+
+
+def rail_position_um(f_mhz: float, p: PhysicsParams) -> float:
+    """Lateral beam position for a drive frequency; band center maps to 0.
+
+    Raises OutOfBandError for a frequency outside the deflector band.
+    """
+    _require_in_band(f_mhz, p)
     return (f_mhz - p.f_center) * p.pos_per_mhz
 
 
@@ -52,9 +59,7 @@ def aod_efficiency(f_mhz: float, p: PhysicsParams) -> float:
     band edges. Not folded into the storage model: the measured per-rail
     efficiencies already include it.
     """
-    if not p.in_band(f_mhz):
-        lo, hi = p.band
-        raise OutOfBandError(f"{f_mhz} MHz outside deflector band [{lo}, {hi}] MHz")
+    _require_in_band(f_mhz, p)
     x = (f_mhz - p.f_center) / p.f_halfband
     return 1.0 - p.edge_loss * x * x
 

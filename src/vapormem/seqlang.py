@@ -74,8 +74,6 @@ class Diagnostic:
     Codes:
         E001  operations closer than the deflector switching time
         E002  declared rail outside the deflector band
-        E003  operation times not strictly increasing
-        E004  operation on an undeclared rail
         W001  declared rails closer than the cross-talk-free separation
     """
 
@@ -235,20 +233,9 @@ def validate(seq: Sequence, p: PhysicsParams) -> list[Diagnostic]:
                 "E002", "error", rails_line,
                 f"rail {_fmt_number(f)} MHz outside deflector band [{_fmt_number(lo)}, {_fmt_number(hi)}] MHz"))
 
-    declared = set(seq.rails)
-    for i, op in enumerate(seq.ops):
-        if op.f_rail not in declared:
-            diags.append(Diagnostic(
-                "E004", "error", op_line(i),
-                f"operation on undeclared rail {_fmt_number(op.f_rail)} MHz"))
-
     for i in range(1, len(seq.ops)):
         dt = seq.ops[i].t_ns - seq.ops[i - 1].t_ns
-        if dt <= 0.0:
-            diags.append(Diagnostic(
-                "E003", "error", op_line(i),
-                f"operation time {_fmt_number(seq.ops[i].t_ns)} ns does not increase"))
-        elif dt < p.t_switch:
+        if dt < p.t_switch:
             diags.append(Diagnostic(
                 "E001", "error", op_line(i),
                 f"{_fmt_number(dt)} ns between operations is below the "

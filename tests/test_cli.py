@@ -6,6 +6,12 @@ from vapormem.cli import main
 TIGHT = "SEQUENCE tight\nRAILS 190MHz\nAT 0ns WRITE 190MHz\nAT 47ns READ 190MHz\n"
 CLOSE_RAILS = ("SEQUENCE close\nRAILS 190MHz 198MHz\n"
                "AT 0ns WRITE 190MHz\nAT 400ns READ 198MHz\n")
+# time order, declared rails and distinct rails are parse errors, located in the text
+LOCATED_PARSE_ERRORS = [
+    ("SEQUENCE s\nRAILS 190MHz\nAT 400ns WRITE 190MHz\nAT 400ns READ 190MHz\n", "line 4, col 4"),
+    ("SEQUENCE s\nRAILS 190MHz\nAT 0ns WRITE 210MHz\n", "line 3, col 14"),
+    ("SEQUENCE s\nRAILS 190MHz 190MHz\n", "line 2, col 14"),
+]
 
 
 @pytest.fixture
@@ -46,6 +52,17 @@ class TestValidate:
         assert rc == 2
         assert "malformed frequency" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    @pytest.mark.parametrize("text,where", LOCATED_PARSE_ERRORS)
+    def test_located_parse_error(self, seqfile, tmp_path, capsys, command, text, where):
+        trace_path = tmp_path / "trace.csv"
+        argv = [command, seqfile(text)]
+        if command == "run":
+            argv += ["--trace-out", str(trace_path)]
+        assert main(argv) == 2
+        assert where in capsys.readouterr().err
+        assert not trace_path.exists()
+
 
 class TestRun:
     def test_canonical_trace_csv(self, seqfile, tmp_path, capsys):
@@ -76,6 +93,21 @@ class TestRun:
         rc = main(["run", str(tmp_path / "absent.seq"), "--trace-out", str(trace_path)])
         assert rc == 2
         assert not trace_path.exists()
+
+    @pytest.mark.parametrize("bad", [
+        ["--sample-period-ns", "nan"],
+        ["--sample-period-ns", "inf"],
+        ["--sample-period-ns", "0"],
+        ["--waveform-span-ns", "-5"],
+        ["--waveform-span-ns", "nan"],
+    ])
+    def test_bad_waveform_args_write_nothing(self, seqfile, tmp_path, capsys, bad):
+        trace_path, wave_path = tmp_path / "trace.csv", tmp_path / "wave.csv"
+        rc = main(["run", seqfile(CANONICAL), "--trace-out", str(trace_path),
+                   "--waveform-out", str(wave_path)] + bad)
+        assert rc == 2
+        assert "error:" in capsys.readouterr().err
+        assert not trace_path.exists() and not wave_path.exists()
 
     def test_reruns_are_byte_identical(self, seqfile, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -110,6 +142,17 @@ class TestScan:
         rc = main(["--out", str(tmp_path), "scan", "crosstalk", "--step", "0"])
         assert rc == 2
         assert not (tmp_path / "crosstalk.csv").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["lifetime", "--step", "nan"],
+        ["crosstalk", "--min", "nan"],
+        ["crosstalk", "--max", "inf"],
+    ])
+    def test_non_finite_grid_rejected(self, tmp_path, capsys, argv):
+        rc = main(["--out", str(tmp_path), "scan"] + argv)
+        assert rc == 2
+        assert "must be finite" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_inverted_grid_rejected(self, tmp_path):
         rc = main(["--out", str(tmp_path), "scan", "lifetime",

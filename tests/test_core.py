@@ -175,9 +175,6 @@ class TestValueTypes:
     def test_optical_defaults(self):
         cfg = default_optical()
         assert cfg.fwhm_signal_ns == 25.0
-        assert cfg.fwhm_control_ns == 43.75
-        assert cfg.norm_detuning_ghz == 2.0
-        assert cfg.pump_power_mw == 20.0 and cfg.pump_duration_ns == 900.0
-        assert cfg.control_power_mw == 200.0 and cfg.control_gate_ns == 120.0
+        assert [f.name for f in dataclasses.fields(cfg)] == ["fwhm_signal_ns"]
         with pytest.raises(ParamError):
             OpticalConfig(fwhm_signal_ns=0.0)

@@ -75,7 +75,6 @@ class TestConstruction:
         assert len(mem.rails) == 4
         assert mem.components == []
         assert mem.t_now_ns == 0.0
-        assert mem.last_op_t_ns is None
 
     def test_duplicate_rail_rejected(self):
         cal = RAILS[0]
@@ -105,7 +104,6 @@ class TestPump:
         mem = fresh()
         mem.pump(190.0, 0.0)
         assert mem.components == []
-        assert mem.last_op_t_ns == 0.0
 
     def test_distant_component_untouched(self):
         mem = fresh()
@@ -219,6 +217,15 @@ class TestRead:
         with pytest.raises(TimeOrderError):
             mem.read(190.0, 399.0)
         mem.read(190.0, 400.0)  # same instant is allowed by the engine
+
+    def test_nan_time_rejected_and_clock_kept(self):
+        mem = fresh()
+        mem.write(190.0, 1000.0, 1.0)
+        with pytest.raises(TimeOrderError):
+            mem.read(190.0, math.nan)
+        assert mem.t_now_ns == 1000.0
+        with pytest.raises(TimeOrderError):
+            mem.read(190.0, 0.0)
 
     def test_diffusive_mode(self):
         p = dataclasses.replace(P, decay_mode=DecayMode.DIFFUSIVE)
@@ -377,5 +384,12 @@ class TestRenderWaveform:
 
     def test_bad_period(self):
         from vapormem.core import Trace
+        for period in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(DomainError):
+                engine.render_waveform(Trace(()), default_optical(), period)
+
+    @pytest.mark.parametrize("span", [-5.0, math.nan, math.inf])
+    def test_bad_span(self, span):
+        from vapormem.core import Trace
         with pytest.raises(DomainError):
-            engine.render_waveform(Trace(()), default_optical(), 0.0)
+            engine.render_waveform(Trace(()), default_optical(), 1.0, span_ns=span)
