@@ -44,6 +44,7 @@ REPORT_MEAN_LIFETIME_US = (3.2, 0.2)
 REPORT_MEAN_EFFICIENCY_PCT = (36.0, 1.0)
 ORACLE_ABS_TOL = 0.02
 ORACLE_GRID = tuple((d, t) for d in (0.0, 270.0, 675.0) for t in (0.4, 2.0))
+WAVEFORM_CSV_CHUNK = 1 << 14  # samples formatted per step of waveform_csv
 
 _PARAM_KEYS = {f.name for f in dataclass_fields(PhysicsParams)}
 _RAIL_KEYS = {"tau_us", "tau_err_us", "eta_mem"}
@@ -132,10 +133,17 @@ def scan_csv(result: harness.ScanResult) -> str:
 
 
 def waveform_csv(t, y) -> str:
-    lines = ["t_ns,intensity"]
-    for ti, yi in zip(t, y):
-        lines.append(f"{float(ti)!r},{float(yi)!r}")
-    return "\n".join(lines) + "\n"
+    """CSV of two equal-length float arrays, formatted a chunk at a time.
+
+    ``tolist()`` on a chunk converts its samples to Python floats in one
+    call; chunks keep that copy small next to the text being built.
+    """
+    chunks = ["t_ns,intensity\n"]
+    for i in range(0, len(t), WAVEFORM_CSV_CHUNK):
+        j = i + WAVEFORM_CSV_CHUNK
+        pairs = zip(t[i:j].tolist(), y[i:j].tolist())
+        chunks.append("".join([f"{a!r},{b!r}\n" for a, b in pairs]))
+    return "".join(chunks)
 
 
 def _print_diagnostics(diags) -> None:

@@ -17,6 +17,7 @@ Unit conventions used throughout the package:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -289,7 +290,10 @@ class TraceEvent:
     stored_after: float
 
     def __post_init__(self) -> None:
+        _require(not math.isnan(self.t_ns), "t_ns must not be NaN")
+        _require(math.isfinite(self.out_energy), "out_energy must be finite")
         _require(self.out_energy >= 0.0, "out_energy must be non-negative")
+        _require(math.isfinite(self.stored_after), "stored_after must be finite")
         _require(self.stored_after >= 0.0, "stored_after must be non-negative")
 
 

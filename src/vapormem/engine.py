@@ -226,11 +226,20 @@ def render_waveform(trace: Trace, cfg: OpticalConfig, sample_period_ns: float,
     to every sample. Returns (times_ns, intensity) arrays covering
     [0, span_ns) at the given period. The default span runs 600 ns past
     the last event so pulse tails are captured. A sample period that is
-    not finite and positive, or a span that is not finite and
-    non-negative, raises DomainError.
+    not finite and positive, a span that is not finite and non-negative,
+    or a noise floor that is not finite and non-negative raises
+    DomainError.
+
+    A pulse is added only on the samples within 40 sigma of its centre.
+    Beyond that the Gaussian is exp(-800), exactly 0.0 in float64, and
+    adding energy * 0.0 leaves a sample unchanged, so the window changes
+    no bit of the result while the cost follows the number of pulses, not
+    the span.
     """
     if not (math.isfinite(sample_period_ns) and sample_period_ns > 0.0):
         raise DomainError("sample period must be finite and strictly positive")
+    if not (math.isfinite(noise_floor) and noise_floor >= 0.0):
+        raise DomainError("noise floor must be finite and non-negative")
     if span_ns is None:
         last = trace.events[-1].t_ns if trace.events else 0.0
         span_ns = last + 600.0
@@ -238,10 +247,16 @@ def render_waveform(trace: Trace, cfg: OpticalConfig, sample_period_ns: float,
         raise DomainError("waveform span must be finite and non-negative")
     n = int(np.ceil(span_ns / sample_period_ns))
     t = np.arange(n) * sample_period_ns
-    y = np.full(n, float(noise_floor))
+    # + 0.0 stores a -0.0 floor as 0.0, so samples outside every pulse window
+    # read the same as samples where a pulse's zero tail was added
+    y = np.full(n, float(noise_floor) + 0.0)
     sigma = cfg.fwhm_signal_ns / (2.0 * np.sqrt(2.0 * np.log(2.0)))
     norm = 1.0 / (sigma * np.sqrt(2.0 * np.pi))
+    half = 40.0 * sigma
     for ev in trace.events:
         if ev.out_energy > 0.0:
-            y += ev.out_energy * norm * np.exp(-((t - ev.t_ns) ** 2) / (2.0 * sigma * sigma))
+            lo = np.searchsorted(t, ev.t_ns - half)
+            hi = np.searchsorted(t, ev.t_ns + half, side="right")
+            y[lo:hi] += ev.out_energy * norm * np.exp(
+                -((t[lo:hi] - ev.t_ns) ** 2) / (2.0 * sigma * sigma))
     return t, y

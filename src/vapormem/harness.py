@@ -299,9 +299,8 @@ def check_criteria(trace: Trace, seq: Sequence, params: PhysicsParams,
         if (ev.t_ns, ev.kind, ev.f_rail) != (op.t_ns, op.kind, op.f_rail):
             raise TraceMismatchError("trace event does not match its operation")
         if op.kind is OpKind.READ:
-            x = physics.rail_position_um(op.f_rail, params)
-            live_before.append(any(
-                c.x_center == x and c.amplitude > 1e-12 for c in mem.components))
+            # at most one component per rail is live, so its amplitude is the sum
+            live_before.append(mem.stored_on(op.f_rail) > 1e-12)
         else:
             live_before.append(None)
         out = mem.apply(op)

@@ -83,15 +83,22 @@ class Diagnostic:
     message: str
 
 
-def _split_tokens(line: str) -> list[tuple[str, int]]:
-    """Tokens of one line with their 1-based starting columns, comments stripped."""
-    hash_at = line.find("#")
-    if hash_at >= 0:
-        line = line[:hash_at]
-    out = []
-    for m in re.finditer(r"\S+", line):
-        out.append((m.group(0), m.start() + 1))
-    return out
+def _col(line: str, k: int) -> int:
+    """1-based column of the k-th whitespace-separated token of a line.
+
+    Only called to locate a ParseError; ``\\S+`` and ``str.split()`` agree
+    on what whitespace is.
+    """
+    return [m.start() + 1 for m in re.finditer(r"\S+", line)][k]
+
+
+def _time_ns(number: str, unit: str) -> float:
+    """A time token's value in ns, 1 us = 1000 ns exactly."""
+    if unit == "ns" and len(number) <= 28:
+        # Decimal(number) * 1 is exact at 28 digits, and float() rounds the
+        # string and the exact Decimal alike
+        return float(number)
+    return float(Decimal(number) * (1000 if unit == "us" else 1))
 
 
 def parse(text: str) -> Sequence:
@@ -109,75 +116,76 @@ def parse(text: str) -> Sequence:
     prev_t: float | None = None
 
     for lineno, raw in enumerate(text.split("\n"), start=1):
-        tokens = _split_tokens(raw.rstrip("\r"))
+        hash_at = raw.find("#")
+        line = raw if hash_at < 0 else raw[:hash_at]
+        tokens = line.split()
         if not tokens:
             continue
-        word, col = tokens[0]
+        word = tokens[0]
 
         if name is None:
             if word != "SEQUENCE":
-                raise ParseError("expected SEQUENCE header", lineno, col)
+                raise ParseError("expected SEQUENCE header", lineno, _col(line, 0))
             if len(tokens) != 2:
-                raise ParseError("SEQUENCE takes exactly one name", lineno, col)
-            name = tokens[1][0]
+                raise ParseError("SEQUENCE takes exactly one name", lineno, _col(line, 0))
+            name = tokens[1]
             continue
 
         if word == "SEQUENCE":
-            raise ParseError("duplicate SEQUENCE header", lineno, col)
+            raise ParseError("duplicate SEQUENCE header", lineno, _col(line, 0))
 
         if word == "RAILS":
             if rails_line is not None:
-                raise ParseError("duplicate RAILS directive", lineno, col)
+                raise ParseError("duplicate RAILS directive", lineno, _col(line, 0))
             if len(tokens) < 2:
-                raise ParseError("RAILS needs at least one frequency", lineno, col)
-            for tok, tcol in tokens[1:]:
+                raise ParseError("RAILS needs at least one frequency", lineno, _col(line, 0))
+            for k, tok in enumerate(tokens[1:], start=1):
                 m = _FREQ_RE.match(tok)
                 if not m:
-                    raise ParseError(f"malformed frequency {tok!r}", lineno, tcol)
+                    raise ParseError(f"malformed frequency {tok!r}", lineno, _col(line, k))
                 f = float(m.group(1))
                 if f in rails:
-                    raise ParseError(f"rail {tok} declared twice", lineno, tcol)
+                    raise ParseError(f"rail {tok} declared twice", lineno, _col(line, k))
                 rails.append(f)
             rails_line = lineno
             continue
 
         if word == "AT":
             if len(tokens) not in (4, 5):
-                raise ParseError("expected AT <time> <verb> <freq> [energy]", lineno, col)
-            ttok, tcol = tokens[1]
-            m = _TIME_RE.match(ttok)
+                raise ParseError("expected AT <time> <verb> <freq> [energy]", lineno, _col(line, 0))
+            m = _TIME_RE.match(tokens[1])
             if not m:
-                raise ParseError(f"malformed time {ttok!r}", lineno, tcol)
-            t_ns = float(Decimal(m.group(1)) * (1000 if m.group(2) == "us" else 1))
-            vtok, vcol = tokens[2]
-            if vtok not in _VERBS:
-                raise ParseError(f"unknown operation {vtok!r}", lineno, vcol)
-            kind = _VERBS[vtok]
-            ftok, fcol = tokens[3]
+                raise ParseError(f"malformed time {tokens[1]!r}", lineno, _col(line, 1))
+            t_ns = _time_ns(m.group(1), m.group(2))
+            kind = _VERBS.get(tokens[2])
+            if kind is None:
+                raise ParseError(f"unknown operation {tokens[2]!r}", lineno, _col(line, 2))
+            ftok = tokens[3]
             fm = _FREQ_RE.match(ftok)
             if not fm:
-                raise ParseError(f"malformed frequency {ftok!r}", lineno, fcol)
+                raise ParseError(f"malformed frequency {ftok!r}", lineno, _col(line, 3))
             f_rail = float(fm.group(1))
             if f_rail not in rails:
-                raise ParseError(f"operation on undeclared rail {ftok}", lineno, fcol)
+                raise ParseError(f"operation on undeclared rail {ftok}", lineno, _col(line, 3))
             energy = 1.0
             if len(tokens) == 5:
-                etok, ecol = tokens[4]
+                etok = tokens[4]
                 if kind is not OpKind.WRITE:
-                    raise ParseError("only WRITE takes an energy", lineno, ecol)
+                    raise ParseError("only WRITE takes an energy", lineno, _col(line, 4))
                 if not _NUMBER_RE.match(etok):
-                    raise ParseError(f"malformed energy {etok!r}", lineno, ecol)
+                    raise ParseError(f"malformed energy {etok!r}", lineno, _col(line, 4))
                 energy = float(etok)
                 if energy <= 0.0:
-                    raise ParseError("write energy must be strictly positive", lineno, ecol)
+                    raise ParseError("write energy must be strictly positive",
+                                     lineno, _col(line, 4))
             if prev_t is not None and t_ns <= prev_t:
-                raise ParseError("operation time does not increase", lineno, tcol)
+                raise ParseError("operation time does not increase", lineno, _col(line, 1))
             prev_t = t_ns
             ops.append(Operation(t_ns=t_ns, kind=kind, f_rail=f_rail, energy=energy))
             op_lines.append(lineno)
             continue
 
-        raise ParseError(f"unknown directive {word!r}", lineno, col)
+        raise ParseError(f"unknown directive {word!r}", lineno, _col(line, 0))
 
     if name is None:
         raise ParseError("missing SEQUENCE header", 1)

@@ -1,7 +1,8 @@
+import numpy as np
 import pytest
 
 from corpus import CANONICAL
-from vapormem.cli import main
+from vapormem.cli import WAVEFORM_CSV_CHUNK, main, waveform_csv
 
 TIGHT = "SEQUENCE tight\nRAILS 190MHz\nAT 0ns WRITE 190MHz\nAT 47ns READ 190MHz\n"
 CLOSE_RAILS = ("SEQUENCE close\nRAILS 190MHz 198MHz\n"
@@ -100,6 +101,9 @@ class TestRun:
         ["--sample-period-ns", "0"],
         ["--waveform-span-ns", "-5"],
         ["--waveform-span-ns", "nan"],
+        ["--noise-floor", "nan"],
+        ["--noise-floor", "inf"],
+        ["--noise-floor", "-1"],
     ])
     def test_bad_waveform_args_write_nothing(self, seqfile, tmp_path, capsys, bad):
         trace_path, wave_path = tmp_path / "trace.csv", tmp_path / "wave.csv"
@@ -115,6 +119,27 @@ class TestRun:
         assert main(["run", path, "--trace-out", str(a)]) == 0
         assert main(["run", path, "--trace-out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+def per_sample_waveform_csv(t, y) -> str:
+    """The waveform formatter before chunking: one numpy scalar at a time."""
+    lines = ["t_ns,intensity"]
+    for ti, yi in zip(t, y):
+        lines.append(f"{float(ti)!r},{float(yi)!r}")
+    return "\n".join(lines) + "\n"
+
+
+class TestWaveformCsv:
+    @pytest.mark.parametrize("n", [0, 1, 2 * WAVEFORM_CSV_CHUNK - 1,
+                                   2 * WAVEFORM_CSV_CHUNK, 2 * WAVEFORM_CSV_CHUNK + 1])
+    def test_same_bytes_as_per_sample_formatter(self, n):
+        rng = np.random.default_rng(n)
+        t = np.arange(n) * 0.37
+        y = rng.exponential(1e-3, n)
+        y[::7] = 0.0
+        y[1::11] = 5e-324  # the smallest subnormal
+        y[2::13] = 1e-5
+        assert waveform_csv(t, y) == per_sample_waveform_csv(t, y)
 
 
 class TestScan:

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import pytest
 from hypothesis import given, strategies as st
@@ -164,6 +165,19 @@ class TestValueTypes:
             TraceEvent(0.0, OpKind.READ, 190.0, -1e-9, 0.0)
         with pytest.raises(ParamError):
             TraceEvent(0.0, OpKind.READ, 190.0, 0.0, -1.0)
+
+    @pytest.mark.parametrize("field,value", [
+        ("out_energy", math.inf), ("out_energy", math.nan),
+        ("stored_after", math.inf), ("stored_after", math.nan),
+        ("t_ns", math.nan),
+    ])
+    def test_trace_event_non_finite_rejected(self, field, value):
+        # render_waveform adds each pulse only near its centre, which needs
+        # finite energies and a time that is a number
+        kwargs = dict(t_ns=0.0, kind=OpKind.READ, f_rail=190.0, out_energy=0.5, stored_after=0.0)
+        kwargs[field] = value
+        with pytest.raises(ParamError):
+            TraceEvent(**kwargs)
 
     def test_fit_result_invariants(self):
         FitResult(1.0, 3.3, 0.0, 0.0, 0.0)

@@ -51,6 +51,10 @@ CANONICAL_TRACE_ENERGIES = [
 # with the engine that kept spent components; dropping them changes no bit
 PINNED_TRACE_SHA256 = "f7367525e821afc458537ad4585b3925dea3dcceba6f8a0cd14d70385e4b2422"
 
+# SHA-256 of cli.waveform_csv of the default render (1 ns period) of the trace of
+# random_program(random.Random(1), 200), recorded with the full-span renderer
+PINNED_WAVEFORM_SHA256 = "4ca3b168f56a8f3dc000f46712cb096340149185085402bc686934295868b32b"
+
 
 def fresh():
     return engine.Memory(P, RAILS)
@@ -393,3 +397,70 @@ class TestRenderWaveform:
         from vapormem.core import Trace
         with pytest.raises(DomainError):
             engine.render_waveform(Trace(()), default_optical(), 1.0, span_ns=span)
+
+    @pytest.mark.parametrize("floor", [math.nan, math.inf, -math.inf, -1.0, -1e-300])
+    def test_bad_noise_floor(self, floor):
+        from vapormem.core import Trace
+        with pytest.raises(DomainError):
+            engine.render_waveform(Trace(()), default_optical(), 1.0,
+                                   noise_floor=floor, span_ns=100.0)
+
+    def test_negative_zero_floor_renders_positive_zero(self):
+        from vapormem.core import Trace, TraceEvent
+        trace = Trace((TraceEvent(100.0, OpKind.READ, 190.0, 0.5, 0.0),))
+        t, y = engine.render_waveform(trace, default_optical(), 1.0,
+                                      noise_floor=-0.0, span_ns=5000.0)
+        assert not np.any(np.signbit(y))
+        ref = full_span_render(trace, 1.0, -0.0, 5000.0)
+        assert np.array_equal(y.view(np.int64), ref.view(np.int64))
+
+
+def full_span_render(trace, period, floor, span):
+    """The renderer before pulse windows: every pulse is added over the whole span."""
+    n = int(np.ceil(span / period))
+    t = np.arange(n) * period
+    y = np.full(n, float(floor))
+    sigma = default_optical().fwhm_signal_ns / (2.0 * np.sqrt(2.0 * np.log(2.0)))
+    norm = 1.0 / (sigma * np.sqrt(2.0 * np.pi))
+    for ev in trace.events:
+        if ev.out_energy > 0.0:
+            y += ev.out_energy * norm * np.exp(-((t - ev.t_ns) ** 2) / (2.0 * sigma * sigma))
+    return y
+
+
+class TestRenderWindows:
+    """Pulses added only where they are nonzero give the full-span render bit for bit."""
+
+    @staticmethod
+    def events_trace(span, rng):
+        from vapormem.core import Trace, TraceEvent
+        times = [0.0, span, span - 0.5, 1e-3, rng.uniform(0.0, span), rng.uniform(0.0, span)]
+        times += [rng.uniform(-600.0, span + 600.0) for _ in range(6)]
+        events = [TraceEvent(t, OpKind.READ, 190.0, rng.choice([1.0, 0.4, 1e-12, 3.7e-5, 0.0]), 0.0)
+                  for t in times]
+        return Trace(tuple(events))
+
+    @pytest.mark.parametrize("period", [1.0, 0.1, 0.37, 2.5, 7.0])
+    @pytest.mark.parametrize("floor", [0.0, 0.003, 1e-5])
+    @pytest.mark.parametrize("span", [0.0, 3.0, 450.0, 5000.0])
+    def test_matches_full_span_render(self, period, floor, span):
+        trace = self.events_trace(span, random.Random(f"{period}/{floor}/{span}"))
+        t, y = engine.render_waveform(trace, default_optical(), period,
+                                      noise_floor=floor, span_ns=span)
+        ref = full_span_render(trace, period, floor, span)
+        assert np.array_equal(t, np.arange(len(ref)) * period)
+        assert np.array_equal(y.view(np.int64), ref.view(np.int64))
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_engine_trace_matches_full_span_render(self, seed):
+        trace = engine.run_sequence(fresh(), random_program(random.Random(seed), 60))
+        span = trace.events[-1].t_ns + 600.0
+        for period, floor in ((1.0, 0.0), (0.37, 0.003)):
+            _, y = engine.render_waveform(trace, default_optical(), period, noise_floor=floor)
+            ref = full_span_render(trace, period, floor, span)
+            assert np.array_equal(y.view(np.int64), ref.view(np.int64))
+
+    def test_waveform_csv_is_pinned(self):
+        trace = engine.run_sequence(fresh(), random_program(random.Random(1), 200))
+        csv = cli.waveform_csv(*engine.render_waveform(trace, default_optical(), 1.0))
+        assert hashlib.sha256(csv.encode()).hexdigest() == PINNED_WAVEFORM_SHA256

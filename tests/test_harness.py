@@ -240,6 +240,25 @@ class TestCheckCriteria:
         for check in (report.interaction_free, report.empty_state, report.full_retrieval):
             assert 0.0 <= check.margin <= 1.0
 
+    def test_canonical_report_is_pinned(self):
+        # margins recorded with the replay that scanned every component per read
+        trace, seq = _run_canonical()
+        report = check_criteria(trace, seq, P, RAILS)
+        assert report.interaction_free.margin == 1.5095870586900872e-05
+        assert report.empty_state.margin == 0.4442484977213343
+        assert report.full_retrieval.margin == 0.057564809891105184
+
+    def test_faint_component_counts_as_empty(self):
+        # a component at or below 1e-12 does not make its rail occupied
+        seq = Sequence("faint", (190.0,), (
+            Operation(0.0, OpKind.WRITE, 190.0, 1e-13),
+            Operation(400.0, OpKind.READ, 190.0),
+        ))
+        trace = engine.run_sequence(engine.Memory(P, RAILS), seq)
+        assert 0.0 < trace.events[0].stored_after <= 1e-12
+        report = check_criteria(trace, seq, P, RAILS)
+        assert report.empty_state.margin == trace.events[1].out_energy / 0.01
+
     def test_8mhz_neighbor_breaks_interaction_free(self):
         rails = (RailCalibration.from_eta_mem(190.0, 5.4, 0.7, 0.35),
                  RailCalibration.from_eta_mem(198.0, 5.4, 0.7, 0.35))

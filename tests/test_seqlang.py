@@ -1,5 +1,7 @@
+from decimal import Decimal
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from corpus import CANONICAL, DOCUMENTS
 from vapormem.core import OpKind, Operation, Sequence, default_params
@@ -13,6 +15,36 @@ from vapormem.seqlang import (
 )
 
 P = default_params()
+
+# every ParseError site: document, message, line, column; columns count
+# characters, so a tab or any Unicode whitespace is one column
+PARSE_ERRORS = [
+    ("AT 0ns WRITE 190MHz\n", "expected SEQUENCE header", 1, 1),
+    ("\t\tSEQUENCE\n", "SEQUENCE takes exactly one name", 1, 3),
+    ("# c\nSEQUENCE a b\r\n", "SEQUENCE takes exactly one name", 2, 1),
+    ("SEQUENCE s\r\n  SEQUENCE t\r\n", "duplicate SEQUENCE header", 2, 3),
+    ("SEQUENCE s\nRAILS 190MHz\n\x0bRAILS 210MHz\n", "duplicate RAILS directive", 3, 2),
+    ("SEQUENCE s\nRAILS # none\n", "RAILS needs at least one frequency", 2, 1),
+    ("SEQUENCE s\nRAILS\u3000190\n", "malformed frequency '190'", 2, 7),
+    ("SEQUENCE s\nRAILS 190MHz\x1f190MHz\n", "rail 190MHz declared twice", 2, 14),
+    ("SEQUENCE s\nRAILS 190MHz\nAT 0ns WRITE\r\n",
+     "expected AT <time> <verb> <freq> [energy]", 3, 1),
+    ("SEQUENCE s\nRAILS 190MHz\n\tAT 0ms WRITE 190MHz\n", "malformed time '0ms'", 3, 5),
+    ("SEQUENCE s\nRAILS 190MHz\nAT 0ns STORE 190MHz # x\n", "unknown operation 'STORE'", 3, 8),
+    ("SEQUENCE s\nRAILS 190MHz\nAT  0ns\x0bWRITE 190Mhz\n",
+     "malformed frequency '190Mhz'", 3, 15),
+    ("SEQUENCE s\nRAILS 190MHz\nAT 0ns WRITE 210MHz\n",
+     "operation on undeclared rail 210MHz", 3, 14),
+    ("SEQUENCE s\nAT 0ns READ 190MHz", "operation on undeclared rail 190MHz", 2, 13),
+    ("SEQUENCE s\nRAILS 190MHz\nAT 0ns READ 190MHz 0.5\n", "only WRITE takes an energy", 3, 20),
+    ("SEQUENCE s\nRAILS 190MHz\nAT 0ns WRITE 190MHz 1e3\n", "malformed energy '1e3'", 3, 21),
+    ("SEQUENCE s\nRAILS 190MHz\nAT 0ns WRITE 190MHz 0.0\u3000\n",
+     "write energy must be strictly positive", 3, 21),
+    ("SEQUENCE s\nRAILS 190MHz\nAT 1us WRITE 190MHz\r\nAT 999.5ns READ 190MHz\r\n",
+     "operation time does not increase", 4, 4),
+    ("SEQUENCE s\nRAILS 190MHz\n  HELLO there\n", "unknown directive 'HELLO'", 3, 3),
+    ("# only\r\n\t\n", "missing SEQUENCE header", 1, 1),
+]
 
 
 class TestParse:
@@ -101,6 +133,40 @@ class TestParse:
             parse("SEQUENCE s\nRAILS 190MHz\nAT 0ns READ 210MHz")
         assert err.value.line == 3
         assert err.value.col == 13  # start of the frequency token
+
+
+    @pytest.mark.parametrize("doc,message,line,col", PARSE_ERRORS,
+                             ids=[m for _, m, _, _ in PARSE_ERRORS])
+    def test_every_error_site_located(self, doc, message, line, col):
+        with pytest.raises(ParseError) as err:
+            parse(doc)
+        assert str(err.value) == f"line {line}, col {col}: {message}"
+        assert (err.value.line, err.value.col) == (line, col)
+
+    def test_whitespace_comments_and_crlf(self):
+        doc = ("# header comment\r\n\tSEQUENCE\x0bws # name\r\n"
+               "RAILS 190MHz\u3000210MHz\r\n\r\n"
+               "\x1fAT 0ns WRITE 190MHz#no space before the comment\r\n"
+               "AT 0.4us\tREAD 190.0MHz\r\n"
+               "AT 800ns WRITE 210MHz 0.25\r\n")
+        seq = parse(doc)
+        assert seq == Sequence("ws", (190.0, 210.0), (
+            Operation(0.0, OpKind.WRITE, 190.0),
+            Operation(400.0, OpKind.READ, 190.0),
+            Operation(800.0, OpKind.WRITE, 210.0, 0.25),
+        ))
+        assert seq.src_lines == (5, 6, 7)
+        assert seq.rails_line == 3
+
+    # the 40-digit time is a midpoint between doubles once rounded to 28 digits
+    @example(number="9007199254740993.0000000000000000000001", unit="ns")
+    @example(number="0.0000000000000000000000000000001", unit="us")
+    @given(number=st.from_regex(r"[0-9]{1,45}(\.[0-9]{1,45})?", fullmatch=True),
+           unit=st.sampled_from(["ns", "us"]))
+    def test_times_convert_through_decimal(self, number, unit):
+        seq = parse(f"SEQUENCE s\nRAILS 190MHz\nAT {number}{unit} WRITE 190MHz\n")
+        expected = float(Decimal(number) * (1000 if unit == "us" else 1))
+        assert seq.ops[0].t_ns.hex() == expected.hex()
 
 
 class TestFormat:
