@@ -9,7 +9,7 @@ is what the detector in the signal path would see.
 
 import os
 
-from vapormem import Memory, default_optical, default_params, default_rails, parse, run_sequence
+from vapormem import Memory, default_params, default_rails, parse, run_sequence
 from vapormem.cli import trace_csv, waveform_csv
 from vapormem.engine import render_waveform
 
@@ -39,7 +39,7 @@ print("and the second read confirms the rail is empty.")
 
 with open(os.path.join(outdir, "single_rail_trace.csv"), "w") as fh:
     fh.write(trace_csv(trace))
-t, y = render_waveform(trace, default_optical(), sample_period_ns=1.0, noise_floor=1e-5)
+t, y = render_waveform(trace, sample_period_ns=1.0, noise_floor=1e-5)
 with open(os.path.join(outdir, "single_rail_wave.csv"), "w") as fh:
     fh.write(waveform_csv(t, y))
 print(f"\nwrote {outdir}/single_rail_trace.csv and single_rail_wave.csv")

@@ -11,13 +11,11 @@ The package is organized as:
 """
 
 from .core import (
-    DecayMode,
     DomainError,
     DuplicateRailError,
     FitResult,
     OpKind,
     Operation,
-    OpticalConfig,
     OutOfBandError,
     ParamError,
     PhysicsParams,
@@ -29,7 +27,6 @@ from .core import (
     TraceEvent,
     UnknownRailError,
     VaporMemError,
-    default_optical,
     default_params,
     default_rails,
 )
@@ -51,7 +48,6 @@ from .physics import (
     aod_efficiency,
     depletion_fraction,
     diffusion_coefficient,
-    diffusive_retention,
     overlap_factor,
     rail_position_um,
     read_sampling_variance_um2,
@@ -64,17 +60,16 @@ from .seqlang import Diagnostic, ParseError, ValidationFailure, format_sequence,
 __version__ = "0.1.0"
 
 __all__ = [
-    "DecayMode", "DomainError", "DuplicateRailError", "FitResult", "OpKind",
-    "Operation", "OpticalConfig", "OutOfBandError", "ParamError",
-    "PhysicsParams", "RailCalibration", "Sequence", "SpinWaveComponent",
-    "TimeOrderError", "Trace", "TraceEvent", "UnknownRailError",
-    "VaporMemError", "default_optical", "default_params", "default_rails",
+    "DomainError", "DuplicateRailError", "FitResult", "OpKind", "Operation",
+    "OutOfBandError", "ParamError", "PhysicsParams", "RailCalibration",
+    "Sequence", "SpinWaveComponent", "TimeOrderError", "Trace", "TraceEvent",
+    "UnknownRailError", "VaporMemError", "default_params", "default_rails",
     "Memory", "render_waveform", "run_sequence",
     "CriteriaReport", "CriterionCheck", "ScanResult", "check_criteria",
     "extrapolate_efficiency", "fit_exponential", "monte_carlo_overlap",
     "random_access_sequence", "scan_crosstalk", "scan_lifetime",
     "weighted_mean", "aod_efficiency", "depletion_fraction",
-    "diffusion_coefficient", "diffusive_retention", "overlap_factor",
+    "diffusion_coefficient", "overlap_factor",
     "rail_position_um", "read_sampling_variance_um2", "spread_variance_um2",
     "temporal_decay", "transit_time_us", "Diagnostic", "ParseError",
     "ValidationFailure", "format_sequence", "parse", "validate",

@@ -28,12 +28,10 @@ from dataclasses import fields as dataclass_fields, replace
 
 from . import engine, harness, physics, seqlang
 from .core import (
-    DecayMode,
     PhysicsParams,
     RailCalibration,
     Trace,
     VaporMemError,
-    default_optical,
     default_params,
     default_rails,
 )
@@ -77,9 +75,7 @@ def load_config(path: str) -> tuple[dict, dict]:
                     raise ConfigError(f"{path}:{lineno}: bad value for {key!r}") from None
             elif key in _PARAM_KEYS:
                 try:
-                    if key == "decay_mode":
-                        param_over[key] = DecayMode(value)
-                    elif key == "m_dep":
+                    if key == "m_dep":
                         param_over[key] = int(value)
                     else:
                         param_over[key] = float(value)
@@ -103,16 +99,7 @@ def configured(config_path: str | None) -> tuple[PhysicsParams, tuple[RailCalibr
     for f_rail in rail_over:
         if f_rail not in known:
             raise ConfigError(f"config overrides unknown rail {f_rail} MHz")
-    rebuilt = []
-    for cal in rails:
-        over = rail_over.get(cal.f_rail, {})
-        rebuilt.append(RailCalibration.from_eta_mem(
-            cal.f_rail,
-            over.get("tau_us", cal.tau_us),
-            over.get("tau_err_us", cal.tau_err_us),
-            over.get("eta_mem", cal.eta_mem),
-        ))
-    return params, tuple(rebuilt)
+    return params, tuple(replace(cal, **rail_over.get(cal.f_rail, {})) for cal in rails)
 
 
 def trace_csv(trace: Trace) -> str:
@@ -177,7 +164,7 @@ def cmd_run(args, params, rails) -> int:
     mem = engine.Memory(params, rails)
     trace = engine.run_sequence(mem, seq)
     if args.waveform_out:
-        t, y = engine.render_waveform(trace, default_optical(), args.sample_period_ns,
+        t, y = engine.render_waveform(trace, args.sample_period_ns,
                                       noise_floor=args.noise_floor,
                                       span_ns=args.waveform_span_ns)
     print("t_ns kind rail_mhz out_energy stored_after")

@@ -50,19 +50,6 @@ class DuplicateRailError(VaporMemError):
     """Two rails were declared at the same drive frequency."""
 
 
-class DecayMode(Enum):
-    """How on-rail retrieval decays with storage time.
-
-    EMPIRICAL uses the measured per-rail 1/e lifetime, exp(-t/tau).
-    DIFFUSIVE derives the decay from the growing spatial variance of the
-    stored component instead; it exists for cross-checking the empirical
-    mode against the diffusion picture and is not the default anywhere.
-    """
-
-    EMPIRICAL = "empirical"
-    DIFFUSIVE = "diffusive"
-
-
 class OpKind(Enum):
     WRITE = "WRITE"
     READ = "READ"
@@ -76,7 +63,10 @@ def _require(cond: bool, msg: str) -> None:
 
 @dataclass(frozen=True)
 class PhysicsParams:
-    """Calibrated physical constants and model knobs.
+    """Calibrated physical constants of the cell, beams and deflector.
+
+    On-rail retrieval decays with the measured per-rail 1/e lifetime,
+    exp(-t/tau); that is the model, not a setting.
 
     Fields (units):
         d0: diffusion constant at reference conditions, cm²/s
@@ -95,7 +85,6 @@ class PhysicsParams:
         pos_per_mhz: lateral beam displacement per MHz of drive, µm/MHz
         t_switch: deflector switching time, ns
         pump_fidelity: fraction of residual excitation removed by a pump
-        decay_mode: on-rail retrieval decay model
     """
 
     d0: float
@@ -114,7 +103,6 @@ class PhysicsParams:
     pos_per_mhz: float
     t_switch: float
     pump_fidelity: float
-    decay_mode: DecayMode
 
     def __post_init__(self) -> None:
         for name in ("d0", "t0", "p0", "t_cell", "p_buffer", "w_signal",
@@ -126,7 +114,6 @@ class PhysicsParams:
         _require(self.f_halfband > 0.0, "f_halfband must be strictly positive")
         _require(self.t_switch > 0.0, "t_switch must be strictly positive")
         _require(self.pos_per_mhz > 0.0, "pos_per_mhz must be strictly positive")
-        _require(isinstance(self.decay_mode, DecayMode), "decay_mode must be a DecayMode")
 
     @property
     def band(self) -> tuple[float, float]:
@@ -139,63 +126,35 @@ class PhysicsParams:
 
 
 @dataclass(frozen=True)
-class OpticalConfig:
-    """Pulse shape used by waveform rendering.
-
-    fwhm_signal_ns is the full width at half maximum of a rendered signal
-    pulse, in ns. It does not enter the storage dynamics.
-    """
-
-    fwhm_signal_ns: float = 25.0
-
-    def __post_init__(self) -> None:
-        _require(self.fwhm_signal_ns > 0.0, "fwhm_signal_ns must be strictly positive")
-
-
-_ETA_SPLIT_RTOL = 1e-12
-
-
-@dataclass(frozen=True)
 class RailCalibration:
     """Measured properties of one storage rail.
 
-    eta_mem is the internal memory efficiency at zero storage time; it
-    factorizes into a capture factor applied at write time and a retrieval
-    factor applied at read time, with eta_write * eta_read == eta_mem.
+    eta_mem is the internal memory efficiency at zero storage time. Only
+    this product is measured; the model splits it evenly into a capture
+    factor applied at write time and a retrieval factor applied at read
+    time: eta_write = sqrt(eta_mem) and eta_read = eta_mem / eta_write,
+    both computed from it.
     """
 
     f_rail: float
     tau_us: float
     tau_err_us: float
     eta_mem: float
-    eta_write: float
-    eta_read: float
 
     def __post_init__(self) -> None:
         _require(self.tau_us > 0.0, "tau_us must be strictly positive")
         _require(self.tau_err_us >= 0.0, "tau_err_us must be non-negative")
         _require(0.0 < self.eta_mem <= 1.0, "eta_mem must lie in (0, 1]")
-        _require(self.eta_write > 0.0 and self.eta_read > 0.0,
-                 "efficiency factors must be strictly positive")
-        _require(
-            abs(self.eta_write * self.eta_read - self.eta_mem) <= _ETA_SPLIT_RTOL * self.eta_mem,
-            "eta_write * eta_read must equal eta_mem",
-        )
 
-    @classmethod
-    def from_eta_mem(cls, f_rail: float, tau_us: float, tau_err_us: float,
-                     eta_mem: float, write_share: float = 0.5) -> "RailCalibration":
-        """Build a calibration from the measured product efficiency.
+    @property
+    def eta_write(self) -> float:
+        """Capture factor applied at write time."""
+        return self.eta_mem ** 0.5
 
-        Only the product eta_mem is measured; ``write_share`` chooses how it
-        splits (eta_write = eta_mem**write_share). The default is the
-        symmetric square-root split.
-        """
-        _require(0.0 < eta_mem <= 1.0, "eta_mem must lie in (0, 1]")
-        _require(0.0 <= write_share <= 1.0, "write_share must lie in [0, 1]")
-        eta_write = eta_mem ** write_share
-        eta_read = eta_mem / eta_write
-        return cls(f_rail, tau_us, tau_err_us, eta_mem, eta_write, eta_read)
+    @property
+    def eta_read(self) -> float:
+        """Retrieval factor applied at read time."""
+        return self.eta_mem / self.eta_write
 
 
 @dataclass(frozen=True)
@@ -230,7 +189,9 @@ class Operation:
     energy: float = 1.0
 
     def __post_init__(self) -> None:
-        _require(self.t_ns >= 0.0, "operation time must be non-negative")
+        _require(math.isfinite(self.t_ns) and self.t_ns >= 0.0,
+                 "operation time must be finite and non-negative")
+        _require(math.isfinite(self.energy), "operation energy must be finite")
         if self.kind is OpKind.WRITE:
             _require(self.energy > 0.0, "write energy must be strictly positive")
 
@@ -357,16 +318,14 @@ def default_params() -> PhysicsParams:
         pos_per_mhz=33.75,
         t_switch=48.0,
         pump_fidelity=1.0,
-        decay_mode=DecayMode.EMPIRICAL,
     )
 
 
 def default_rails() -> tuple[RailCalibration, ...]:
     """Measured lifetime and efficiency of the four standard rails.
 
-    Lifetimes carry the quoted 1-sigma uncertainties; efficiencies are
-    split symmetrically between write and read since only the product is
-    measured.
+    Lifetimes carry the quoted 1-sigma uncertainties; the efficiencies are
+    the measured write-read products.
     """
     table = (
         (170.0, 4.3, 0.5, 0.32),
@@ -374,9 +333,4 @@ def default_rails() -> tuple[RailCalibration, ...]:
         (210.0, 3.3, 0.3, 0.39),
         (230.0, 2.6, 0.3, 0.36),
     )
-    return tuple(RailCalibration.from_eta_mem(f, tau, err, eta)
-                 for f, tau, err, eta in table)
-
-
-def default_optical() -> OpticalConfig:
-    return OpticalConfig()
+    return tuple(RailCalibration(f, tau, err, eta) for f, tau, err, eta in table)

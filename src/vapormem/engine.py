@@ -20,12 +20,10 @@ import numpy as np
 
 from . import physics, seqlang
 from .core import (
-    DecayMode,
     DomainError,
     DuplicateRailError,
     OpKind,
     Operation,
-    OpticalConfig,
     ParamError,
     PhysicsParams,
     RailCalibration,
@@ -38,6 +36,7 @@ from .core import (
 )
 
 NS_PER_US = 1000.0
+SIGNAL_FWHM_NS = 25.0  # full width at half maximum of a rendered signal pulse
 
 
 class Memory:
@@ -82,9 +81,6 @@ class Memory:
         """Snapshot of the live components, oldest first."""
         return [SpinWaveComponent(*row) for row in self._rows]
 
-    def calibration(self, f_rail: float) -> RailCalibration:
-        return self._rail(f_rail)[0]
-
     def _rail(self, f_rail: float) -> tuple[RailCalibration, float]:
         """Calibration and beam position of a declared rail."""
         try:
@@ -93,8 +89,14 @@ class Memory:
             raise UnknownRailError(f"rail {f_rail} MHz was not declared") from None
 
     def advance(self, t_ns: float) -> None:
-        """Advance time without performing an operation; components spread."""
-        if not t_ns >= self.t_now_ns:
+        """Advance time without performing an operation; components spread.
+
+        A time that is not finite, or earlier than the current time, raises
+        TimeOrderError and leaves the clock where it was.
+        """
+        if not math.isfinite(t_ns):
+            raise TimeOrderError(f"time {t_ns} ns is not finite")
+        if t_ns < self.t_now_ns:
             raise TimeOrderError(
                 f"cannot move from {self.t_now_ns} ns back to {t_ns} ns")
         dt_us = (t_ns - self.t_now_ns) / NS_PER_US
@@ -139,8 +141,8 @@ class Memory:
         them is discarded, not added to the leakage.
         """
         cal, x_op = self._rail(f_rail)
-        if energy <= 0.0:
-            raise DomainError("write energy must be strictly positive")
+        if not (math.isfinite(energy) and energy > 0.0):
+            raise DomainError("write energy must be finite and strictly positive")
         self.advance(t_ns)
         self._deplete(x_op, 1.0)
         stored = energy * cal.eta_write
@@ -159,21 +161,18 @@ class Memory:
         """Retrieve from a rail; returns the total retrieved energy.
 
         Every component contributes its amplitude scaled by the read
-        efficiency, its storage decay, and the overlap of the displaced
-        read with its spread Gaussian; afterwards each component loses
-        the depletion fraction for its distance.
+        efficiency, its storage decay exp(-age/tau), and the overlap of
+        the displaced read with its spread Gaussian; afterwards each
+        component loses the depletion fraction for its distance.
         """
         cal, x_op = self._rail(f_rail)
         self.advance(t_ns)
-        diffusive = self.params.decay_mode is DecayMode.DIFFUSIVE
+        eta_read = cal.eta_read
         retrieved = 0.0
         for amplitude, x_center, s2, t_birth_ns, tau_us in self._rows:
-            if diffusive:
-                decay = physics.diffusive_retention(s2, self.params)
-            else:
-                age_us = (t_ns - t_birth_ns) / NS_PER_US
-                decay = physics.temporal_decay(1.0, age_us, tau_us)
-            retrieved += (amplitude * cal.eta_read * decay
+            age_us = (t_ns - t_birth_ns) / NS_PER_US
+            decay = physics.temporal_decay(1.0, age_us, tau_us)
+            retrieved += (amplitude * eta_read * decay
                           * physics.overlap_factor(abs(x_op - x_center), s2, self.params))
         self._deplete(x_op, 1.0)
         return retrieved
@@ -182,7 +181,7 @@ class Memory:
         """Scale each component by (1 - fidelity * dep(d)) for a pulse at x_op.
 
         Components left at exactly 0.0 are then dropped. An amplitude that
-        is not >= 0 (NaN, from an infinite one fully depleted) is rejected
+        is not >= 0 (NaN, from a non-finite beam position) is rejected
         first.
         """
         for row in self._rows:
@@ -216,14 +215,13 @@ def run_sequence(state: Memory, seq: Sequence) -> Trace:
     return Trace(tuple(events))
 
 
-def render_waveform(trace: Trace, cfg: OpticalConfig, sample_period_ns: float,
-                    noise_floor: float = 0.0,
+def render_waveform(trace: Trace, sample_period_ns: float, noise_floor: float = 0.0,
                     span_ns: float | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Render a trace as a sampled detector waveform.
 
-    Each event becomes a Gaussian pulse of the signal FWHM centered at its
-    time, with area equal to its energy; a constant noise floor is added
-    to every sample. Returns (times_ns, intensity) arrays covering
+    Each event becomes a Gaussian pulse of FWHM ``SIGNAL_FWHM_NS`` centered
+    at its time, with area equal to its energy; a constant noise floor is
+    added to every sample. Returns (times_ns, intensity) arrays covering
     [0, span_ns) at the given period. The default span runs 600 ns past
     the last event so pulse tails are captured. A sample period that is
     not finite and positive, a span that is not finite and non-negative,
@@ -250,7 +248,7 @@ def render_waveform(trace: Trace, cfg: OpticalConfig, sample_period_ns: float,
     # + 0.0 stores a -0.0 floor as 0.0, so samples outside every pulse window
     # read the same as samples where a pulse's zero tail was added
     y = np.full(n, float(noise_floor) + 0.0)
-    sigma = cfg.fwhm_signal_ns / (2.0 * np.sqrt(2.0 * np.log(2.0)))
+    sigma = SIGNAL_FWHM_NS / (2.0 * np.sqrt(2.0 * np.log(2.0)))
     norm = 1.0 / (sigma * np.sqrt(2.0 * np.pi))
     half = 40.0 * sigma
     for ev in trace.events:

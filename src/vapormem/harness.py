@@ -14,14 +14,13 @@ evaluated in parallel; results are ordered by axis value.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Sequence as SeqABC
 
 import numpy as np
 
 from . import engine, physics
 from .core import (
-    DecayMode,
     DomainError,
     FitResult,
     OpKind,
@@ -122,10 +121,7 @@ def scan_crosstalk(params: PhysicsParams, rails_cal: Iterable[RailCalibration],
             mem = engine.Memory(params, [base])
             read_rail = write_rail_mhz
         else:
-            neighbor = RailCalibration(
-                f_rail=write_rail_mhz + sep, tau_us=base.tau_us,
-                tau_err_us=base.tau_err_us, eta_mem=base.eta_mem,
-                eta_write=base.eta_write, eta_read=base.eta_read)
+            neighbor = replace(base, f_rail=write_rail_mhz + sep)
             mem = engine.Memory(params, [base, neighbor])
             read_rail = neighbor.f_rail
         mem.write(write_rail_mhz, 0.0, 1.0)
@@ -292,7 +288,6 @@ def check_criteria(trace: Trace, seq: Sequence, params: PhysicsParams,
     if len(trace.events) != len(seq.ops):
         raise TraceMismatchError("trace length differs from sequence length")
     mem = engine.Memory(params, rails_cal)
-    diff = physics.diffusion_coefficient(params)
     outs: list[float] = []
     live_before: list[bool | None] = []
     for op, ev in zip(seq.ops, trace.events):
@@ -325,12 +320,7 @@ def check_criteria(trace: Trace, seq: Sequence, params: PhysicsParams,
                     continue
                 cal = _find_cal(rails_cal, rail)
                 dt_us = (seq.ops[ir].t_ns - seq.ops[iw].t_ns) / engine.NS_PER_US
-                if params.decay_mode is DecayMode.DIFFUSIVE:
-                    s2 = physics.spread_variance_um2(params.sigma0 ** 2, dt_us, diff)
-                    decay = physics.diffusive_retention(s2, params)
-                else:
-                    decay = math.exp(-dt_us / cal.tau_us)
-                predicted = seq.ops[iw].energy * cal.eta_mem * decay
+                predicted = seq.ops[iw].energy * cal.eta_mem * math.exp(-dt_us / cal.tau_us)
                 worst_interaction = max(worst_interaction,
                                         abs(outs[ir] / predicted - 1.0))
 

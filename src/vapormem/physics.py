@@ -119,16 +119,3 @@ def temporal_decay(amplitude: float, dt_us: float, tau_us: float) -> float:
         raise DomainError("elapsed time must be non-negative")
     return amplitude * math.exp(-dt_us / tau_us)
 
-
-def diffusive_retention(s2_um2: float, p: PhysicsParams) -> float:
-    """On-rail retrieval decay in the diffusive model.
-
-    The coaxial mean sampling weight of a component of variance s2,
-    relative to a fresh component: (sigma0² + v) / (s2 + v). Used when
-    decay_mode is DIFFUSIVE, for cross-checks against the empirical
-    exponential; EMPIRICAL is the default everywhere.
-    """
-    if s2_um2 < 0.0:
-        raise DomainError("variance must be non-negative")
-    v = read_sampling_variance_um2(p)
-    return (p.sigma0 * p.sigma0 + v) / (s2_um2 + v)

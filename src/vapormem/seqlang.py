@@ -26,6 +26,7 @@ switching time, deflector band, rail separation.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from decimal import Decimal
@@ -105,8 +106,9 @@ def parse(text: str) -> Sequence:
     """Parse a sequence document into a Sequence.
 
     Raises ParseError with line/column information on any grammar
-    violation, on a missing or duplicate header or RAILS directive, on an
-    operation that uses an undeclared rail, and on non-increasing times.
+    violation, on a number too large for a float, on a missing or
+    duplicate header or RAILS directive, on an operation that uses an
+    undeclared rail, and on non-increasing times.
     """
     name: str | None = None
     rails: list[float] = []
@@ -144,6 +146,8 @@ def parse(text: str) -> Sequence:
                 if not m:
                     raise ParseError(f"malformed frequency {tok!r}", lineno, _col(line, k))
                 f = float(m.group(1))
+                if math.isinf(f):
+                    raise ParseError("frequency is too large", lineno, _col(line, k))
                 if f in rails:
                     raise ParseError(f"rail {tok} declared twice", lineno, _col(line, k))
                 rails.append(f)
@@ -157,6 +161,8 @@ def parse(text: str) -> Sequence:
             if not m:
                 raise ParseError(f"malformed time {tokens[1]!r}", lineno, _col(line, 1))
             t_ns = _time_ns(m.group(1), m.group(2))
+            if math.isinf(t_ns):
+                raise ParseError("time is too large", lineno, _col(line, 1))
             kind = _VERBS.get(tokens[2])
             if kind is None:
                 raise ParseError(f"unknown operation {tokens[2]!r}", lineno, _col(line, 2))
@@ -166,6 +172,9 @@ def parse(text: str) -> Sequence:
                 raise ParseError(f"malformed frequency {ftok!r}", lineno, _col(line, 3))
             f_rail = float(fm.group(1))
             if f_rail not in rails:
+                # declared rails are finite, so an overflowing frequency lands here
+                if math.isinf(f_rail):
+                    raise ParseError("frequency is too large", lineno, _col(line, 3))
                 raise ParseError(f"operation on undeclared rail {ftok}", lineno, _col(line, 3))
             energy = 1.0
             if len(tokens) == 5:
@@ -175,6 +184,8 @@ def parse(text: str) -> Sequence:
                 if not _NUMBER_RE.match(etok):
                     raise ParseError(f"malformed energy {etok!r}", lineno, _col(line, 4))
                 energy = float(etok)
+                if math.isinf(energy):
+                    raise ParseError("energy is too large", lineno, _col(line, 4))
                 if energy <= 0.0:
                     raise ParseError("write energy must be strictly positive",
                                      lineno, _col(line, 4))

@@ -7,11 +7,18 @@ from vapormem.cli import WAVEFORM_CSV_CHUNK, main, waveform_csv
 TIGHT = "SEQUENCE tight\nRAILS 190MHz\nAT 0ns WRITE 190MHz\nAT 47ns READ 190MHz\n"
 CLOSE_RAILS = ("SEQUENCE close\nRAILS 190MHz 198MHz\n"
                "AT 0ns WRITE 190MHz\nAT 400ns READ 198MHz\n")
-# time order, declared rails and distinct rails are parse errors, located in the text
+# 401 digits, which overflow a float
+HUGE = "1" + "0" * 400
+# time order, declared rails, distinct rails and numbers a float can hold are
+# parse errors, located in the text
 LOCATED_PARSE_ERRORS = [
     ("SEQUENCE s\nRAILS 190MHz\nAT 400ns WRITE 190MHz\nAT 400ns READ 190MHz\n", "line 4, col 4"),
     ("SEQUENCE s\nRAILS 190MHz\nAT 0ns WRITE 210MHz\n", "line 3, col 14"),
     ("SEQUENCE s\nRAILS 190MHz 190MHz\n", "line 2, col 14"),
+    pytest.param(f"SEQUENCE s\nRAILS 190MHz\nAT {HUGE}ns READ 190MHz\n", "line 3, col 4",
+                 id="time-overflow"),
+    pytest.param(f"SEQUENCE s\nRAILS 190MHz\nAT 0ns WRITE 190MHz {HUGE}\n", "line 3, col 21",
+                 id="energy-overflow"),
 ]
 
 
@@ -228,6 +235,13 @@ class TestConfig:
         cfg.write_text("warp_factor = 9\n")
         assert main(["--config", str(cfg), "report"]) == 2
         assert "unknown key" in capsys.readouterr().err
+
+    def test_decay_mode_is_unknown_key(self, tmp_path, capsys):
+        # on-rail decay is the measured exponential; it is not a setting
+        cfg = tmp_path / "diffusive.cfg"
+        cfg.write_text("decay_mode = diffusive\n")
+        assert main(["--config", str(cfg), "report"]) == 2
+        assert "unknown key 'decay_mode'" in capsys.readouterr().err
 
     def test_override_revalidated(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"

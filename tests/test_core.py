@@ -5,19 +5,16 @@ import pytest
 from hypothesis import given, strategies as st
 
 from vapormem.core import (
-    DecayMode,
     DuplicateRailError,
     FitResult,
     OpKind,
     Operation,
-    OpticalConfig,
     ParamError,
     RailCalibration,
     Sequence,
     SpinWaveComponent,
     TraceEvent,
     UnknownRailError,
-    default_optical,
     default_params,
     default_rails,
 )
@@ -38,7 +35,6 @@ class TestDefaultParams:
         assert p.edge_loss == 0.25
         assert p.t_switch == 48.0
         assert p.pump_fidelity == 1.0
-        assert p.decay_mode is DecayMode.EMPIRICAL
 
     def test_lateral_calibration_is_one_radius_per_8mhz(self):
         p = default_params()
@@ -92,14 +88,15 @@ class TestRailCalibration:
         for cal in default_rails():
             assert abs(cal.eta_write * cal.eta_read - cal.eta_mem) <= 1e-12 * cal.eta_mem
 
-    @given(eta=st.floats(1e-6, 1.0), share=st.floats(0.0, 1.0))
-    def test_split_product_any_share(self, eta, share):
-        cal = RailCalibration.from_eta_mem(200.0, 3.0, 0.1, eta, write_share=share)
+    @given(eta=st.floats(1e-6, 1.0))
+    def test_split_product_any_share(self, eta):
+        # the split is fixed: eta_write = sqrt(eta_mem), eta_read = eta_mem / eta_write
+        cal = RailCalibration(200.0, 3.0, 0.1, eta)
+        assert cal.eta_write == eta ** 0.5
+        assert cal.eta_read == eta / eta ** 0.5
         assert abs(cal.eta_write * cal.eta_read - cal.eta_mem) <= 1e-12 * cal.eta_mem
-
-    def test_inconsistent_split_rejected(self):
-        with pytest.raises(ParamError):
-            RailCalibration(190.0, 5.4, 0.7, eta_mem=0.35, eta_write=0.7, eta_read=0.7)
+        assert [f.name for f in dataclasses.fields(cal)] == [
+            "f_rail", "tau_us", "tau_err_us", "eta_mem"]
 
     @pytest.mark.parametrize("kwargs", [
         dict(tau_us=0.0), dict(tau_us=-1.0), dict(eta_mem=0.0), dict(eta_mem=1.5),
@@ -108,19 +105,27 @@ class TestRailCalibration:
         base = dict(f_rail=190.0, tau_us=5.4, tau_err_us=0.7, eta_mem=0.35)
         base.update(kwargs)
         with pytest.raises(ParamError):
-            RailCalibration.from_eta_mem(**base)
+            RailCalibration(**base)
 
 
 class TestOperationAndSequence:
     def test_write_requires_positive_energy(self):
         with pytest.raises(ParamError):
             Operation(0.0, OpKind.WRITE, 190.0, energy=0.0)
-        # reads ignore energy entirely
+        # reads ignore the value of their energy
         Operation(0.0, OpKind.READ, 190.0, energy=0.0)
 
     def test_negative_time_rejected(self):
         with pytest.raises(ParamError):
             Operation(-1.0, OpKind.READ, 190.0)
+
+    @pytest.mark.parametrize("kind", list(OpKind))
+    @pytest.mark.parametrize("t_ns,energy", [
+        (math.inf, 1.0), (math.nan, 1.0), (0.0, math.inf), (0.0, math.nan),
+    ])
+    def test_non_finite_time_or_energy_rejected(self, kind, t_ns, energy):
+        with pytest.raises(ParamError, match="must be finite"):
+            Operation(t_ns, kind, 190.0, energy)
 
     def test_unsorted_ops_rejected(self):
         ops = (Operation(400.0, OpKind.WRITE, 190.0), Operation(0.0, OpKind.READ, 190.0))
@@ -185,10 +190,3 @@ class TestValueTypes:
             FitResult(1.0, 0.0, 0.0, 0.0, 0.0)
         with pytest.raises(ParamError):
             FitResult(1.0, 3.3, 0.0, 0.0, -1.0)
-
-    def test_optical_defaults(self):
-        cfg = default_optical()
-        assert cfg.fwhm_signal_ns == 25.0
-        assert [f.name for f in dataclasses.fields(cfg)] == ["fwhm_signal_ns"]
-        with pytest.raises(ParamError):
-            OpticalConfig(fwhm_signal_ns=0.0)

@@ -260,8 +260,8 @@ class TestCheckCriteria:
         assert report.empty_state.margin == trace.events[1].out_energy / 0.01
 
     def test_8mhz_neighbor_breaks_interaction_free(self):
-        rails = (RailCalibration.from_eta_mem(190.0, 5.4, 0.7, 0.35),
-                 RailCalibration.from_eta_mem(198.0, 5.4, 0.7, 0.35))
+        rails = (RailCalibration(190.0, 5.4, 0.7, 0.35),
+                 RailCalibration(198.0, 5.4, 0.7, 0.35))
         seq = Sequence("tight", (190.0, 198.0), (
             Operation(0.0, OpKind.WRITE, 190.0),
             Operation(400.0, OpKind.READ, 198.0),

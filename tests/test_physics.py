@@ -10,7 +10,6 @@ from vapormem.physics import (
     aod_efficiency,
     depletion_fraction,
     diffusion_coefficient,
-    diffusive_retention,
     overlap_factor,
     rail_position_um,
     read_sampling_variance_um2,
@@ -228,12 +227,3 @@ class TestTemporalDecay:
             temporal_decay(1.0, 1.0, 0.0)
         with pytest.raises(DomainError):
             temporal_decay(1.0, -0.1, 3.2)
-
-
-class TestDiffusiveRetention:
-    def test_fresh_component_retains_everything(self):
-        assert diffusive_retention(P.sigma0 ** 2, P) == 1.0
-
-    def test_monotone_decreasing_in_variance(self):
-        vals = [diffusive_retention(P.sigma0 ** 2 + k * 1e4, P) for k in range(5)]
-        assert all(b < a for a, b in zip(vals, vals[1:]))

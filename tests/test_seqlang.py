@@ -1,3 +1,4 @@
+import math
 from decimal import Decimal
 
 import pytest
@@ -15,6 +16,9 @@ from vapormem.seqlang import (
 )
 
 P = default_params()
+
+# 401 digits: a float of them overflows to inf
+HUGE = "1" + "0" * 400
 
 # every ParseError site: document, message, line, column; columns count
 # characters, so a tab or any Unicode whitespace is one column
@@ -44,7 +48,36 @@ PARSE_ERRORS = [
      "operation time does not increase", 4, 4),
     ("SEQUENCE s\nRAILS 190MHz\n  HELLO there\n", "unknown directive 'HELLO'", 3, 3),
     ("# only\r\n\t\n", "missing SEQUENCE header", 1, 1),
+    (f"SEQUENCE s\nRAILS 190MHz {HUGE}MHz\n", "frequency is too large", 2, 14),
+    (f"SEQUENCE s\nRAILS 190MHz\nAT {HUGE}ns READ 190MHz\n", "time is too large", 3, 4),
+    (f"SEQUENCE s\nRAILS 190MHz\nAT 0ns READ 190MHz\nAT {HUGE}us READ 190MHz\n",
+     "time is too large", 4, 4),
+    (f"SEQUENCE s\nRAILS 190MHz\nAT 0ns PUMP {HUGE}MHz\n", "frequency is too large", 3, 13),
+    (f"SEQUENCE s\nRAILS 190MHz\nAT 0ns WRITE 190MHz {HUGE}\n", "energy is too large", 3, 21),
 ]
+
+# short numbers, and numbers of 301 to 421 digits, which overflow a float
+FUZZ_NUMBER = st.one_of(
+    st.from_regex(r"[0-9]{1,4}(\.[0-9]{1,3})?", fullmatch=True),
+    st.builds(lambda d, n: str(d) + "0" * n, st.integers(1, 9), st.integers(300, 420)),
+)
+FUZZ_FREQ = st.one_of(st.sampled_from(["190", "210"]), FUZZ_NUMBER)
+FUZZ_OP = st.builds(
+    "AT {}{} {}".format, FUZZ_NUMBER, st.sampled_from(["ns", "us"]),
+    st.one_of(st.builds("WRITE {}MHz {}".format, FUZZ_FREQ, st.one_of(st.just(""), FUZZ_NUMBER)),
+              st.builds("{} {}MHz".format, st.sampled_from(["READ", "PUMP"]), FUZZ_FREQ)))
+FUZZ_TOKEN = st.one_of(
+    st.sampled_from(["SEQUENCE", "RAILS", "AT", "WRITE", "READ", "PUMP", "190MHz", "#"]),
+    st.builds("{}{}".format, FUZZ_NUMBER, st.sampled_from(["", "ns", "us", "MHz"])),
+    st.text(max_size=4),
+)
+# arbitrary text, lines of grammar tokens, and programs of one to three operations
+FUZZ_TEXT = st.one_of(
+    st.text(),
+    st.lists(st.lists(FUZZ_TOKEN, max_size=6).map(" ".join), max_size=8).map("\n".join),
+    st.builds("SEQUENCE s\nRAILS 190MHz {}MHz\n{}".format, FUZZ_FREQ,
+              st.lists(FUZZ_OP, min_size=1, max_size=3).map("\n".join)),
+)
 
 
 class TestParse:
@@ -134,7 +167,6 @@ class TestParse:
         assert err.value.line == 3
         assert err.value.col == 13  # start of the frequency token
 
-
     @pytest.mark.parametrize("doc,message,line,col", PARSE_ERRORS,
                              ids=[m for _, m, _, _ in PARSE_ERRORS])
     def test_every_error_site_located(self, doc, message, line, col):
@@ -142,6 +174,17 @@ class TestParse:
             parse(doc)
         assert str(err.value) == f"line {line}, col {col}: {message}"
         assert (err.value.line, err.value.col) == (line, col)
+
+    @example(text=f"SEQUENCE s\nRAILS 190MHz\nAT {HUGE}ns READ 190MHz\n")
+    @given(text=FUZZ_TEXT)
+    def test_parse_yields_finite_values_or_parse_error(self, text):
+        try:
+            seq = parse(text)
+        except ParseError:
+            return
+        assert all(math.isfinite(f) for f in seq.rails)
+        assert all(math.isfinite(op.t_ns) and math.isfinite(op.f_rail)
+                   and math.isfinite(op.energy) for op in seq.ops)
 
     def test_whitespace_comments_and_crlf(self):
         doc = ("# header comment\r\n\tSEQUENCE\x0bws # name\r\n"
