@@ -18,7 +18,8 @@ Unit conventions used throughout the package:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import sys
+from dataclasses import dataclass, field, fields
 from enum import Enum
 
 
@@ -59,6 +60,14 @@ class OpKind(Enum):
 def _require(cond: bool, msg: str) -> None:
     if not cond:
         raise ParamError(msg)
+
+
+def _require_finite(obj) -> None:
+    """Every field of a parameter type must be a finite number."""
+    for f in fields(obj):
+        # unlike math.isfinite, the comparison also holds for an int too large
+        # for a float, and it is False for NaN
+        _require(abs(getattr(obj, f.name)) <= sys.float_info.max, f"{f.name} must be finite")
 
 
 @dataclass(frozen=True)
@@ -105,11 +114,15 @@ class PhysicsParams:
     pump_fidelity: float
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         for name in ("d0", "t0", "p0", "t_cell", "p_buffer", "w_signal",
                      "w_control", "sigma0", "w_dep"):
             _require(getattr(self, name) > 0.0, f"{name} must be strictly positive")
         _require(0.0 <= self.edge_loss < 1.0, "edge_loss must lie in [0, 1)")
         _require(0.0 <= self.pump_fidelity <= 1.0, "pump_fidelity must lie in [0, 1]")
+        # a component's variance starts at sigma0², which must be a positive float
+        _require(0.0 < self.sigma0 * self.sigma0 <= sys.float_info.max,
+                 "sigma0² must be a strictly positive finite float")
         _require(self.m_dep >= 1, "m_dep must be at least 1")
         _require(self.f_halfband > 0.0, "f_halfband must be strictly positive")
         _require(self.t_switch > 0.0, "t_switch must be strictly positive")
@@ -142,6 +155,7 @@ class RailCalibration:
     eta_mem: float
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         _require(self.tau_us > 0.0, "tau_us must be strictly positive")
         _require(self.tau_err_us >= 0.0, "tau_err_us must be non-negative")
         _require(0.0 < self.eta_mem <= 1.0, "eta_mem must lie in (0, 1]")
@@ -159,12 +173,13 @@ class RailCalibration:
 
 @dataclass(frozen=True)
 class SpinWaveComponent:
-    """One stored Gaussian excitation.
+    """Snapshot of one stored Gaussian excitation, as ``Memory.components`` gives it.
 
-    amplitude is the stored energy in normalized input-pulse units; s2 is
-    the per-axis spatial variance, which only ever grows as the component
-    diffuses; tau_us is inherited from the rail the component was written
-    on.
+    amplitude is the stored energy in normalized input-pulse units.
+    x_center and tau_us are those of the rail the component was written
+    on. s2 is the per-axis spatial variance at the time of the snapshot,
+    computed from the component's age as sigma0² + 2 D age; the memory
+    itself keeps only the amplitude and the birth time.
     """
 
     amplitude: float
@@ -280,7 +295,6 @@ class FitResult:
 
     a0: float
     tau_us: float
-    a0_err: float
     tau_err_us: float
     rss: float
 

@@ -40,18 +40,20 @@ SIGNAL_FWHM_NS = 25.0  # full width at half maximum of a rendered signal pulse
 
 
 class Memory:
-    """Multi-rail memory state: parameters, rail calibrations, component pool.
+    """Multi-rail memory state: parameters, rail calibrations, stored pulses.
 
     All mutation goes through :meth:`apply` (or :meth:`pump`,
     :meth:`write` and :meth:`read`) and :meth:`advance`; time never moves
     backwards.
 
-    The pool holds live components only. A write, read or perfect pump on
-    a rail depletes every component centered there by exactly dep(0) = 1,
-    which leaves amplitude 0.0; a component at exactly 0.0 adds exactly
-    nothing to any later read or :meth:`stored_on` sum, so it is dropped.
-    At most one component per rail stays live, and the cost of a run is
-    linear in its number of operations.
+    Each rail holds at most one live component, stored as its amplitude
+    and birth time only. Its centre and lifetime are its rail's, and its
+    per-axis variance is computed from its age when a read or a snapshot
+    needs it, sigma0² + 2 D age. A write, read or perfect pump on a rail
+    depletes every component centered there by exactly dep(0) = 1, which
+    leaves amplitude 0.0; such a component adds exactly nothing to any
+    later read or :meth:`stored_on`, so it is dropped. The cost of a run
+    is linear in its number of operations.
     """
 
     def __init__(self, params: PhysicsParams, rails: Iterable[RailCalibration]):
@@ -66,8 +68,8 @@ class Memory:
             if cal.f_rail in self._rails:
                 raise DuplicateRailError(f"rail {cal.f_rail} MHz declared twice")
             self._rails[cal.f_rail] = (cal, physics.rail_position_um(cal.f_rail, params))
-        # live components, oldest first, as [amplitude, x_center, s2, t_birth_ns, tau_us]
-        self._rows: list[list[float]] = []
+        # the live component of each rail, oldest write first: [amplitude, t_birth_ns]
+        self._stored: dict[float, list[float]] = {}
         self.t_now_ns = 0.0
         # cell diffusion coefficient is fixed for the lifetime of the state
         self._diff = physics.diffusion_coefficient(params)
@@ -78,8 +80,18 @@ class Memory:
 
     @property
     def components(self) -> list[SpinWaveComponent]:
-        """Snapshot of the live components, oldest first."""
-        return [SpinWaveComponent(*row) for row in self._rows]
+        """Snapshot of the live components at the current time, oldest first."""
+        snapshot = []
+        for f, (amplitude, t_birth_ns) in self._stored.items():
+            cal, x_center = self._rails[f]
+            age_us = (self.t_now_ns - t_birth_ns) / NS_PER_US
+            snapshot.append(SpinWaveComponent(
+                amplitude, x_center, self._variance(age_us), t_birth_ns, cal.tau_us))
+        return snapshot
+
+    def _variance(self, age_us: float) -> float:
+        """Per-axis variance of a component of the given age (free diffusion)."""
+        return physics.spread_variance_um2(self.params.sigma0 ** 2, age_us, self._diff)
 
     def _rail(self, f_rail: float) -> tuple[RailCalibration, float]:
         """Calibration and beam position of a declared rail."""
@@ -89,7 +101,7 @@ class Memory:
             raise UnknownRailError(f"rail {f_rail} MHz was not declared") from None
 
     def advance(self, t_ns: float) -> None:
-        """Advance time without performing an operation; components spread.
+        """Advance time without performing an operation.
 
         A time that is not finite, or earlier than the current time, raises
         TimeOrderError and leaves the clock where it was.
@@ -99,16 +111,15 @@ class Memory:
         if t_ns < self.t_now_ns:
             raise TimeOrderError(
                 f"cannot move from {self.t_now_ns} ns back to {t_ns} ns")
-        dt_us = (t_ns - self.t_now_ns) / NS_PER_US
-        if dt_us > 0.0:
-            for row in self._rows:
-                row[2] = physics.spread_variance_um2(row[2], dt_us, self._diff)
         self.t_now_ns = t_ns
 
     def stored_on(self, f_rail: float) -> float:
-        """Total remaining amplitude of components centered on a rail."""
-        x = self._rail(f_rail)[1]
-        return sum((row[0] for row in self._rows if row[1] == x), 0.0)
+        """Remaining amplitude of the component stored on a rail (0.0 if none)."""
+        slot = self._stored.get(f_rail)
+        if slot is None:
+            self._rail(f_rail)  # an undeclared rail raises UnknownRailError
+            return 0.0
+        return slot[0]
 
     def apply(self, op: Operation) -> float:
         """Perform one operation.
@@ -147,14 +158,9 @@ class Memory:
         self._deplete(x_op, 1.0)
         stored = energy * cal.eta_write
         leakage = energy - stored
-        born = SpinWaveComponent(
-            amplitude=stored,
-            x_center=x_op,
-            s2=self.params.sigma0 ** 2,
-            t_birth_ns=t_ns,
-            tau_us=cal.tau_us,
-        )
-        self._rows.append([born.amplitude, born.x_center, born.s2, born.t_birth_ns, born.tau_us])
+        # the depletion above zeroed and dropped this rail's older component,
+        # so the new one is inserted last and reads sum in write order
+        self._stored[f_rail] = [stored, t_ns]
         return leakage
 
     def read(self, f_rail: float, t_ns: float) -> float:
@@ -169,11 +175,13 @@ class Memory:
         self.advance(t_ns)
         eta_read = cal.eta_read
         retrieved = 0.0
-        for amplitude, x_center, s2, t_birth_ns, tau_us in self._rows:
+        for f, (amplitude, t_birth_ns) in self._stored.items():
+            stored_cal, x_center = self._rails[f]
             age_us = (t_ns - t_birth_ns) / NS_PER_US
-            decay = physics.temporal_decay(1.0, age_us, tau_us)
+            decay = physics.temporal_decay(1.0, age_us, stored_cal.tau_us)
             retrieved += (amplitude * eta_read * decay
-                          * physics.overlap_factor(abs(x_op - x_center), s2, self.params))
+                          * physics.overlap_factor(abs(x_op - x_center),
+                                                   self._variance(age_us), self.params))
         self._deplete(x_op, 1.0)
         return retrieved
 
@@ -184,13 +192,13 @@ class Memory:
         is not >= 0 (NaN, from a non-finite beam position) is rejected
         first.
         """
-        for row in self._rows:
-            amplitude = row[0] * (
-                1.0 - fidelity * physics.depletion_fraction(abs(x_op - row[1]), self.params))
+        for f, slot in self._stored.items():
+            amplitude = slot[0] * (1.0 - fidelity * physics.depletion_fraction(
+                abs(x_op - self._rails[f][1]), self.params))
             if not amplitude >= 0.0:
                 raise ParamError("amplitude must be non-negative")
-            row[0] = amplitude
-        self._rows = [row for row in self._rows if row[0] != 0.0]
+            slot[0] = amplitude
+        self._stored = {f: slot for f, slot in self._stored.items() if slot[0] != 0.0}
 
 
 def run_sequence(state: Memory, seq: Sequence) -> Trace:

@@ -36,6 +36,12 @@ from .core import (
 CROSSTALK_WRITE_RAIL_MHZ = 190.0
 CROSSTALK_SEPARATIONS_MHZ = tuple(float(k) for k in range(0, 26))
 LIFETIME_DELAYS_US = tuple((k * 400) / 1000 for k in range(1, 29))
+# check_criteria: tolerated relative deviation of an interleaved write-read
+# pair, tolerated re-read excess over 1 - dep(0), and the reference retrieval
+# (the unit-efficiency retrieval of a unit input pulse)
+INTERACTION_TOL = 0.02
+REREAD_TOL = 0.03
+REFERENCE_ENERGY = 1.0
 
 _GN_TOL = 1e-9
 _GN_MAX_ITER = 100
@@ -103,30 +109,28 @@ def _find_cal(rails_cal: Iterable[RailCalibration], f_rail: float) -> RailCalibr
 
 
 def scan_crosstalk(params: PhysicsParams, rails_cal: Iterable[RailCalibration],
-                   separations_mhz: SeqABC[float] = CROSSTALK_SEPARATIONS_MHZ,
-                   write_rail_mhz: float = CROSSTALK_WRITE_RAIL_MHZ) -> ScanResult:
+                   separations_mhz: SeqABC[float] = CROSSTALK_SEPARATIONS_MHZ) -> ScanResult:
     """Two-rail cross-talk scan against rail separation.
 
-    For each separation: write a unit pulse on the fixed write rail at
-    t = 0, read the displaced neighbor at 0.4 µs (peak1), then read the
-    write rail itself at 0.8 µs (peak2). At zero separation both reads
-    address the write rail. Unmeasured neighbor rails inherit the write
-    rail's calibration.
+    For each separation: write a unit pulse on the write rail
+    ``CROSSTALK_WRITE_RAIL_MHZ`` at t = 0, read the displaced neighbor at
+    0.4 µs (peak1), then read the write rail itself at 0.8 µs (peak2). At
+    zero separation both reads address the write rail. Unmeasured neighbor
+    rails inherit the write rail's calibration.
     """
-    rails_cal = tuple(rails_cal)
-    base = _find_cal(rails_cal, write_rail_mhz)
+    base = _find_cal(tuple(rails_cal), CROSSTALK_WRITE_RAIL_MHZ)
     peak1, peak2 = [], []
     for sep in separations_mhz:
         if sep == 0.0:
             mem = engine.Memory(params, [base])
-            read_rail = write_rail_mhz
+            read_rail = CROSSTALK_WRITE_RAIL_MHZ
         else:
-            neighbor = replace(base, f_rail=write_rail_mhz + sep)
+            neighbor = replace(base, f_rail=CROSSTALK_WRITE_RAIL_MHZ + sep)
             mem = engine.Memory(params, [base, neighbor])
             read_rail = neighbor.f_rail
-        mem.write(write_rail_mhz, 0.0, 1.0)
+        mem.write(CROSSTALK_WRITE_RAIL_MHZ, 0.0, 1.0)
         peak1.append(mem.read(read_rail, 400.0))
-        peak2.append(mem.read(write_rail_mhz, 800.0))
+        peak2.append(mem.read(CROSSTALK_WRITE_RAIL_MHZ, 800.0))
     return ScanResult("separation_mhz", tuple(float(s) for s in separations_mhz),
                       {"peak1": tuple(peak1), "peak2": tuple(peak2)})
 
@@ -211,7 +215,6 @@ def fit_exponential(points: Iterable[tuple[float, float]]) -> FitResult:
     sigma2 = rss / dof if dof > 0 else 0.0
     cov = sigma2 * np.linalg.inv(jac.T @ jac)
     return FitResult(a0=float(a0), tau_us=float(tau),
-                     a0_err=float(math.sqrt(max(cov[0, 0], 0.0))),
                      tau_err_us=float(math.sqrt(max(cov[1, 1], 0.0))),
                      rss=rss)
 
@@ -266,20 +269,17 @@ def random_access_sequence() -> Sequence:
 
 def check_criteria(trace: Trace, seq: Sequence, params: PhysicsParams,
                    rails_cal: Iterable[RailCalibration], *,
-                   interaction_tol: float = 0.02,
-                   empty_tol: float = 0.01,
-                   reread_tol: float = 0.03,
-                   reference_energy: float = 1.0) -> CriteriaReport:
+                   empty_tol: float = 0.01) -> CriteriaReport:
     """Evaluate the three random-access memory criteria on a trace.
 
     interaction_free: every write-to-read pair with intervening operations
-    on other rails retrieves within ``interaction_tol`` of the analytic
+    on other rails retrieves within ``INTERACTION_TOL`` of the analytic
     no-intervention prediction. empty_state: every read of a rail holding
     no live component returns at most ``empty_tol`` of the reference
-    retrieval (``reference_energy`` is the unit-efficiency retrieval of a
-    unit input pulse). full_retrieval: every immediate re-read (adjacent
-    operations, same rail) returns at most (1 - dep(0)) + ``reread_tol``
-    of the preceding read, re-reads of empty rails excluded.
+    retrieval ``REFERENCE_ENERGY``. full_retrieval: every immediate re-read
+    (adjacent operations, same rail) returns at most
+    (1 - dep(0)) + ``REREAD_TOL`` of the preceding read, re-reads of empty
+    rails excluded.
 
     The trace is replayed to verify it belongs to the sequence and to
     observe per-read occupancy; a mismatch raises TraceMismatchError.
@@ -294,7 +294,6 @@ def check_criteria(trace: Trace, seq: Sequence, params: PhysicsParams,
         if (ev.t_ns, ev.kind, ev.f_rail) != (op.t_ns, op.kind, op.f_rail):
             raise TraceMismatchError("trace event does not match its operation")
         if op.kind is OpKind.READ:
-            # at most one component per rail is live, so its amplitude is the sum
             live_before.append(mem.stored_on(op.f_rail) > 1e-12)
         else:
             live_before.append(None)
@@ -328,20 +327,20 @@ def check_criteria(trace: Trace, seq: Sequence, params: PhysicsParams,
     worst_empty = 0.0
     for i, op in enumerate(seq.ops):
         if op.kind is OpKind.READ and live_before[i] is False:
-            worst_empty = max(worst_empty, outs[i] / reference_energy)
+            worst_empty = max(worst_empty, outs[i] / REFERENCE_ENERGY)
 
     # full retrieval: immediate re-reads of a just-read rail
     worst_reread = 0.0
-    threshold = (1.0 - physics.depletion_fraction(0.0, params)) + reread_tol
+    threshold = (1.0 - physics.depletion_fraction(0.0, params)) + REREAD_TOL
     for i in range(1, len(seq.ops)):
         a, b = seq.ops[i - 1], seq.ops[i]
         if (a.kind is OpKind.READ and b.kind is OpKind.READ
                 and a.f_rail == b.f_rail
-                and outs[i - 1] >= empty_tol * reference_energy):
+                and outs[i - 1] >= empty_tol * REFERENCE_ENERGY):
             worst_reread = max(worst_reread, outs[i] / outs[i - 1])
 
-    interaction = CriterionCheck(worst_interaction <= interaction_tol,
-                                 worst_interaction / interaction_tol)
+    interaction = CriterionCheck(worst_interaction <= INTERACTION_TOL,
+                                 worst_interaction / INTERACTION_TOL)
     empty = CriterionCheck(worst_empty <= empty_tol, worst_empty / empty_tol)
     reread = CriterionCheck(worst_reread <= threshold, worst_reread / threshold)
     return CriteriaReport(interaction, empty, reread)

@@ -106,9 +106,14 @@ def depletion_fraction(d_um: float, p: PhysicsParams) -> float:
     Super-Gaussian kernel exp(-(|d|/w_dep)^(2 m_dep)). The strong control
     field destroys coherence over a wider, flatter region than it
     efficiently retrieves from, which is why this kernel is separate from
-    (and much flatter than) the retrieval overlap.
+    (and much flatter than) the retrieval overlap. Beyond w_dep a high
+    order makes the power overflow a float, and exp(-huge) is 0.0.
     """
-    return math.exp(-((abs(d_um) / p.w_dep) ** (2 * p.m_dep)))
+    # a float exponent is inf, not an error, when 2 * m_dep is beyond a float
+    try:
+        return math.exp(-((abs(d_um) / p.w_dep) ** (2.0 * p.m_dep)))
+    except OverflowError:
+        return 0.0
 
 
 def temporal_decay(amplitude: float, dt_us: float, tau_us: float) -> float:

@@ -1,8 +1,13 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from corpus import CANONICAL
-from vapormem.cli import WAVEFORM_CSV_CHUNK, main, waveform_csv
+from vapormem.cli import WAVEFORM_CSV_CHUNK, ConfigError, configured, main, waveform_csv
+from vapormem.core import ParamError, PhysicsParams
 
 TIGHT = "SEQUENCE tight\nRAILS 190MHz\nAT 0ns WRITE 190MHz\nAT 47ns READ 190MHz\n"
 CLOSE_RAILS = ("SEQUENCE close\nRAILS 190MHz 198MHz\n"
@@ -20,6 +25,33 @@ LOCATED_PARSE_ERRORS = [
     pytest.param(f"SEQUENCE s\nRAILS 190MHz\nAT 0ns WRITE 190MHz {HUGE}\n", "line 3, col 21",
                  id="energy-overflow"),
 ]
+
+# one config line each, with a value that is not finite or does not fit a
+# float, and the field the error names
+NON_FINITE_CONFIGS = [
+    ("d0 = inf", "d0"),
+    ("w_dep = inf", "w_dep"),
+    ("rail.190.tau_us = inf", "tau_us"),
+    ("rail.190.tau_err_us = inf", "tau_err_us"),
+    ("pos_per_mhz = inf", "pos_per_mhz"),
+    ("f_center = inf", "f_center"),
+    ("f_center = -inf", "f_center"),
+    ("f_center = nan", "f_center"),
+    ("t_switch = inf", "t_switch"),
+    pytest.param(f"m_dep = {HUGE}", "m_dep", id="m_dep-401-digits"),
+]
+CONFIG_KEYS = sorted(f.name for f in dataclasses.fields(PhysicsParams)) + [
+    f"rail.{f}.{k}" for f in ("190", "230.0", "195") for k in ("tau_us", "tau_err_us", "eta_mem")]
+CONFIG_VALUES = st.one_of(
+    st.floats().map(repr),
+    st.integers().map(str),
+    st.sampled_from(["inf", "-Infinity", "nan", "1e400", "-1e400", HUGE, "1e-400", "0x10", "1_0"]),
+    st.text(max_size=8),
+)
+CONFIG_LINES = st.one_of(
+    st.builds("{} = {}".format, st.sampled_from(CONFIG_KEYS), CONFIG_VALUES),
+    st.text(max_size=30),
+)
 
 
 @pytest.fixture
@@ -252,6 +284,41 @@ class TestConfig:
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("rail.195.tau_us = 1.0\n")
         assert main(["--config", str(cfg), "report"]) == 2
+
+    @pytest.mark.parametrize("line,field", NON_FINITE_CONFIGS)
+    def test_non_finite_value_rejected(self, seqfile, tmp_path, capsys, line, field):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(line + "\n")
+        out = tmp_path / "trace.csv"
+        rc = main(["--config", str(cfg), "run", seqfile(CANONICAL), "--trace-out", str(out)])
+        assert rc == 2
+        assert f"error: {field} must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_high_depletion_order_runs(self, seqfile, tmp_path, capsys):
+        # (675 um / w_dep)^(2 m_dep) overflows a float; the kernel there is 0.0
+        cfg = tmp_path / "steep.cfg"
+        cfg.write_text("m_dep = 1000000\n")
+        out = tmp_path / "trace.csv"
+        rc = main(["--config", str(cfg), "run", seqfile(CANONICAL), "--trace-out", str(out)])
+        assert rc == 0
+        assert len(out.read_text().splitlines()) == 13
+
+    @given(lines=st.lists(CONFIG_LINES, max_size=6))
+    @example(lines=["d0 = inf"])
+    @example(lines=["pos_per_mhz = inf"])
+    @example(lines=["rail.190.tau_us = inf"])
+    @example(lines=[f"m_dep = {HUGE}"])
+    def test_config_gives_finite_values_or_named_error(self, tmp_path_factory, lines):
+        cfg = tmp_path_factory.getbasetemp() / "fuzz.cfg"
+        cfg.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        try:
+            params, rails = configured(str(cfg))
+        except (ConfigError, ParamError):
+            return
+        for obj in (params, *rails):
+            for f in dataclasses.fields(obj):
+                assert math.isfinite(getattr(obj, f.name)), f.name
 
     def test_comments_and_param_overrides(self, tmp_path, capsys):
         cfg = tmp_path / "ok.cfg"

@@ -10,6 +10,7 @@ from vapormem.core import (
     OpKind,
     Operation,
     ParamError,
+    PhysicsParams,
     RailCalibration,
     Sequence,
     SpinWaveComponent,
@@ -58,6 +59,7 @@ class TestDefaultParams:
     @pytest.mark.parametrize("field,value", [
         ("d0", 0.0), ("d0", -1.0), ("t0", 0.0), ("p_buffer", -5.0),
         ("w_signal", 0.0), ("w_control", -1.0), ("sigma0", 0.0),
+        ("sigma0", 1e-200), ("sigma0", 1e200),
         ("w_dep", 0.0), ("m_dep", 0), ("f_halfband", 0.0),
         ("edge_loss", -0.1), ("edge_loss", 1.0), ("t_switch", 0.0),
         ("pump_fidelity", -0.1), ("pump_fidelity", 1.1), ("pos_per_mhz", 0.0),
@@ -65,6 +67,16 @@ class TestDefaultParams:
     def test_invariants_rejected(self, field, value):
         with pytest.raises(ParamError):
             dataclasses.replace(default_params(), **{field: value})
+
+    @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(PhysicsParams)])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_rejected(self, field, value):
+        with pytest.raises(ParamError, match=f"^{field} must be finite$"):
+            dataclasses.replace(default_params(), **{field: value})
+
+    def test_order_too_large_for_a_float_rejected(self):
+        with pytest.raises(ParamError, match="^m_dep must be finite$"):
+            dataclasses.replace(default_params(), m_dep=10 ** 400)
 
 
 class TestRailCalibration:
@@ -105,6 +117,14 @@ class TestRailCalibration:
         base = dict(f_rail=190.0, tau_us=5.4, tau_err_us=0.7, eta_mem=0.35)
         base.update(kwargs)
         with pytest.raises(ParamError):
+            RailCalibration(**base)
+
+    @pytest.mark.parametrize("field", ["f_rail", "tau_us", "tau_err_us", "eta_mem"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_rejected(self, field, value):
+        base = dict(f_rail=190.0, tau_us=5.4, tau_err_us=0.7, eta_mem=0.35)
+        base[field] = value
+        with pytest.raises(ParamError, match=f"^{field} must be finite$"):
             RailCalibration(**base)
 
 
@@ -185,8 +205,8 @@ class TestValueTypes:
             TraceEvent(**kwargs)
 
     def test_fit_result_invariants(self):
-        FitResult(1.0, 3.3, 0.0, 0.0, 0.0)
+        FitResult(1.0, 3.3, 0.0, 0.0)
         with pytest.raises(ParamError):
-            FitResult(1.0, 0.0, 0.0, 0.0, 0.0)
+            FitResult(1.0, 0.0, 0.0, 0.0)
         with pytest.raises(ParamError):
-            FitResult(1.0, 3.3, 0.0, 0.0, -1.0)
+            FitResult(1.0, 3.3, 0.0, -1.0)

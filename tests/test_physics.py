@@ -204,6 +204,17 @@ class TestDepletion:
     def test_negligible_beyond_20mhz(self, d):
         assert depletion_fraction(d, P) <= 1e-2
 
+    @pytest.mark.parametrize("m_dep", [10 ** 6, pytest.param(10 ** 308, id="1e308")])
+    def test_high_order_is_a_step(self, m_dep):
+        # (d/w_dep)^(2 m_dep) overflows a float beyond w_dep (and 2 * 10**308
+        # is beyond a float); the kernel is then exp(-huge) = 0.0
+        p = dataclasses.replace(P, m_dep=m_dep)
+        assert depletion_fraction(0.0, p) == 1.0
+        assert depletion_fraction(0.999 * P.w_dep, p) == 1.0
+        assert depletion_fraction(P.w_dep, p) == math.exp(-1.0)
+        assert depletion_fraction(1.001 * P.w_dep, p) == 0.0
+        assert depletion_fraction(675.0, p) == 0.0
+
 
 class TestTemporalDecay:
     def test_identity_at_zero_delay(self):
