@@ -21,7 +21,6 @@ re-checked against the construction invariants.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 from dataclasses import fields as dataclass_fields, replace
@@ -167,12 +166,10 @@ def cmd_run(args, params, rails) -> int:
         t, y = engine.render_waveform(trace, args.sample_period_ns,
                                       noise_floor=args.noise_floor,
                                       span_ns=args.waveform_span_ns)
-    print("t_ns kind rail_mhz out_energy stored_after")
-    for ev in trace:
-        print(f"{ev.t_ns!r} {ev.kind.value} {ev.f_rail!r} "
-              f"{ev.out_energy!r} {ev.stored_after!r}")
+    table = trace_csv(trace)
+    print(table.replace(",", " "), end="")
     if args.trace_out:
-        _write_text(args.trace_out, trace_csv(trace))
+        _write_text(args.trace_out, table)
         print(f"wrote {args.trace_out}")
     if args.waveform_out:
         _write_text(args.waveform_out, waveform_csv(t, y))
@@ -180,29 +177,19 @@ def cmd_run(args, params, rails) -> int:
     return 0
 
 
-def _grid(args, default_min, default_max, default_step, default_axis) -> list[float]:
-    if args.min is None and args.max is None and args.step is None:
-        return list(default_axis)
-    lo = default_min if args.min is None else args.min
-    hi = default_max if args.max is None else args.max
-    step = default_step if args.step is None else args.step
-    if not all(math.isfinite(v) for v in (lo, hi, step)):
-        raise ConfigError("scan min, max and step must be finite")
-    if step <= 0.0:
-        raise ConfigError("scan step must be strictly positive")
-    if lo > hi:
-        raise ConfigError("scan min must not exceed max")
-    n = int(math.floor((hi - lo) / step + 1e-9)) + 1
-    return [lo + k * step for k in range(n)]
+def _grid(args, standard: tuple[float, float, float]) -> tuple[float, ...]:
+    """The scan axis: the standard (first, last, step) with the set flags in place."""
+    flags = (args.min, args.max, args.step)
+    return harness.scan_grid(*(s if f is None else f for f, s in zip(flags, standard)))
 
 
 def cmd_scan(args, params, rails) -> int:
     if args.kind == "crosstalk":
-        grid = _grid(args, 0.0, 25.0, 1.0, harness.CROSSTALK_SEPARATIONS_MHZ)
+        grid = _grid(args, harness.CROSSTALK_GRID_MHZ)
         result = harness.scan_crosstalk(params, rails, grid)
         out_path = os.path.join(args.out, "crosstalk.csv")
     else:
-        grid = _grid(args, 0.4, 11.2, 0.4, harness.LIFETIME_DELAYS_US)
+        grid = _grid(args, harness.LIFETIME_GRID_US)
         result = harness.scan_lifetime(params, rails, args.rail, grid)
         out_path = os.path.join(args.out, f"lifetime_{args.rail:g}.csv")
     _write_text(out_path, scan_csv(result))
@@ -236,7 +223,7 @@ def cmd_report(args, params, rails) -> int:
         scan = harness.scan_lifetime(params, rails, cal.f_rail)
         fit = harness.fit_exponential(zip(scan.axis, scan.series["retrieved"]))
         eta_fit = harness.extrapolate_efficiency(
-            scan.series["retrieved"][0], scan.axis[0], fit.tau_us, 1.0)
+            scan.series["retrieved"][0], scan.axis[0], fit.tau_us)
         tau_ok = abs(fit.tau_us / cal.tau_us - 1.0) <= REPORT_TAU_RTOL
         eta_ok = abs(eta_fit - cal.eta_mem) <= REPORT_ETA_TOL
         ok = ok and tau_ok and eta_ok

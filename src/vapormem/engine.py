@@ -24,7 +24,6 @@ from .core import (
     DuplicateRailError,
     OpKind,
     Operation,
-    ParamError,
     PhysicsParams,
     RailCalibration,
     Sequence,
@@ -188,16 +187,12 @@ class Memory:
     def _deplete(self, x_op: float, fidelity: float) -> None:
         """Scale each component by (1 - fidelity * dep(d)) for a pulse at x_op.
 
-        Components left at exactly 0.0 are then dropped. An amplitude that
-        is not >= 0 (NaN, from a non-finite beam position) is rejected
-        first.
+        Beam positions are finite, so dep(d) and the scale lie in [0, 1].
+        Components left at exactly 0.0 are then dropped.
         """
         for f, slot in self._stored.items():
-            amplitude = slot[0] * (1.0 - fidelity * physics.depletion_fraction(
-                abs(x_op - self._rails[f][1]), self.params))
-            if not amplitude >= 0.0:
-                raise ParamError("amplitude must be non-negative")
-            slot[0] = amplitude
+            slot[0] *= 1.0 - fidelity * physics.depletion_fraction(
+                abs(x_op - self._rails[f][1]), self.params)
         self._stored = {f: slot for f, slot in self._stored.items() if slot[0] != 0.0}
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from fractions import Fraction
 from typing import Iterable, Sequence as SeqABC
 
 import numpy as np
@@ -34,13 +35,18 @@ from .core import (
 )
 
 CROSSTALK_WRITE_RAIL_MHZ = 190.0
-CROSSTALK_SEPARATIONS_MHZ = tuple(float(k) for k in range(0, 26))
-LIFETIME_DELAYS_US = tuple((k * 400) / 1000 for k in range(1, 29))
+# the standard scan grids as (first, last, step)
+CROSSTALK_GRID_MHZ = (0.0, 25.0, 1.0)
+LIFETIME_GRID_US = (0.4, 11.2, 0.4)
+# a scan point costs under 0.05 ms; a longer grid is a mistyped step
+MAX_SCAN_POINTS = 100_000
 # check_criteria: tolerated relative deviation of an interleaved write-read
-# pair, tolerated re-read excess over 1 - dep(0), and the reference retrieval
-# (the unit-efficiency retrieval of a unit input pulse)
+# pair, tolerated re-read excess over 1 - dep(0), tolerated empty-rail read as
+# a fraction of the reference retrieval, and that reference (the
+# unit-efficiency retrieval of a unit input pulse)
 INTERACTION_TOL = 0.02
 REREAD_TOL = 0.03
+EMPTY_TOL = 0.01
 REFERENCE_ENERGY = 1.0
 
 _GN_TOL = 1e-9
@@ -48,8 +54,8 @@ _GN_MAX_ITER = 100
 
 
 class FitError(VaporMemError):
-    """The fit input is unusable (too few points, non-positive energies,
-    a singular system, or a non-decaying trend)."""
+    """The fit input is unusable (too few points, non-finite values,
+    non-positive energies, a singular system, or a non-decaying trend)."""
 
 
 class FitConvergenceError(FitError):
@@ -58,6 +64,32 @@ class FitConvergenceError(FitError):
 
 class TraceMismatchError(VaporMemError):
     """The supplied trace was not produced by the supplied sequence."""
+
+
+def scan_grid(first: float, last: float, step: float) -> tuple[float, ...]:
+    """The points first, first + step, ... up to last, in exact decimal steps.
+
+    Each bound is read as its shortest decimal (its repr), and every point
+    is the exact first + k * step rounded once to a float, so
+    ``scan_grid(0.4, 11.2, 0.4)`` ends at 11.2, not 11.200000000000001.
+    A grid of more than ``MAX_SCAN_POINTS`` points, a bound that is not
+    finite, a step that is not positive and first > last raise DomainError.
+    """
+    if not all(math.isfinite(v) for v in (first, last, step)):
+        raise DomainError("scan min, max and step must be finite")
+    if step <= 0.0:
+        raise DomainError("scan step must be strictly positive")
+    if first > last:
+        raise DomainError("scan min must not exceed max")
+    lo, hi, d = (Fraction(repr(float(v))) for v in (first, last, step))
+    n = (hi - lo) // d + 1
+    if n > MAX_SCAN_POINTS:
+        raise DomainError(f"scan grid has {n} points, more than {MAX_SCAN_POINTS}")
+    return tuple(float(lo + k * d) for k in range(n))
+
+
+CROSSTALK_SEPARATIONS_MHZ = scan_grid(*CROSSTALK_GRID_MHZ)
+LIFETIME_DELAYS_US = scan_grid(*LIFETIME_GRID_US)
 
 
 @dataclass(frozen=True)
@@ -172,13 +204,27 @@ def fit_exponential(points: Iterable[tuple[float, float]]) -> FitResult:
     pts = [(float(t), float(y)) for t, y in points]
     if len(pts) < 3:
         raise FitError("need at least 3 points to fit")
+    if not all(math.isfinite(t) and math.isfinite(y) for t, y in pts):
+        raise FitError("times and energies must be finite")
+    if any(y <= 0.0 for _, y in pts):
+        raise FitError("all energies must be strictly positive")
+    # the relative-residual weight 1/y overflows for a subnormal energy
+    if not all(math.isfinite(1.0 / y) for _, y in pts):
+        raise FitError("relative-residual weights 1/energy must be finite")
     ts = np.array([t for t, _ in pts])
     ys = np.array([y for _, y in pts])
-    if np.any(ys <= 0.0):
-        raise FitError("all energies must be strictly positive")
     if np.all(ts == ts[0]):
         raise FitError("singular system: all times are equal")
+    try:
+        # numpy raises on an overflow too, which would reach LAPACK as inf
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return _fit(ts, ys)
+    except (ArithmeticError, np.linalg.LinAlgError) as exc:
+        raise FitError(f"fit failed numerically: {exc}") from None
 
+
+def _fit(ts: np.ndarray, ys: np.ndarray) -> FitResult:
+    """Log-linear start and Gauss-Newton refinement of fit_exponential."""
     ln = np.log(ys)
     tbar, lbar = ts.mean(), ln.mean()
     sxx = float(np.sum((ts - tbar) ** 2))
@@ -211,7 +257,7 @@ def fit_exponential(points: Iterable[tuple[float, float]]) -> FitResult:
     resid = (model - ys) * w
     jac = np.column_stack(((model / a0) * w, (model * ts / (tau * tau)) * w))
     rss = float(resid @ resid)
-    dof = len(pts) - 2
+    dof = len(ts) - 2
     sigma2 = rss / dof if dof > 0 else 0.0
     cov = sigma2 * np.linalg.inv(jac.T @ jac)
     return FitResult(a0=float(a0), tau_us=float(tau),
@@ -219,18 +265,18 @@ def fit_exponential(points: Iterable[tuple[float, float]]) -> FitResult:
                      rss=rss)
 
 
-def extrapolate_efficiency(e_read: float, t_read_us: float, tau_us: float,
-                           e_norm: float = 1.0) -> float:
+def extrapolate_efficiency(e_read: float, t_read_us: float, tau_us: float) -> float:
     """Internal efficiency at zero storage time from a delayed retrieval.
 
-    Undoes the storage decay over t_read and normalizes to the
-    normalization-pulse energy: eta = (e_read / e_norm) * exp(t_read / tau).
+    Undoes the storage decay over t_read: eta = e_read * exp(t_read / tau).
+    Energies are in units of the normalization pulse, so e_read needs no
+    further normalization.
     """
-    if e_read <= 0.0 or tau_us <= 0.0 or e_norm <= 0.0:
+    if e_read <= 0.0 or tau_us <= 0.0:
         raise DomainError("energies and lifetime must be strictly positive")
     if t_read_us < 0.0:
         raise DomainError("read time must be non-negative")
-    return (e_read / e_norm) * math.exp(t_read_us / tau_us)
+    return e_read * math.exp(t_read_us / tau_us)
 
 
 def weighted_mean(values: SeqABC[float], sigmas: SeqABC[float]) -> tuple[float, float]:
@@ -241,8 +287,12 @@ def weighted_mean(values: SeqABC[float], sigmas: SeqABC[float]) -> tuple[float, 
         raise DomainError("need at least one value")
     if any(s <= 0.0 for s in sigmas):
         raise DomainError("sigmas must be strictly positive")
-    weights = [1.0 / (s * s) for s in sigmas]
+    # s * s underflows to 0 for a tiny sigma (1/(s * s) overflows for a slightly
+    # larger one) and overflows to inf for a huge one
+    weights = [1.0 / (s * s) if s * s > 0.0 else math.inf for s in sigmas]
     total = sum(weights)
+    if not 0.0 < total < math.inf:
+        raise DomainError("weights 1/sigma² must be finite and not all zero")
     mean = sum(w * x for w, x in zip(weights, values)) / total
     return mean, 1.0 / math.sqrt(total)
 
@@ -268,14 +318,13 @@ def random_access_sequence() -> Sequence:
 
 
 def check_criteria(trace: Trace, seq: Sequence, params: PhysicsParams,
-                   rails_cal: Iterable[RailCalibration], *,
-                   empty_tol: float = 0.01) -> CriteriaReport:
+                   rails_cal: Iterable[RailCalibration]) -> CriteriaReport:
     """Evaluate the three random-access memory criteria on a trace.
 
     interaction_free: every write-to-read pair with intervening operations
     on other rails retrieves within ``INTERACTION_TOL`` of the analytic
     no-intervention prediction. empty_state: every read of a rail holding
-    no live component returns at most ``empty_tol`` of the reference
+    no live component returns at most ``EMPTY_TOL`` of the reference
     retrieval ``REFERENCE_ENERGY``. full_retrieval: every immediate re-read
     (adjacent operations, same rail) returns at most
     (1 - dep(0)) + ``REREAD_TOL`` of the preceding read, re-reads of empty
@@ -336,12 +385,12 @@ def check_criteria(trace: Trace, seq: Sequence, params: PhysicsParams,
         a, b = seq.ops[i - 1], seq.ops[i]
         if (a.kind is OpKind.READ and b.kind is OpKind.READ
                 and a.f_rail == b.f_rail
-                and outs[i - 1] >= empty_tol * REFERENCE_ENERGY):
+                and outs[i - 1] >= EMPTY_TOL * REFERENCE_ENERGY):
             worst_reread = max(worst_reread, outs[i] / outs[i - 1])
 
     interaction = CriterionCheck(worst_interaction <= INTERACTION_TOL,
                                  worst_interaction / INTERACTION_TOL)
-    empty = CriterionCheck(worst_empty <= empty_tol, worst_empty / empty_tol)
+    empty = CriterionCheck(worst_empty <= EMPTY_TOL, worst_empty / EMPTY_TOL)
     reread = CriterionCheck(worst_reread <= threshold, worst_reread / threshold)
     return CriteriaReport(interaction, empty, reread)
 
@@ -370,7 +419,7 @@ def monte_carlo_overlap(params: PhysicsParams, n_atoms: int, d_um: float,
     y = rng.normal(0.0, params.sigma0, n)
     if t_us > 0.0:
         diff = physics.diffusion_coefficient(params)
-        step = math.sqrt(2.0 * diff * 100.0 * t_us)
+        step = math.sqrt(physics.spread_variance_um2(0.0, t_us, diff))
         x = x + rng.normal(0.0, step, n)
         y = y + rng.normal(0.0, step, n)
     v = physics.read_sampling_variance_um2(params)

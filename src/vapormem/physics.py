@@ -20,10 +20,17 @@ def diffusion_coefficient(p: PhysicsParams) -> float:
 
     Scales the reference value inversely with buffer pressure and with
     temperature to the 3/2 power:  D = d0 * (p0/p_buffer) * (t_cell/t0)^1.5
+    Raises DomainError when D, or the variance growth rate 2 D it sets, is
+    not a finite float.
     """
-    if p.t0 <= 0.0 or p.p_buffer <= 0.0:
-        raise DomainError("reference temperature and buffer pressure must be positive")
-    return p.d0 * (p.p0 / p.p_buffer) * (p.t_cell / p.t0) ** 1.5
+    try:
+        diff = p.d0 * (p.p0 / p.p_buffer) * (p.t_cell / p.t0) ** 1.5
+    except OverflowError:
+        diff = math.inf
+    if not math.isfinite(2.0 * diff * _CM2_PER_S_TO_UM2_PER_US):
+        raise DomainError("diffusion coefficient D and its variance growth 2 D "
+                          "must be finite floats")
+    return diff
 
 
 def transit_time_us(delta_x_um: float, d_cm2_s: float) -> float:
@@ -46,10 +53,14 @@ def _require_in_band(f_mhz: float, p: PhysicsParams) -> None:
 def rail_position_um(f_mhz: float, p: PhysicsParams) -> float:
     """Lateral beam position for a drive frequency; band center maps to 0.
 
-    Raises OutOfBandError for a frequency outside the deflector band.
+    Raises OutOfBandError for a frequency outside the deflector band and
+    DomainError for a position that is not a finite float.
     """
     _require_in_band(f_mhz, p)
-    return (f_mhz - p.f_center) * p.pos_per_mhz
+    x = (f_mhz - p.f_center) * p.pos_per_mhz
+    if not math.isfinite(x):
+        raise DomainError(f"beam position of rail {f_mhz} MHz must be a finite float")
+    return x
 
 
 def aod_efficiency(f_mhz: float, p: PhysicsParams) -> float:
@@ -70,7 +81,10 @@ def spread_variance_um2(s2_um2: float, dt_us: float, d_cm2_s: float) -> float:
         raise DomainError("variance must be non-negative")
     if dt_us < 0.0:
         raise DomainError("elapsed time must be non-negative")
-    return s2_um2 + 2.0 * d_cm2_s * _CM2_PER_S_TO_UM2_PER_US * dt_us
+    s2 = s2_um2 + 2.0 * d_cm2_s * _CM2_PER_S_TO_UM2_PER_US * dt_us
+    if not math.isfinite(s2):
+        raise DomainError("spread variance must be a finite float")
+    return s2
 
 
 def read_sampling_variance_um2(p: PhysicsParams) -> float:
@@ -79,11 +93,18 @@ def read_sampling_variance_um2(p: PhysicsParams) -> float:
     Retrieval is driven by the control beam and the retrieved light is
     detected in the signal mode, so the sampling weight is the product of
     both intensity profiles; per axis the variances (w/2)² combine
-    harmonically.
+    harmonically. Raises DomainError when that arithmetic overflows.
     """
-    v_control = (p.w_control / 2.0) ** 2
-    v_signal = (p.w_signal / 2.0) ** 2
-    return v_control * v_signal / (v_control + v_signal)
+    try:
+        v_control = (p.w_control / 2.0) ** 2
+        v_signal = (p.w_signal / 2.0) ** 2
+        v = v_control * v_signal / (v_control + v_signal)
+    except OverflowError:
+        v = math.inf
+    if not math.isfinite(v):
+        raise DomainError("read sampling variance from w_signal and w_control "
+                          "must be a finite float")
+    return v
 
 
 def overlap_factor(d_um: float, s2_um2: float, p: PhysicsParams) -> float:

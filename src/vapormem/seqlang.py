@@ -94,12 +94,16 @@ def _col(line: str, k: int) -> int:
 
 
 def _time_ns(number: str, unit: str) -> float:
-    """A time token's value in ns, 1 us = 1000 ns exactly."""
-    if unit == "ns" and len(number) <= 28:
-        # Decimal(number) * 1 is exact at 28 digits, and float() rounds the
-        # string and the exact Decimal alike
-        return float(number)
-    return float(Decimal(number) * (1000 if unit == "us" else 1))
+    """A time token's value in ns, correctly rounded once.
+
+    1 us = 1000 ns exactly: a us token's decimal point moves three digits
+    right in the string itself, so float() sees the exact ns value.
+    """
+    if unit == "us":
+        whole, _, frac = number.partition(".")
+        frac = frac.ljust(3, "0")
+        number = f"{whole}{frac[:3]}.{frac[3:]}"
+    return float(number)
 
 
 def parse(text: str) -> Sequence:
@@ -206,13 +210,15 @@ def parse(text: str) -> Sequence:
 
 
 def _fmt_number(x: float) -> str:
-    """Shortest plain-decimal rendition (no exponent) that round-trips."""
-    if x == int(x) and abs(x) < 1e15:
-        return str(int(x))
-    s = repr(float(x))
-    if "e" in s or "E" in s:
+    """Shortest plain-decimal rendition (no exponent) that round-trips.
+
+    ``+ 0.0`` prints -0.0 as 0, an exponent is expanded through Decimal,
+    and an integral value drops its ``.0``.
+    """
+    s = repr(float(x) + 0.0)
+    if "e" in s:
         s = format(Decimal(s), "f")
-    return s
+    return s.removesuffix(".0")
 
 
 def format_sequence(seq: Sequence) -> str:

@@ -45,7 +45,7 @@ def test_criterion_2_calibration_round_trip(capsys):
             scan = harness.scan_lifetime(P, RAILS, cal.f_rail)
             fit = harness.fit_exponential(zip(scan.axis, scan.series["retrieved"]))
             eta = harness.extrapolate_efficiency(
-                scan.series["retrieved"][0], scan.axis[0], fit.tau_us, 1.0)
+                scan.series["retrieved"][0], scan.axis[0], fit.tau_us)
             assert abs(fit.tau_us / cal.tau_us - 1.0) <= 1e-4
             assert abs(eta - cal.eta_mem) <= 1e-3  # 0.1 percentage points
             taus_fit.append(fit.tau_us)

@@ -40,6 +40,18 @@ NON_FINITE_CONFIGS = [
     ("t_switch = inf", "t_switch"),
     pytest.param(f"m_dep = {HUGE}", "m_dep", id="m_dep-401-digits"),
 ]
+# finite config values whose derived diffusion coefficient, variance or beam
+# position overflows a float, and the quantity the error names
+OVERFLOWING_CONFIGS = [
+    ("t_cell = 1e308", "diffusion coefficient"),
+    ("d0 = 1e308", "diffusion coefficient"),
+    ("p0 = 1e308", "diffusion coefficient"),
+    ("w_signal = 1e308", "read sampling variance"),
+    ("w_control = 1e308", "read sampling variance"),
+    # 2 D is finite, the variance after 1.2 us is not
+    ("d0 = 4e303", "spread variance"),
+    ("pos_per_mhz = 1e307", "beam position"),
+]
 CONFIG_KEYS = sorted(f.name for f in dataclasses.fields(PhysicsParams)) + [
     f"rail.{f}.{k}" for f in ("190", "230.0", "195") for k in ("tau_us", "tau_err_us", "eta_mem")]
 CONFIG_VALUES = st.one_of(
@@ -109,9 +121,12 @@ class TestRun:
         trace_path = tmp_path / "trace.csv"
         rc = main(["run", seqfile(CANONICAL), "--trace-out", str(trace_path)])
         assert rc == 0
-        lines = trace_path.read_text().splitlines()
+        text = trace_path.read_text()
+        lines = text.splitlines()
         assert lines[0] == "t_ns,kind,rail_mhz,out_energy,stored_after"
         assert len(lines) == 13  # header + 12 operations
+        # the event table on stdout is the trace CSV with spaces for commas
+        assert capsys.readouterr().out == text.replace(",", " ") + f"wrote {trace_path}\n"
 
     def test_waveform_sampling(self, seqfile, tmp_path):
         wave_path = tmp_path / "wave.csv"
@@ -223,6 +238,32 @@ class TestScan:
                    "--min", "5", "--max", "1", "--step", "0.4"])
         assert rc == 2
 
+    @pytest.mark.parametrize("kind,flags", [
+        ("lifetime", ["--step", "0.4"]),
+        ("lifetime", ["--min", "0.4", "--max", "11.2"]),
+        ("crosstalk", ["--step", "1"]),
+    ])
+    def test_standard_flags_write_standard_bytes(self, tmp_path, capsys, kind, flags):
+        plain, flagged = tmp_path / "plain", tmp_path / "flagged"
+        assert main(["--out", str(plain), "scan", kind]) == 0
+        assert main(["--out", str(flagged), "scan", kind] + flags) == 0
+        name = "crosstalk.csv" if kind == "crosstalk" else "lifetime_190.csv"
+        assert (flagged / name).read_bytes() == (plain / name).read_bytes()
+
+    def test_axis_is_exact_decimal_steps(self, tmp_path, capsys):
+        rc = main(["--out", str(tmp_path), "scan", "lifetime",
+                   "--min", "0.1", "--max", "0.3", "--step", "0.1"])
+        assert rc == 0
+        rows = (tmp_path / "lifetime_190.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == ["0.1", "0.2", "0.3"]
+
+    def test_grid_size_capped(self, tmp_path, capsys):
+        # 25 / 1e-12 + 1 points are counted, not built
+        rc = main(["--out", str(tmp_path), "scan", "crosstalk", "--step", "1e-12"])
+        assert rc == 2
+        assert "scan grid has 25000000000001 points" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestFit:
     def test_fit_of_lifetime_scan(self, tmp_path, capsys):
@@ -240,6 +281,20 @@ class TestFit:
         bad = tmp_path / "bad.csv"
         bad.write_text("t,y\n1,1\n2,1\n")
         assert main(["fit", str(bad)]) == 2
+
+    @pytest.mark.parametrize("rows,message", [
+        ("0.4,1.0\n0.8,nan\n1.2,0.5\n", "times and energies must be finite"),
+        ("0.4,1.0\ninf,0.7\n1.2,0.5\n", "times and energies must be finite"),
+        ("0.4,1e-320\n0.8,1e-321\n1.2,1e-322\n", "relative-residual weights 1/energy must be finite"),
+        ("0,1e300\n1,1e-300\n2,1e-305\n", "fit failed numerically"),
+    ], ids=["nan", "inf", "subnormal", "singular"])
+    def test_numeric_edges_named(self, tmp_path, capfd, rows, message):
+        path = tmp_path / "edge.csv"
+        path.write_text("t,y\n" + rows)
+        assert main(["fit", str(path)]) == 2
+        out, err = capfd.readouterr()
+        assert out == ""  # LAPACK writes its complaints to the process's stdout
+        assert f"error: {message}" in err
 
 
 class TestReport:
@@ -259,6 +314,18 @@ class TestReport:
         assert rc == 1
         assert "weighted_mean_lifetime_us" in out
         assert "REPORT FAIL" in out
+
+    @pytest.mark.parametrize("line,message", [
+        ("rail.190.tau_err_us = 1e-308", "weights 1/sigma² must be finite"),
+        ("rail.190.eta_mem = 1e-308", "relative-residual weights 1/energy must be finite"),
+    ], ids=["tau_err_us", "eta_mem"])
+    def test_tiny_rail_value_is_named_error(self, tmp_path, capfd, line, message):
+        cfg = tmp_path / "tiny.cfg"
+        cfg.write_text(line + "\n")
+        assert main(["--config", str(cfg), "report"]) == 2
+        out, err = capfd.readouterr()
+        assert "DLASCL" not in out
+        assert f"error: {message}" in err
 
 
 class TestConfig:
@@ -293,6 +360,29 @@ class TestConfig:
         rc = main(["--config", str(cfg), "run", seqfile(CANONICAL), "--trace-out", str(out)])
         assert rc == 2
         assert f"error: {field} must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("line,quantity", OVERFLOWING_CONFIGS)
+    def test_overflowing_derived_value_rejected(self, seqfile, tmp_path, capsys,
+                                                line, quantity):
+        cfg = tmp_path / "extreme.cfg"
+        cfg.write_text(line + "\n")
+        out = tmp_path / "trace.csv"
+        rc = main(["--config", str(cfg), "run", seqfile(CANONICAL), "--trace-out", str(out)])
+        assert rc == 2
+        assert f"error: {quantity}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("line", ["t_cell = 1e308", "w_signal = 1e308"])
+    @pytest.mark.parametrize("command", [["report"], ["scan", "crosstalk"],
+                                         ["scan", "lifetime"], ["oracle", "--n", "1000"]])
+    def test_overflowing_derived_value_rejected_everywhere(self, tmp_path, capsys,
+                                                          line, command):
+        cfg = tmp_path / "extreme.cfg"
+        cfg.write_text(line + "\n")
+        out = tmp_path / "out"
+        assert main(["--config", str(cfg), "--out", str(out)] + command) == 2
+        assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
 
     def test_high_depletion_order_runs(self, seqfile, tmp_path, capsys):

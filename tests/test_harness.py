@@ -25,12 +25,46 @@ from vapormem.harness import (
     monte_carlo_overlap,
     random_access_sequence,
     scan_crosstalk,
+    scan_grid,
     scan_lifetime,
     weighted_mean,
 )
 
 P = default_params()
 RAILS = default_rails()
+
+
+class TestScanGrid:
+    def test_standard_grids_are_exact(self):
+        assert ([x.hex() for x in harness.CROSSTALK_SEPARATIONS_MHZ]
+                == [float(k).hex() for k in range(26)])
+        assert ([x.hex() for x in harness.LIFETIME_DELAYS_US]
+                == [((k * 400) / 1000).hex() for k in range(1, 29)])
+
+    def test_points_are_exact_decimal_steps(self):
+        # lo + k * step in floats ends at 0.30000000000000004
+        assert scan_grid(0.1, 0.3, 0.1) == (0.1, 0.2, 0.3)
+        assert scan_grid(-5.0, 5.0, 2.5) == (-5.0, -2.5, 0.0, 2.5, 5.0)
+        assert scan_grid(3.0, 3.0, 1e300) == (3.0,)
+
+    def test_point_count_capped(self):
+        assert len(scan_grid(0.0, harness.MAX_SCAN_POINTS - 1, 1.0)) == harness.MAX_SCAN_POINTS
+        with pytest.raises(DomainError, match=f"{harness.MAX_SCAN_POINTS + 1} points"):
+            scan_grid(0.0, harness.MAX_SCAN_POINTS, 1.0)
+        # 2e600 points: counted exactly, never built
+        with pytest.raises(DomainError, match="points"):
+            scan_grid(-1e300, 1e300, 1e-300)
+
+    @pytest.mark.parametrize("args,message", [
+        ((0.0, math.inf, 1.0), "must be finite"),
+        ((math.nan, 1.0, 1.0), "must be finite"),
+        ((0.0, 1.0, 0.0), "strictly positive"),
+        ((0.0, 1.0, -1.0), "strictly positive"),
+        ((2.0, 1.0, 1.0), "must not exceed"),
+    ])
+    def test_domain(self, args, message):
+        with pytest.raises(DomainError, match=message):
+            scan_grid(*args)
 
 
 class TestScanCrosstalk:
@@ -142,30 +176,45 @@ class TestFitExponential:
     def test_convergence_error_is_distinct(self):
         assert issubclass(FitConvergenceError, FitError)
 
+    @pytest.mark.parametrize("pts,message", [
+        ([(0.4, 1.0), (0.8, math.nan), (1.2, 0.5)], "must be finite"),
+        ([(0.4, 1.0), (math.inf, 0.7), (1.2, 0.5)], "must be finite"),
+        ([(0.4, 1e-320), (0.8, 1e-321), (1.2, 1e-322)], "1/energy must be finite"),
+        # a singular Jacobian (numpy's LinAlgError)
+        ([(0.0, 1e300), (1.0, 1e-300), (2.0, 1e-305)], "failed numerically"),
+        # (t - tbar)^2 overflows; it underflows to 0; a0 = exp(...) overflows
+        ([(0.0, 1.0), (1e300, 0.5), (2e300, 0.2)], "failed numerically"),
+        ([(0.0, 1.0), (1e-320, 0.5), (2e-320, 0.2)], "failed numerically"),
+        ([(1000.0, 1.0), (1001.0, 0.01), (1002.0, 1e-4)], "failed numerically"),
+    ], ids=["nan", "inf", "subnormal", "singular", "overflow", "underflow", "exp-overflow"])
+    def test_numeric_edges_are_fit_errors(self, pts, message):
+        with pytest.raises(FitError, match=message):
+            fit_exponential(pts)
+
 
 class TestExtrapolateEfficiency:
     def test_rail_190_round_trip(self):
         e_read = 0.35 * math.exp(-0.4 / 5.4)
-        assert extrapolate_efficiency(e_read, 0.4, 5.4, 1.0) == pytest.approx(0.35, rel=1e-12)
+        assert extrapolate_efficiency(e_read, 0.4, 5.4) == pytest.approx(0.35, rel=1e-12)
 
     def test_rail_230_round_trip(self):
         e_read = 0.36 * math.exp(-4.4 / 2.6)
-        assert extrapolate_efficiency(e_read, 4.4, 2.6, 1.0) == pytest.approx(0.36, rel=1e-12)
+        assert extrapolate_efficiency(e_read, 4.4, 2.6) == pytest.approx(0.36, rel=1e-12)
 
     def test_zero_delay_is_plain_normalization(self):
-        assert extrapolate_efficiency(0.123, 0.0, 3.3, 2.0) == 0.123 / 2.0
+        assert extrapolate_efficiency(0.123, 0.0, 3.3) == 0.123
 
     def test_identity_through_the_model(self):
         for cal in RAILS:
             for t_read in (0.4, 1.0, 4.4, 10.0):
                 scan = scan_lifetime(P, RAILS, cal.f_rail, [t_read])
                 eta = extrapolate_efficiency(scan.series["retrieved"][0],
-                                             t_read, cal.tau_us, 1.0)
+                                             t_read, cal.tau_us)
                 assert eta == pytest.approx(cal.eta_mem, rel=1e-9)
 
     @pytest.mark.parametrize("args", [
-        (0.0, 0.4, 5.4, 1.0), (-0.1, 0.4, 5.4, 1.0),
-        (0.3, 0.4, 0.0, 1.0), (0.3, 0.4, 5.4, 0.0), (0.3, -0.1, 5.4, 1.0),
+        (0.0, 0.4, 5.4), (-0.1, 0.4, 5.4),
+        (0.3, 0.4, 0.0), (0.3, 0.4, -5.4), (0.3, -0.1, 5.4),
     ])
     def test_domain(self, args):
         with pytest.raises(DomainError):
@@ -200,6 +249,12 @@ class TestWeightedMean:
             weighted_mean([1.0], [0.0])
         with pytest.raises(DomainError):
             weighted_mean([], [])
+
+    # s * s underflows to 0; 1 / (s * s) overflows; every weight underflows to 0
+    @pytest.mark.parametrize("sigmas", [[0.3, 1e-308], [0.3, 1e-160], [1e200, 1e200]])
+    def test_weights_must_be_finite(self, sigmas):
+        with pytest.raises(DomainError, match="weights"):
+            weighted_mean([3.0, 4.0], sigmas)
 
 
 class TestRandomAccessSequence:
@@ -295,9 +350,10 @@ class TestCheckCriteria:
         with pytest.raises(TraceMismatchError):
             check_criteria(dataclasses.replace(trace, events=trace.events[:-1]), seq, P, RAILS)
 
-    def test_tolerances_are_configurable(self):
+    def test_tolerances_are_configurable(self, monkeypatch):
         trace, seq = _run_canonical()
-        strict = check_criteria(trace, seq, P, RAILS, empty_tol=1e-9)
+        monkeypatch.setattr(harness, "EMPTY_TOL", 1e-9)
+        strict = check_criteria(trace, seq, P, RAILS)
         assert not strict.empty_state.passed
 
 

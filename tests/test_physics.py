@@ -56,6 +56,12 @@ class TestDiffusion:
         p = dataclasses.replace(P, t_cell=P.t0, p_buffer=2 * P.p0)
         assert diffusion_coefficient(p) == pytest.approx(0.12, rel=1e-14)
 
+    # (t_cell/t0)^1.5 overflows; D is finite but 2 D in um^2/us is not; D overflows
+    @pytest.mark.parametrize("change", [{"t_cell": 1e308}, {"p0": 1e308}, {"d0": 1e306}])
+    def test_overflow_is_a_domain_error(self, change):
+        with pytest.raises(DomainError, match="diffusion coefficient"):
+            diffusion_coefficient(dataclasses.replace(P, **change))
+
 
 class TestTransitTime:
     def test_one_signal_radius(self):
@@ -93,6 +99,12 @@ class TestRailPosition:
         with pytest.raises(OutOfBandError):
             rail_position_um(f, P)
 
+    def test_overflowing_position_rejected(self):
+        p = dataclasses.replace(P, pos_per_mhz=1e307)
+        assert rail_position_um(190.0, p) == -1e308
+        with pytest.raises(DomainError, match="beam position of rail 230.0 MHz"):
+            rail_position_um(230.0, p)
+
 
 class TestAodEfficiency:
     def test_center_is_unity(self):
@@ -124,6 +136,10 @@ class TestSpreadVariance:
     def test_negative_time_rejected(self):
         with pytest.raises(DomainError):
             spread_variance_um2(18225.0, -0.1, 49.1)
+
+    def test_overflow_rejected(self):
+        with pytest.raises(DomainError, match="spread variance"):
+            spread_variance_um2(18225.0, 1e306, 49.1)
 
     @given(s2=st.floats(0.0, 1e6), t1=st.floats(0.0, 20.0), t2=st.floats(0.0, 20.0))
     def test_additivity(self, s2, t1, t2):
@@ -169,6 +185,13 @@ class TestOverlap:
         v_s = (P.w_signal / 2.0) ** 2
         assert read_sampling_variance_um2(P) == pytest.approx(
             v_c * v_s / (v_c + v_s), rel=1e-14)
+
+    # (w/2)^2 overflows; both squares are finite but their product is not
+    @pytest.mark.parametrize("change", [{"w_signal": 1e308}, {"w_control": 1e308},
+                                        {"w_signal": 1e200, "w_control": 1e200}])
+    def test_sampling_variance_overflow_rejected(self, change):
+        with pytest.raises(DomainError, match="read sampling variance"):
+            read_sampling_variance_um2(dataclasses.replace(P, **change))
 
 
 class TestDepletion:

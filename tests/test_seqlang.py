@@ -1,5 +1,5 @@
 import math
-from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -201,14 +201,15 @@ class TestParse:
         assert seq.src_lines == (5, 6, 7)
         assert seq.rails_line == 3
 
-    # the 40-digit time is a midpoint between doubles once rounded to 28 digits
+    # the 40-digit time lies just above a midpoint between doubles; rounding it
+    # to 28 digits first lands on the midpoint and rounds it to even, down
     @example(number="9007199254740993.0000000000000000000001", unit="ns")
     @example(number="0.0000000000000000000000000000001", unit="us")
     @given(number=st.from_regex(r"[0-9]{1,45}(\.[0-9]{1,45})?", fullmatch=True),
            unit=st.sampled_from(["ns", "us"]))
     def test_times_convert_through_decimal(self, number, unit):
         seq = parse(f"SEQUENCE s\nRAILS 190MHz\nAT {number}{unit} WRITE 190MHz\n")
-        expected = float(Decimal(number) * (1000 if unit == "us" else 1))
+        expected = float(Fraction(number) * (1000 if unit == "us" else 1))
         assert seq.ops[0].t_ns.hex() == expected.hex()
 
 
@@ -216,6 +217,11 @@ class TestFormat:
     def test_times_rendered_in_integer_ns(self):
         seq = parse("SEQUENCE s\nRAILS 190MHz\nAT 0.4us READ 190MHz")
         assert "AT 400ns READ 190MHz" in format_sequence(seq)
+        # an integer in [1e15, 1e16) has a repr that ends in .0
+        big = Sequence("s", (190.0,), (Operation(1234567890123456.0, OpKind.READ, 190.0),))
+        text = format_sequence(big)
+        assert "AT 1234567890123456ns READ 190MHz" in text
+        assert parse(text) == big
 
     def test_default_energy_elided(self):
         seq = parse("SEQUENCE s\nRAILS 190MHz\nAT 0ns WRITE 190MHz 1\nAT 400ns READ 190MHz")
