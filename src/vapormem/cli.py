@@ -217,54 +217,53 @@ def cmd_fit(args, params, rails) -> int:
 
 
 def cmd_report(args, params, rails) -> int:
+    # every number is computed before the first line is printed, so a late
+    # error leaves stdout empty
     rows = []
-    ok = True
     for cal in rails:
         scan = harness.scan_lifetime(params, rails, cal.f_rail)
         fit = harness.fit_exponential(zip(scan.axis, scan.series["retrieved"]))
         eta_fit = harness.extrapolate_efficiency(
             scan.series["retrieved"][0], scan.axis[0], fit.tau_us)
-        tau_ok = abs(fit.tau_us / cal.tau_us - 1.0) <= REPORT_TAU_RTOL
-        eta_ok = abs(eta_fit - cal.eta_mem) <= REPORT_ETA_TOL
-        ok = ok and tau_ok and eta_ok
-        rows.append((cal, fit, eta_fit, tau_ok and eta_ok))
+        row_ok = (abs(fit.tau_us / cal.tau_us - 1.0) <= REPORT_TAU_RTOL
+                  and abs(eta_fit - cal.eta_mem) <= REPORT_ETA_TOL)
+        rows.append((cal, fit, eta_fit, row_ok))
+    mean_tau, mean_tau_err = harness.weighted_mean(
+        [fit.tau_us for _, fit, _, _ in rows], [cal.tau_err_us for cal, _, _, _ in rows])
+    mean_eta_pct = 100.0 * sum(eta for _, _, eta, _ in rows) / len(rows)
+    tau_target, tau_band = REPORT_MEAN_LIFETIME_US
+    tau_mean_ok = abs(mean_tau - tau_target) <= tau_band
+    eta_target, eta_band = REPORT_MEAN_EFFICIENCY_PCT
+    eta_mean_ok = abs(mean_eta_pct - eta_target) <= eta_band
+    ok = all(row_ok for *_, row_ok in rows) and tau_mean_ok and eta_mean_ok
 
     print("rail_mhz tau_fit_us tau_cal_us eta_fit_pct eta_cal_pct status")
     for cal, fit, eta_fit, row_ok in rows:
         print(f"{cal.f_rail:g} {fit.tau_us:.6f} {cal.tau_us:g} "
               f"{100 * eta_fit:.2f} {100 * cal.eta_mem:g} "
               f"{'PASS' if row_ok else 'FAIL'}")
-
-    taus = [fit.tau_us for _, fit, _, _ in rows]
-    sigmas = [cal.tau_err_us for cal, _, _, _ in rows]
-    mean_tau, mean_tau_err = harness.weighted_mean(taus, sigmas)
-    target, band = REPORT_MEAN_LIFETIME_US
-    tau_mean_ok = abs(mean_tau - target) <= band
-    ok = ok and tau_mean_ok
     print(f"weighted_mean_lifetime_us = {mean_tau:.6f} +/- {mean_tau_err:.6f} "
-          f"(target {target} +/- {band}) {'PASS' if tau_mean_ok else 'FAIL'}")
-
-    mean_eta_pct = 100.0 * sum(eta for _, _, eta, _ in rows) / len(rows)
-    target, band = REPORT_MEAN_EFFICIENCY_PCT
-    eta_mean_ok = abs(mean_eta_pct - target) <= band
-    ok = ok and eta_mean_ok
+          f"(target {tau_target} +/- {tau_band}) {'PASS' if tau_mean_ok else 'FAIL'}")
     print(f"mean_efficiency_pct = {mean_eta_pct:.2f} (displays as {round(mean_eta_pct)}) "
-          f"(target {target:g} +/- {band:g}) {'PASS' if eta_mean_ok else 'FAIL'}")
-
+          f"(target {eta_target:g} +/- {eta_band:g}) {'PASS' if eta_mean_ok else 'FAIL'}")
     print(f"REPORT {'PASS' if ok else 'FAIL'}")
     return 0 if ok else 1
 
 
 def cmd_oracle(args, params, rails) -> int:
+    # every row is computed before the first line is printed, so a late
+    # error leaves stdout empty
     diff = physics.diffusion_coefficient(params)
-    ok = True
-    print("d_um t_us mc analytic abs_diff")
+    rows = []
     for d, t in ORACLE_GRID:
         mc = harness.monte_carlo_overlap(params, args.n, d, t, args.seed)
         s2 = physics.spread_variance_um2(params.sigma0 ** 2, t, diff)
         analytic = physics.overlap_factor(d, s2, params)
-        delta = abs(mc - analytic)
-        ok = ok and delta <= ORACLE_ABS_TOL
+        rows.append((d, t, mc, analytic, abs(mc - analytic)))
+    ok = all(delta <= ORACLE_ABS_TOL for *_, delta in rows)
+
+    print("d_um t_us mc analytic abs_diff")
+    for d, t, mc, analytic, delta in rows:
         print(f"{d:g} {t:g} {mc!r} {analytic!r} {delta:.3e}")
     print(f"ORACLE {'PASS' if ok else 'FAIL'} (tolerance {ORACLE_ABS_TOL} absolute)")
     return 0 if ok else 1

@@ -299,6 +299,7 @@ class FitResult:
     rss: float
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         _require(self.tau_us > 0.0, "fitted tau must be strictly positive")
         _require(self.rss >= 0.0, "rss must be non-negative")
 

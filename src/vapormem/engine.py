@@ -14,9 +14,7 @@ parallel simulations. Sequences and traces are immutable.
 from __future__ import annotations
 
 import math
-from typing import Iterable
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable
 
 from . import physics, seqlang
 from .core import (
@@ -33,6 +31,11 @@ from .core import (
     TraceEvent,
     UnknownRailError,
 )
+
+# only the functions that compute with numpy import it, so the commands that
+# never do (validate, run without a waveform, the scans) start without it
+if TYPE_CHECKING:
+    import numpy as np
 
 NS_PER_US = 1000.0
 SIGNAL_FWHM_NS = 25.0  # full width at half maximum of a rendered signal pulse
@@ -237,6 +240,8 @@ def render_waveform(trace: Trace, sample_period_ns: float, noise_floor: float = 
     no bit of the result while the cost follows the number of pulses, not
     the span.
     """
+    import numpy as np
+
     if not (math.isfinite(sample_period_ns) and sample_period_ns > 0.0):
         raise DomainError("sample period must be finite and strictly positive")
     if not (math.isfinite(noise_floor) and noise_floor >= 0.0):

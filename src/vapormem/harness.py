@@ -16,9 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Iterable, Sequence as SeqABC
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Sequence as SeqABC
 
 from . import engine, physics
 from .core import (
@@ -26,6 +24,7 @@ from .core import (
     FitResult,
     OpKind,
     Operation,
+    ParamError,
     PhysicsParams,
     RailCalibration,
     Sequence,
@@ -33,6 +32,11 @@ from .core import (
     UnknownRailError,
     VaporMemError,
 )
+
+# only the functions that compute with numpy import it, so the commands that
+# never do (validate, run without a waveform, the scans) start without it
+if TYPE_CHECKING:
+    import numpy as np
 
 CROSSTALK_WRITE_RAIL_MHZ = 190.0
 # the standard scan grids as (first, last, step)
@@ -201,6 +205,8 @@ def fit_exponential(points: Iterable[tuple[float, float]]) -> FitResult:
     iterations). Standard errors come from the Jacobian at the solution;
     rss is the minimized sum of squared relative residuals.
     """
+    import numpy as np
+
     pts = [(float(t), float(y)) for t, y in points]
     if len(pts) < 3:
         raise FitError("need at least 3 points to fit")
@@ -216,15 +222,18 @@ def fit_exponential(points: Iterable[tuple[float, float]]) -> FitResult:
     if np.all(ts == ts[0]):
         raise FitError("singular system: all times are equal")
     try:
-        # numpy raises on an overflow too, which would reach LAPACK as inf
+        # numpy raises on an overflow too, which would reach LAPACK as inf;
+        # FitResult rejects a non-finite field, such as an inf covariance
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             return _fit(ts, ys)
-    except (ArithmeticError, np.linalg.LinAlgError) as exc:
+    except (ArithmeticError, ParamError, np.linalg.LinAlgError) as exc:
         raise FitError(f"fit failed numerically: {exc}") from None
 
 
 def _fit(ts: np.ndarray, ys: np.ndarray) -> FitResult:
     """Log-linear start and Gauss-Newton refinement of fit_exponential."""
+    import numpy as np
+
     ln = np.log(ys)
     tbar, lbar = ts.mean(), ln.mean()
     sxx = float(np.sum((ts - tbar) ** 2))
@@ -409,6 +418,8 @@ def monte_carlo_overlap(params: PhysicsParams, n_atoms: int, d_um: float,
     The draw order is fixed (x origins, y origins, x steps, y steps), so
     the result is bit-reproducible for a given (seed, n_atoms, d, t).
     """
+    import numpy as np
+
     if n_atoms < 1000:
         raise DomainError("need at least 1e3 atoms for a meaningful estimate")
     if t_us < 0.0:

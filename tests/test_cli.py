@@ -287,7 +287,10 @@ class TestFit:
         ("0.4,1.0\ninf,0.7\n1.2,0.5\n", "times and energies must be finite"),
         ("0.4,1e-320\n0.8,1e-321\n1.2,1e-322\n", "relative-residual weights 1/energy must be finite"),
         ("0,1e300\n1,1e-300\n2,1e-305\n", "fit failed numerically"),
-    ], ids=["nan", "inf", "subnormal", "singular"])
+        # finite points whose covariance comes out inf without a numpy error
+        ("0,1.394\n2.18e146,0.741\n6.59e-174,0.572\n1.375,4.04e31\n",
+         "fit failed numerically: tau_err_us must be finite"),
+    ], ids=["nan", "inf", "subnormal", "singular", "inf-covariance"])
     def test_numeric_edges_named(self, tmp_path, capfd, rows, message):
         path = tmp_path / "edge.csv"
         path.write_text("t,y\n" + rows)
@@ -326,6 +329,21 @@ class TestReport:
         out, err = capfd.readouterr()
         assert "DLASCL" not in out
         assert f"error: {message}" in err
+
+
+class TestLateError:
+    # both errors come after the first table row is known
+    @pytest.mark.parametrize("line,command", [
+        ("w_signal = 1e308", ["oracle", "--n", "1000"]),
+        ("rail.190.tau_err_us = 1e-308", ["report"]),
+    ], ids=["oracle", "report"])
+    def test_prints_nothing_before_the_error(self, tmp_path, capfd, line, command):
+        cfg = tmp_path / "late.cfg"
+        cfg.write_text(line + "\n")
+        assert main(["--config", str(cfg)] + command) == 2
+        out, err = capfd.readouterr()
+        assert out == ""
+        assert err.startswith("error: ")
 
 
 class TestConfig:

@@ -210,3 +210,11 @@ class TestValueTypes:
             FitResult(1.0, 0.0, 0.0, 0.0)
         with pytest.raises(ParamError):
             FitResult(1.0, 3.3, 0.0, -1.0)
+
+    @pytest.mark.parametrize("field", ["a0", "tau_us", "tau_err_us", "rss"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_fit_result_non_finite_rejected(self, field, value):
+        kwargs = dict(a0=1.0, tau_us=3.3, tau_err_us=0.1, rss=0.0)
+        kwargs[field] = value
+        with pytest.raises(ParamError, match=f"{field} must be finite"):
+            FitResult(**kwargs)

@@ -186,7 +186,11 @@ class TestFitExponential:
         ([(0.0, 1.0), (1e300, 0.5), (2e300, 0.2)], "failed numerically"),
         ([(0.0, 1.0), (1e-320, 0.5), (2e-320, 0.2)], "failed numerically"),
         ([(1000.0, 1.0), (1001.0, 0.01), (1002.0, 1e-4)], "failed numerically"),
-    ], ids=["nan", "inf", "subnormal", "singular", "overflow", "underflow", "exp-overflow"])
+        # np.linalg.inv returns an inf covariance here without a numpy error
+        ([(0.0, 1.394), (2.18e146, 0.741), (6.59e-174, 0.572), (1.375, 4.04e31)],
+         "tau_err_us must be finite"),
+    ], ids=["nan", "inf", "subnormal", "singular", "overflow", "underflow", "exp-overflow",
+            "inf-covariance"])
     def test_numeric_edges_are_fit_errors(self, pts, message):
         with pytest.raises(FitError, match=message):
             fit_exponential(pts)

@@ -1,0 +1,61 @@
+"""numpy stays off the start-up path.
+
+Only waveform rendering, the exponential fit and the Monte Carlo oracle
+compute with numpy, and they import it themselves. Each case runs in a
+fresh interpreter, since this test session has numpy loaded already.
+"""
+
+import hashlib
+import os
+import random
+import subprocess
+import sys
+
+from corpus import CANONICAL
+from test_engine import PINNED_WAVEFORM_SHA256, random_program
+import vapormem
+from vapormem import seqlang
+
+# the directory this session imports vapormem from, for the child interpreter
+SRC = os.path.dirname(os.path.dirname(vapormem.__file__))
+
+# imports the CLI, runs each argv given as a repr'd list, and prints whether
+# numpy was loaded
+SCRIPT = """\
+import sys
+import vapormem.cli as cli
+for argv in {commands!r}:
+    assert cli.main(argv) == 0, argv
+print("numpy" in sys.modules)
+"""
+
+
+def numpy_loaded_after(commands, cwd) -> bool:
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (SRC, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", SCRIPT.format(commands=commands)],
+                          cwd=cwd, env=env, capture_output=True, text=True, check=True)
+    return proc.stdout.splitlines()[-1] == "True"
+
+
+def test_import_and_numpy_free_commands_leave_numpy_unloaded(tmp_path):
+    seq = tmp_path / "canonical.seq"
+    seq.write_text(CANONICAL)
+    out = str(tmp_path / "out")
+    commands = [
+        ["validate", str(seq)],
+        ["run", str(seq), "--trace-out", str(tmp_path / "trace.csv")],
+        ["--out", out, "scan", "crosstalk"],
+        ["--out", out, "scan", "lifetime"],
+    ]
+    assert not numpy_loaded_after([], tmp_path)
+    assert not numpy_loaded_after(commands, tmp_path)
+    assert (tmp_path / "trace.csv").exists()
+
+
+def test_waveform_out_loads_numpy_and_writes_pinned_bytes(tmp_path):
+    seq = tmp_path / "random.seq"
+    seq.write_text(seqlang.format_sequence(random_program(random.Random(1), 200)))
+    wave = tmp_path / "wave.csv"
+    assert numpy_loaded_after([["run", str(seq), "--waveform-out", str(wave)]], tmp_path)
+    assert hashlib.sha256(wave.read_bytes()).hexdigest() == PINNED_WAVEFORM_SHA256
