@@ -137,10 +137,14 @@ def _print_diagnostics(diags) -> None:
         print(f"{d.severity} {d.code} line {d.line}: {d.message}")
 
 
-def _write_text(path: str, text: str) -> None:
+def _make_parent(path: str) -> None:
     parent = os.path.dirname(path)
     if parent:
         os.makedirs(parent, exist_ok=True)
+
+
+def _write_text(path: str, text: str) -> None:
+    _make_parent(path)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
 
@@ -162,18 +166,24 @@ def cmd_run(args, params, rails) -> int:
         return 1
     mem = engine.Memory(params, rails)
     trace = engine.run_sequence(mem, seq)
+    # every output's text is rendered and its directory made before the first
+    # line is printed, so a late error there leaves stdout empty and no file
+    # behind
+    table = trace_csv(trace)
+    outputs = []
+    if args.trace_out:
+        outputs.append((args.trace_out, table))
     if args.waveform_out:
         t, y = engine.render_waveform(trace, args.sample_period_ns,
                                       noise_floor=args.noise_floor,
                                       span_ns=args.waveform_span_ns)
-    table = trace_csv(trace)
+        outputs.append((args.waveform_out, waveform_csv(t, y)))
+    for path, _ in outputs:
+        _make_parent(path)
     print(table.replace(",", " "), end="")
-    if args.trace_out:
-        _write_text(args.trace_out, table)
-        print(f"wrote {args.trace_out}")
-    if args.waveform_out:
-        _write_text(args.waveform_out, waveform_csv(t, y))
-        print(f"wrote {args.waveform_out}")
+    for path, text in outputs:
+        _write_text(path, text)
+        print(f"wrote {path}")
     return 0
 
 

@@ -33,7 +33,8 @@ from .core import (
 )
 
 # only the functions that compute with numpy import it, so the commands that
-# never do (validate, run without a waveform, the scans) start without it
+# never do (validate, run without a waveform, the scans, fit, report) start
+# without it
 if TYPE_CHECKING:
     import numpy as np
 

@@ -14,9 +14,10 @@ evaluated in parallel; results are ordered by axis value.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterable, Sequence as SeqABC
+from typing import Iterable, Sequence as SeqABC
 
 from . import engine, physics
 from .core import (
@@ -32,11 +33,6 @@ from .core import (
     UnknownRailError,
     VaporMemError,
 )
-
-# only the functions that compute with numpy import it, so the commands that
-# never do (validate, run without a waveform, the scans) start without it
-if TYPE_CHECKING:
-    import numpy as np
 
 CROSSTALK_WRITE_RAIL_MHZ = 190.0
 # the standard scan grids as (first, last, step)
@@ -204,9 +200,20 @@ def fit_exponential(points: Iterable[tuple[float, float]]) -> FitResult:
     the relative parameter change drops below 1e-9 (at most 100
     iterations). Standard errors come from the Jacobian at the solution;
     rss is the minimized sum of squared relative residuals.
-    """
-    import numpy as np
 
+    The fit is plain Python. Each Gauss-Newton step solves the two-column
+    Jacobian system by QR: modified Gram-Schmidt, larger column first,
+    gives R = [[r00, r01], [0, r11]]. As in ``numpy.linalg.lstsq`` with
+    ``rcond=None``, a smaller singular value of R at or below
+    eps * max(n, 2) times the larger one counts as zero, and the step is
+    then the minimum-norm solution along [r00, r01]. The covariance
+    sigma² (JᵀJ)⁻¹ inverts the 2×2 normal matrix by LU with partial
+    pivoting, in the order of LAPACK's getrf/getri: an exactly zero pivot
+    is a singular system, and an inverse that overflows stays inf, which
+    FitResult rejects. An inf or nan anywhere else (a sum, a residual, a
+    Jacobian entry, a step) counts as an overflow. Every such failure is
+    a FitError "fit failed numerically: ...".
+    """
     pts = [(float(t), float(y)) for t, y in points]
     if len(pts) < 3:
         raise FitError("need at least 3 points to fit")
@@ -217,42 +224,37 @@ def fit_exponential(points: Iterable[tuple[float, float]]) -> FitResult:
     # the relative-residual weight 1/y overflows for a subnormal energy
     if not all(math.isfinite(1.0 / y) for _, y in pts):
         raise FitError("relative-residual weights 1/energy must be finite")
-    ts = np.array([t for t, _ in pts])
-    ys = np.array([y for _, y in pts])
-    if np.all(ts == ts[0]):
+    ts = [t for t, _ in pts]
+    ys = [y for _, y in pts]
+    if all(t == ts[0] for t in ts):
         raise FitError("singular system: all times are equal")
     try:
-        # numpy raises on an overflow too, which would reach LAPACK as inf;
-        # FitResult rejects a non-finite field, such as an inf covariance
-        with np.errstate(over="raise", invalid="raise", divide="raise"):
-            return _fit(ts, ys)
-    except (ArithmeticError, ParamError, np.linalg.LinAlgError) as exc:
+        return _fit(ts, ys)
+    except (ArithmeticError, ParamError) as exc:
         raise FitError(f"fit failed numerically: {exc}") from None
 
 
-def _fit(ts: np.ndarray, ys: np.ndarray) -> FitResult:
+def _fit(ts: list[float], ys: list[float]) -> FitResult:
     """Log-linear start and Gauss-Newton refinement of fit_exponential."""
-    import numpy as np
-
-    ln = np.log(ys)
-    tbar, lbar = ts.mean(), ln.mean()
-    sxx = float(np.sum((ts - tbar) ** 2))
-    slope = float(np.sum((ts - tbar) * (ln - lbar))) / sxx
+    n = len(ts)
+    ln = [math.log(y) for y in ys]
+    tbar, lbar = math.fsum(ts) / n, math.fsum(ln) / n
+    dt = [t - tbar for t in ts]
+    slope = _dot(dt, [v - lbar for v in ln]) / _dot(dt, dt)
     if slope >= 0.0:
         raise FitError("data does not decay")
     a0 = math.exp(lbar - slope * tbar)
     tau = -1.0 / slope
 
-    w = 1.0 / ys
+    w = [1.0 / y for y in ys]
     converged = False
     for _ in range(_GN_MAX_ITER):
-        model = a0 * np.exp(-ts / tau)
-        resid = (model - ys) * w
-        jac = np.column_stack(((model / a0) * w, (model * ts / (tau * tau)) * w))
-        delta, *_ = np.linalg.lstsq(jac, -resid, rcond=None)
-        step = max(abs(delta[0] / a0), abs(delta[1] / tau))
-        a0 += float(delta[0])
-        tau += float(delta[1])
+        resid, jac = _linearize(ts, ys, w, a0, tau)
+        d0, d1 = _lstsq_step(jac, [-r for r in resid])
+        step = max(abs(d0 / a0), abs(d1 / tau))
+        _check_overflow(step)
+        a0 += d0
+        tau += d1
         if a0 <= 0.0 or tau <= 0.0:
             raise FitError("fit left the valid parameter domain")
         if step < _GN_TOL:
@@ -262,16 +264,87 @@ def _fit(ts: np.ndarray, ys: np.ndarray) -> FitResult:
         raise FitConvergenceError(
             f"no convergence after {_GN_MAX_ITER} Gauss-Newton iterations")
 
-    model = a0 * np.exp(-ts / tau)
-    resid = (model - ys) * w
-    jac = np.column_stack(((model / a0) * w, (model * ts / (tau * tau)) * w))
-    rss = float(resid @ resid)
-    dof = len(ts) - 2
+    resid, (j0, j1) = _linearize(ts, ys, w, a0, tau)
+    rss = _dot(resid, resid)
+    dof = n - 2
     sigma2 = rss / dof if dof > 0 else 0.0
-    cov = sigma2 * np.linalg.inv(jac.T @ jac)
-    return FitResult(a0=float(a0), tau_us=float(tau),
-                     tau_err_us=float(math.sqrt(max(cov[1, 1], 0.0))),
-                     rss=rss)
+    cov11 = sigma2 * _inverse_11(_dot(j0, j0), _dot(j0, j1), _dot(j1, j1))
+    return FitResult(a0=a0, tau_us=tau, tau_err_us=math.sqrt(max(cov11, 0.0)), rss=rss)
+
+
+def _check_overflow(*values: float) -> None:
+    """An inf or nan is an overflow, as numpy's raising errstate would report."""
+    if not all(map(math.isfinite, values)):
+        raise ArithmeticError("overflow: a value is not finite")
+
+
+def _dot(u: SeqABC[float], v: SeqABC[float]) -> float:
+    """The correctly rounded dot product of two finite-product vectors."""
+    terms = [a * b for a, b in zip(u, v)]
+    _check_overflow(*terms)
+    return math.fsum(terms)  # an overflowing sum raises OverflowError
+
+
+def _linearize(ts: list[float], ys: list[float], w: list[float], a0: float,
+               tau: float) -> tuple[list[float], tuple[list[float], list[float]]]:
+    """Relative residuals and the two Jacobian columns (d/da0, d/dtau) at (a0, tau)."""
+    model = [a0 * math.exp(-t / tau) for t in ts]
+    resid = [(m - y) * wi for m, y, wi in zip(model, ys, w)]
+    jac = ([(m / a0) * wi for m, wi in zip(model, w)],
+           [(m * t / (tau * tau)) * wi for m, t, wi in zip(model, ts, w)])
+    _check_overflow(*resid, *jac[0], *jac[1])
+    return resid, jac
+
+
+def _lstsq_step(jac: tuple[list[float], list[float]], b: list[float]) -> tuple[float, float]:
+    """Minimum-norm least-squares solution x of [c0 c1] x = b, by QR.
+
+    Modified Gram-Schmidt on the columns, the larger first (Golub & Van
+    Loan, Matrix Computations, 4th ed., ch. 5), with the rank rule of
+    ``numpy.linalg.lstsq(rcond=None)`` applied to R's singular values.
+    Putting the larger column first keeps [r00, r01] the dominant row of
+    R, so a rank-one step along it is the minimum-norm one.
+    """
+    c0, c1 = jac
+    swap = math.hypot(*c1) > math.hypot(*c0)
+    if swap:
+        c0, c1 = c1, c0
+    r00 = math.hypot(*c0)
+    if r00 == 0.0:
+        return 0.0, 0.0  # J = 0: every x is a solution, and 0 has the least norm
+    q0 = [c / r00 for c in c0]
+    r01 = _dot(q0, c1)
+    v = [c - r01 * q for c, q in zip(c1, q0)]
+    r11 = math.hypot(*v)
+    z0 = _dot(q0, b)
+    # the singular values of the triangular R; the smaller one as det / larger
+    s_max = 0.5 * (math.hypot(r00 + r11, r01) + math.hypot(r00 - r11, r01))
+    if (r00 / s_max) * r11 <= sys.float_info.epsilon * max(len(b), 2) * s_max:
+        h = math.hypot(r00, r01)
+        x0, x1 = (z0 / h) * (r00 / h), (z0 / h) * (r01 / h)
+    else:
+        q1 = [c / r11 for c in v]
+        x1 = _dot(q1, [bi - z0 * q for bi, q in zip(b, q0)]) / r11
+        x0 = (z0 - r01 * x1) / r00
+    return (x1, x0) if swap else (x0, x1)
+
+
+def _inverse_11(a: float, b: float, d: float) -> float:
+    """Element [1, 1] of the inverse of the symmetric [[a, b], [b, d]].
+
+    LU with partial pivoting, then the inverse, in the order of LAPACK's
+    getrf and getri. A zero pivot raises ArithmeticError; a tiny one
+    gives inf.
+    """
+    swap = abs(b) > abs(a)
+    pivot, upper, lower, corner = (b, d, a, b) if swap else (a, b, b, d)
+    if pivot == 0.0:
+        raise ArithmeticError("Singular matrix")
+    l10 = lower / pivot
+    u11 = corner - l10 * upper
+    if u11 == 0.0:
+        raise ArithmeticError("Singular matrix")
+    return -(1.0 / u11) * l10 if swap else 1.0 / u11
 
 
 def extrapolate_efficiency(e_read: float, t_read_us: float, tau_us: float) -> float:

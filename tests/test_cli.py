@@ -167,6 +167,19 @@ class TestRun:
         assert "error:" in capsys.readouterr().err
         assert not trace_path.exists() and not wave_path.exists()
 
+    def test_unwritable_waveform_path_prints_and_writes_nothing(self, seqfile, tmp_path,
+                                                                 capsys):
+        trace_path = tmp_path / "t.csv"
+        afile = tmp_path / "afile"
+        afile.write_text("a plain file, not a directory\n")
+        rc = main(["run", seqfile(CANONICAL), "--trace-out", str(trace_path),
+                   "--waveform-out", str(afile / "w.csv")])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert "error:" in captured.err
+        assert not trace_path.exists()
+
     def test_reruns_are_byte_identical(self, seqfile, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         path = seqfile(CANONICAL)
@@ -296,7 +309,7 @@ class TestFit:
         path.write_text("t,y\n" + rows)
         assert main(["fit", str(path)]) == 2
         out, err = capfd.readouterr()
-        assert out == ""  # LAPACK writes its complaints to the process's stdout
+        assert out == ""  # a failed fit prints no partial result
         assert f"error: {message}" in err
 
 

@@ -1,11 +1,14 @@
 import dataclasses
 import math
 
+import numpy as np
 import pytest
+from hypothesis import assume, example, given, strategies as st
 
 from vapormem import engine, harness, physics
 from vapormem.core import (
     DomainError,
+    FitResult,
     OpKind,
     Operation,
     OutOfBandError,
@@ -180,13 +183,13 @@ class TestFitExponential:
         ([(0.4, 1.0), (0.8, math.nan), (1.2, 0.5)], "must be finite"),
         ([(0.4, 1.0), (math.inf, 0.7), (1.2, 0.5)], "must be finite"),
         ([(0.4, 1e-320), (0.8, 1e-321), (1.2, 1e-322)], "1/energy must be finite"),
-        # a singular Jacobian (numpy's LinAlgError)
+        # a singular normal matrix JᵀJ (an exactly zero LU pivot)
         ([(0.0, 1e300), (1.0, 1e-300), (2.0, 1e-305)], "failed numerically"),
         # (t - tbar)^2 overflows; it underflows to 0; a0 = exp(...) overflows
         ([(0.0, 1.0), (1e300, 0.5), (2e300, 0.2)], "failed numerically"),
         ([(0.0, 1.0), (1e-320, 0.5), (2e-320, 0.2)], "failed numerically"),
         ([(1000.0, 1.0), (1001.0, 0.01), (1002.0, 1e-4)], "failed numerically"),
-        # np.linalg.inv returns an inf covariance here without a numpy error
+        # the inverse of JᵀJ overflows, so the covariance is inf
         ([(0.0, 1.394), (2.18e146, 0.741), (6.59e-174, 0.572), (1.375, 4.04e31)],
          "tau_err_us must be finite"),
     ], ids=["nan", "inf", "subnormal", "singular", "overflow", "underflow", "exp-overflow",
@@ -194,6 +197,95 @@ class TestFitExponential:
     def test_numeric_edges_are_fit_errors(self, pts, message):
         with pytest.raises(FitError, match=message):
             fit_exponential(pts)
+
+    @given(n=st.integers(3, 40), tau=st.floats(0.3, 30.0), a0=st.floats(1e-3, 10.0),
+           span=st.floats(0.5, 4.0), data=st.data())
+    def test_matches_lstsq_reference(self, n, tau, a0, span, data):
+        """Well-conditioned decays: n points over span * tau, noise up to 10 %."""
+        noise = data.draw(st.lists(st.floats(-0.1, 0.1), min_size=n, max_size=n))
+        pts = [(span * tau * i / (n - 1), a0 * math.exp(-span * i / (n - 1)) * (1.0 + e))
+               for i, e in enumerate(noise)]
+        ref = lstsq_reference_fit(pts)
+        fit = fit_exponential(pts)
+        assert fit.tau_us == pytest.approx(ref.tau_us, rel=1e-9)
+        assert fit.a0 == pytest.approx(ref.a0, rel=1e-9)
+        if ref.tau_err_us > 1e-12 * ref.tau_us:
+            assert fit.tau_err_us == pytest.approx(ref.tau_err_us, rel=1e-6)
+
+    @given(n=st.integers(3, 40), k=st.sampled_from([-4.0, -0.5, 0.25, 1.0, 8.0]),
+           s_exp=st.one_of(st.none(), st.floats(0.0, 9.0)), data=st.data())
+    def test_lstsq_step_matches_numpy(self, n, k, s_exp, data):
+        """The QR step is np.linalg.lstsq(rcond=None)'s solution of a consistent
+        system with columns c0 and k c0 + 10^-s_exp u, or exactly k c0 (rank one)."""
+        vec = st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n)
+        c0, u = np.array(data.draw(vec)), np.array(data.draw(vec))
+        c1 = k * c0 if s_exp is None else k * c0 + 10.0 ** -s_exp * u
+        jac = np.column_stack((c0, c1))
+        s_max, s_min = np.linalg.svd(jac, compute_uv=False)
+        assume(s_max > 1e-3)
+        ratio, cut = s_min / s_max, np.finfo(float).eps * n
+        assume(ratio <= cut / 100 or ratio > 100 * cut)  # rank is clear-cut
+        x_true = np.array(data.draw(st.lists(st.floats(-2.0, 2.0), min_size=2, max_size=2)))
+        b = jac @ x_true
+        ref, *_ = np.linalg.lstsq(jac, b, rcond=None)
+        x = harness._lstsq_step((c0.tolist(), c1.tolist()), b.tolist())
+        # a truncated rank-one solve is well conditioned; a full-rank one
+        # loses about n eps / ratio relative to the solution
+        tol = 1e-9 if ratio <= cut else 100 * cut / ratio
+        assert np.allclose(x, ref, rtol=0.0, atol=tol * (1.0 + np.linalg.norm(x_true)))
+
+    @given(st.lists(st.tuples(st.floats(allow_nan=False, allow_infinity=False),
+                              st.floats(min_value=0.0, exclude_min=True,
+                                        allow_infinity=False)),
+                    min_size=3, max_size=12))
+    @example([(0.4, 1e-320), (0.8, 1e-321), (1.2, 1e-322)])
+    @example([(0.0, 1e300), (1.0, 1e-300), (2.0, 1e-305)])
+    @example([(0.0, 1.0), (1e300, 0.5), (2e300, 0.2)])
+    @example([(0.0, 1.0), (1e-320, 0.5), (2e-320, 0.2)])
+    @example([(1000.0, 1.0), (1001.0, 0.01), (1002.0, 1e-4)])
+    @example([(0.0, 1.394), (2.18e146, 0.741), (6.59e-174, 0.572), (1.375, 4.04e31)])
+    def test_finite_points_fit_or_raise_fit_error(self, pts):
+        """No OverflowError, ZeroDivisionError or math domain ValueError escapes."""
+        try:
+            fit = fit_exponential(pts)
+        except FitError:
+            return
+        assert isinstance(fit, FitResult)
+
+
+def lstsq_reference_fit(points) -> FitResult:
+    """The fit before it left numpy: np.linalg.lstsq steps, np.linalg.inv covariance."""
+    ts = np.array([float(t) for t, _ in points])
+    ys = np.array([float(y) for _, y in points])
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        ln = np.log(ys)
+        tbar, lbar = ts.mean(), ln.mean()
+        sxx = float(np.sum((ts - tbar) ** 2))
+        slope = float(np.sum((ts - tbar) * (ln - lbar))) / sxx
+        a0 = math.exp(lbar - slope * tbar)
+        tau = -1.0 / slope
+        w = 1.0 / ys
+        for _ in range(harness._GN_MAX_ITER):
+            model = a0 * np.exp(-ts / tau)
+            resid = (model - ys) * w
+            jac = np.column_stack(((model / a0) * w, (model * ts / (tau * tau)) * w))
+            delta, *_ = np.linalg.lstsq(jac, -resid, rcond=None)
+            step = max(abs(delta[0] / a0), abs(delta[1] / tau))
+            a0 += float(delta[0])
+            tau += float(delta[1])
+            if step < harness._GN_TOL:
+                break
+        else:
+            raise AssertionError("the reference fit did not converge")
+        model = a0 * np.exp(-ts / tau)
+        resid = (model - ys) * w
+        jac = np.column_stack(((model / a0) * w, (model * ts / (tau * tau)) * w))
+        rss = float(resid @ resid)
+        dof = len(ts) - 2
+        sigma2 = rss / dof if dof > 0 else 0.0
+        cov = sigma2 * np.linalg.inv(jac.T @ jac)
+    return FitResult(a0=float(a0), tau_us=float(tau),
+                     tau_err_us=float(math.sqrt(max(cov[1, 1], 0.0))), rss=rss)
 
 
 class TestExtrapolateEfficiency:

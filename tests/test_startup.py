@@ -1,8 +1,9 @@
 """numpy stays off the start-up path.
 
-Only waveform rendering, the exponential fit and the Monte Carlo oracle
-compute with numpy, and they import it themselves. Each case runs in a
-fresh interpreter, since this test session has numpy loaded already.
+Only waveform rendering and the Monte Carlo oracle compute with numpy,
+since their output bits depend on it, and they import it themselves.
+Each case runs in a fresh interpreter, since this test session has numpy
+loaded already.
 """
 
 import hashlib
@@ -47,6 +48,8 @@ def test_import_and_numpy_free_commands_leave_numpy_unloaded(tmp_path):
         ["run", str(seq), "--trace-out", str(tmp_path / "trace.csv")],
         ["--out", out, "scan", "crosstalk"],
         ["--out", out, "scan", "lifetime"],
+        ["fit", os.path.join(out, "lifetime_190.csv")],
+        ["report"],
     ]
     assert not numpy_loaded_after([], tmp_path)
     assert not numpy_loaded_after(commands, tmp_path)
@@ -59,3 +62,7 @@ def test_waveform_out_loads_numpy_and_writes_pinned_bytes(tmp_path):
     wave = tmp_path / "wave.csv"
     assert numpy_loaded_after([["run", str(seq), "--waveform-out", str(wave)]], tmp_path)
     assert hashlib.sha256(wave.read_bytes()).hexdigest() == PINNED_WAVEFORM_SHA256
+
+
+def test_oracle_loads_numpy(tmp_path):
+    assert numpy_loaded_after([["oracle"]], tmp_path)
