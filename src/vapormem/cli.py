@@ -7,9 +7,15 @@ and ``oracle`` for the Monte Carlo / closed-form overlap comparison.
 
 All commands are deterministic for a given input, configuration and seed;
 re-running produces byte-identical CSV output. All CSV is UTF-8 with
-``\\n`` line endings and ``.`` as the decimal separator. Exit status is 0
-iff no error-severity condition occurred; nothing is written on a
-validation failure.
+``\\n`` line endings and ``.`` as the decimal separator.
+
+Each ``cmd_*`` only computes and returns ``(exit code, stdout text,
+[(path, text), ...])``; ``main`` alone prints and writes. Exit status is 0
+iff no error-severity condition occurred. Exit status 2 means an ``error:``
+line on stderr, nothing on stdout and no output file created or changed,
+since ``main`` opens every output before it writes any. That covers an
+input file that is missing or not UTF-8 text, an output that cannot be
+opened, and every named error of the package.
 
 Configuration files are flat ``key = value`` text, one entry per line,
 ``#`` comments allowed. Keys are the physics parameter names (``d0``,
@@ -43,6 +49,7 @@ ORACLE_ABS_TOL = 0.02
 ORACLE_GRID = tuple((d, t) for d in (0.0, 270.0, 675.0) for t in (0.4, 2.0))
 WAVEFORM_CSV_CHUNK = 1 << 14  # samples formatted per step of waveform_csv
 
+Outcome = tuple[int, str, list[tuple[str, str]]]  # exit code, stdout, (path, text) per output
 _PARAM_KEYS = {f.name for f in dataclass_fields(PhysicsParams)}
 _RAIL_KEYS = {"tau_us", "tau_err_us", "eta_mem"}
 
@@ -51,37 +58,50 @@ class ConfigError(VaporMemError):
     """Malformed configuration file or unknown/invalid key."""
 
 
+class InputError(VaporMemError):
+    """An input file is not UTF-8 text."""
+
+
+def _read_text(path: str) -> str:
+    """The text of a UTF-8 input file, with its line endings read as ``\\n``."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 text "
+                         f"(byte 0x{exc.object[exc.start]:02x} cannot be decoded)") from None
+
+
 def load_config(path: str) -> tuple[dict, dict]:
     """Parse a config file into (param overrides, per-rail overrides)."""
     param_over: dict[str, object] = {}
     rail_over: dict[float, dict[str, float]] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected key = value")
-            key, value = (part.strip() for part in line.split("=", 1))
-            if key.startswith("rail."):
-                parts = key.split(".")
-                if len(parts) != 3 or parts[2] not in _RAIL_KEYS:
-                    raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-                try:
-                    f_rail = float(parts[1])
-                    rail_over.setdefault(f_rail, {})[parts[2]] = float(value)
-                except ValueError:
-                    raise ConfigError(f"{path}:{lineno}: bad value for {key!r}") from None
-            elif key in _PARAM_KEYS:
-                try:
-                    if key == "m_dep":
-                        param_over[key] = int(value)
-                    else:
-                        param_over[key] = float(value)
-                except ValueError:
-                    raise ConfigError(f"{path}:{lineno}: bad value for {key!r}") from None
-            else:
+    for lineno, raw in enumerate(_read_text(path).split("\n"), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected key = value")
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key.startswith("rail."):
+            parts = key.split(".")
+            if len(parts) != 3 or parts[2] not in _RAIL_KEYS:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+            try:
+                f_rail = float(parts[1])
+                rail_over.setdefault(f_rail, {})[parts[2]] = float(value)
+            except ValueError:
+                raise ConfigError(f"{path}:{lineno}: bad value for {key!r}") from None
+        elif key in _PARAM_KEYS:
+            try:
+                if key == "m_dep":
+                    param_over[key] = int(value)
+                else:
+                    param_over[key] = float(value)
+            except ValueError:
+                raise ConfigError(f"{path}:{lineno}: bad value for {key!r}") from None
+        else:
+            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
     return param_over, rail_over
 
 
@@ -132,59 +152,32 @@ def waveform_csv(t, y) -> str:
     return "".join(chunks)
 
 
-def _print_diagnostics(diags) -> None:
-    for d in diags:
-        print(f"{d.severity} {d.code} line {d.line}: {d.message}")
-
-
-def _make_parent(path: str) -> None:
-    parent = os.path.dirname(path)
-    if parent:
-        os.makedirs(parent, exist_ok=True)
-
-
-def _write_text(path: str, text: str) -> None:
-    _make_parent(path)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
-
-
-def cmd_validate(args, params, rails) -> int:
-    with open(args.seqfile, encoding="utf-8") as fh:
-        seq = seqlang.parse(fh.read())
+def _checked(path: str, params: PhysicsParams):
+    """The program in a sequence file, its diagnostic lines and whether one is an error."""
+    seq = seqlang.parse(_read_text(path))
     diags = seqlang.validate(seq, params)
-    _print_diagnostics(diags)
-    return 1 if any(d.severity == "error" for d in diags) else 0
+    lines = "".join(f"{d.severity} {d.code} line {d.line}: {d.message}\n" for d in diags)
+    return seq, lines, any(d.severity == "error" for d in diags)
 
 
-def cmd_run(args, params, rails) -> int:
-    with open(args.seqfile, encoding="utf-8") as fh:
-        seq = seqlang.parse(fh.read())
-    diags = seqlang.validate(seq, params)
-    _print_diagnostics(diags)
-    if any(d.severity == "error" for d in diags):
-        return 1
-    mem = engine.Memory(params, rails)
-    trace = engine.run_sequence(mem, seq)
-    # every output's text is rendered and its directory made before the first
-    # line is printed, so a late error there leaves stdout empty and no file
-    # behind
+def cmd_validate(args, params, rails) -> Outcome:
+    _, lines, failed = _checked(args.seqfile, params)
+    return int(failed), lines, []
+
+
+def cmd_run(args, params, rails) -> Outcome:
+    seq, lines, failed = _checked(args.seqfile, params)
+    if failed:
+        return 1, lines, []
+    trace = engine.run_sequence(engine.Memory(params, rails), seq)
     table = trace_csv(trace)
-    outputs = []
-    if args.trace_out:
-        outputs.append((args.trace_out, table))
+    files = [(args.trace_out, table)] if args.trace_out else []
     if args.waveform_out:
         t, y = engine.render_waveform(trace, args.sample_period_ns,
                                       noise_floor=args.noise_floor,
                                       span_ns=args.waveform_span_ns)
-        outputs.append((args.waveform_out, waveform_csv(t, y)))
-    for path, _ in outputs:
-        _make_parent(path)
-    print(table.replace(",", " "), end="")
-    for path, text in outputs:
-        _write_text(path, text)
-        print(f"wrote {path}")
-    return 0
+        files.append((args.waveform_out, waveform_csv(t, y)))
+    return 0, lines + table.replace(",", " "), files
 
 
 def _grid(args, standard: tuple[float, float, float]) -> tuple[float, ...]:
@@ -193,7 +186,7 @@ def _grid(args, standard: tuple[float, float, float]) -> tuple[float, ...]:
     return harness.scan_grid(*(s if f is None else f for f, s in zip(flags, standard)))
 
 
-def cmd_scan(args, params, rails) -> int:
+def cmd_scan(args, params, rails) -> Outcome:
     if args.kind == "crosstalk":
         grid = _grid(args, harness.CROSSTALK_GRID_MHZ)
         result = harness.scan_crosstalk(params, rails, grid)
@@ -202,34 +195,27 @@ def cmd_scan(args, params, rails) -> int:
         grid = _grid(args, harness.LIFETIME_GRID_US)
         result = harness.scan_lifetime(params, rails, args.rail, grid)
         out_path = os.path.join(args.out, f"lifetime_{args.rail:g}.csv")
-    _write_text(out_path, scan_csv(result))
-    print(f"wrote {out_path}")
-    return 0
+    return 0, "", [(out_path, scan_csv(result))]
 
 
-def cmd_fit(args, params, rails) -> int:
+def cmd_fit(args, params, rails) -> Outcome:
     points = []
-    with open(args.csvfile, encoding="utf-8") as fh:
-        for raw in fh:
-            parts = raw.strip().split(",")
-            if len(parts) < 2:
-                continue
-            try:
-                points.append((float(parts[0]), float(parts[1])))
-            except ValueError:
-                continue  # header or comment row
+    for raw in _read_text(args.csvfile).split("\n"):
+        parts = raw.strip().split(",")
+        if len(parts) < 2:
+            continue
+        try:
+            points.append((float(parts[0]), float(parts[1])))
+        except ValueError:
+            continue  # header or comment row
     fit = harness.fit_exponential(points)
-    print(f"A0={fit.a0!r}")
-    print(f"tau_us={fit.tau_us!r}")
-    print(f"tau_err_us={fit.tau_err_us!r}")
-    print(f"rss={fit.rss!r}")
-    return 0
+    return 0, (f"A0={fit.a0!r}\ntau_us={fit.tau_us!r}\n"
+               f"tau_err_us={fit.tau_err_us!r}\nrss={fit.rss!r}\n"), []
 
 
-def cmd_report(args, params, rails) -> int:
-    # every number is computed before the first line is printed, so a late
-    # error leaves stdout empty
-    rows = []
+def cmd_report(args, params, rails) -> Outcome:
+    lines = ["rail_mhz tau_fit_us tau_cal_us eta_fit_pct eta_cal_pct status"]
+    taus, etas, ok = [], [], True
     for cal in rails:
         scan = harness.scan_lifetime(params, rails, cal.f_rail)
         fit = harness.fit_exponential(zip(scan.axis, scan.series["retrieved"]))
@@ -237,46 +223,42 @@ def cmd_report(args, params, rails) -> int:
             scan.series["retrieved"][0], scan.axis[0], fit.tau_us)
         row_ok = (abs(fit.tau_us / cal.tau_us - 1.0) <= REPORT_TAU_RTOL
                   and abs(eta_fit - cal.eta_mem) <= REPORT_ETA_TOL)
-        rows.append((cal, fit, eta_fit, row_ok))
-    mean_tau, mean_tau_err = harness.weighted_mean(
-        [fit.tau_us for _, fit, _, _ in rows], [cal.tau_err_us for cal, _, _, _ in rows])
-    mean_eta_pct = 100.0 * sum(eta for _, _, eta, _ in rows) / len(rows)
+        taus.append(fit.tau_us)
+        etas.append(eta_fit)
+        ok = ok and row_ok
+        lines.append(f"{cal.f_rail:g} {fit.tau_us:.6f} {cal.tau_us:g} "
+                     f"{100 * eta_fit:.2f} {100 * cal.eta_mem:g} "
+                     f"{'PASS' if row_ok else 'FAIL'}")
+    mean_tau, mean_tau_err = harness.weighted_mean(taus, [cal.tau_err_us for cal in rails])
+    mean_eta_pct = 100.0 * sum(etas) / len(etas)
     tau_target, tau_band = REPORT_MEAN_LIFETIME_US
     tau_mean_ok = abs(mean_tau - tau_target) <= tau_band
     eta_target, eta_band = REPORT_MEAN_EFFICIENCY_PCT
     eta_mean_ok = abs(mean_eta_pct - eta_target) <= eta_band
-    ok = all(row_ok for *_, row_ok in rows) and tau_mean_ok and eta_mean_ok
-
-    print("rail_mhz tau_fit_us tau_cal_us eta_fit_pct eta_cal_pct status")
-    for cal, fit, eta_fit, row_ok in rows:
-        print(f"{cal.f_rail:g} {fit.tau_us:.6f} {cal.tau_us:g} "
-              f"{100 * eta_fit:.2f} {100 * cal.eta_mem:g} "
-              f"{'PASS' if row_ok else 'FAIL'}")
-    print(f"weighted_mean_lifetime_us = {mean_tau:.6f} +/- {mean_tau_err:.6f} "
-          f"(target {tau_target} +/- {tau_band}) {'PASS' if tau_mean_ok else 'FAIL'}")
-    print(f"mean_efficiency_pct = {mean_eta_pct:.2f} (displays as {round(mean_eta_pct)}) "
-          f"(target {eta_target:g} +/- {eta_band:g}) {'PASS' if eta_mean_ok else 'FAIL'}")
-    print(f"REPORT {'PASS' if ok else 'FAIL'}")
-    return 0 if ok else 1
+    ok = ok and tau_mean_ok and eta_mean_ok
+    lines += [
+        f"weighted_mean_lifetime_us = {mean_tau:.6f} +/- {mean_tau_err:.6f} "
+        f"(target {tau_target} +/- {tau_band}) {'PASS' if tau_mean_ok else 'FAIL'}",
+        f"mean_efficiency_pct = {mean_eta_pct:.2f} (displays as {round(mean_eta_pct)}) "
+        f"(target {eta_target:g} +/- {eta_band:g}) {'PASS' if eta_mean_ok else 'FAIL'}",
+        f"REPORT {'PASS' if ok else 'FAIL'}",
+    ]
+    return 0 if ok else 1, "\n".join(lines) + "\n", []
 
 
-def cmd_oracle(args, params, rails) -> int:
-    # every row is computed before the first line is printed, so a late
-    # error leaves stdout empty
+def cmd_oracle(args, params, rails) -> Outcome:
     diff = physics.diffusion_coefficient(params)
-    rows = []
+    lines = ["d_um t_us mc analytic abs_diff"]
+    ok = True
     for d, t in ORACLE_GRID:
         mc = harness.monte_carlo_overlap(params, args.n, d, t, args.seed)
         s2 = physics.spread_variance_um2(params.sigma0 ** 2, t, diff)
         analytic = physics.overlap_factor(d, s2, params)
-        rows.append((d, t, mc, analytic, abs(mc - analytic)))
-    ok = all(delta <= ORACLE_ABS_TOL for *_, delta in rows)
-
-    print("d_um t_us mc analytic abs_diff")
-    for d, t, mc, analytic, delta in rows:
-        print(f"{d:g} {t:g} {mc!r} {analytic!r} {delta:.3e}")
-    print(f"ORACLE {'PASS' if ok else 'FAIL'} (tolerance {ORACLE_ABS_TOL} absolute)")
-    return 0 if ok else 1
+        delta = abs(mc - analytic)
+        ok = ok and delta <= ORACLE_ABS_TOL
+        lines.append(f"{d:g} {t:g} {mc!r} {analytic!r} {delta:.3e}")
+    lines.append(f"ORACLE {'PASS' if ok else 'FAIL'} (tolerance {ORACLE_ABS_TOL} absolute)")
+    return 0 if ok else 1, "\n".join(lines) + "\n", []
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -325,12 +307,29 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    created = []
     try:
         params, rails = configured(args.config)
-        return args.func(args, params, rails)
+        code, text, files = args.func(args, params, rails)
+        # every output is opened before any is written, so one that cannot be
+        # opened leaves them all as they were; a file named twice gets the last text
+        for path, _ in files:
+            os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+            try:
+                os.close(os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666))
+                created.append(path)
+            except FileExistsError:
+                os.close(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666))
+        for path, body in files:
+            with open(path, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(body)
     except (VaporMemError, OSError) as exc:
+        for path in created:
+            os.unlink(path)
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    sys.stdout.write(text + "".join(f"wrote {path}\n" for path, _ in files))
+    return code
 
 
 if __name__ == "__main__":

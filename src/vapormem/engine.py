@@ -40,6 +40,7 @@ if TYPE_CHECKING:
 
 NS_PER_US = 1000.0
 SIGNAL_FWHM_NS = 25.0  # full width at half maximum of a rendered signal pulse
+MAX_WAVEFORM_SAMPLES = 10**7  # render_waveform allocates two float64 arrays this long
 
 
 class Memory:
@@ -233,7 +234,8 @@ def render_waveform(trace: Trace, sample_period_ns: float, noise_floor: float = 
     the last event so pulse tails are captured. A sample period that is
     not finite and positive, a span that is not finite and non-negative,
     or a noise floor that is not finite and non-negative raises
-    DomainError.
+    DomainError, as does a span of more than ``MAX_WAVEFORM_SAMPLES``
+    sample periods, before any array is allocated.
 
     A pulse is added only on the samples within 40 sigma of its centre.
     Beyond that the Gaussian is exp(-800), exactly 0.0 in float64, and
@@ -252,7 +254,11 @@ def render_waveform(trace: Trace, sample_period_ns: float, noise_floor: float = 
         span_ns = last + 600.0
     if not (math.isfinite(span_ns) and span_ns >= 0.0):
         raise DomainError("waveform span must be finite and non-negative")
-    n = int(np.ceil(span_ns / sample_period_ns))
+    samples = span_ns / sample_period_ns  # inf when the quotient overflows
+    if not samples <= MAX_WAVEFORM_SAMPLES:
+        count = math.ceil(samples) if math.isfinite(samples) else samples
+        raise DomainError(f"waveform has {count} samples, more than {MAX_WAVEFORM_SAMPLES}")
+    n = int(np.ceil(samples))
     t = np.arange(n) * sample_period_ns
     # + 0.0 stores a -0.0 floor as 0.0, so samples outside every pulse window
     # read the same as samples where a pulse's zero tail was added

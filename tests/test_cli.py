@@ -66,6 +66,11 @@ CONFIG_LINES = st.one_of(
 )
 
 
+def tree(root):
+    """Every path under root, with the bytes of each file."""
+    return {p: p.read_bytes() if p.is_file() else None for p in root.rglob("*")}
+
+
 @pytest.fixture
 def seqfile(tmp_path):
     def write(text, name="prog.seq"):
@@ -158,6 +163,9 @@ class TestRun:
         ["--noise-floor", "nan"],
         ["--noise-floor", "inf"],
         ["--noise-floor", "-1"],
+        # more samples than engine.MAX_WAVEFORM_SAMPLES, finite and overflowing
+        ["--sample-period-ns", "1e-9"],
+        ["--waveform-span-ns", "1e300", "--sample-period-ns", "1e-10"],
     ])
     def test_bad_waveform_args_write_nothing(self, seqfile, tmp_path, capsys, bad):
         trace_path, wave_path = tmp_path / "trace.csv", tmp_path / "wave.csv"
@@ -167,18 +175,38 @@ class TestRun:
         assert "error:" in capsys.readouterr().err
         assert not trace_path.exists() and not wave_path.exists()
 
+    @pytest.mark.parametrize("trace,wave", [
+        pytest.param("t.csv", "afile/w.csv", id="waveform-parent-is-a-file"),
+        pytest.param("t.csv", "adir", id="waveform-is-a-directory"),
+        pytest.param("adir", "w.csv", id="trace-is-a-directory"),
+        pytest.param("old.csv", "adir", id="existing-trace-kept"),
+        pytest.param("adir", "old.csv", id="existing-waveform-kept"),
+    ])
     def test_unwritable_waveform_path_prints_and_writes_nothing(self, seqfile, tmp_path,
-                                                                 capsys):
-        trace_path = tmp_path / "t.csv"
-        afile = tmp_path / "afile"
-        afile.write_text("a plain file, not a directory\n")
-        rc = main(["run", seqfile(CANONICAL), "--trace-out", str(trace_path),
-                   "--waveform-out", str(afile / "w.csv")])
+                                                                 capsys, trace, wave):
+        prog = seqfile(CANONICAL)
+        (tmp_path / "afile").write_text("a plain file, not a directory\n")
+        (tmp_path / "adir").mkdir()
+        (tmp_path / "old.csv").write_text("an earlier output\n")
+        before = tree(tmp_path)
+        rc = main(["run", prog, "--trace-out", str(tmp_path / trace),
+                   "--waveform-out", str(tmp_path / wave)])
         captured = capsys.readouterr()
         assert rc == 2
         assert captured.out == ""
         assert "error:" in captured.err
-        assert not trace_path.exists()
+        assert tree(tmp_path) == before
+
+    @pytest.mark.parametrize("second", ["x.csv", "./x.csv"])
+    def test_path_given_twice_holds_the_last_output(self, seqfile, tmp_path, monkeypatch,
+                                                    capsys, second):
+        prog = seqfile(CANONICAL)
+        monkeypatch.chdir(tmp_path)
+        rc = main(["run", prog, "--trace-out", "x.csv", "--waveform-out", second,
+                   "--waveform-span-ns", "0"])
+        assert rc == 0
+        assert (tmp_path / "x.csv").read_bytes() == b"t_ns,intensity\n"
+        assert capsys.readouterr().out.endswith(f"wrote x.csv\nwrote {second}\n")
 
     def test_reruns_are_byte_identical(self, seqfile, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -269,6 +297,15 @@ class TestScan:
         assert rc == 0
         rows = (tmp_path / "lifetime_190.csv").read_text().splitlines()[1:]
         assert [row.split(",")[0] for row in rows] == ["0.1", "0.2", "0.3"]
+
+    def test_unwritable_output_writes_nothing(self, tmp_path, capsys):
+        (tmp_path / "crosstalk.csv").mkdir()
+        rc = main(["--out", str(tmp_path), "scan", "crosstalk"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert "crosstalk.csv" in captured.err
+        assert [p.name for p in tmp_path.iterdir()] == ["crosstalk.csv"]
 
     def test_grid_size_capped(self, tmp_path, capsys):
         # 25 / 1e-12 + 1 points are counted, not built
@@ -449,6 +486,25 @@ class TestConfig:
         # 60 ns spacing is fine at default 48 ns but not at 100 ns
         assert main(["validate", str(seq)]) == 0
         assert main(["--config", str(cfg), "validate", str(seq)]) == 1
+
+
+class TestNonUtf8Input:
+    @pytest.mark.parametrize("data", [b"\xe9", b"# fine\n\xff\n"], ids=["e9", "ff-line-2"])
+    @pytest.mark.parametrize("argv", [
+        ["validate", "{in}"],
+        ["run", "{in}", "--trace-out", "{out}"],
+        ["--config", "{in}", "report"],
+        ["fit", "{in}"],
+    ], ids=["validate", "run", "config", "fit"])
+    def test_named_error(self, tmp_path, capsys, argv, data):
+        path = tmp_path / "input"
+        path.write_bytes(data)
+        argv = [a.format(**{"in": path, "out": tmp_path / "trace.csv"}) for a in argv]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {path}: not UTF-8 text (byte 0x")
+        assert list(tmp_path.iterdir()) == [path]
 
 
 class TestOracle:

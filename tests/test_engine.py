@@ -436,6 +436,17 @@ class TestRenderWaveform:
         with pytest.raises(DomainError):
             engine.render_waveform(Trace(()), 1.0, span_ns=span)
 
+    @pytest.mark.parametrize("span,period,count", [
+        (1e7 + 1, 1.0, "10000001"),
+        (5600.0, 1e-9, "5600000000000"),
+        (1e300, 1e-10, "inf"),  # the quotient overflows a float
+    ])
+    def test_sample_count_capped(self, span, period, count):
+        from vapormem.core import Trace
+        with pytest.raises(DomainError, match=f"^waveform has {count} samples, more than "
+                                              f"{engine.MAX_WAVEFORM_SAMPLES}$"):
+            engine.render_waveform(Trace(()), period, span_ns=span)
+
     @pytest.mark.parametrize("floor", [math.nan, math.inf, -math.inf, -1.0, -1e-300])
     def test_bad_noise_floor(self, floor):
         from vapormem.core import Trace
