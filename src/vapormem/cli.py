@@ -12,10 +12,11 @@ re-running produces byte-identical CSV output. All CSV is UTF-8 with
 Each ``cmd_*`` only computes and returns ``(exit code, stdout text,
 [(path, text), ...])``; ``main`` alone prints and writes. Exit status is 0
 iff no error-severity condition occurred. Exit status 2 means an ``error:``
-line on stderr, nothing on stdout and no output file created or changed,
-since ``main`` opens every output before it writes any. That covers an
-input file that is missing or not UTF-8 text, an output that cannot be
-opened, and every named error of the package.
+line on stderr, nothing on stdout and no output file or directory created
+or changed, since ``main`` opens every output before it writes any and
+removes what it made for them. That covers an input file that is missing
+or not UTF-8 text, an output that cannot be opened, and every named error
+of the package.
 
 Configuration files are flat ``key = value`` text, one entry per line,
 ``#`` comments allowed. Keys are the physics parameter names (``d0``,
@@ -143,12 +144,24 @@ def waveform_csv(t, y) -> str:
 
     ``tolist()`` on a chunk converts its samples to Python floats in one
     call; chunks keep that copy small next to the text being built.
+
+    A rendered waveform repeats few intensities: most samples are the
+    noise floor, and the pulses' far tails, near 1e-300 where ``repr`` is
+    slowest, are symmetric about their centres. So each chunk formats each
+    of its distinct intensities once. The table lives for one chunk,
+    because one table for the whole call raised the peak memory of
+    ``run --waveform-out``. Zeros bypass the table, since 0.0 and -0.0 are
+    one dict key but print differently; any other two equal floats print
+    the same, and a NaN is found under its own object, so each sample's
+    text is its ``repr``.
     """
     chunks = ["t_ns,intensity\n"]
     for i in range(0, len(t), WAVEFORM_CSV_CHUNK):
         j = i + WAVEFORM_CSV_CHUNK
-        pairs = zip(t[i:j].tolist(), y[i:j].tolist())
-        chunks.append("".join([f"{a!r},{b!r}\n" for a, b in pairs]))
+        ys = y[i:j].tolist()
+        text = {b: f",{b!r}\n" for b in set(ys)}
+        chunks.append("".join([f"{a!r}{text[b]}" if b else f"{a!r},{b!r}\n"
+                               for a, b in zip(t[i:j].tolist(), ys)]))
     return "".join(chunks)
 
 
@@ -305,16 +318,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _make_dirs(name: str, made: list[str]) -> None:
+    """Make directory ``name`` and its missing parents, appending each one made to ``made``."""
+    if not name or os.path.isdir(name):
+        return
+    _make_dirs(os.path.dirname(name), made)
+    if not os.path.isdir(name):  # a name ending in . or .. exists once its parent does
+        os.mkdir(name)
+        made.append(name)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    created = []
+    made, created = [], []
     try:
         params, rails = configured(args.config)
         code, text, files = args.func(args, params, rails)
         # every output is opened before any is written, so one that cannot be
-        # opened leaves them all as they were; a file named twice gets the last text
+        # opened leaves them all as they were, with no directory made for
+        # them; a file named twice gets the last text
         for path, _ in files:
-            os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+            _make_dirs(os.path.dirname(path), made)
             try:
                 os.close(os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666))
                 created.append(path)
@@ -326,6 +350,8 @@ def main(argv=None) -> int:
     except (VaporMemError, OSError) as exc:
         for path in created:
             os.unlink(path)
+        for name in reversed(made):  # deepest first
+            os.rmdir(name)
         print(f"error: {exc}", file=sys.stderr)
         return 2
     sys.stdout.write(text + "".join(f"wrote {path}\n" for path, _ in files))

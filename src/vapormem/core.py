@@ -211,6 +211,28 @@ class Operation:
             _require(self.energy > 0.0, "write energy must be strictly positive")
 
 
+def _parsed_operation(t_ns: float, kind: OpKind, f_rail: float, energy: float) -> Operation:
+    """An Operation whose values ``seqlang.parse`` has already checked.
+
+    ``parse`` owns the checks ``Operation.__post_init__`` makes on an op it
+    reads from text. Its grammar admits no sign, so a time or energy is
+    never negative or NaN, and it rejects a time or energy too large for a
+    float and a write energy of zero, each at its line and column. Running
+    ``__post_init__`` again would repeat that work, and it is most of what
+    building an op costs, so this skips it. The four fields are set in
+    ``__init__``'s order, so each op shares the class's key table and takes
+    the same memory as one from ``Operation(...)``. Every other caller uses
+    the public constructor, which keeps every check; this one is not
+    exported.
+    """
+    op = object.__new__(Operation)
+    object.__setattr__(op, "t_ns", t_ns)
+    object.__setattr__(op, "kind", kind)
+    object.__setattr__(op, "f_rail", f_rail)
+    object.__setattr__(op, "energy", energy)
+    return op
+
+
 @dataclass(frozen=True)
 class Sequence:
     """A named, time-ordered program of operations on declared rails.

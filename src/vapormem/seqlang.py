@@ -37,6 +37,7 @@ from .core import (
     PhysicsParams,
     Sequence,
     VaporMemError,
+    _parsed_operation,
 )
 
 # declared rails closer than this warn about cross-talk (W001)
@@ -113,9 +114,18 @@ def parse(text: str) -> Sequence:
     violation, on a number too large for a float, on a missing or
     duplicate header or RAILS directive, on an operation that uses an
     undeclared rail, and on non-increasing times.
+
+    parse owns the per-op checks: every value ``Operation`` would check is
+    checked here and located in the text, so ops are built by
+    ``core._parsed_operation`` without checking them again. A frequency
+    token resolves through a table of the tokens already seen to name a
+    declared rail; only a token not in it is matched, converted and looked
+    up, so an undeclared one always gets its own error. ``Sequence`` still
+    checks the whole program.
     """
     name: str | None = None
     rails: list[float] = []
+    rail_of: dict[str, float] = {}  # frequency token -> the declared rail it names
     rails_line: int | None = None
     ops: list[Operation] = []
     op_lines: list[int] = []
@@ -155,6 +165,7 @@ def parse(text: str) -> Sequence:
                 if f in rails:
                     raise ParseError(f"rail {tok} declared twice", lineno, _col(line, k))
                 rails.append(f)
+                rail_of[tok] = f
             rails_line = lineno
             continue
 
@@ -164,22 +175,25 @@ def parse(text: str) -> Sequence:
             m = _TIME_RE.match(tokens[1])
             if not m:
                 raise ParseError(f"malformed time {tokens[1]!r}", lineno, _col(line, 1))
-            t_ns = _time_ns(m.group(1), m.group(2))
+            t_ns = _time_ns(*m.groups())
             if math.isinf(t_ns):
                 raise ParseError("time is too large", lineno, _col(line, 1))
             kind = _VERBS.get(tokens[2])
             if kind is None:
                 raise ParseError(f"unknown operation {tokens[2]!r}", lineno, _col(line, 2))
             ftok = tokens[3]
-            fm = _FREQ_RE.match(ftok)
-            if not fm:
-                raise ParseError(f"malformed frequency {ftok!r}", lineno, _col(line, 3))
-            f_rail = float(fm.group(1))
-            if f_rail not in rails:
-                # declared rails are finite, so an overflowing frequency lands here
-                if math.isinf(f_rail):
-                    raise ParseError("frequency is too large", lineno, _col(line, 3))
-                raise ParseError(f"operation on undeclared rail {ftok}", lineno, _col(line, 3))
+            f_rail = rail_of.get(ftok)
+            if f_rail is None:
+                fm = _FREQ_RE.match(ftok)
+                if not fm:
+                    raise ParseError(f"malformed frequency {ftok!r}", lineno, _col(line, 3))
+                f_rail = float(fm.group(1))
+                if f_rail not in rails:
+                    # declared rails are finite, so an overflowing frequency lands here
+                    if math.isinf(f_rail):
+                        raise ParseError("frequency is too large", lineno, _col(line, 3))
+                    raise ParseError(f"operation on undeclared rail {ftok}", lineno, _col(line, 3))
+                rail_of[ftok] = f_rail
             energy = 1.0
             if len(tokens) == 5:
                 etok = tokens[4]
@@ -196,7 +210,7 @@ def parse(text: str) -> Sequence:
             if prev_t is not None and t_ns <= prev_t:
                 raise ParseError("operation time does not increase", lineno, _col(line, 1))
             prev_t = t_ns
-            ops.append(Operation(t_ns=t_ns, kind=kind, f_rail=f_rail, energy=energy))
+            ops.append(_parsed_operation(t_ns, kind, f_rail, energy))
             op_lines.append(lineno)
             continue
 

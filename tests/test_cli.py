@@ -181,6 +181,8 @@ class TestRun:
         pytest.param("adir", "w.csv", id="trace-is-a-directory"),
         pytest.param("old.csv", "adir", id="existing-trace-kept"),
         pytest.param("adir", "old.csv", id="existing-waveform-kept"),
+        pytest.param("new/sub/t.csv", "adir", id="new-trace-directories-removed"),
+        pytest.param("new/./sub/../t.csv", "adir", id="new-dot-directories-removed"),
     ])
     def test_unwritable_waveform_path_prints_and_writes_nothing(self, seqfile, tmp_path,
                                                                  capsys, trace, wave):
@@ -232,8 +234,15 @@ class TestWaveformCsv:
         t = np.arange(n) * 0.37
         y = rng.exponential(1e-3, n)
         y[::7] = 0.0
+        y[1::7] = -0.0  # equal to 0.0, and one dict key with it
         y[1::11] = 5e-324  # the smallest subnormal
         y[2::13] = 1e-5
+        y[3::29] = math.nan
+        y[4::31] = math.inf
+        y[5::37] = -math.inf
+        y[n // 3:n // 2] = 2.5e-7  # a long run of one noise floor
+        # one far-tail value on both sides of a chunk boundary
+        y[WAVEFORM_CSV_CHUNK - 5:WAVEFORM_CSV_CHUNK + 5] = 1.7e-300
         assert waveform_csv(t, y) == per_sample_waveform_csv(t, y)
 
 

@@ -4,6 +4,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+import vapormem
 from vapormem.core import (
     DuplicateRailError,
     FitResult,
@@ -19,6 +20,7 @@ from vapormem.core import (
     default_params,
     default_rails,
 )
+from vapormem.seqlang import ParseError, parse
 
 
 class TestDefaultParams:
@@ -146,6 +148,22 @@ class TestOperationAndSequence:
     def test_non_finite_time_or_energy_rejected(self, kind, t_ns, energy):
         with pytest.raises(ParamError, match="must be finite"):
             Operation(t_ns, kind, 190.0, energy)
+
+    @pytest.mark.parametrize("args,line", [
+        ((-1.0, OpKind.READ, 190.0), "AT -1ns READ 190MHz"),
+        ((math.nan, OpKind.READ, 190.0), "AT nanns READ 190MHz"),
+        ((0.0, OpKind.WRITE, 190.0, 0.0), "AT 0ns WRITE 190MHz 0"),
+    ])
+    def test_public_constructor_keeps_its_checks(self, args, line):
+        # parse makes these checks on the text and builds its ops without them
+        with pytest.raises(ParamError):
+            Operation(*args)
+        with pytest.raises(ParseError):
+            parse(f"SEQUENCE s\nRAILS 190MHz\n{line}\n")
+
+    def test_parse_constructor_not_exported(self):
+        assert not hasattr(vapormem, "_parsed_operation")
+        assert all("parsed" not in name for name in vapormem.__all__)
 
     def test_unsorted_ops_rejected(self):
         ops = (Operation(400.0, OpKind.WRITE, 190.0), Operation(0.0, OpKind.READ, 190.0))

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -40,6 +41,12 @@ PARSE_ERRORS = [
     ("SEQUENCE s\nRAILS 190MHz\nAT 0ns WRITE 210MHz\n",
      "operation on undeclared rail 210MHz", 3, 14),
     ("SEQUENCE s\nAT 0ns READ 190MHz", "operation on undeclared rail 190MHz", 2, 13),
+    # tokens after ones already resolved to a declared rail
+    ("SEQUENCE s\nRAILS 190MHz\nAT 0ns WRITE 190MHz\nAT 48ns READ 190.0MHz\n"
+     "AT 96ns READ 190MHz\n AT 144ns READ 230MHz\n",
+     "operation on undeclared rail 230MHz", 6, 16),
+    ("SEQUENCE s\nRAILS 190MHz\nAT 0ns WRITE 190.0MHz\nAT 48ns READ 190.0MHz\n"
+     "AT 96ns PUMP 190.0MHZ\n", "malformed frequency '190.0MHZ'", 5, 14),
     ("SEQUENCE s\nRAILS 190MHz\nAT 0ns READ 190MHz 0.5\n", "only WRITE takes an energy", 3, 20),
     ("SEQUENCE s\nRAILS 190MHz\nAT 0ns WRITE 190MHz 1e3\n", "malformed energy '1e3'", 3, 21),
     ("SEQUENCE s\nRAILS 190MHz\nAT 0ns WRITE 190MHz 0.0\u3000\n",
@@ -185,6 +192,22 @@ class TestParse:
         assert all(math.isfinite(f) for f in seq.rails)
         assert all(math.isfinite(op.t_ns) and math.isfinite(op.f_rail)
                    and math.isfinite(op.energy) for op in seq.ops)
+        # parse owns the per-op checks; the public constructors, which re-run
+        # them, must accept what it built and build the same values
+        assert all(dataclasses.replace(op) == op for op in seq.ops)
+        assert Sequence(seq.name, seq.rails, seq.ops) == seq
+
+    def test_one_rail_spelled_several_ways(self):
+        seq = parse("SEQUENCE s\nRAILS 190MHz 0210.0MHz\nAT 0ns WRITE 190.0MHz\n"
+                    "AT 48ns READ 190MHz\nAT 96ns WRITE 210MHz\nAT 144ns READ 190.00MHz\n"
+                    "AT 192ns READ 190.0MHz\n")
+        assert seq == Sequence("s", (190.0, 210.0), (
+            Operation(0.0, OpKind.WRITE, 190.0),
+            Operation(48.0, OpKind.READ, 190.0),
+            Operation(96.0, OpKind.WRITE, 210.0),
+            Operation(144.0, OpKind.READ, 190.0),
+            Operation(192.0, OpKind.READ, 190.0),
+        ))
 
     def test_whitespace_comments_and_crlf(self):
         doc = ("# header comment\r\n\tSEQUENCE\x0bws # name\r\n"
