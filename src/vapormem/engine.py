@@ -14,7 +14,12 @@ parallel simulations. Sequences and traces are immutable.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Iterable
+import struct
+# the waveform is rendered into array('d') buffers with math.exp, so the
+# engine needs no numpy and `run --waveform-out` starts without it
+from array import array
+from bisect import bisect_left, bisect_right
+from typing import Iterable
 
 from . import physics, seqlang
 from .core import (
@@ -32,15 +37,10 @@ from .core import (
     UnknownRailError,
 )
 
-# only the functions that compute with numpy import it, so the commands that
-# never do (validate, run without a waveform, the scans, fit, report) start
-# without it
-if TYPE_CHECKING:
-    import numpy as np
-
 NS_PER_US = 1000.0
 SIGNAL_FWHM_NS = 25.0  # full width at half maximum of a rendered signal pulse
 MAX_WAVEFORM_SAMPLES = 10**7  # render_waveform allocates two float64 arrays this long
+_RENDER_CHUNK = 1 << 14  # samples of the time axis built per step of render_waveform
 
 
 class Memory:
@@ -98,11 +98,17 @@ class Memory:
         return physics.spread_variance_um2(self.params.sigma0 ** 2, age_us, self._diff)
 
     def _rail(self, f_rail: float) -> tuple[RailCalibration, float]:
-        """Calibration and beam position of a declared rail."""
+        """Calibration and beam position of a calibrated rail.
+
+        A sequence may declare any rail, but the memory can act only on the
+        rails it was given calibrations for.
+        """
         try:
             return self._rails[f_rail]
         except KeyError:
-            raise UnknownRailError(f"rail {f_rail} MHz was not declared") from None
+            calibrated = ", ".join(str(f) for f in sorted(self._rails))
+            raise UnknownRailError(f"rail {f_rail} MHz has no calibration "
+                                   f"(calibrated rails: {calibrated} MHz)") from None
 
     def advance(self, t_ns: float) -> None:
         """Advance time without performing an operation.
@@ -121,7 +127,7 @@ class Memory:
         """Remaining amplitude of the component stored on a rail (0.0 if none)."""
         slot = self._stored.get(f_rail)
         if slot is None:
-            self._rail(f_rail)  # an undeclared rail raises UnknownRailError
+            self._rail(f_rail)  # an uncalibrated rail raises UnknownRailError
             return 0.0
         return slot[0]
 
@@ -224,27 +230,27 @@ def run_sequence(state: Memory, seq: Sequence) -> Trace:
 
 
 def render_waveform(trace: Trace, sample_period_ns: float, noise_floor: float = 0.0,
-                    span_ns: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+                    span_ns: float | None = None) -> tuple[array, array]:
     """Render a trace as a sampled detector waveform.
 
     Each event becomes a Gaussian pulse of FWHM ``SIGNAL_FWHM_NS`` centered
     at its time, with area equal to its energy; a constant noise floor is
-    added to every sample. Returns (times_ns, intensity) arrays covering
-    [0, span_ns) at the given period. The default span runs 600 ns past
-    the last event so pulse tails are captured. A sample period that is
-    not finite and positive, a span that is not finite and non-negative,
-    or a noise floor that is not finite and non-negative raises
-    DomainError, as does a span of more than ``MAX_WAVEFORM_SAMPLES``
-    sample periods, before any array is allocated.
+    added to every sample. Returns (times_ns, intensity) as two
+    ``array('d')`` buffers covering [0, span_ns) at the given period;
+    ``np.asarray`` views either without a copy. The default span runs
+    600 ns past the last event so pulse tails are captured. A sample period
+    that is not finite and positive, a span that is not finite and
+    non-negative, or a noise floor that is not finite and non-negative
+    raises DomainError, as does a span of more than ``MAX_WAVEFORM_SAMPLES``
+    sample periods, before any buffer is allocated.
 
     A pulse is added only on the samples within 40 sigma of its centre.
     Beyond that the Gaussian is exp(-800), exactly 0.0 in float64, and
     adding energy * 0.0 leaves a sample unchanged, so the window changes
     no bit of the result while the cost follows the number of pulses, not
-    the span.
+    the span. Every exponential is ``math.exp``, the C library's, so the
+    bytes do not depend on which CPU kernels numpy would dispatch to.
     """
-    import numpy as np
-
     if not (math.isfinite(sample_period_ns) and sample_period_ns > 0.0):
         raise DomainError("sample period must be finite and strictly positive")
     if not (math.isfinite(noise_floor) and noise_floor >= 0.0):
@@ -258,18 +264,34 @@ def render_waveform(trace: Trace, sample_period_ns: float, noise_floor: float = 
     if not samples <= MAX_WAVEFORM_SAMPLES:
         count = math.ceil(samples) if math.isfinite(samples) else samples
         raise DomainError(f"waveform has {count} samples, more than {MAX_WAVEFORM_SAMPLES}")
-    n = int(np.ceil(samples))
-    t = np.arange(n) * sample_period_ns
+    n = math.ceil(samples)
+    # t[i] = i * period, one chunk at a time so no list of the whole span is
+    # alive. For i < 2**53, float(k) + float(j) is exactly float(k + j), which
+    # spares an int per sample; struct packs a chunk faster than fromlist
+    t = array("d")
+    offsets = [float(j) for j in range(min(n, _RENDER_CHUNK))]
+    for k in range(0, n, _RENDER_CHUNK):
+        fk = float(k)
+        chunk = [(fk + j) * sample_period_ns for j in offsets[:n - k]]
+        t.frombytes(struct.pack(f"{len(chunk)}d", *chunk))
     # + 0.0 stores a -0.0 floor as 0.0, so samples outside every pulse window
     # read the same as samples where a pulse's zero tail was added
-    y = np.full(n, float(noise_floor) + 0.0)
-    sigma = SIGNAL_FWHM_NS / (2.0 * np.sqrt(2.0 * np.log(2.0)))
-    norm = 1.0 / (sigma * np.sqrt(2.0 * np.pi))
+    y = array("d", [float(noise_floor) + 0.0]) * n
+    sigma = SIGNAL_FWHM_NS / (2.0 * math.sqrt(2.0 * math.log(2.0)))
+    norm = 1.0 / (sigma * math.sqrt(2.0 * math.pi))
     half = 40.0 * sigma
+    last_ds = shape = None
     for ev in trace.events:
         if ev.out_energy > 0.0:
-            lo = np.searchsorted(t, ev.t_ns - half)
-            hi = np.searchsorted(t, ev.t_ns + half, side="right")
-            y[lo:hi] += ev.out_energy * norm * np.exp(
-                -((t[lo:hi] - ev.t_ns) ** 2) / (2.0 * sigma * sigma))
+            t0 = ev.t_ns
+            lo = bisect_left(t, t0 - half)
+            hi = bisect_right(t, t0 + half)
+            ds = [ti - t0 for ti in t[lo:hi]]
+            # equal distances give an equal unit Gaussian, so a pulse at the same
+            # offset from the sample grid as the one before (integer-ns times on
+            # a 1 ns grid) reuses it
+            if ds != last_ds:
+                last_ds, shape = ds, [math.exp(-(d * d) / (2.0 * sigma * sigma)) for d in ds]
+            scale = ev.out_energy * norm
+            y[lo:hi] = array("d", [v + scale * g for v, g in zip(y[lo:hi], shape)])
     return t, y

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from array import array
 
 import numpy as np
 import pytest
@@ -154,6 +155,17 @@ class TestRun:
         assert rc == 2
         assert not trace_path.exists()
 
+    def test_uncalibrated_rail_names_the_calibrated_ones(self, seqfile, tmp_path, capsys):
+        # 198 MHz is declared, so the error must not say it was not
+        trace_path = tmp_path / "trace.csv"
+        rc = main(["run", seqfile(CLOSE_RAILS), "--trace-out", str(trace_path)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err == ("error: rail 198.0 MHz has no calibration "
+                                "(calibrated rails: 170.0, 190.0, 210.0, 230.0 MHz)\n")
+        assert not trace_path.exists()
+
     @pytest.mark.parametrize("bad", [
         ["--sample-period-ns", "nan"],
         ["--sample-period-ns", "inf"],
@@ -244,6 +256,8 @@ class TestWaveformCsv:
         # one far-tail value on both sides of a chunk boundary
         y[WAVEFORM_CSV_CHUNK - 5:WAVEFORM_CSV_CHUNK + 5] = 1.7e-300
         assert waveform_csv(t, y) == per_sample_waveform_csv(t, y)
+        # render_waveform returns array('d') buffers, which format the same
+        assert waveform_csv(array("d", t), array("d", y)) == per_sample_waveform_csv(t, y)
 
 
 class TestScan:

@@ -1,9 +1,9 @@
 """numpy stays off the start-up path.
 
-Only waveform rendering and the Monte Carlo oracle compute with numpy,
-since their output bits depend on it, and they import it themselves.
-Each case runs in a fresh interpreter, since this test session has numpy
-loaded already.
+Only the Monte Carlo oracle computes with numpy, and it imports numpy
+itself; every other command, waveform rendering included, runs in plain
+Python. Each case runs in a fresh interpreter, since this test session
+has numpy loaded already.
 """
 
 import hashlib
@@ -46,6 +46,7 @@ def test_import_and_numpy_free_commands_leave_numpy_unloaded(tmp_path):
     commands = [
         ["validate", str(seq)],
         ["run", str(seq), "--trace-out", str(tmp_path / "trace.csv")],
+        ["run", str(seq), "--waveform-out", str(tmp_path / "wave.csv")],
         ["--out", out, "scan", "crosstalk"],
         ["--out", out, "scan", "lifetime"],
         ["fit", os.path.join(out, "lifetime_190.csv")],
@@ -53,14 +54,14 @@ def test_import_and_numpy_free_commands_leave_numpy_unloaded(tmp_path):
     ]
     assert not numpy_loaded_after([], tmp_path)
     assert not numpy_loaded_after(commands, tmp_path)
-    assert (tmp_path / "trace.csv").exists()
+    assert (tmp_path / "trace.csv").exists() and (tmp_path / "wave.csv").exists()
 
 
-def test_waveform_out_loads_numpy_and_writes_pinned_bytes(tmp_path):
+def test_waveform_out_leaves_numpy_unloaded_and_writes_pinned_bytes(tmp_path):
     seq = tmp_path / "random.seq"
     seq.write_text(seqlang.format_sequence(random_program(random.Random(1), 200)))
     wave = tmp_path / "wave.csv"
-    assert numpy_loaded_after([["run", str(seq), "--waveform-out", str(wave)]], tmp_path)
+    assert not numpy_loaded_after([["run", str(seq), "--waveform-out", str(wave)]], tmp_path)
     assert hashlib.sha256(wave.read_bytes()).hexdigest() == PINNED_WAVEFORM_SHA256
 
 
