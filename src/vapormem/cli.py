@@ -30,7 +30,9 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from array import array
 from dataclasses import fields as dataclass_fields, replace
+from itertools import chain
 
 from . import engine, harness, physics, seqlang
 from .core import (
@@ -48,7 +50,9 @@ REPORT_MEAN_LIFETIME_US = (3.2, 0.2)
 REPORT_MEAN_EFFICIENCY_PCT = (36.0, 1.0)
 ORACLE_ABS_TOL = 0.02
 ORACLE_GRID = tuple((d, t) for d in (0.0, 270.0, 675.0) for t in (0.4, 2.0))
-WAVEFORM_CSV_CHUNK = 1 << 14  # samples formatted per step of waveform_csv
+# samples per step of waveform_csv: its per-chunk lists and bytes stay near
+# 1 MiB, while the intensity table lives for the whole call
+WAVEFORM_CSV_CHUNK = 1 << 14
 
 Outcome = tuple[int, str, list[tuple[str, str]]]  # exit code, stdout, (path, text) per output
 _PARAM_KEYS = {f.name for f in dataclass_fields(PhysicsParams)}
@@ -140,28 +144,41 @@ def scan_csv(result: harness.ScanResult) -> str:
 
 
 def waveform_csv(t, y) -> str:
-    """CSV of two equal-length float arrays, formatted a chunk at a time.
-
-    ``tolist()`` on a chunk converts its samples to Python floats in one
-    call; chunks keep that copy small next to the text being built.
+    """CSV of two equal-length float64 arrays, built a chunk at a time.
 
     A rendered waveform repeats few intensities: most samples are the
     noise floor, and the pulses' far tails, near 1e-300 where ``repr`` is
-    slowest, are symmetric about their centres. So each chunk formats each
-    of its distinct intensities once. The table lives for one chunk,
-    because one table for the whole call raised the peak memory of
-    ``run --waveform-out``. Zeros bypass the table, since 0.0 and -0.0 are
-    one dict key but print differently; any other two equal floats print
-    the same, and a NaN is found under its own object, so each sample's
-    text is its ``repr``.
+    slowest, are symmetric about their centres and recur from pulse to
+    pulse. So one table, kept for the whole call, holds the text of each
+    distinct intensity, and each is formatted once. On a 400k-sample,
+    200-pulse render that is 38k intensities, where per-chunk tables
+    formatted 62k. The table costs about 5 MiB, so it is dropped before
+    the chunks are joined, where the call's memory peaks.
+
+    The table is keyed by each sample's 64-bit pattern, not its value.
+    Floats that compare equal but print differently (0.0 and -0.0) get
+    different keys, and so do NaNs with different payloads, which all
+    print ``nan``; a key's text is the ``repr`` of the float with its
+    bits, so every sample prints as its own ``repr`` with no special case.
+
+    Each chunk's rows are joined in C: ``repr`` of each time interleaved
+    with each intensity's table text, with no Python bytecode per row.
+    ``tolist()`` and ``tobytes()`` convert a chunk in one call each, and
+    chunks keep those copies small next to the text being built.
     """
+    fmt = memoryview(y).format
+    if fmt != "d":  # any other item would be keyed by bytes that are not its own
+        raise TypeError(f"waveform_csv needs native float64 intensities, not format {fmt!r}")
     chunks = ["t_ns,intensity\n"]
+    text: dict[int, str] = {}
     for i in range(0, len(t), WAVEFORM_CSV_CHUNK):
         j = i + WAVEFORM_CSV_CHUNK
-        ys = y[i:j].tolist()
-        text = {b: f",{b!r}\n" for b in set(ys)}
-        chunks.append("".join([f"{a!r}{text[b]}" if b else f"{a!r},{b!r}\n"
-                               for a, b in zip(t[i:j].tolist(), ys)]))
+        keys = array("Q", y[i:j].tobytes()).tolist()
+        new = array("Q", set(keys).difference(text))
+        text.update({k: f",{v!r}\n" for k, v in zip(new, array("d", new.tobytes()))})
+        chunks.append("".join(chain.from_iterable(
+            zip(map(repr, t[i:j].tolist()), map(text.__getitem__, keys)))))
+    del text  # before the join, which doubles the text
     return "".join(chunks)
 
 

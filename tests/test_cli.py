@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import struct
 from array import array
 
 import numpy as np
@@ -246,18 +247,28 @@ class TestWaveformCsv:
         t = np.arange(n) * 0.37
         y = rng.exponential(1e-3, n)
         y[::7] = 0.0
-        y[1::7] = -0.0  # equal to 0.0, and one dict key with it
+        y[1::7] = -0.0  # equal to 0.0, but printed differently
         y[1::11] = 5e-324  # the smallest subnormal
         y[2::13] = 1e-5
         y[3::29] = math.nan
         y[4::31] = math.inf
         y[5::37] = -math.inf
+        y[6::41] = struct.unpack("d", struct.pack("Q", 0x7FF8_0000_0000_1234))[0]  # a NaN payload
+        y[7::43] = -math.nan  # the sign bit set; it prints "nan" too
         y[n // 3:n // 2] = 2.5e-7  # a long run of one noise floor
         # one far-tail value on both sides of a chunk boundary
         y[WAVEFORM_CSV_CHUNK - 5:WAVEFORM_CSV_CHUNK + 5] = 1.7e-300
         assert waveform_csv(t, y) == per_sample_waveform_csv(t, y)
         # render_waveform returns array('d') buffers, which format the same
         assert waveform_csv(array("d", t), array("d", y)) == per_sample_waveform_csv(t, y)
+        # a strided view, whose chunks are not contiguous
+        t2, y2 = np.repeat(t, 2), np.repeat(y, 2)
+        assert waveform_csv(t2[::2], y2[::2]) == per_sample_waveform_csv(t, y)
+
+    @pytest.mark.parametrize("dtype", [np.float32, ">f8"])
+    def test_rejects_intensities_that_are_not_native_float64(self, dtype):
+        with pytest.raises(TypeError, match="float64"):
+            waveform_csv(np.zeros(3), np.zeros(3, dtype=dtype))
 
 
 class TestScan:
