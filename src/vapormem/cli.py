@@ -31,7 +31,6 @@ import argparse
 import os
 import sys
 from array import array
-from dataclasses import fields as dataclass_fields, replace
 from itertools import chain
 
 from . import engine, harness, physics, seqlang
@@ -42,6 +41,8 @@ from .core import (
     VaporMemError,
     default_params,
     default_rails,
+    fields,
+    replace,
 )
 
 REPORT_TAU_RTOL = 1e-4
@@ -55,7 +56,7 @@ ORACLE_GRID = tuple((d, t) for d in (0.0, 270.0, 675.0) for t in (0.4, 2.0))
 WAVEFORM_CSV_CHUNK = 1 << 14
 
 Outcome = tuple[int, str, list[tuple[str, str]]]  # exit code, stdout, (path, text) per output
-_PARAM_KEYS = {f.name for f in dataclass_fields(PhysicsParams)}
+_PARAM_KEYS = set(fields(PhysicsParams))
 _RAIL_KEYS = {"tau_us", "tau_err_us", "eta_mem"}
 
 

@@ -13,13 +13,20 @@ Unit conventions used throughout the package:
 * frequencies in MHz
 * energies in units of the normalization pulse (a unit input pulse has
   energy 1.0)
+
+The value types are plain classes on one small base, ``_Value``, not
+frozen dataclasses. A dataclass builds its ``__init__``, ``__repr__``,
+``__eq__``, ``__hash__``, ``__setattr__`` and ``__delattr__`` with ``exec``
+each time its module is imported, and ``dataclasses`` imports
+``inspect``; every ``vapormem`` command would pay for both at start-up.
+Methods written in the source load already compiled from ``__pycache__``.
+``fields`` and ``replace`` stand in for their ``dataclasses`` namesakes.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field, fields
 from enum import Enum
 
 
@@ -62,16 +69,72 @@ def _require(cond: bool, msg: str) -> None:
         raise ParamError(msg)
 
 
+# how an __init__ sets a field of its instance past _Value.__setattr__
+_set = object.__setattr__
+
+
+class _Value:
+    """Base of the immutable value types.
+
+    A subclass names its fields in ``__init__`` order in ``_fields``, and its
+    own ``__init__`` sets each with ``_set`` and checks them. The base gives
+    what ``@dataclass(frozen=True)`` would: assigning or deleting an
+    attribute raises AttributeError, equality and hashing compare the
+    values ``_key`` returns, only between instances of the same class, and
+    the repr reads ``Name(field=value, ...)``.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _key(self) -> tuple:
+        """The values equality and hashing compare: every field's."""
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        args = ", ".join([f"{name}={getattr(self, name)!r}" for name in self._fields])
+        return f"{self.__class__.__qualname__}({args})"
+
+
+def fields(obj_or_cls) -> tuple[str, ...]:
+    """The field names of a value type, or of its instance, in ``__init__`` order."""
+    return obj_or_cls._fields
+
+
+def replace(obj, /, **changes):
+    """A copy of a value with the given fields changed.
+
+    The copy is built through the class's constructor, so every check runs
+    again: a bad value raises the constructor's error, and a name that is
+    not a field raises TypeError.
+    """
+    kwargs = {name: getattr(obj, name) for name in obj._fields}
+    kwargs.update(changes)
+    return obj.__class__(**kwargs)
+
+
 def _require_finite(obj) -> None:
     """Every field of a parameter type must be a finite number."""
-    for f in fields(obj):
+    for name in obj._fields:
         # unlike math.isfinite, the comparison also holds for an int too large
         # for a float, and it is False for NaN
-        _require(abs(getattr(obj, f.name)) <= sys.float_info.max, f"{f.name} must be finite")
+        _require(abs(getattr(obj, name)) <= sys.float_info.max, f"{name} must be finite")
 
 
-@dataclass(frozen=True)
-class PhysicsParams:
+class PhysicsParams(_Value):
     """Calibrated physical constants of the cell, beams and deflector.
 
     On-rail retrieval decays with the measured per-rail 1/e lifetime,
@@ -96,37 +159,43 @@ class PhysicsParams:
         pump_fidelity: fraction of residual excitation removed by a pump
     """
 
-    d0: float
-    t0: float
-    p0: float
-    t_cell: float
-    p_buffer: float
-    w_signal: float
-    w_control: float
-    sigma0: float
-    w_dep: float
-    m_dep: int
-    f_center: float
-    f_halfband: float
-    edge_loss: float
-    pos_per_mhz: float
-    t_switch: float
-    pump_fidelity: float
+    _fields = ("d0", "t0", "p0", "t_cell", "p_buffer", "w_signal", "w_control",
+               "sigma0", "w_dep", "m_dep", "f_center", "f_halfband", "edge_loss",
+               "pos_per_mhz", "t_switch", "pump_fidelity")
 
-    def __post_init__(self) -> None:
+    def __init__(self, d0: float, t0: float, p0: float, t_cell: float, p_buffer: float,
+                 w_signal: float, w_control: float, sigma0: float, w_dep: float,
+                 m_dep: int, f_center: float, f_halfband: float, edge_loss: float,
+                 pos_per_mhz: float, t_switch: float, pump_fidelity: float) -> None:
+        _set(self, "d0", d0)
+        _set(self, "t0", t0)
+        _set(self, "p0", p0)
+        _set(self, "t_cell", t_cell)
+        _set(self, "p_buffer", p_buffer)
+        _set(self, "w_signal", w_signal)
+        _set(self, "w_control", w_control)
+        _set(self, "sigma0", sigma0)
+        _set(self, "w_dep", w_dep)
+        _set(self, "m_dep", m_dep)
+        _set(self, "f_center", f_center)
+        _set(self, "f_halfband", f_halfband)
+        _set(self, "edge_loss", edge_loss)
+        _set(self, "pos_per_mhz", pos_per_mhz)
+        _set(self, "t_switch", t_switch)
+        _set(self, "pump_fidelity", pump_fidelity)
         _require_finite(self)
         for name in ("d0", "t0", "p0", "t_cell", "p_buffer", "w_signal",
                      "w_control", "sigma0", "w_dep"):
             _require(getattr(self, name) > 0.0, f"{name} must be strictly positive")
-        _require(0.0 <= self.edge_loss < 1.0, "edge_loss must lie in [0, 1)")
-        _require(0.0 <= self.pump_fidelity <= 1.0, "pump_fidelity must lie in [0, 1]")
+        _require(0.0 <= edge_loss < 1.0, "edge_loss must lie in [0, 1)")
+        _require(0.0 <= pump_fidelity <= 1.0, "pump_fidelity must lie in [0, 1]")
         # a component's variance starts at sigma0², which must be a positive float
-        _require(0.0 < self.sigma0 * self.sigma0 <= sys.float_info.max,
+        _require(0.0 < sigma0 * sigma0 <= sys.float_info.max,
                  "sigma0² must be a strictly positive finite float")
-        _require(self.m_dep >= 1, "m_dep must be at least 1")
-        _require(self.f_halfband > 0.0, "f_halfband must be strictly positive")
-        _require(self.t_switch > 0.0, "t_switch must be strictly positive")
-        _require(self.pos_per_mhz > 0.0, "pos_per_mhz must be strictly positive")
+        _require(m_dep >= 1, "m_dep must be at least 1")
+        _require(f_halfband > 0.0, "f_halfband must be strictly positive")
+        _require(t_switch > 0.0, "t_switch must be strictly positive")
+        _require(pos_per_mhz > 0.0, "pos_per_mhz must be strictly positive")
 
     @property
     def band(self) -> tuple[float, float]:
@@ -138,8 +207,7 @@ class PhysicsParams:
         return lo <= f_mhz <= hi
 
 
-@dataclass(frozen=True)
-class RailCalibration:
+class RailCalibration(_Value):
     """Measured properties of one storage rail.
 
     eta_mem is the internal memory efficiency at zero storage time. Only
@@ -149,16 +217,18 @@ class RailCalibration:
     both computed from it.
     """
 
-    f_rail: float
-    tau_us: float
-    tau_err_us: float
-    eta_mem: float
+    _fields = ("f_rail", "tau_us", "tau_err_us", "eta_mem")
 
-    def __post_init__(self) -> None:
+    def __init__(self, f_rail: float, tau_us: float, tau_err_us: float,
+                 eta_mem: float) -> None:
+        _set(self, "f_rail", f_rail)
+        _set(self, "tau_us", tau_us)
+        _set(self, "tau_err_us", tau_err_us)
+        _set(self, "eta_mem", eta_mem)
         _require_finite(self)
-        _require(self.tau_us > 0.0, "tau_us must be strictly positive")
-        _require(self.tau_err_us >= 0.0, "tau_err_us must be non-negative")
-        _require(0.0 < self.eta_mem <= 1.0, "eta_mem must lie in (0, 1]")
+        _require(tau_us > 0.0, "tau_us must be strictly positive")
+        _require(tau_err_us >= 0.0, "tau_err_us must be non-negative")
+        _require(0.0 < eta_mem <= 1.0, "eta_mem must lie in (0, 1]")
 
     @property
     def eta_write(self) -> float:
@@ -171,8 +241,7 @@ class RailCalibration:
         return self.eta_mem / self.eta_write
 
 
-@dataclass(frozen=True)
-class SpinWaveComponent:
+class SpinWaveComponent(_Value):
     """Snapshot of one stored Gaussian excitation, as ``Memory.components`` gives it.
 
     amplitude is the stored energy in normalized input-pulse units.
@@ -182,44 +251,46 @@ class SpinWaveComponent:
     itself keeps only the amplitude and the birth time.
     """
 
-    amplitude: float
-    x_center: float
-    s2: float
-    t_birth_ns: float
-    tau_us: float
+    _fields = ("amplitude", "x_center", "s2", "t_birth_ns", "tau_us")
 
-    def __post_init__(self) -> None:
-        _require(self.amplitude >= 0.0, "amplitude must be non-negative")
-        _require(self.s2 > 0.0, "s2 must be strictly positive")
-        _require(self.tau_us > 0.0, "tau_us must be strictly positive")
+    def __init__(self, amplitude: float, x_center: float, s2: float, t_birth_ns: float,
+                 tau_us: float) -> None:
+        _set(self, "amplitude", amplitude)
+        _set(self, "x_center", x_center)
+        _set(self, "s2", s2)
+        _set(self, "t_birth_ns", t_birth_ns)
+        _set(self, "tau_us", tau_us)
+        _require(amplitude >= 0.0, "amplitude must be non-negative")
+        _require(s2 > 0.0, "s2 must be strictly positive")
+        _require(tau_us > 0.0, "tau_us must be strictly positive")
 
 
-@dataclass(frozen=True)
-class Operation:
+class Operation(_Value):
     """One scheduled memory operation; energy only applies to writes."""
 
-    t_ns: float
-    kind: OpKind
-    f_rail: float
-    energy: float = 1.0
+    _fields = ("t_ns", "kind", "f_rail", "energy")
 
-    def __post_init__(self) -> None:
-        _require(math.isfinite(self.t_ns) and self.t_ns >= 0.0,
+    def __init__(self, t_ns: float, kind: OpKind, f_rail: float, energy: float = 1.0) -> None:
+        _set(self, "t_ns", t_ns)
+        _set(self, "kind", kind)
+        _set(self, "f_rail", f_rail)
+        _set(self, "energy", energy)
+        _require(math.isfinite(t_ns) and t_ns >= 0.0,
                  "operation time must be finite and non-negative")
-        _require(math.isfinite(self.energy), "operation energy must be finite")
-        if self.kind is OpKind.WRITE:
-            _require(self.energy > 0.0, "write energy must be strictly positive")
+        _require(math.isfinite(energy), "operation energy must be finite")
+        if kind is OpKind.WRITE:
+            _require(energy > 0.0, "write energy must be strictly positive")
 
 
 def _parsed_operation(t_ns: float, kind: OpKind, f_rail: float, energy: float) -> Operation:
     """An Operation whose values ``seqlang.parse`` has already checked.
 
-    ``parse`` owns the checks ``Operation.__post_init__`` makes on an op it
+    ``parse`` owns the checks ``Operation.__init__`` makes on an op it
     reads from text. Its grammar admits no sign, so a time or energy is
     never negative or NaN, and it rejects a time or energy too large for a
     float and a write energy of zero, each at its line and column. Running
-    ``__post_init__`` again would repeat that work, and it is most of what
-    building an op costs, so this skips it. The four fields are set in
+    those checks again would repeat that work, and they are most of what
+    building an op costs, so this skips them. The four fields are set in
     ``__init__``'s order, so each op shares the class's key table and takes
     the same memory as one from ``Operation(...)``. Every other caller uses
     the public constructor, which keeps every check; this one is not
@@ -233,33 +304,31 @@ def _parsed_operation(t_ns: float, kind: OpKind, f_rail: float, energy: float) -
     return op
 
 
-@dataclass(frozen=True)
-class Sequence:
+class Sequence(_Value):
     """A named, time-ordered program of operations on declared rails.
 
     Construction enforces strictly increasing times and declared rails;
     the softer timing rules (switching time, band membership, rail
     separation) are the job of ``seqlang.validate``. ``src_lines`` maps
     each operation to its line in the source document when the sequence
-    was parsed from text; it is presentation metadata and is ignored by
-    equality.
+    was parsed from text; it and ``rails_line`` are presentation metadata
+    and are ignored by equality and hashing.
     """
 
-    name: str
-    rails: tuple[float, ...]
-    ops: tuple[Operation, ...]
-    src_lines: tuple[int, ...] | None = field(default=None, compare=False)
-    rails_line: int | None = field(default=None, compare=False)
+    _fields = ("name", "rails", "ops", "src_lines", "rails_line")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "rails", tuple(self.rails))
-        object.__setattr__(self, "ops", tuple(self.ops))
+    def __init__(self, name: str, rails: tuple[float, ...], ops: tuple[Operation, ...],
+                 src_lines: tuple[int, ...] | None = None,
+                 rails_line: int | None = None) -> None:
+        _set(self, "name", name)
+        _set(self, "rails", tuple(rails))
+        _set(self, "ops", tuple(ops))
+        _set(self, "src_lines", None if src_lines is None else tuple(src_lines))
+        _set(self, "rails_line", rails_line)
         if self.src_lines is not None:
-            object.__setattr__(self, "src_lines", tuple(self.src_lines))
-            _require(len(self.src_lines) == len(self.ops),
-                     "src_lines must parallel ops")
+            _require(len(self.src_lines) == len(self.ops), "src_lines must parallel ops")
         if len(set(self.rails)) != len(self.rails):
-            raise DuplicateRailError(f"sequence {self.name!r} declares a rail twice")
+            raise DuplicateRailError(f"sequence {name!r} declares a rail twice")
         declared = set(self.rails)
         prev = None
         for op in self.ops:
@@ -271,38 +340,41 @@ class Sequence:
                 raise UnknownRailError(
                     f"operation at {op.t_ns} ns uses undeclared rail {op.f_rail} MHz")
 
+    def _key(self) -> tuple:
+        return (self.name, self.rails, self.ops)
+
     @property
     def span_ns(self) -> float:
         """Time of the last operation (0 for an empty sequence)."""
         return self.ops[-1].t_ns if self.ops else 0.0
 
 
-@dataclass(frozen=True)
-class TraceEvent:
+class TraceEvent(_Value):
     """Per-operation record: leakage (write) or retrieved energy (read)."""
 
-    t_ns: float
-    kind: OpKind
-    f_rail: float
-    out_energy: float
-    stored_after: float
+    _fields = ("t_ns", "kind", "f_rail", "out_energy", "stored_after")
 
-    def __post_init__(self) -> None:
-        _require(not math.isnan(self.t_ns), "t_ns must not be NaN")
-        _require(math.isfinite(self.out_energy), "out_energy must be finite")
-        _require(self.out_energy >= 0.0, "out_energy must be non-negative")
-        _require(math.isfinite(self.stored_after), "stored_after must be finite")
-        _require(self.stored_after >= 0.0, "stored_after must be non-negative")
+    def __init__(self, t_ns: float, kind: OpKind, f_rail: float, out_energy: float,
+                 stored_after: float) -> None:
+        _set(self, "t_ns", t_ns)
+        _set(self, "kind", kind)
+        _set(self, "f_rail", f_rail)
+        _set(self, "out_energy", out_energy)
+        _set(self, "stored_after", stored_after)
+        _require(not math.isnan(t_ns), "t_ns must not be NaN")
+        _require(math.isfinite(out_energy), "out_energy must be finite")
+        _require(out_energy >= 0.0, "out_energy must be non-negative")
+        _require(math.isfinite(stored_after), "stored_after must be finite")
+        _require(stored_after >= 0.0, "stored_after must be non-negative")
 
 
-@dataclass(frozen=True)
-class Trace:
+class Trace(_Value):
     """The deterministic record of a simulated sequence."""
 
-    events: tuple[TraceEvent, ...]
+    _fields = ("events",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "events", tuple(self.events))
+    def __init__(self, events: tuple[TraceEvent, ...]) -> None:
+        _set(self, "events", tuple(events))
 
     def __len__(self) -> int:
         return len(self.events)
@@ -311,19 +383,19 @@ class Trace:
         return iter(self.events)
 
 
-@dataclass(frozen=True)
-class FitResult:
+class FitResult(_Value):
     """Result of an exponential-decay fit y = a0 * exp(-t / tau)."""
 
-    a0: float
-    tau_us: float
-    tau_err_us: float
-    rss: float
+    _fields = ("a0", "tau_us", "tau_err_us", "rss")
 
-    def __post_init__(self) -> None:
+    def __init__(self, a0: float, tau_us: float, tau_err_us: float, rss: float) -> None:
+        _set(self, "a0", a0)
+        _set(self, "tau_us", tau_us)
+        _set(self, "tau_err_us", tau_err_us)
+        _set(self, "rss", rss)
         _require_finite(self)
-        _require(self.tau_us > 0.0, "fitted tau must be strictly positive")
-        _require(self.rss >= 0.0, "rss must be non-negative")
+        _require(tau_us > 0.0, "fitted tau must be strictly positive")
+        _require(rss >= 0.0, "rss must be non-negative")
 
 
 def default_params() -> PhysicsParams:

@@ -19,7 +19,7 @@ import struct
 # engine needs no numpy and `run --waveform-out` starts without it
 from array import array
 from bisect import bisect_left, bisect_right
-from typing import Iterable
+from collections.abc import Iterable
 
 from . import physics, seqlang
 from .core import (
@@ -75,8 +75,10 @@ class Memory:
         # the live component of each rail, oldest write first: [amplitude, t_birth_ns]
         self._stored: dict[float, list[float]] = {}
         self.t_now_ns = 0.0
-        # cell diffusion coefficient is fixed for the lifetime of the state
+        # the cell diffusion coefficient and the read sampling variance are
+        # fixed for the lifetime of the state
         self._diff = physics.diffusion_coefficient(params)
+        self._v_read = physics.read_sampling_variance_um2(params)
 
     @property
     def rails(self) -> tuple[RailCalibration, ...]:
@@ -189,9 +191,10 @@ class Memory:
             stored_cal, x_center = self._rails[f]
             age_us = (t_ns - t_birth_ns) / NS_PER_US
             decay = physics.temporal_decay(1.0, age_us, stored_cal.tau_us)
+            # a variance from _variance is at least sigma0² > 0
             retrieved += (amplitude * eta_read * decay
-                          * physics.overlap_factor(abs(x_op - x_center),
-                                                   self._variance(age_us), self.params))
+                          * physics._overlap(abs(x_op - x_center),
+                                             self._variance(age_us), self._v_read))
         self._deplete(x_op, 1.0)
         return retrieved
 

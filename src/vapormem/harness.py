@@ -15,9 +15,8 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, replace
+from collections.abc import Iterable, Sequence as SeqABC
 from fractions import Fraction
-from typing import Iterable, Sequence as SeqABC
 
 from . import engine, physics
 from .core import (
@@ -32,6 +31,9 @@ from .core import (
     Trace,
     UnknownRailError,
     VaporMemError,
+    _set,
+    _Value,
+    replace,
 )
 
 CROSSTALK_WRITE_RAIL_MHZ = 190.0
@@ -92,40 +94,45 @@ CROSSTALK_SEPARATIONS_MHZ = scan_grid(*CROSSTALK_GRID_MHZ)
 LIFETIME_DELAYS_US = scan_grid(*LIFETIME_GRID_US)
 
 
-@dataclass(frozen=True)
-class ScanResult:
+class ScanResult(_Value):
     """One scan: an axis plus equally long named series of energies."""
 
-    axis_name: str
-    axis: tuple[float, ...]
-    series: dict[str, tuple[float, ...]]
+    _fields = ("axis_name", "axis", "series")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "axis", tuple(self.axis))
-        object.__setattr__(self, "series",
-                           {k: tuple(v) for k, v in self.series.items()})
+    def __init__(self, axis_name: str, axis: tuple[float, ...],
+                 series: dict[str, tuple[float, ...]]) -> None:
+        _set(self, "axis_name", axis_name)
+        _set(self, "axis", tuple(axis))
+        _set(self, "series", {k: tuple(v) for k, v in series.items()})
         for name, vals in self.series.items():
             if len(vals) != len(self.axis):
                 raise DomainError(f"series {name!r} length differs from axis")
 
 
-@dataclass(frozen=True)
-class CriterionCheck:
+class CriterionCheck(_Value):
     """Outcome of one memory criterion.
 
     margin is the worst observed ratio divided by its tolerance, so any
     value <= 1 passes and 0 means the criterion was never stressed.
     """
 
-    passed: bool
-    margin: float
+    _fields = ("passed", "margin")
+
+    def __init__(self, passed: bool, margin: float) -> None:
+        _set(self, "passed", passed)
+        _set(self, "margin", margin)
 
 
-@dataclass(frozen=True)
-class CriteriaReport:
-    interaction_free: CriterionCheck
-    empty_state: CriterionCheck
-    full_retrieval: CriterionCheck
+class CriteriaReport(_Value):
+    """The outcomes of the three random-access memory criteria."""
+
+    _fields = ("interaction_free", "empty_state", "full_retrieval")
+
+    def __init__(self, interaction_free: CriterionCheck, empty_state: CriterionCheck,
+                 full_retrieval: CriterionCheck) -> None:
+        _set(self, "interaction_free", interaction_free)
+        _set(self, "empty_state", empty_state)
+        _set(self, "full_retrieval", full_retrieval)
 
     @property
     def all_pass(self) -> bool:

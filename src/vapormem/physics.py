@@ -117,8 +117,15 @@ def overlap_factor(d_um: float, s2_um2: float, p: PhysicsParams) -> float:
     """
     if s2_um2 < 0.0:
         raise DomainError("variance must be non-negative")
-    v = read_sampling_variance_um2(p)
-    return math.exp(-(d_um * d_um) / (2.0 * (s2_um2 + v)))
+    return _overlap(d_um, s2_um2, read_sampling_variance_um2(p))
+
+
+def _overlap(d_um: float, s2_um2: float, v_um2: float) -> float:
+    """overlap_factor for a read sampling variance v computed once by the caller.
+
+    The caller owns overlap_factor's check that s2 is non-negative.
+    """
+    return math.exp(-(d_um * d_um) / (2.0 * (s2_um2 + v_um2)))
 
 
 def depletion_fraction(d_um: float, p: PhysicsParams) -> float:

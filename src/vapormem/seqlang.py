@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from decimal import Decimal
 
 from .core import (
@@ -38,6 +37,8 @@ from .core import (
     Sequence,
     VaporMemError,
     _parsed_operation,
+    _set,
+    _Value,
 )
 
 # declared rails closer than this warn about cross-talk (W001)
@@ -69,8 +70,7 @@ class ValidationFailure(VaporMemError):
         super().__init__(f"sequence failed validation: {listing}")
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(_Value):
     """One validator finding. E-codes block execution, W-codes do not.
 
     Codes:
@@ -79,10 +79,13 @@ class Diagnostic:
         W001  declared rails closer than the cross-talk-free separation
     """
 
-    code: str
-    severity: str
-    line: int
-    message: str
+    _fields = ("code", "severity", "line", "message")
+
+    def __init__(self, code: str, severity: str, line: int, message: str) -> None:
+        _set(self, "code", code)
+        _set(self, "severity", severity)
+        _set(self, "line", line)
+        _set(self, "message", message)
 
 
 def _col(line: str, k: int) -> int:

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import struct
 from array import array
@@ -8,6 +7,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from corpus import CANONICAL
+from vapormem import core
 from vapormem.cli import WAVEFORM_CSV_CHUNK, ConfigError, configured, main, waveform_csv
 from vapormem.core import ParamError, PhysicsParams
 
@@ -54,7 +54,7 @@ OVERFLOWING_CONFIGS = [
     ("d0 = 4e303", "spread variance"),
     ("pos_per_mhz = 1e307", "beam position"),
 ]
-CONFIG_KEYS = sorted(f.name for f in dataclasses.fields(PhysicsParams)) + [
+CONFIG_KEYS = sorted(core.fields(PhysicsParams)) + [
     f"rail.{f}.{k}" for f in ("190", "230.0", "195") for k in ("tau_us", "tau_err_us", "eta_mem")]
 CONFIG_VALUES = st.one_of(
     st.floats().map(repr),
@@ -509,8 +509,8 @@ class TestConfig:
         except (ConfigError, ParamError):
             return
         for obj in (params, *rails):
-            for f in dataclasses.fields(obj):
-                assert math.isfinite(getattr(obj, f.name)), f.name
+            for name in core.fields(obj):
+                assert math.isfinite(getattr(obj, name)), name
 
     def test_comments_and_param_overrides(self, tmp_path, capsys):
         cfg = tmp_path / "ok.cfg"

@@ -1,11 +1,14 @@
-import dataclasses
+import copy
 import math
+import pickle
 
 import pytest
 from hypothesis import given, strategies as st
 
 import vapormem
+from vapormem import core
 from vapormem.core import (
+    DomainError,
     DuplicateRailError,
     FitResult,
     OpKind,
@@ -15,12 +18,14 @@ from vapormem.core import (
     RailCalibration,
     Sequence,
     SpinWaveComponent,
+    Trace,
     TraceEvent,
     UnknownRailError,
     default_params,
     default_rails,
 )
-from vapormem.seqlang import ParseError, parse
+from vapormem.harness import CriteriaReport, CriterionCheck, ScanResult
+from vapormem.seqlang import Diagnostic, ParseError, parse
 
 
 class TestDefaultParams:
@@ -68,17 +73,17 @@ class TestDefaultParams:
     ])
     def test_invariants_rejected(self, field, value):
         with pytest.raises(ParamError):
-            dataclasses.replace(default_params(), **{field: value})
+            core.replace(default_params(), **{field: value})
 
-    @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(PhysicsParams)])
+    @pytest.mark.parametrize("field", list(core.fields(PhysicsParams)))
     @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
     def test_non_finite_rejected(self, field, value):
         with pytest.raises(ParamError, match=f"^{field} must be finite$"):
-            dataclasses.replace(default_params(), **{field: value})
+            core.replace(default_params(), **{field: value})
 
     def test_order_too_large_for_a_float_rejected(self):
         with pytest.raises(ParamError, match="^m_dep must be finite$"):
-            dataclasses.replace(default_params(), m_dep=10 ** 400)
+            core.replace(default_params(), m_dep=10 ** 400)
 
 
 class TestRailCalibration:
@@ -109,8 +114,7 @@ class TestRailCalibration:
         assert cal.eta_write == eta ** 0.5
         assert cal.eta_read == eta / eta ** 0.5
         assert abs(cal.eta_write * cal.eta_read - cal.eta_mem) <= 1e-12 * cal.eta_mem
-        assert [f.name for f in dataclasses.fields(cal)] == [
-            "f_rail", "tau_us", "tau_err_us", "eta_mem"]
+        assert core.fields(cal) == ("f_rail", "tau_us", "tau_err_us", "eta_mem")
 
     @pytest.mark.parametrize("kwargs", [
         dict(tau_us=0.0), dict(tau_us=-1.0), dict(eta_mem=0.0), dict(eta_mem=1.5),
@@ -192,6 +196,7 @@ class TestOperationAndSequence:
         a = Sequence("s", (190.0,), ops, src_lines=(3,), rails_line=2)
         b = Sequence("s", (190.0,), ops)
         assert a == b
+        assert hash(a) == hash(b)
 
 
 class TestValueTypes:
@@ -236,3 +241,149 @@ class TestValueTypes:
         kwargs[field] = value
         with pytest.raises(ParamError, match=f"{field} must be finite"):
             FitResult(**kwargs)
+
+
+_WRITE = Operation(0.0, OpKind.WRITE, 190.0, 0.5)
+_EVENT = TraceEvent(400.0, OpKind.READ, 190.0, 0.25, 0.0)
+_PASS = CriterionCheck(True, 0.5)
+# each value type: its positional arguments, its repr, a valid change of a
+# compared field, and a change its constructor rejects (None where it checks
+# nothing)
+VALUE_TYPES = [
+    pytest.param(
+        PhysicsParams,
+        (0.24, 273.15, 760.0, 333.15, 5.0, 270.0, 350.0, 135.0, 450.0, 4, 200.0, 50.0,
+         0.25, 33.75, 48.0, 1.0),
+        "PhysicsParams(d0=0.24, t0=273.15, p0=760.0, t_cell=333.15, p_buffer=5.0, "
+        "w_signal=270.0, w_control=350.0, sigma0=135.0, w_dep=450.0, m_dep=4, "
+        "f_center=200.0, f_halfband=50.0, edge_loss=0.25, pos_per_mhz=33.75, "
+        "t_switch=48.0, pump_fidelity=1.0)",
+        ("d0", 0.25), ("t_switch", 0.0, ParamError), id="PhysicsParams"),
+    pytest.param(
+        RailCalibration, (190.0, 5.4, 0.7, 0.35),
+        "RailCalibration(f_rail=190.0, tau_us=5.4, tau_err_us=0.7, eta_mem=0.35)",
+        ("eta_mem", 0.36), ("eta_mem", 1.5, ParamError), id="RailCalibration"),
+    pytest.param(
+        SpinWaveComponent, (0.5, -337.5, 18225.0, 0.0, 5.4),
+        "SpinWaveComponent(amplitude=0.5, x_center=-337.5, s2=18225.0, t_birth_ns=0.0, "
+        "tau_us=5.4)",
+        ("s2", 20000.0), ("amplitude", -0.1, ParamError), id="SpinWaveComponent"),
+    pytest.param(
+        Operation, (400.0, OpKind.READ, 190.0, 1.0),
+        "Operation(t_ns=400.0, kind=<OpKind.READ: 'READ'>, f_rail=190.0, energy=1.0)",
+        ("kind", OpKind.PUMP), ("t_ns", -1.0, ParamError), id="Operation"),
+    pytest.param(
+        Sequence, ("s", (190.0,), (_WRITE,), (3,), 2),
+        "Sequence(name='s', rails=(190.0,), ops=(Operation(t_ns=0.0, "
+        "kind=<OpKind.WRITE: 'WRITE'>, f_rail=190.0, energy=0.5),), src_lines=(3,), "
+        "rails_line=2)",
+        ("name", "t"), ("src_lines", (3, 4), ParamError), id="Sequence"),
+    pytest.param(
+        TraceEvent, (400.0, OpKind.READ, 190.0, 0.25, 0.0),
+        "TraceEvent(t_ns=400.0, kind=<OpKind.READ: 'READ'>, f_rail=190.0, "
+        "out_energy=0.25, stored_after=0.0)",
+        ("stored_after", 0.1), ("out_energy", -1.0, ParamError), id="TraceEvent"),
+    pytest.param(
+        Trace, ((_EVENT,),),
+        "Trace(events=(TraceEvent(t_ns=400.0, kind=<OpKind.READ: 'READ'>, f_rail=190.0, "
+        "out_energy=0.25, stored_after=0.0),))",
+        ("events", ()), None, id="Trace"),
+    pytest.param(
+        FitResult, (1.0, 3.3, 0.1, 0.0),
+        "FitResult(a0=1.0, tau_us=3.3, tau_err_us=0.1, rss=0.0)",
+        ("tau_err_us", 0.2), ("rss", -1.0, ParamError), id="FitResult"),
+    pytest.param(
+        ScanResult, ("delay_us", (0.4, 0.8), {"retrieved": (0.3, 0.2)}),
+        "ScanResult(axis_name='delay_us', axis=(0.4, 0.8), series={'retrieved': (0.3, 0.2)})",
+        ("axis_name", "t_us"), ("axis", (0.4,), DomainError), id="ScanResult"),
+    pytest.param(
+        CriterionCheck, (True, 0.5),
+        "CriterionCheck(passed=True, margin=0.5)",
+        ("margin", 0.6), None, id="CriterionCheck"),
+    pytest.param(
+        CriteriaReport, (_PASS, CriterionCheck(False, 2.0), _PASS),
+        "CriteriaReport(interaction_free=CriterionCheck(passed=True, margin=0.5), "
+        "empty_state=CriterionCheck(passed=False, margin=2.0), "
+        "full_retrieval=CriterionCheck(passed=True, margin=0.5))",
+        ("full_retrieval", CriterionCheck(True, 0.0)), None, id="CriteriaReport"),
+    pytest.param(
+        Diagnostic, ("E001", "error", 4, "too close"),
+        "Diagnostic(code='E001', severity='error', line=4, message='too close')",
+        ("line", 5), None, id="Diagnostic"),
+]
+
+
+@pytest.mark.parametrize("cls,args,text,change,bad", VALUE_TYPES)
+class TestValueTypeContract:
+    """What the value types kept from the frozen dataclasses they replaced."""
+
+    def test_repr(self, cls, args, text, change, bad):
+        assert repr(cls(*args)) == text
+
+    def test_fields_cannot_be_assigned_or_deleted(self, cls, args, text, change, bad):
+        value = cls(*args)
+        for name in core.fields(cls):
+            with pytest.raises(AttributeError):
+                setattr(value, name, None)
+            with pytest.raises(AttributeError):
+                delattr(value, name)
+        with pytest.raises(AttributeError):
+            value.not_a_field = None
+        assert repr(value) == text
+
+    def test_equality_and_hash(self, cls, args, text, change, bad):
+        value, same = cls(*args), cls(*args)
+        assert value == same and not value != same
+        assert value != core.replace(value, **dict([change]))
+        assert value != args and value != object()
+        if cls is ScanResult:
+            with pytest.raises(TypeError, match="unhashable type: 'dict'"):
+                hash(value)  # its series is a dict
+        else:
+            assert hash(value) == hash(same)
+            assert len({value, same}) == 1
+
+    def test_copy_and_pickle_round_trips(self, cls, args, text, change, bad):
+        value = cls(*args)
+        copies = [copy.copy(value), copy.deepcopy(value)]
+        copies += [pickle.loads(pickle.dumps(value, protocol))
+                   for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for other in copies:
+            assert type(other) is cls
+            assert other == value and repr(other) == text
+
+    def test_construction(self, cls, args, text, change, bad):
+        names = core.fields(cls)
+        assert core.fields(cls(*args)) == names and len(names) == len(args)
+        kwargs = dict(zip(names, args))
+        assert repr(cls(**kwargs)) == text
+        assert repr(cls(*args[:1], **dict(list(kwargs.items())[1:]))) == text
+        with pytest.raises(TypeError):
+            cls(**dict(list(kwargs.items())[1:]))
+        with pytest.raises(TypeError):
+            cls(*args, not_a_field=None)
+        with pytest.raises(TypeError):
+            cls(*args, None)
+        with pytest.raises(TypeError):
+            core.replace(cls(*args), not_a_field=None)
+
+    def test_replace_runs_the_constructor_checks(self, cls, args, text, change, bad):
+        value = cls(*args)
+        assert repr(core.replace(value)) == text
+        changed = core.replace(value, **dict([change]))
+        assert getattr(changed, change[0]) == change[1]
+        assert repr(value) == text
+        if bad is not None:
+            name, bad_value, error = bad
+            with pytest.raises(error):
+                core.replace(value, **{name: bad_value})
+
+
+class TestValueTypeDefaults:
+    def test_operation_energy_defaults_to_one(self):
+        assert Operation(400.0, OpKind.READ, 190.0) == Operation(400.0, OpKind.READ, 190.0, 1.0)
+        assert Operation(400.0, OpKind.READ, 190.0).energy == 1.0
+
+    def test_sequence_source_lines_default_to_none(self):
+        plain = Sequence("s", (190.0,), (_WRITE,))
+        assert plain.src_lines is None and plain.rails_line is None

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import math
 import random
@@ -8,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from vapormem import cli, engine, harness, physics, seqlang
+from vapormem import cli, core, engine, harness, physics, seqlang
 from vapormem.core import (
     DomainError,
     DuplicateRailError,
@@ -97,6 +96,15 @@ class TestConstruction:
         with pytest.raises(DomainError):
             engine.Memory(P, [])
 
+    @pytest.mark.parametrize("change,quantity", [
+        (dict(t_cell=1e308), "diffusion coefficient"),
+        (dict(w_signal=1e308), "read sampling variance"),
+    ])
+    def test_overflowing_constant_rejected_at_construction(self, change, quantity):
+        # both are computed once per memory, not on every read
+        with pytest.raises(DomainError, match=quantity):
+            engine.Memory(core.replace(P, **change), RAILS)
+
 
 class TestPump:
     def test_empties_addressed_rail(self):
@@ -120,7 +128,7 @@ class TestPump:
         assert abs(mem.components[0].amplitude / before - 1.0) < 1e-6
 
     def test_partial_fidelity(self):
-        p = dataclasses.replace(P, pump_fidelity=0.75)
+        p = core.replace(P, pump_fidelity=0.75)
         mem = engine.Memory(p, RAILS)
         mem.write(190.0, 0.0, 1.0)
         before = mem.components[0].amplitude
@@ -402,7 +410,7 @@ class TestRenderWaveform:
         ))
         trace = engine.run_sequence(fresh(), seq)
         read_energy = trace.events[1].out_energy
-        only_read = dataclasses.replace(trace, events=(trace.events[1],))
+        only_read = core.replace(trace, events=(trace.events[1],))
         t, y = engine.render_waveform(only_read, 1.0, span_ns=4000.0)
         trapezoid = getattr(np, "trapezoid", getattr(np, "trapz", None))
         assert trapezoid(y, t) == pytest.approx(read_energy, rel=1e-3)

@@ -1,11 +1,10 @@
-import dataclasses
 import math
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, strategies as st
 
-from vapormem import engine, harness, physics
+from vapormem import core, engine, harness, physics
 from vapormem.core import (
     DomainError,
     FitResult,
@@ -438,13 +437,13 @@ class TestCheckCriteria:
 
     def test_trace_mismatch_detected(self):
         trace, seq = _run_canonical()
-        tampered = dataclasses.replace(
+        tampered = core.replace(
             trace, events=trace.events[:-1] + (
-                dataclasses.replace(trace.events[-1], out_energy=0.123),))
+                core.replace(trace.events[-1], out_energy=0.123),))
         with pytest.raises(TraceMismatchError):
             check_criteria(tampered, seq, P, RAILS)
         with pytest.raises(TraceMismatchError):
-            check_criteria(dataclasses.replace(trace, events=trace.events[:-1]), seq, P, RAILS)
+            check_criteria(core.replace(trace, events=trace.events[:-1]), seq, P, RAILS)
 
     def test_tolerances_are_configurable(self, monkeypatch):
         trace, seq = _run_canonical()

@@ -1,10 +1,10 @@
-import dataclasses
 import math
 
 import pytest
 from hypothesis import given, strategies as st
 from scipy.integrate import dblquad
 
+from vapormem import core
 from vapormem.core import DomainError, OutOfBandError, default_params
 from vapormem.physics import (
     aod_efficiency,
@@ -41,7 +41,7 @@ def overlap_quadrature(d, s2, v):
 
 class TestDiffusion:
     def test_reference_conditions_return_d0_exactly(self):
-        p = dataclasses.replace(P, t_cell=P.t0, p_buffer=P.p0)
+        p = core.replace(P, t_cell=P.t0, p_buffer=P.p0)
         assert diffusion_coefficient(p) == 0.24
 
     def test_default_cell_conditions(self):
@@ -53,14 +53,14 @@ class TestDiffusion:
         assert diffusion_coefficient(P) == pytest.approx(d_oracle, rel=0.02)
 
     def test_double_pressure_halves_d(self):
-        p = dataclasses.replace(P, t_cell=P.t0, p_buffer=2 * P.p0)
+        p = core.replace(P, t_cell=P.t0, p_buffer=2 * P.p0)
         assert diffusion_coefficient(p) == pytest.approx(0.12, rel=1e-14)
 
     # (t_cell/t0)^1.5 overflows; D is finite but 2 D in um^2/us is not; D overflows
     @pytest.mark.parametrize("change", [{"t_cell": 1e308}, {"p0": 1e308}, {"d0": 1e306}])
     def test_overflow_is_a_domain_error(self, change):
         with pytest.raises(DomainError, match="diffusion coefficient"):
-            diffusion_coefficient(dataclasses.replace(P, **change))
+            diffusion_coefficient(core.replace(P, **change))
 
 
 class TestTransitTime:
@@ -100,7 +100,7 @@ class TestRailPosition:
             rail_position_um(f, P)
 
     def test_overflowing_position_rejected(self):
-        p = dataclasses.replace(P, pos_per_mhz=1e307)
+        p = core.replace(P, pos_per_mhz=1e307)
         assert rail_position_um(190.0, p) == -1e308
         with pytest.raises(DomainError, match="beam position of rail 230.0 MHz"):
             rail_position_um(230.0, p)
@@ -191,7 +191,7 @@ class TestOverlap:
                                         {"w_signal": 1e200, "w_control": 1e200}])
     def test_sampling_variance_overflow_rejected(self, change):
         with pytest.raises(DomainError, match="read sampling variance"):
-            read_sampling_variance_um2(dataclasses.replace(P, **change))
+            read_sampling_variance_um2(core.replace(P, **change))
 
 
 class TestDepletion:
@@ -231,7 +231,7 @@ class TestDepletion:
     def test_high_order_is_a_step(self, m_dep):
         # (d/w_dep)^(2 m_dep) overflows a float beyond w_dep (and 2 * 10**308
         # is beyond a float); the kernel is then exp(-huge) = 0.0
-        p = dataclasses.replace(P, m_dep=m_dep)
+        p = core.replace(P, m_dep=m_dep)
         assert depletion_fraction(0.0, p) == 1.0
         assert depletion_fraction(0.999 * P.w_dep, p) == 1.0
         assert depletion_fraction(P.w_dep, p) == math.exp(-1.0)

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 from fractions import Fraction
 
@@ -6,6 +5,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from corpus import CANONICAL, DOCUMENTS
+from vapormem import core
 from vapormem.core import OpKind, Operation, Sequence, default_params
 from vapormem.seqlang import (
     MIN_CROSSTALK_FREE_SEPARATION_MHZ,
@@ -194,7 +194,7 @@ class TestParse:
                    and math.isfinite(op.energy) for op in seq.ops)
         # parse owns the per-op checks; the public constructors, which re-run
         # them, must accept what it built and build the same values
-        assert all(dataclasses.replace(op) == op for op in seq.ops)
+        assert all(core.replace(op) == op for op in seq.ops)
         assert Sequence(seq.name, seq.rails, seq.ops) == seq
 
     def test_one_rail_spelled_several_ways(self):

@@ -1,11 +1,14 @@
-"""numpy stays off the start-up path.
+"""numpy, dataclasses, inspect and typing stay off the start-up path.
 
 Only the Monte Carlo oracle computes with numpy, and it imports numpy
 itself; every other command, waveform rendering included, runs in plain
-Python. Each case runs in a fresh interpreter, since this test session
-has numpy loaded already.
+Python. The value types are plain classes, so importing vapormem loads
+neither dataclasses, with the inspect it imports, nor typing. Each case
+runs in a fresh interpreter, since this test session has all of them
+loaded already.
 """
 
+import ast
 import hashlib
 import os
 import random
@@ -20,23 +23,33 @@ from vapormem import seqlang
 # the directory this session imports vapormem from, for the child interpreter
 SRC = os.path.dirname(os.path.dirname(vapormem.__file__))
 
-# imports the CLI, runs each argv given as a repr'd list, and prints whether
-# numpy was loaded
+# imports the CLI, runs each argv given as a repr'd list, and prints the
+# modules loaded before the import and those loaded at the end
 SCRIPT = """\
 import sys
+before = sorted(sys.modules)
 import vapormem.cli as cli
 for argv in {commands!r}:
     assert cli.main(argv) == 0, argv
-print("numpy" in sys.modules)
+print((before, sorted(sys.modules)))
 """
+# modules that importing vapormem and its numpy-free commands must not load
+STARTUP_FREE = {"dataclasses", "inspect", "typing", "numpy"}
+
+
+def modules_around(commands, cwd, *options) -> tuple[set[str], set[str]]:
+    """The modules a fresh interpreter, started with the given options, had
+    before importing the CLI, and had after running the commands."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (SRC, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, *options, "-c", SCRIPT.format(commands=commands)],
+                          cwd=cwd, env=env, capture_output=True, text=True, check=True)
+    before, after = ast.literal_eval(proc.stdout.splitlines()[-1])
+    return set(before), set(after)
 
 
 def numpy_loaded_after(commands, cwd) -> bool:
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (SRC, os.environ.get("PYTHONPATH")) if p))
-    proc = subprocess.run([sys.executable, "-c", SCRIPT.format(commands=commands)],
-                          cwd=cwd, env=env, capture_output=True, text=True, check=True)
-    return proc.stdout.splitlines()[-1] == "True"
+    return "numpy" in modules_around(commands, cwd)[1]
 
 
 def test_import_and_numpy_free_commands_leave_numpy_unloaded(tmp_path):
@@ -67,3 +80,18 @@ def test_waveform_out_leaves_numpy_unloaded_and_writes_pinned_bytes(tmp_path):
 
 def test_oracle_loads_numpy(tmp_path):
     assert numpy_loaded_after([["oracle"]], tmp_path)
+
+
+def test_import_validate_and_run_load_no_dataclasses_inspect_or_typing(tmp_path):
+    seq = tmp_path / "canonical.seq"
+    seq.write_text(CANONICAL)
+    commands = [
+        ["validate", str(seq)],
+        ["run", str(seq), "--trace-out", str(tmp_path / "trace.csv"),
+         "--waveform-out", str(tmp_path / "wave.csv")],
+    ]
+    for run in ([], commands):
+        # without site (-S), which in some environments imports typing itself
+        before, after = modules_around(run, tmp_path, "-S")
+        assert not (after - before) & STARTUP_FREE, run
+    assert (tmp_path / "trace.csv").exists() and (tmp_path / "wave.csv").exists()
