@@ -21,8 +21,9 @@ of the package.
 Configuration files are flat ``key = value`` text, one entry per line,
 ``#`` comments allowed. Keys are the physics parameter names (``d0``,
 ``t_cell``, ``w_dep``, ...) and dotted per-rail paths such as
-``rail.190.tau_us``. Unknown keys are rejected and overridden values are
-re-checked against the construction invariants.
+``rail.190.tau_us``. Unknown keys are rejected, overridden values are
+re-checked against the construction invariants, and the configuration as
+a whole must give a memory on which every calibrated rail is usable.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from itertools import chain
 
 from . import engine, harness, physics, seqlang
 from .core import (
+    DomainError,
     PhysicsParams,
     RailCalibration,
     Trace,
@@ -112,7 +114,13 @@ def load_config(path: str) -> tuple[dict, dict]:
 
 
 def configured(config_path: str | None) -> tuple[PhysicsParams, tuple[RailCalibration, ...]]:
-    """Defaults with config-file overrides applied and re-validated."""
+    """Defaults with config-file overrides applied and re-validated.
+
+    A configuration is also checked as a whole: a memory is built from it
+    once, so a band or beam scale that leaves a calibrated rail unusable
+    (or a diffusion coefficient or read variance that overflows) is a
+    ConfigError for every command, not only for one that simulates.
+    """
     params = default_params()
     rails = default_rails()
     if config_path is None:
@@ -124,7 +132,12 @@ def configured(config_path: str | None) -> tuple[PhysicsParams, tuple[RailCalibr
     for f_rail in rail_over:
         if f_rail not in known:
             raise ConfigError(f"config overrides unknown rail {f_rail} MHz")
-    return params, tuple(replace(cal, **rail_over.get(cal.f_rail, {})) for cal in rails)
+    rails = tuple(replace(cal, **rail_over.get(cal.f_rail, {})) for cal in rails)
+    try:
+        engine.Memory(params, rails)
+    except DomainError as exc:
+        raise ConfigError(str(exc)) from None
+    return params, rails
 
 
 def trace_csv(trace: Trace) -> str:
@@ -183,21 +196,33 @@ def waveform_csv(t, y) -> str:
     return "".join(chunks)
 
 
-def _checked(path: str, params: PhysicsParams):
-    """The program in a sequence file, its diagnostic lines and whether one is an error."""
+def _checked(path: str, params: PhysicsParams, rails: tuple[RailCalibration, ...]):
+    """The program in a sequence file, its diagnostic lines and whether one is an error.
+
+    Besides ``seqlang.validate``'s diagnostics, each declared rail that has
+    no calibration is error E003 on the RAILS line: the memory could not
+    act on it, so ``run`` would fail.
+    """
     seq = seqlang.parse(_read_text(path))
     diags = seqlang.validate(seq, params)
+    calibrated = sorted(cal.f_rail for cal in rails)
+    listing = ", ".join(map(seqlang._fmt_number, calibrated))
+    diags += [seqlang.Diagnostic("E003", "error", seq.rails_line,
+                                 f"rail {seqlang._fmt_number(f)} MHz has no calibration "
+                                 f"(calibrated rails: {listing} MHz)")
+              for f in seq.rails if f not in calibrated]
+    diags.sort(key=lambda d: (d.line, d.code))
     lines = "".join(f"{d.severity} {d.code} line {d.line}: {d.message}\n" for d in diags)
     return seq, lines, any(d.severity == "error" for d in diags)
 
 
 def cmd_validate(args, params, rails) -> Outcome:
-    _, lines, failed = _checked(args.seqfile, params)
+    _, lines, failed = _checked(args.seqfile, params, rails)
     return int(failed), lines, []
 
 
 def cmd_run(args, params, rails) -> Outcome:
-    seq, lines, failed = _checked(args.seqfile, params)
+    seq, lines, failed = _checked(args.seqfile, params, rails)
     if failed:
         return 1, lines, []
     trace = engine.run_sequence(engine.Memory(params, rails), seq)

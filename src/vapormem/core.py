@@ -71,6 +71,9 @@ def _require(cond: bool, msg: str) -> None:
 
 # how an __init__ sets a field of its instance past _Value.__setattr__
 _set = object.__setattr__
+# the largest finite float; abs(x) <= _FLOAT_MAX is False for NaN, for an
+# infinity and for an int too large for a float
+_FLOAT_MAX = sys.float_info.max
 
 
 class _Value:
@@ -129,9 +132,7 @@ def replace(obj, /, **changes):
 def _require_finite(obj) -> None:
     """Every field of a parameter type must be a finite number."""
     for name in obj._fields:
-        # unlike math.isfinite, the comparison also holds for an int too large
-        # for a float, and it is False for NaN
-        _require(abs(getattr(obj, name)) <= sys.float_info.max, f"{name} must be finite")
+        _require(abs(getattr(obj, name)) <= _FLOAT_MAX, f"{name} must be finite")
 
 
 class PhysicsParams(_Value):
@@ -190,7 +191,7 @@ class PhysicsParams(_Value):
         _require(0.0 <= edge_loss < 1.0, "edge_loss must lie in [0, 1)")
         _require(0.0 <= pump_fidelity <= 1.0, "pump_fidelity must lie in [0, 1]")
         # a component's variance starts at sigma0², which must be a positive float
-        _require(0.0 < sigma0 * sigma0 <= sys.float_info.max,
+        _require(0.0 < sigma0 * sigma0 <= _FLOAT_MAX,
                  "sigma0² must be a strictly positive finite float")
         _require(m_dep >= 1, "m_dep must be at least 1")
         _require(f_halfband > 0.0, "f_halfband must be strictly positive")
@@ -275,33 +276,14 @@ class Operation(_Value):
         _set(self, "kind", kind)
         _set(self, "f_rail", f_rail)
         _set(self, "energy", energy)
-        _require(math.isfinite(t_ns) and t_ns >= 0.0,
-                 "operation time must be finite and non-negative")
-        _require(math.isfinite(energy), "operation energy must be finite")
-        if kind is OpKind.WRITE:
-            _require(energy > 0.0, "write energy must be strictly positive")
-
-
-def _parsed_operation(t_ns: float, kind: OpKind, f_rail: float, energy: float) -> Operation:
-    """An Operation whose values ``seqlang.parse`` has already checked.
-
-    ``parse`` owns the checks ``Operation.__init__`` makes on an op it
-    reads from text. Its grammar admits no sign, so a time or energy is
-    never negative or NaN, and it rejects a time or energy too large for a
-    float and a write energy of zero, each at its line and column. Running
-    those checks again would repeat that work, and they are most of what
-    building an op costs, so this skips them. The four fields are set in
-    ``__init__``'s order, so each op shares the class's key table and takes
-    the same memory as one from ``Operation(...)``. Every other caller uses
-    the public constructor, which keeps every check; this one is not
-    exported.
-    """
-    op = object.__new__(Operation)
-    object.__setattr__(op, "t_ns", t_ns)
-    object.__setattr__(op, "kind", kind)
-    object.__setattr__(op, "f_rail", f_rail)
-    object.__setattr__(op, "energy", energy)
-    return op
+        # parse builds every op of a program here, so each check is a chained
+        # comparison, not a call
+        if not 0.0 <= t_ns <= _FLOAT_MAX:
+            raise ParamError("operation time must be finite and non-negative")
+        if not -_FLOAT_MAX <= energy <= _FLOAT_MAX:
+            raise ParamError("operation energy must be finite")
+        if kind is OpKind.WRITE and not energy > 0.0:
+            raise ParamError("write energy must be strictly positive")
 
 
 class Sequence(_Value):
@@ -361,11 +343,18 @@ class TraceEvent(_Value):
         _set(self, "f_rail", f_rail)
         _set(self, "out_energy", out_energy)
         _set(self, "stored_after", stored_after)
-        _require(not math.isnan(t_ns), "t_ns must not be NaN")
-        _require(math.isfinite(out_energy), "out_energy must be finite")
-        _require(out_energy >= 0.0, "out_energy must be non-negative")
-        _require(math.isfinite(stored_after), "stored_after must be finite")
-        _require(stored_after >= 0.0, "stored_after must be non-negative")
+        # run_sequence builds one event per op, so the checks are comparisons
+        # as in Operation; -inf <= t_ns <= inf is False only for NaN
+        if not -math.inf <= t_ns <= math.inf:
+            raise ParamError("t_ns must not be NaN")
+        if not -_FLOAT_MAX <= out_energy <= _FLOAT_MAX:
+            raise ParamError("out_energy must be finite")
+        if out_energy < 0.0:
+            raise ParamError("out_energy must be non-negative")
+        if not -_FLOAT_MAX <= stored_after <= _FLOAT_MAX:
+            raise ParamError("stored_after must be finite")
+        if stored_after < 0.0:
+            raise ParamError("stored_after must be non-negative")
 
 
 class Trace(_Value):

@@ -36,7 +36,6 @@ from .core import (
     PhysicsParams,
     Sequence,
     VaporMemError,
-    _parsed_operation,
     _set,
     _Value,
 )
@@ -76,6 +75,8 @@ class Diagnostic(_Value):
     Codes:
         E001  operations closer than the deflector switching time
         E002  declared rail outside the deflector band
+        E003  declared rail with no calibration (reported by ``cli``, which
+              knows the calibrations; ``validate`` sees only the parameters)
         W001  declared rails closer than the cross-talk-free separation
     """
 
@@ -118,13 +119,11 @@ def parse(text: str) -> Sequence:
     duplicate header or RAILS directive, on an operation that uses an
     undeclared rail, and on non-increasing times.
 
-    parse owns the per-op checks: every value ``Operation`` would check is
-    checked here and located in the text, so ops are built by
-    ``core._parsed_operation`` without checking them again. A frequency
-    token resolves through a table of the tokens already seen to name a
-    declared rail; only a token not in it is matched, converted and looked
-    up, so an undeclared one always gets its own error. ``Sequence`` still
-    checks the whole program.
+    Every value ``Operation`` checks is checked here first, so a bad one is
+    reported at its line and column. A frequency token resolves through a
+    table of the tokens already seen to name a declared rail; only a token
+    not in it is matched, converted and looked up, so an undeclared one
+    always gets its own error.
     """
     name: str | None = None
     rails: list[float] = []
@@ -213,7 +212,7 @@ def parse(text: str) -> Sequence:
             if prev_t is not None and t_ns <= prev_t:
                 raise ParseError("operation time does not increase", lineno, _col(line, 1))
             prev_t = t_ns
-            ops.append(_parsed_operation(t_ns, kind, f_rail, energy))
+            ops.append(Operation(t_ns, kind, f_rail, energy))
             op_lines.append(lineno)
             continue
 

@@ -14,6 +14,8 @@ from vapormem.core import ParamError, PhysicsParams
 TIGHT = "SEQUENCE tight\nRAILS 190MHz\nAT 0ns WRITE 190MHz\nAT 47ns READ 190MHz\n"
 CLOSE_RAILS = ("SEQUENCE close\nRAILS 190MHz 198MHz\n"
                "AT 0ns WRITE 190MHz\nAT 400ns READ 198MHz\n")
+UNCALIBRATED_198 = ("rail 198 MHz has no calibration "
+                    "(calibrated rails: 170, 190, 210, 230 MHz)")
 # 401 digits, which overflow a float
 HUGE = "1" + "0" * 400
 # time order, declared rails, distinct rails and numbers a float can hold are
@@ -54,6 +56,12 @@ OVERFLOWING_CONFIGS = [
     ("d0 = 4e303", "spread variance"),
     ("pos_per_mhz = 1e307", "beam position"),
 ]
+# configs that leave a calibrated rail unusable, and the error every command
+# exits 2 with, though a 190 MHz program never uses the 170 MHz rail
+UNUSABLE_RAIL_CONFIGS = [
+    ("f_halfband = 20", "170.0 MHz outside deflector band [180.0, 220.0] MHz"),
+    ("pos_per_mhz = 1e307", "beam position of rail 170.0 MHz must be a finite float"),
+]
 CONFIG_KEYS = sorted(core.fields(PhysicsParams)) + [
     f"rail.{f}.{k}" for f in ("190", "230.0", "195") for k in ("tau_us", "tau_err_us", "eta_mem")]
 CONFIG_VALUES = st.one_of(
@@ -66,6 +74,26 @@ CONFIG_LINES = st.one_of(
     st.builds("{} = {}".format, st.sampled_from(CONFIG_KEYS), CONFIG_VALUES),
     st.text(max_size=30),
 )
+
+
+# programs on rails inside and outside the calibrated four (and the band),
+# with gaps below and above the 48 ns switching time
+PROGRAM_RAILS = st.lists(st.sampled_from([170, 190, 210, 230, 140, 180, 198, 200, 255]),
+                         min_size=1, max_size=4, unique=True)
+
+
+def program_text(rails, ops) -> str:
+    lines, t = ["SEQUENCE prop", "RAILS " + " ".join(f"{f}MHz" for f in rails)], 0
+    for gap, verb, k in ops:
+        t += gap
+        lines.append(f"AT {t}ns {verb} {rails[k % len(rails)]}MHz")
+    return "\n".join(lines) + "\n"
+
+
+PROGRAMS = st.builds(program_text, PROGRAM_RAILS, st.lists(st.tuples(
+    st.sampled_from([20, 48, 100, 400]),
+    st.sampled_from(["WRITE", "WRITE 0.5", "READ", "PUMP"]),
+    st.integers(0, 3)), max_size=8))
 
 
 def tree(root):
@@ -96,10 +124,16 @@ class TestValidate:
         assert "line 4" in out
 
     def test_warning_does_not_block(self, seqfile, capsys):
+        # the calibrated rails are 20 MHz apart, so a program with W001 also
+        # declares an uncalibrated rail; E003 blocks it, and W001 still prints
+        # (tests/test_engine.py runs the program with a 198 MHz calibration)
         rc = main(["validate", seqfile(CLOSE_RAILS)])
         out = capsys.readouterr().out
-        assert rc == 0
-        assert "warning W001" in out
+        assert rc == 1
+        assert out == (
+            f"error E003 line 2: {UNCALIBRATED_198}\n"
+            "warning W001 line 2: rails 190 and 198 MHz are separated by 8 MHz, "
+            "below the cross-talk-free 20 MHz\n")
 
     def test_missing_file(self, capsys):
         rc = main(["validate", "/nonexistent/prog.seq"])
@@ -121,6 +155,16 @@ class TestValidate:
         assert main(argv) == 2
         assert where in capsys.readouterr().err
         assert not trace_path.exists()
+
+
+class TestValidateAgreesWithRun:
+    @given(text=PROGRAMS)
+    @example(text=CLOSE_RAILS)
+    def test_program_validate_accepts_runs(self, tmp_path_factory, text):
+        path = tmp_path_factory.getbasetemp() / "prop.seq"
+        path.write_text(text, encoding="utf-8")
+        if main(["validate", str(path)]) == 0:
+            assert main(["run", str(path)]) == 0
 
 
 class TestRun:
@@ -157,14 +201,14 @@ class TestRun:
         assert not trace_path.exists()
 
     def test_uncalibrated_rail_names_the_calibrated_ones(self, seqfile, tmp_path, capsys):
-        # 198 MHz is declared, so the error must not say it was not
+        # 198 MHz is declared, so the error must not say it was not; it is a
+        # validation error on the RAILS line, as validate reports it
         trace_path = tmp_path / "trace.csv"
         rc = main(["run", seqfile(CLOSE_RAILS), "--trace-out", str(trace_path)])
         captured = capsys.readouterr()
-        assert rc == 2
-        assert captured.out == ""
-        assert captured.err == ("error: rail 198.0 MHz has no calibration "
-                                "(calibrated rails: 170.0, 190.0, 210.0, 230.0 MHz)\n")
+        assert rc == 1
+        assert f"error E003 line 2: {UNCALIBRATED_198}\n" in captured.out
+        assert captured.err == ""
         assert not trace_path.exists()
 
     @pytest.mark.parametrize("bad", [
@@ -416,7 +460,8 @@ class TestReport:
 
 
 class TestLateError:
-    # both errors come after the first table row is known
+    # the report's error comes after the first table row is known; the
+    # oracle's overflowing read variance is caught with the configuration
     @pytest.mark.parametrize("line,command", [
         ("w_signal = 1e308", ["oracle", "--n", "1000"]),
         ("rail.190.tau_err_us = 1e-308", ["report"]),
@@ -486,6 +531,31 @@ class TestConfig:
         assert main(["--config", str(cfg), "--out", str(out)] + command) == 2
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
+
+    @pytest.mark.parametrize("line,message", UNUSABLE_RAIL_CONFIGS)
+    @pytest.mark.parametrize("command", ["validate", "run", "scan lifetime", "fit", "report"])
+    def test_unusable_calibrated_rail_rejected_by_every_command(self, tmp_path, capsys,
+                                                                line, message, command):
+        cfg = tmp_path / "rails.cfg"
+        cfg.write_text(line + "\n")
+        prog = tmp_path / "p.seq"
+        prog.write_text("SEQUENCE s\nRAILS 190MHz\nAT 0ns WRITE 190MHz\nAT 400ns READ 190MHz\n")
+        data = tmp_path / "decay.csv"
+        data.write_text("t,y\n0.4,0.31\n2.0,0.23\n4.0,0.15\n8.0,0.07\n")
+        out = tmp_path / "out"
+        argv = {
+            "validate": ["validate", str(prog)],
+            "run": ["run", str(prog), "--trace-out", str(out / "t.csv")],
+            "scan lifetime": ["scan", "lifetime"],
+            "fit": ["fit", str(data)],
+            "report": ["report"],
+        }[command]
+        before = tree(tmp_path)
+        assert main(["--config", str(cfg), "--out", str(out)] + argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+        assert tree(tmp_path) == before
 
     def test_high_depletion_order_runs(self, seqfile, tmp_path, capsys):
         # (675 um / w_dep)^(2 m_dep) overflows a float; the kernel there is 0.0

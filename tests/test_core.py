@@ -1,11 +1,11 @@
 import copy
 import math
 import pickle
+import re
 
 import pytest
 from hypothesis import given, strategies as st
 
-import vapormem
 from vapormem import core
 from vapormem.core import (
     DomainError,
@@ -134,6 +134,35 @@ class TestRailCalibration:
             RailCalibration(**base)
 
 
+# valid arguments of the two value types built once per op, and each value
+# their checks reject with its message; an int too large for a float is
+# rejected as not finite
+PER_OP_ARGS = {
+    Operation: dict(t_ns=0.0, kind=OpKind.WRITE, f_rail=190.0, energy=1.0),
+    TraceEvent: dict(t_ns=0.0, kind=OpKind.READ, f_rail=190.0, out_energy=0.5,
+                     stored_after=0.0),
+}
+_NON_FINITE = [("nan", math.nan), ("inf", math.inf), ("-inf", -math.inf),
+               ("10**400", 10**400)]
+PER_OP_REJECTIONS = [
+    pytest.param(cls, field, value, message, id=f"{cls.__name__}-{field}-{name}")
+    for cls, field, message, bad in [
+        (Operation, "t_ns", "operation time must be finite and non-negative",
+         _NON_FINITE + [("negative", -1.0)]),
+        (Operation, "energy", "operation energy must be finite", _NON_FINITE),
+        (Operation, "energy", "write energy must be strictly positive",
+         [("negative", -1.0), ("zero", 0.0)]),
+        (TraceEvent, "t_ns", "t_ns must not be NaN", [("nan", math.nan)]),
+        (TraceEvent, "out_energy", "out_energy must be finite", _NON_FINITE),
+        (TraceEvent, "out_energy", "out_energy must be non-negative", [("negative", -1e-9)]),
+        (TraceEvent, "stored_after", "stored_after must be finite", _NON_FINITE),
+        (TraceEvent, "stored_after", "stored_after must be non-negative",
+         [("negative", -1.0)]),
+    ]
+    for name, value in bad
+]
+
+
 class TestOperationAndSequence:
     def test_write_requires_positive_energy(self):
         with pytest.raises(ParamError):
@@ -159,15 +188,18 @@ class TestOperationAndSequence:
         ((0.0, OpKind.WRITE, 190.0, 0.0), "AT 0ns WRITE 190MHz 0"),
     ])
     def test_public_constructor_keeps_its_checks(self, args, line):
-        # parse makes these checks on the text and builds its ops without them
+        # parse rejects each of these on the text, at its line and column,
+        # before it builds the op with Operation(...)
         with pytest.raises(ParamError):
             Operation(*args)
         with pytest.raises(ParseError):
             parse(f"SEQUENCE s\nRAILS 190MHz\n{line}\n")
 
-    def test_parse_constructor_not_exported(self):
-        assert not hasattr(vapormem, "_parsed_operation")
-        assert all("parsed" not in name for name in vapormem.__all__)
+    @pytest.mark.parametrize("cls,field,value,message", PER_OP_REJECTIONS)
+    def test_per_op_rejection_pinned(self, cls, field, value, message):
+        kwargs = dict(PER_OP_ARGS[cls], **{field: value})
+        with pytest.raises(ParamError, match=f"^{re.escape(message)}$"):
+            cls(**kwargs)
 
     def test_unsorted_ops_rejected(self):
         ops = (Operation(400.0, OpKind.WRITE, 190.0), Operation(0.0, OpKind.READ, 190.0))

@@ -396,6 +396,18 @@ class TestRunSequence:
         assert any(d.code == "E001" for d in err.value.diagnostics)
         assert mem.components == []  # aborted before the first operation
 
+    def test_warning_does_not_block(self):
+        # rails 8 MHz apart get W001 only; with a calibration for 198 MHz,
+        # made from 190 MHz's, the memory runs the program
+        seq = seqlang.parse("SEQUENCE close\nRAILS 190MHz 198MHz\n"
+                            "AT 0ns WRITE 190MHz\nAT 400ns READ 198MHz\n")
+        assert [d.code for d in seqlang.validate(seq, P)] == ["W001"]
+        rails = RAILS + (core.replace(RAILS[1], f_rail=198.0),)
+        trace = engine.run_sequence(engine.Memory(P, rails), seq)
+        assert [(ev.kind, ev.f_rail) for ev in trace] == [
+            (OpKind.WRITE, 190.0), (OpKind.READ, 198.0)]
+        assert trace.events[1].out_energy > 0.0
+
     def test_pump_events_record_zero_energy(self):
         seq = Sequence("p", (190.0,), (Operation(0.0, OpKind.PUMP, 190.0),))
         trace = engine.run_sequence(fresh(), seq)
