@@ -197,35 +197,28 @@ def waveform_csv(t, y) -> str:
 
 
 def _checked(path: str, params: PhysicsParams, rails: tuple[RailCalibration, ...]):
-    """The program in a sequence file, its diagnostic lines and whether one is an error.
+    """(memory, program, diagnostic lines, whether one is an error) for a sequence file.
 
-    Besides ``seqlang.validate``'s diagnostics, each declared rail that has
-    no calibration is error E003 on the RAILS line: the memory could not
-    act on it, so ``run`` would fail.
+    The diagnostics are ``engine.diagnose``'s, so a program ``validate``
+    accepts is one ``run_sequence`` runs.
     """
     seq = seqlang.parse(_read_text(path))
-    diags = seqlang.validate(seq, params)
-    calibrated = sorted(cal.f_rail for cal in rails)
-    listing = ", ".join(map(seqlang._fmt_number, calibrated))
-    diags += [seqlang.Diagnostic("E003", "error", seq.rails_line,
-                                 f"rail {seqlang._fmt_number(f)} MHz has no calibration "
-                                 f"(calibrated rails: {listing} MHz)")
-              for f in seq.rails if f not in calibrated]
-    diags.sort(key=lambda d: (d.line, d.code))
+    mem = engine.Memory(params, rails)
+    diags = engine.diagnose(mem, seq)
     lines = "".join(f"{d.severity} {d.code} line {d.line}: {d.message}\n" for d in diags)
-    return seq, lines, any(d.severity == "error" for d in diags)
+    return mem, seq, lines, any(d.severity == "error" for d in diags)
 
 
 def cmd_validate(args, params, rails) -> Outcome:
-    _, lines, failed = _checked(args.seqfile, params, rails)
+    _, _, lines, failed = _checked(args.seqfile, params, rails)
     return int(failed), lines, []
 
 
 def cmd_run(args, params, rails) -> Outcome:
-    seq, lines, failed = _checked(args.seqfile, params, rails)
+    mem, seq, lines, failed = _checked(args.seqfile, params, rails)
     if failed:
         return 1, lines, []
-    trace = engine.run_sequence(engine.Memory(params, rails), seq)
+    trace = engine.run_sequence(mem, seq)
     table = trace_csv(trace)
     files = [(args.trace_out, table)] if args.trace_out else []
     if args.waveform_out:

@@ -210,14 +210,56 @@ class Memory:
         self._stored = {f: slot for f, slot in self._stored.items() if slot[0] != 0.0}
 
 
+def diagnose(state: Memory, seq: Sequence) -> list[seqlang.Diagnostic]:
+    """Every diagnostic of a sequence on a memory, sorted by line then code.
+
+    These are ``seqlang.validate``'s, against the memory's parameters, and
+    two that need the memory itself:
+
+    * E003, on the RAILS line, for each declared rail the memory has no
+      calibration for, since it could not act on that rail;
+    * E004, on the line of the last READ, when a component stored by the
+      first WRITE would be too old at that READ for its spread variance,
+      sigma0² + 2 D age, to be a finite float. No read sees an older
+      component and the variance grows with age, so every read is covered.
+
+    A sequence built in Python reports line 0, as ``validate`` does.
+    """
+    # through the module, so a wrapper of seqlang.validate sees this call
+    diags = seqlang.validate(seq, state.params)
+    rails_line = seq.rails_line if seq.rails_line is not None else 0
+    listing = ", ".join(map(seqlang._fmt_number, sorted(state._rails)))
+    diags += [seqlang.Diagnostic("E003", "error", rails_line,
+                                 f"rail {seqlang._fmt_number(f)} MHz has no calibration "
+                                 f"(calibrated rails: {listing} MHz)")
+              for f in seq.rails if f not in state._rails]
+    ops = seq.ops
+    t_write = next((op.t_ns for op in ops if op.kind is OpKind.WRITE), None)
+    i_read = next((i for i in range(len(ops) - 1, -1, -1) if ops[i].kind is OpKind.READ), None)
+    if t_write is not None and i_read is not None and ops[i_read].t_ns > t_write:
+        age_us = (ops[i_read].t_ns - t_write) / NS_PER_US
+        try:
+            state._variance(age_us)
+        except DomainError:
+            diags.append(seqlang.Diagnostic(
+                "E004", "error", seq.src_lines[i_read] if seq.src_lines is not None else 0,
+                f"READ {seqlang._fmt_number(age_us)} us after the first WRITE: the spread "
+                f"variance sigma0^2 + 2 D t of a component that old is not a finite float"))
+    diags.sort(key=lambda d: (d.line, d.code))
+    return diags
+
+
 def run_sequence(state: Memory, seq: Sequence) -> Trace:
     """Apply a sequence to a memory, producing one trace event per operation.
 
-    The sequence is validated against the memory's parameters first; any
-    error-severity diagnostic aborts the run before the first operation.
+    The sequence is checked by :func:`diagnose` first: besides
+    ``seqlang.validate``'s rules, every declared rail must have a
+    calibration in the memory (E003), and no read may see a component so
+    old that its spread variance overflows a float (E004). Any
+    error-severity diagnostic raises ValidationFailure before the first
+    operation, leaving the memory untouched.
     """
-    diagnostics = seqlang.validate(seq, state.params)
-    errors = [d for d in diagnostics if d.severity == "error"]
+    errors = [d for d in diagnose(state, seq) if d.severity == "error"]
     if errors:
         raise seqlang.ValidationFailure(errors)
     events = []

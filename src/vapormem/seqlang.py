@@ -75,9 +75,13 @@ class Diagnostic(_Value):
     Codes:
         E001  operations closer than the deflector switching time
         E002  declared rail outside the deflector band
-        E003  declared rail with no calibration (reported by ``cli``, which
-              knows the calibrations; ``validate`` sees only the parameters)
+        E003  declared rail with no calibration
+        E004  a READ late enough after the first WRITE that a component's
+              spread variance overflows a float
         W001  declared rails closer than the cross-talk-free separation
+
+    E003 and E004 need the memory's calibrations and diffusion, so
+    ``engine.diagnose`` reports them; ``validate`` sees only the parameters.
     """
 
     _fields = ("code", "severity", "line", "message")

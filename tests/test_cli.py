@@ -4,18 +4,25 @@ from array import array
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, reject, strategies as st
 
 from corpus import CANONICAL
 from vapormem import core
 from vapormem.cli import WAVEFORM_CSV_CHUNK, ConfigError, configured, main, waveform_csv
-from vapormem.core import ParamError, PhysicsParams
+from vapormem.core import ParamError, PhysicsParams, default_params, default_rails
+from vapormem.engine import Memory, run_sequence
+from vapormem.seqlang import ValidationFailure, parse
 
 TIGHT = "SEQUENCE tight\nRAILS 190MHz\nAT 0ns WRITE 190MHz\nAT 47ns READ 190MHz\n"
 CLOSE_RAILS = ("SEQUENCE close\nRAILS 190MHz 198MHz\n"
                "AT 0ns WRITE 190MHz\nAT 400ns READ 198MHz\n")
 UNCALIBRATED_198 = ("rail 198 MHz has no calibration "
                     "(calibrated rails: 170, 190, 210, 230 MHz)")
+# under d0 = 4e303, D and 2 D are finite, but the spread variance of a
+# component 2 us old is not
+LATE_READ = "SEQUENCE late\nRAILS 190MHz\nAT 0ns WRITE 190MHz\nAT 2us READ 190MHz\n"
+LATE_READ_E004 = ("error E004 line 4: READ 2 us after the first WRITE: the spread variance "
+                  "sigma0^2 + 2 D t of a component that old is not a finite float\n")
 # 401 digits, which overflow a float
 HUGE = "1" + "0" * 400
 # time order, declared rails, distinct rails and numbers a float can hold are
@@ -52,8 +59,6 @@ OVERFLOWING_CONFIGS = [
     ("p0 = 1e308", "diffusion coefficient"),
     ("w_signal = 1e308", "read sampling variance"),
     ("w_control = 1e308", "read sampling variance"),
-    # 2 D is finite, the variance after 1.2 us is not
-    ("d0 = 4e303", "spread variance"),
     ("pos_per_mhz = 1e307", "beam position"),
 ]
 # configs that leave a calibrated rail unusable, and the error every command
@@ -70,6 +75,13 @@ CONFIG_VALUES = st.one_of(
     st.sampled_from(["inf", "-Infinity", "nan", "1e400", "-1e400", HUGE, "1e-400", "0x10", "1_0"]),
     st.text(max_size=8),
 )
+# config lines over the accepted keys with finite values; the constructors
+# reject some of them
+FINITE_CONFIG_LINES = st.builds("{} = {}".format, st.sampled_from(CONFIG_KEYS), st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(0, 10**6).map(str),
+    st.sampled_from(["4e303", "1e300", "1e-300", "5e-324"]),
+))
 CONFIG_LINES = st.one_of(
     st.builds("{} = {}".format, st.sampled_from(CONFIG_KEYS), CONFIG_VALUES),
     st.text(max_size=30),
@@ -158,13 +170,32 @@ class TestValidate:
 
 
 class TestValidateAgreesWithRun:
-    @given(text=PROGRAMS)
-    @example(text=CLOSE_RAILS)
-    def test_program_validate_accepts_runs(self, tmp_path_factory, text):
+    @given(lines=st.lists(FINITE_CONFIG_LINES, max_size=4), text=PROGRAMS)
+    @example(lines=[], text=CLOSE_RAILS)
+    @example(lines=["d0 = 4e303"], text=LATE_READ)
+    def test_program_validate_accepts_runs(self, tmp_path_factory, lines, text):
+        cfg = tmp_path_factory.getbasetemp() / "prop.cfg"
+        cfg.write_text("".join(f"{line}\n" for line in lines), encoding="utf-8")
+        try:
+            configured(str(cfg))
+        except (ConfigError, ParamError):
+            reject()
         path = tmp_path_factory.getbasetemp() / "prop.seq"
         path.write_text(text, encoding="utf-8")
-        if main(["validate", str(path)]) == 0:
-            assert main(["run", str(path)]) == 0
+        if main(["--config", str(cfg), "validate", str(path)]) == 0:
+            assert main(["--config", str(cfg), "run", str(path)]) == 0
+
+    def test_api_rejects_what_validate_rejects_before_the_first_op(self, seqfile, capsys):
+        assert main(["validate", seqfile(CLOSE_RAILS)]) == 1
+        printed = capsys.readouterr().out.splitlines()
+        mem = Memory(default_params(), default_rails())
+        with pytest.raises(ValidationFailure) as err:
+            run_sequence(mem, parse(CLOSE_RAILS))
+        raised = [f"{d.severity} {d.code} line {d.line}: {d.message}"
+                  for d in err.value.diagnostics]
+        assert raised == printed[:1] == [f"error E003 line 2: {UNCALIBRATED_198}"]
+        assert mem.stored_on(190.0) == 0.0
+        assert mem.t_now_ns == 0.0
 
 
 class TestRun:
@@ -518,6 +549,19 @@ class TestConfig:
         rc = main(["--config", str(cfg), "run", seqfile(CANONICAL), "--trace-out", str(out)])
         assert rc == 2
         assert f"error: {quantity}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_read_too_late_for_the_spread_variance_is_e004(self, seqfile, tmp_path, capsys):
+        cfg = tmp_path / "extreme.cfg"
+        cfg.write_text("d0 = 4e303\n")
+        prog = seqfile(LATE_READ)
+        out = tmp_path / "trace.csv"
+        assert main(["--config", str(cfg), "validate", prog]) == 1
+        validated = capsys.readouterr()
+        assert main(["--config", str(cfg), "run", prog, "--trace-out", str(out)]) == 1
+        ran = capsys.readouterr()
+        assert validated.out == ran.out == LATE_READ_E004
+        assert validated.err == ran.err == ""
         assert not out.exists()
 
     @pytest.mark.parametrize("line", ["t_cell = 1e308", "w_signal = 1e308"])

@@ -414,6 +414,70 @@ class TestRunSequence:
         assert trace.events[0].out_energy == 0.0
 
 
+# d0 = 4e303 keeps D and 2 D finite; a component's variance overflows once it
+# is between 1097.5 and 1097.6 ns old
+HOT = core.replace(P, d0=4e303)
+
+
+def three_ops(first: OpKind, t_last: float, last: OpKind) -> Sequence:
+    """An op on 190 MHz at 0 ns, a pump on 210 MHz at 400 ns, then an op on 210 MHz."""
+    return Sequence("late", (190.0, 210.0), (
+        Operation(0.0, first, 190.0),
+        Operation(400.0, OpKind.PUMP, 210.0),
+        Operation(t_last, last, 210.0),
+    ))
+
+
+class TestDiagnose:
+    def test_python_built_sequence_reports_line_0(self):
+        seq = Sequence("s", (190.0, 198.0), (Operation(0.0, OpKind.WRITE, 190.0),))
+        diags = engine.diagnose(fresh(), seq)
+        assert [(d.code, d.line) for d in diags] == [("E003", 0), ("W001", 0)]
+
+    def test_every_uncalibrated_rail_on_the_rails_line(self):
+        mem = engine.Memory(P, [c for c in RAILS if c.f_rail in (170.0, 230.0)])
+        seq = seqlang.parse("SEQUENCE s\n# on line 3\nRAILS 190MHz 170MHz 210.5MHz\n")
+        assert [(d.code, d.line, d.message) for d in engine.diagnose(mem, seq)] == [
+            ("E003", 3, f"rail {f} MHz has no calibration (calibrated rails: 170, 230 MHz)")
+            for f in ("190", "210.5")]
+
+    @pytest.mark.parametrize("t_read,late", [(1097.0, False), (1097.5, False),
+                                             (1097.6, True), (2000.0, True)])
+    def test_e004_exactly_where_a_read_would_overflow(self, t_read, late):
+        seq = three_ops(OpKind.WRITE, t_read, OpKind.READ)
+        diags = engine.diagnose(engine.Memory(HOT, RAILS), seq)
+        assert [d.code for d in diags] == (["E004"] if late else [])
+        mem = engine.Memory(HOT, RAILS)
+        if not late:
+            assert engine.run_sequence(mem, seq).events[2].out_energy > 0.0
+            return
+        with pytest.raises(seqlang.ValidationFailure):
+            engine.run_sequence(mem, seq)
+        assert mem.stored_on(190.0) == 0.0 and mem.t_now_ns == 0.0
+        # the same ops applied one by one fail at the read
+        mem.apply(seq.ops[0])
+        mem.apply(seq.ops[1])
+        with pytest.raises(DomainError, match="spread variance"):
+            mem.apply(seq.ops[2])
+
+    def test_e004_on_the_last_read_line(self):
+        seq = seqlang.parse("SEQUENCE s\nRAILS 190MHz 210MHz\nAT 0ns WRITE 190MHz\n"
+                            "AT 600ns READ 210MHz\nAT 2us READ 210MHz\nAT 3us PUMP 190MHz\n")
+        diags = engine.diagnose(engine.Memory(HOT, RAILS), seq)
+        assert [(d.code, d.line) for d in diags] == [("E004", 5)]
+        assert diags[0].message.startswith("READ 2 us after the first WRITE: ")
+
+    @pytest.mark.parametrize("first,last", [
+        (OpKind.PUMP, OpKind.READ),  # no write
+        (OpKind.WRITE, OpKind.PUMP),  # no read
+        (OpKind.READ, OpKind.WRITE),  # the last read comes before the first write
+    ])
+    def test_no_e004_without_a_read_after_a_write(self, first, last):
+        seq = three_ops(first, 5000.0, last)
+        assert engine.diagnose(engine.Memory(HOT, RAILS), seq) == []
+        engine.run_sequence(engine.Memory(HOT, RAILS), seq)
+
+
 class TestRenderWaveform:
     def test_pulse_area_equals_energy(self):
         seq = Sequence("one", (190.0,), (
