@@ -39,6 +39,7 @@ from .harness import (
     extrapolate_efficiency,
     fit_exponential,
     monte_carlo_overlap,
+    monte_carlo_overlaps,
     random_access_sequence,
     scan_crosstalk,
     scan_lifetime,
@@ -67,8 +68,8 @@ __all__ = [
     "Memory", "render_waveform", "run_sequence",
     "CriteriaReport", "CriterionCheck", "ScanResult", "check_criteria",
     "extrapolate_efficiency", "fit_exponential", "monte_carlo_overlap",
-    "random_access_sequence", "scan_crosstalk", "scan_lifetime",
-    "weighted_mean", "aod_efficiency", "depletion_fraction",
+    "monte_carlo_overlaps", "random_access_sequence", "scan_crosstalk",
+    "scan_lifetime", "weighted_mean", "aod_efficiency", "depletion_fraction",
     "diffusion_coefficient", "overlap_factor",
     "rail_position_um", "read_sampling_variance_um2", "spread_variance_um2",
     "temporal_decay", "transit_time_us", "Diagnostic", "ParseError",

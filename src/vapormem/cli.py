@@ -299,8 +299,8 @@ def cmd_oracle(args, params, rails) -> Outcome:
     diff = physics.diffusion_coefficient(params)
     lines = ["d_um t_us mc analytic abs_diff"]
     ok = True
-    for d, t in ORACLE_GRID:
-        mc = harness.monte_carlo_overlap(params, args.n, d, t, args.seed)
+    estimates = harness.monte_carlo_overlaps(params, args.n, ORACLE_GRID, args.seed)
+    for (d, t), mc in zip(ORACLE_GRID, estimates):
         s2 = physics.spread_variance_um2(params.sigma0 ** 2, t, diff)
         analytic = physics.overlap_factor(d, s2, params)
         delta = abs(mc - analytic)

@@ -7,8 +7,7 @@ extrapolation, inverse-variance means, and a Brownian-walker Monte Carlo
 estimate of the read overlap used as an independent oracle for the
 closed-form model.
 
-Scan points are independent (one fresh Memory per point) and could be
-evaluated in parallel; results are ordered by axis value.
+Each scan point runs on a fresh Memory; results are ordered by axis value.
 """
 
 from __future__ import annotations
@@ -16,7 +15,6 @@ from __future__ import annotations
 import math
 import sys
 from collections.abc import Iterable, Sequence as SeqABC
-from fractions import Fraction
 
 from . import engine, physics
 from .core import (
@@ -42,6 +40,8 @@ CROSSTALK_GRID_MHZ = (0.0, 25.0, 1.0)
 LIFETIME_GRID_US = (0.4, 11.2, 0.4)
 # a scan point costs under 0.05 ms; a longer grid is a mistyped step
 MAX_SCAN_POINTS = 100_000
+# the oracle holds three float64 arrays of n_atoms each: 240 MB at this cap
+MAX_ORACLE_ATOMS = 10**7
 # check_criteria: tolerated relative deviation of an interleaved write-read
 # pair, tolerated re-read excess over 1 - dep(0), tolerated empty-rail read as
 # a fraction of the reference retrieval, and that reference (the
@@ -83,11 +83,22 @@ def scan_grid(first: float, last: float, step: float) -> tuple[float, ...]:
         raise DomainError("scan step must be strictly positive")
     if first > last:
         raise DomainError("scan min must not exceed max")
-    lo, hi, d = (Fraction(repr(float(v))) for v in (first, last, step))
+    parts = [_decimal(float(v)) for v in (first, last, step)]
+    scale = min(0, *(e for _, e in parts))  # every bound is an integer / 10**-scale
+    lo, hi, d = (m * 10 ** (e - scale) for m, e in parts)
     n = (hi - lo) // d + 1
     if n > MAX_SCAN_POINTS:
         raise DomainError(f"scan grid has {n} points, more than {MAX_SCAN_POINTS}")
-    return tuple(float(lo + k * d) for k in range(n))
+    den = 10 ** -scale
+    # int / int is correctly rounded, so each point is rounded once
+    return tuple((lo + k * d) / den for k in range(n))
+
+
+def _decimal(x: float) -> tuple[int, int]:
+    """(m, e) with m * 10**e exactly the shortest decimal of x, its repr."""
+    mantissa, _, exp = repr(x).partition("e")
+    whole, _, frac = mantissa.partition(".")
+    return int(whole + frac), int(exp or 0) - len(frac)
 
 
 CROSSTALK_SEPARATIONS_MHZ = scan_grid(*CROSSTALK_GRID_MHZ)
@@ -493,27 +504,64 @@ def monte_carlo_overlap(params: PhysicsParams, n_atoms: int, d_um: float,
     variance 2 D t, and returns the mean read sampling weight at
     displacement d normalized by the coaxial mean over the same advanced
     cloud. The estimator is therefore exactly 1 at d = 0 and consistent
-    with overlap_factor(d, spread_variance(sigma0², t, D)).
+    with overlap_factor(d, spread_variance(sigma0², t, D)). It is the
+    single-point case of ``monte_carlo_overlaps``.
+    """
+    return monte_carlo_overlaps(params, n_atoms, [(d_um, t_us)], seed)[0]
 
-    The draw order is fixed (x origins, y origins, x steps, y steps), so
-    the result is bit-reproducible for a given (seed, n_atoms, d, t).
+
+def monte_carlo_overlaps(params: PhysicsParams, n_atoms: int,
+                         points: Iterable[tuple[float, float]], seed: int) -> tuple[float, ...]:
+    """``monte_carlo_overlap`` at each (d_um, t_us) of points, in order.
+
+    Every point re-seeds the generator with seed, and the draw order is
+    fixed (x origins, y origins, x steps, y steps), so each estimate is
+    bit-reproducible for a given (seed, n_atoms, d, t) and does not depend
+    on the other points. Points that share a time share one cloud: it is
+    drawn once per distinct time, into three preallocated arrays, and
+    each displacement's weights reuse one buffer.
+
+    n_atoms below 1000 or above ``MAX_ORACLE_ATOMS``, and a negative or
+    NaN time, raise DomainError before anything is drawn.
     """
     import numpy as np
 
+    points = [(float(d), float(t)) for d, t in points]
     if n_atoms < 1000:
         raise DomainError("need at least 1e3 atoms for a meaningful estimate")
-    if t_us < 0.0:
+    if n_atoms > MAX_ORACLE_ATOMS:
+        raise DomainError(f"{n_atoms} atoms are more than {MAX_ORACLE_ATOMS}")
+    if not all(t >= 0.0 for _, t in points):
         raise DomainError("time must be non-negative")
-    rng = np.random.default_rng(seed)
+    diff = physics.diffusion_coefficient(params)
+    # the per-axis step of each distinct time, in order of first appearance
+    steps = {t: math.sqrt(physics.spread_variance_um2(0.0, t, diff)) for _, t in points}
+    two_v = 2.0 * physics.read_sampling_variance_um2(params)
     n = int(n_atoms)
-    x = rng.normal(0.0, params.sigma0, n)
-    y = rng.normal(0.0, params.sigma0, n)
-    if t_us > 0.0:
-        diff = physics.diffusion_coefficient(params)
-        step = math.sqrt(physics.spread_variance_um2(0.0, t_us, diff))
-        x = x + rng.normal(0.0, step, n)
-        y = y + rng.normal(0.0, step, n)
-    v = physics.read_sampling_variance_um2(params)
-    w_d = np.exp(-(((x - d_um) ** 2) + y * y) / (2.0 * v))
-    w_0 = np.exp(-((x * x) + y * y) / (2.0 * v))
-    return float(np.mean(w_d) / np.mean(w_0))
+    x, y, w = np.empty(n), np.empty(n), np.empty(n)
+    means = {}
+    for t, step in steps.items():
+        # normal(0, s) is 0.0 + s * z on the standard-normal stream
+        rng = np.random.default_rng(seed)
+        rng.standard_normal(out=x)
+        x *= params.sigma0
+        rng.standard_normal(out=y)
+        y *= params.sigma0
+        if t > 0.0:
+            rng.standard_normal(out=w)
+            w *= step
+            x += w
+            rng.standard_normal(out=w)
+            w *= step
+            y += w
+        y *= y  # y² from here on, shared by every displacement
+        # d = 0 is the normalization: (x - 0.0) ** 2 equals x * x
+        for d in {0.0, *(d for d, p_t in points if p_t == t)}:
+            np.subtract(x, d, out=w)
+            w **= 2
+            w += y
+            np.negative(w, out=w)
+            w /= two_v
+            np.exp(w, out=w)
+            means[d, t] = np.mean(w)
+    return tuple(float(means[d, t] / means[0.0, t]) for d, t in points)

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import math
 import re
-from decimal import Decimal
 
 from .core import (
     OpKind,
@@ -237,6 +236,8 @@ def _fmt_number(x: float) -> str:
     """
     s = repr(float(x) + 0.0)
     if "e" in s:
+        from decimal import Decimal  # imported here to keep it off start-up
+
         s = format(Decimal(s), "f")
     return s.removesuffix(".0")
 

@@ -8,9 +8,17 @@ from hypothesis import example, given, reject, strategies as st
 
 from corpus import CANONICAL
 from vapormem import core
-from vapormem.cli import WAVEFORM_CSV_CHUNK, ConfigError, configured, main, waveform_csv
+from vapormem.cli import (
+    ORACLE_GRID,
+    WAVEFORM_CSV_CHUNK,
+    ConfigError,
+    configured,
+    main,
+    waveform_csv,
+)
 from vapormem.core import ParamError, PhysicsParams, default_params, default_rails
 from vapormem.engine import Memory, run_sequence
+from vapormem.harness import MAX_ORACLE_ATOMS, monte_carlo_overlap
 from vapormem.seqlang import ValidationFailure, parse
 
 TIGHT = "SEQUENCE tight\nRAILS 190MHz\nAT 0ns WRITE 190MHz\nAT 47ns READ 190MHz\n"
@@ -662,3 +670,21 @@ class TestOracle:
         assert rc == 0
         assert "ORACLE PASS" in out
         assert len(out.strip().splitlines()) == 8  # header + 6 grid points + verdict
+
+    def test_mc_column_is_the_per_point_estimates(self, capsys):
+        assert main(["--seed", "3", "oracle", "--n", "2000"]) in (0, 1)
+        rows = capsys.readouterr().out.splitlines()[1:-1]
+        assert [row.split()[:2] for row in rows] == [[f"{d:g}", f"{t:g}"] for d, t in ORACLE_GRID]
+        assert ([row.split()[2] for row in rows]
+                == [repr(monte_carlo_overlap(default_params(), 2000, d, t, 3))
+                    for d, t in ORACLE_GRID])
+
+    @pytest.mark.parametrize("n", [str(MAX_ORACLE_ATOMS + 1), "10000000000"])
+    def test_absurd_atom_count_is_named_error(self, monkeypatch, capsys, n):
+        def allocate(*args, **kwargs):
+            raise AssertionError("allocated before checking the atom count")
+        monkeypatch.setattr(np, "empty", allocate)
+        assert main(["oracle", "--n", n]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {n} atoms are more than {MAX_ORACLE_ATOMS}\n"

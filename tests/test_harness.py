@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,7 +18,9 @@ from vapormem.core import (
     default_params,
     default_rails,
 )
+from vapormem.cli import ORACLE_GRID
 from vapormem.harness import (
+    MAX_ORACLE_ATOMS,
     FitConvergenceError,
     FitError,
     TraceMismatchError,
@@ -25,6 +28,7 @@ from vapormem.harness import (
     extrapolate_efficiency,
     fit_exponential,
     monte_carlo_overlap,
+    monte_carlo_overlaps,
     random_access_sequence,
     scan_crosstalk,
     scan_grid,
@@ -56,6 +60,22 @@ class TestScanGrid:
         # 2e600 points: counted exactly, never built
         with pytest.raises(DomainError, match="points"):
             scan_grid(-1e300, 1e300, 1e-300)
+
+    @given(first=st.floats(-1e3, 1e3) | st.integers(-10**6, 10**6).map(lambda k: k / 1000),
+           step=(st.floats(1e-3, 1e3) | st.integers(1, 10**4).map(lambda k: k / 1000)
+                 | st.floats(1e-300, 1e300)),
+           count=st.integers(0, 300), nudge=st.sampled_from([0.0, 1e-9, -1e-9, 0.5]))
+    @example(first=0.4, step=0.4, count=27, nudge=0.0)
+    @example(first=-5.0, step=2.5, count=4, nudge=0.0)
+    @example(first=1e-5, step=3e-7, count=10, nudge=0.0)
+    def test_same_floats_as_exact_fractions(self, first, step, count, nudge):
+        last = first + step * (count + nudge)
+        assume(math.isfinite(last) and last >= first)
+        lo, hi, d = (Fraction(repr(v)) for v in (first, last, step))
+        n = (hi - lo) // d + 1
+        assume(n <= 1000)
+        want = [float(lo + k * d).hex() for k in range(n)]
+        assert [x.hex() for x in scan_grid(first, last, step)] == want
 
     @pytest.mark.parametrize("args,message", [
         ((0.0, math.inf, 1.0), "must be finite"),
@@ -450,6 +470,72 @@ class TestCheckCriteria:
         monkeypatch.setattr(harness, "EMPTY_TOL", 1e-9)
         strict = check_criteria(trace, seq, P, RAILS)
         assert not strict.empty_state.passed
+
+
+def _per_point_overlap(params, n_atoms, d_um, t_us, seed):
+    """The overlap estimate drawn point by point, as before the batch call:
+    fresh arrays for every draw, sum and weight."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(0.0, params.sigma0, n_atoms)
+    y = rng.normal(0.0, params.sigma0, n_atoms)
+    if t_us > 0.0:
+        diff = physics.diffusion_coefficient(params)
+        step = math.sqrt(physics.spread_variance_um2(0.0, t_us, diff))
+        x = x + rng.normal(0.0, step, n_atoms)
+        y = y + rng.normal(0.0, step, n_atoms)
+    v = physics.read_sampling_variance_um2(params)
+    w_d = np.exp(-(((x - d_um) ** 2) + y * y) / (2.0 * v))
+    w_0 = np.exp(-((x * x) + y * y) / (2.0 * v))
+    return float(np.mean(w_d) / np.mean(w_0))
+
+
+class _Allocated(Exception):
+    """Raised in place of numpy's allocation, to show a check came first."""
+
+
+ORACLE_D = st.sampled_from([0.0, -0.0, 270.0, -270.0, 675.0]) | st.floats(-2000.0, 2000.0)
+ORACLE_T = st.sampled_from([0.0, -0.0, 0.4, 2.0]) | st.floats(0.0, 12.0)
+
+
+class TestMonteCarloOverlaps:
+    @given(points=st.lists(st.tuples(ORACLE_D, ORACLE_T), max_size=7),
+           n=st.integers(1000, 1500), seed=st.integers(0, 2**32))
+    @example(points=list(ORACLE_GRID), n=1000, seed=1)
+    @example(points=[(675.0, 2.0), (0.0, 0.4), (675.0, 2.0), (-270.0, 0.0), (270.0, 0.4)],
+             n=1001, seed=2)
+    def test_each_estimate_is_the_single_point_one(self, points, n, seed):
+        got = monte_carlo_overlaps(P, n, points, seed)
+        assert len(got) == len(points)
+        for (d, t), mc in zip(points, got):
+            assert mc.hex() == monte_carlo_overlap(P, n, d, t, seed).hex()
+            assert mc.hex() == _per_point_overlap(P, n, d, t, seed).hex()
+
+    def test_oracle_grid_at_full_size(self):
+        got = monte_carlo_overlaps(P, 100_000, iter(ORACLE_GRID), 7)
+        assert ([mc.hex() for mc in got]
+                == [_per_point_overlap(P, 100_000, d, t, 7).hex() for d, t in ORACLE_GRID])
+
+    def test_no_points(self):
+        assert monte_carlo_overlaps(P, 1000, [], 1) == ()
+
+    @pytest.mark.parametrize("n,points,message", [
+        (999, [(0.0, 0.4)], "at least 1e3 atoms"),
+        (MAX_ORACLE_ATOMS + 1, [(0.0, 0.4)], f"more than {MAX_ORACLE_ATOMS}"),
+        (10**10, [(0.0, 0.4)], f"more than {MAX_ORACLE_ATOMS}"),
+        (1000, [(0.0, 0.4), (270.0, -0.4)], "non-negative"),
+        (1000, [(0.0, 0.4), (270.0, math.nan)], "non-negative"),
+        (1000, [(0.0, 0.4), (270.0, math.inf)], "finite"),
+    ], ids=["few", "cap", "80GB", "negative-t", "nan-t", "inf-t"])
+    def test_rejects_before_any_draw(self, monkeypatch, n, points, message):
+        def allocate(*args, **kwargs):
+            raise _Allocated
+        monkeypatch.setattr(np, "empty", allocate)
+        monkeypatch.setattr(np.random, "default_rng", allocate)
+        with pytest.raises(DomainError, match=message):
+            monte_carlo_overlaps(P, n, points, seed=1)
+        # the cap itself is allowed: it reaches the allocation
+        with pytest.raises(_Allocated):
+            monte_carlo_overlaps(P, MAX_ORACLE_ATOMS, [(0.0, 0.4)], seed=1)
 
 
 class TestMonteCarloOverlap:

@@ -1,11 +1,13 @@
-"""numpy, dataclasses, inspect and typing stay off the start-up path.
+"""numpy, dataclasses, inspect, typing, decimal and fractions stay off
+the start-up path.
 
 Only the Monte Carlo oracle computes with numpy, and it imports numpy
 itself; every other command, waveform rendering included, runs in plain
 Python. The value types are plain classes, so importing vapormem loads
-neither dataclasses, with the inspect it imports, nor typing. Each case
-runs in a fresh interpreter, since this test session has all of them
-loaded already.
+neither dataclasses, with the inspect it imports, nor typing. Scan grids
+are built in integer arithmetic, and only a sequence number with an
+exponent is formatted through decimal. Each case runs in a fresh
+interpreter, since this test session has all of them loaded already.
 """
 
 import ast
@@ -34,7 +36,7 @@ for argv in {commands!r}:
 print((before, sorted(sys.modules)))
 """
 # modules that importing vapormem and its numpy-free commands must not load
-STARTUP_FREE = {"dataclasses", "inspect", "typing", "numpy"}
+STARTUP_FREE = {"dataclasses", "inspect", "typing", "numpy", "decimal", "fractions"}
 
 
 def modules_around(commands, cwd, *options) -> tuple[set[str], set[str]]:
@@ -85,10 +87,15 @@ def test_oracle_loads_numpy(tmp_path):
 def test_import_validate_and_run_load_no_dataclasses_inspect_or_typing(tmp_path):
     seq = tmp_path / "canonical.seq"
     seq.write_text(CANONICAL)
+    out = str(tmp_path / "out")
     commands = [
         ["validate", str(seq)],
         ["run", str(seq), "--trace-out", str(tmp_path / "trace.csv"),
          "--waveform-out", str(tmp_path / "wave.csv")],
+        ["--out", out, "scan", "crosstalk"],
+        ["--out", out, "scan", "lifetime"],
+        ["fit", os.path.join(out, "lifetime_190.csv")],
+        ["report"],
     ]
     for run in ([], commands):
         # without site (-S), which in some environments imports typing itself
