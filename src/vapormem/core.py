@@ -245,25 +245,18 @@ class RailCalibration(_Value):
 class SpinWaveComponent(_Value):
     """Snapshot of one stored Gaussian excitation, as ``Memory.components`` gives it.
 
-    amplitude is the stored energy in normalized input-pulse units.
-    x_center and tau_us are those of the rail the component was written
-    on. s2 is the per-axis spatial variance at the time of the snapshot,
-    computed from the component's age as sigma0² + 2 D age; the memory
-    itself keeps only the amplitude and the birth time.
+    amplitude is the stored energy in normalized input-pulse units, and
+    t_birth_ns the time of the write that stored it: the whole stored
+    state. Its centre and lifetime are its rail's, and its per-axis
+    variance, sigma0² + 2 D age, follows from its age.
     """
 
-    _fields = ("amplitude", "x_center", "s2", "t_birth_ns", "tau_us")
+    _fields = ("amplitude", "t_birth_ns")
 
-    def __init__(self, amplitude: float, x_center: float, s2: float, t_birth_ns: float,
-                 tau_us: float) -> None:
+    def __init__(self, amplitude: float, t_birth_ns: float) -> None:
         _set(self, "amplitude", amplitude)
-        _set(self, "x_center", x_center)
-        _set(self, "s2", s2)
         _set(self, "t_birth_ns", t_birth_ns)
-        _set(self, "tau_us", tau_us)
         _require(amplitude >= 0.0, "amplitude must be non-negative")
-        _require(s2 > 0.0, "s2 must be strictly positive")
-        _require(tau_us > 0.0, "tau_us must be strictly positive")
 
 
 class Operation(_Value):

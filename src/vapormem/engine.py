@@ -52,12 +52,12 @@ class Memory:
 
     Each rail holds at most one live component, stored as its amplitude
     and birth time only. Its centre and lifetime are its rail's, and its
-    per-axis variance is computed from its age when a read or a snapshot
-    needs it, sigma0² + 2 D age. A write, read or perfect pump on a rail
-    depletes every component centered there by exactly dep(0) = 1, which
-    leaves amplitude 0.0; such a component adds exactly nothing to any
-    later read or :meth:`stored_on`, so it is dropped. The cost of a run
-    is linear in its number of operations.
+    per-axis variance is computed from its age when a read needs it,
+    sigma0² + 2 D age. A write, read or perfect pump on a rail depletes
+    every component centered there by exactly dep(0) = 1, which leaves
+    amplitude 0.0; such a component adds exactly nothing to any later read
+    or :meth:`stored_on`, so it is dropped. The cost of a run is linear in
+    its number of operations.
     """
 
     def __init__(self, params: PhysicsParams, rails: Iterable[RailCalibration]):
@@ -86,14 +86,9 @@ class Memory:
 
     @property
     def components(self) -> list[SpinWaveComponent]:
-        """Snapshot of the live components at the current time, oldest first."""
-        snapshot = []
-        for f, (amplitude, t_birth_ns) in self._stored.items():
-            cal, x_center = self._rails[f]
-            age_us = (self.t_now_ns - t_birth_ns) / NS_PER_US
-            snapshot.append(SpinWaveComponent(
-                amplitude, x_center, self._variance(age_us), t_birth_ns, cal.tau_us))
-        return snapshot
+        """Snapshot of the live components, oldest first."""
+        return [SpinWaveComponent(amplitude, t_birth_ns)
+                for amplitude, t_birth_ns in self._stored.values()]
 
     def _variance(self, age_us: float) -> float:
         """Per-axis variance of a component of the given age (free diffusion)."""

@@ -421,78 +421,61 @@ def check_criteria(trace: Trace, seq: Sequence, params: PhysicsParams,
                    rails_cal: Iterable[RailCalibration]) -> CriteriaReport:
     """Evaluate the three random-access memory criteria on a trace.
 
-    interaction_free: every write-to-read pair with intervening operations
-    on other rails retrieves within ``INTERACTION_TOL`` of the analytic
-    no-intervention prediction. empty_state: every read of a rail holding
-    no live component returns at most ``EMPTY_TOL`` of the reference
-    retrieval ``REFERENCE_ENERGY``. full_retrieval: every immediate re-read
-    (adjacent operations, same rail) returns at most
-    (1 - dep(0)) + ``REREAD_TOL`` of the preceding read, re-reads of empty
-    rails excluded.
+    interaction_free: a write's first read, when only operations on other
+    rails ran between them, retrieves within ``INTERACTION_TOL`` of the
+    analytic no-intervention prediction energy * eta_mem * exp(-dt / tau).
+    A pump on the write's rail ends the pair unscored, since it is not an
+    interaction, and so does a prediction that underflows to 0.0, where
+    the ratio has no meaning. empty_state: every read of a rail holding at
+    most 1e-12 just before it returns at most ``EMPTY_TOL`` of the
+    reference retrieval ``REFERENCE_ENERGY``. full_retrieval: every
+    immediate re-read (adjacent operations, same rail) returns at most
+    (1 - dep(0)) + ``REREAD_TOL`` of the preceding read; a re-read after a
+    read below ``EMPTY_TOL`` of the reference is not scored.
 
-    The trace is replayed to verify it belongs to the sequence and to
-    observe per-read occupancy; a mismatch raises TraceMismatchError.
+    The trace is replayed op by op, which verifies it belongs to the
+    sequence and observes each rail's occupancy before a read; a mismatch
+    raises TraceMismatchError.
     """
     rails_cal = tuple(rails_cal)
     if len(trace.events) != len(seq.ops):
         raise TraceMismatchError("trace length differs from sequence length")
     mem = engine.Memory(params, rails_cal)
-    outs: list[float] = []
-    live_before: list[bool | None] = []
-    for op, ev in zip(seq.ops, trace.events):
+    threshold = (1.0 - physics.depletion_fraction(0.0, params)) + REREAD_TOL
+    worst_interaction = worst_empty = worst_reread = 0.0
+    pending: dict[float, int] = {}  # rail -> index of its write not yet read or pumped
+    prev_kind, prev_rail, prev_out = None, None, 0.0
+    for i, (op, ev) in enumerate(zip(seq.ops, trace.events)):
         if (ev.t_ns, ev.kind, ev.f_rail) != (op.t_ns, op.kind, op.f_rail):
             raise TraceMismatchError("trace event does not match its operation")
-        if op.kind is OpKind.READ:
-            live_before.append(mem.stored_on(op.f_rail) > 1e-12)
-        else:
-            live_before.append(None)
+        empty = op.kind is OpKind.READ and not mem.stored_on(op.f_rail) > 1e-12
         out = mem.apply(op)
         if abs(out - ev.out_energy) > 1e-9 * max(1.0, abs(out)):
             raise TraceMismatchError("trace energies do not match a replay")
-        outs.append(out)
-
-    # interaction-free: write -> first read pairs that bracket foreign ops
-    worst_interaction = 0.0
-    for rail in seq.rails:
-        pending: int | None = None
-        for i, op in enumerate(seq.ops):
-            if op.f_rail != rail:
-                continue
-            if op.kind is OpKind.WRITE:
-                pending = i
-            elif op.kind is OpKind.READ and pending is not None:
-                iw, ir = pending, i
-                pending = None
-                foreign = any(seq.ops[j].f_rail != rail for j in range(iw + 1, ir))
-                if not foreign:
-                    continue
-                cal = _find_cal(rails_cal, rail)
-                dt_us = (seq.ops[ir].t_ns - seq.ops[iw].t_ns) / engine.NS_PER_US
-                predicted = seq.ops[iw].energy * cal.eta_mem * math.exp(-dt_us / cal.tau_us)
-                worst_interaction = max(worst_interaction,
-                                        abs(outs[ir] / predicted - 1.0))
-
-    # empty state: reads of rails with no live component
-    worst_empty = 0.0
-    for i, op in enumerate(seq.ops):
-        if op.kind is OpKind.READ and live_before[i] is False:
-            worst_empty = max(worst_empty, outs[i] / REFERENCE_ENERGY)
-
-    # full retrieval: immediate re-reads of a just-read rail
-    worst_reread = 0.0
-    threshold = (1.0 - physics.depletion_fraction(0.0, params)) + REREAD_TOL
-    for i in range(1, len(seq.ops)):
-        a, b = seq.ops[i - 1], seq.ops[i]
-        if (a.kind is OpKind.READ and b.kind is OpKind.READ
-                and a.f_rail == b.f_rail
-                and outs[i - 1] >= EMPTY_TOL * REFERENCE_ENERGY):
-            worst_reread = max(worst_reread, outs[i] / outs[i - 1])
-
-    interaction = CriterionCheck(worst_interaction <= INTERACTION_TOL,
-                                 worst_interaction / INTERACTION_TOL)
-    empty = CriterionCheck(worst_empty <= EMPTY_TOL, worst_empty / EMPTY_TOL)
-    reread = CriterionCheck(worst_reread <= threshold, worst_reread / threshold)
-    return CriteriaReport(interaction, empty, reread)
+        if op.kind is OpKind.WRITE:
+            pending[op.f_rail] = i
+        elif op.kind is OpKind.PUMP:
+            pending.pop(op.f_rail, None)
+        else:
+            iw = pending.pop(op.f_rail, None)
+            # an op on this rail since the write would have ended the pair, so
+            # every op between the two is on another rail
+            if iw is not None and i > iw + 1:
+                write, cal = seq.ops[iw], _find_cal(rails_cal, op.f_rail)
+                dt_us = (op.t_ns - write.t_ns) / engine.NS_PER_US
+                predicted = write.energy * cal.eta_mem * math.exp(-dt_us / cal.tau_us)
+                if predicted > 0.0:
+                    worst_interaction = max(worst_interaction, abs(out / predicted - 1.0))
+            if empty:
+                worst_empty = max(worst_empty, out / REFERENCE_ENERGY)
+            if ((prev_kind, prev_rail) == (OpKind.READ, op.f_rail)
+                    and prev_out >= EMPTY_TOL * REFERENCE_ENERGY):
+                worst_reread = max(worst_reread, out / prev_out)
+        prev_kind, prev_rail, prev_out = op.kind, op.f_rail, out
+    return CriteriaReport(
+        CriterionCheck(worst_interaction <= INTERACTION_TOL, worst_interaction / INTERACTION_TOL),
+        CriterionCheck(worst_empty <= EMPTY_TOL, worst_empty / EMPTY_TOL),
+        CriterionCheck(worst_reread <= threshold, worst_reread / threshold))
 
 
 def monte_carlo_overlap(params: PhysicsParams, n_atoms: int, d_um: float,
@@ -521,8 +504,8 @@ def monte_carlo_overlaps(params: PhysicsParams, n_atoms: int,
     drawn once per distinct time, into three preallocated arrays, and
     each displacement's weights reuse one buffer.
 
-    n_atoms below 1000 or above ``MAX_ORACLE_ATOMS``, and a negative or
-    NaN time, raise DomainError before anything is drawn.
+    n_atoms below 1000 or above ``MAX_ORACLE_ATOMS``, a negative seed,
+    and a negative or NaN time raise DomainError before anything is drawn.
     """
     import numpy as np
 
@@ -531,6 +514,8 @@ def monte_carlo_overlaps(params: PhysicsParams, n_atoms: int,
         raise DomainError("need at least 1e3 atoms for a meaningful estimate")
     if n_atoms > MAX_ORACLE_ATOMS:
         raise DomainError(f"{n_atoms} atoms are more than {MAX_ORACLE_ATOMS}")
+    if seed < 0:
+        raise DomainError(f"seed {seed} is negative; it must be a non-negative integer")
     if not all(t >= 0.0 for _, t in points):
         raise DomainError("time must be non-negative")
     diff = physics.diffusion_coefficient(params)

@@ -679,6 +679,12 @@ class TestOracle:
                 == [repr(monte_carlo_overlap(default_params(), 2000, d, t, 3))
                     for d, t in ORACLE_GRID])
 
+    def test_negative_seed_is_named_error(self, capsys):
+        assert main(["--seed", "-1", "oracle"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: seed -1 is negative; it must be a non-negative integer\n"
+
     @pytest.mark.parametrize("n", [str(MAX_ORACLE_ATOMS + 1), "10000000000"])
     def test_absurd_atom_count_is_named_error(self, monkeypatch, capsys, n):
         def allocate(*args, **kwargs):

@@ -233,11 +233,11 @@ class TestOperationAndSequence:
 
 class TestValueTypes:
     def test_component_invariants(self):
-        SpinWaveComponent(0.5, 0.0, 18225.0, 0.0, 5.4)
+        # only the stored state: amplitude and birth time
+        assert core.fields(SpinWaveComponent) == ("amplitude", "t_birth_ns")
+        SpinWaveComponent(0.0, 0.0)
         with pytest.raises(ParamError):
-            SpinWaveComponent(-0.1, 0.0, 18225.0, 0.0, 5.4)
-        with pytest.raises(ParamError):
-            SpinWaveComponent(0.5, 0.0, 0.0, 0.0, 5.4)
+            SpinWaveComponent(-0.1, 0.0)
 
     def test_trace_event_invariants(self):
         TraceEvent(0.0, OpKind.READ, 190.0, 0.0, 0.0)
@@ -296,10 +296,9 @@ VALUE_TYPES = [
         "RailCalibration(f_rail=190.0, tau_us=5.4, tau_err_us=0.7, eta_mem=0.35)",
         ("eta_mem", 0.36), ("eta_mem", 1.5, ParamError), id="RailCalibration"),
     pytest.param(
-        SpinWaveComponent, (0.5, -337.5, 18225.0, 0.0, 5.4),
-        "SpinWaveComponent(amplitude=0.5, x_center=-337.5, s2=18225.0, t_birth_ns=0.0, "
-        "tau_us=5.4)",
-        ("s2", 20000.0), ("amplitude", -0.1, ParamError), id="SpinWaveComponent"),
+        SpinWaveComponent, (0.5, 400.0),
+        "SpinWaveComponent(amplitude=0.5, t_birth_ns=400.0)",
+        ("t_birth_ns", 800.0), ("amplitude", -0.1, ParamError), id="SpinWaveComponent"),
     pytest.param(
         Operation, (400.0, OpKind.READ, 190.0, 1.0),
         "Operation(t_ns=400.0, kind=<OpKind.READ: 'READ'>, f_rail=190.0, energy=1.0)",

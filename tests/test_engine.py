@@ -144,13 +144,19 @@ class TestWrite:
         assert leak == pytest.approx(0.4, abs=1e-15)
 
     def test_component_geometry(self):
+        # the snapshot holds the stored state; a read sees the component centred
+        # on its rail, with its rail's lifetime and the variance of its age
         mem = fresh()
         mem.write(190.0, 100.0, 1.0)
-        c = mem.components[0]
-        assert c.x_center == physics.rail_position_um(190.0, P)
-        assert c.s2 == P.sigma0 ** 2
-        assert c.t_birth_ns == 100.0
-        assert c.tau_us == 5.4
+        amplitude = mem.stored_on(190.0)
+        assert amplitude == math.sqrt(0.35)
+        assert mem.components == [core.SpinWaveComponent(amplitude, 100.0)]
+        s2 = physics.spread_variance_um2(P.sigma0 ** 2, 1.0, physics.diffusion_coefficient(P))
+        d = abs(physics.rail_position_um(210.0, P) - physics.rail_position_um(190.0, P))
+        expected = (amplitude * RAILS[2].eta_read * physics.temporal_decay(1.0, 1.0, 5.4)
+                    * physics._overlap(d, s2, physics.read_sampling_variance_um2(P)))
+        assert expected > 0.0
+        assert mem.read(210.0, 1100.0) == expected
 
     @given(energy=st.floats(1e-6, 1e3))
     def test_energy_accounting_exact(self, energy):
@@ -273,12 +279,16 @@ class TestStateEvolution:
         assert b == a
 
     def test_variance_only_grows(self):
+        diff = physics.diffusion_coefficient(P)
         mem = fresh()
         mem.write(190.0, 0.0, 1.0)
-        seen = [mem.components[0].s2]
-        for t in (0.4, 1.0, 2.0, 5.0):
+        seen = []
+        for t in (0.0, 0.4, 1.0, 2.0, 5.0):
             mem.advance(t * US)
-            seen.append(mem.components[0].s2)
+            [c] = mem.components
+            age_us = (mem.t_now_ns - c.t_birth_ns) / US
+            seen.append(physics.spread_variance_um2(P.sigma0 ** 2, age_us, diff))
+        assert seen[0] == P.sigma0 ** 2
         assert all(b > a for a, b in zip(seen, seen[1:]))
 
     def test_no_operation_increases_amplitudes(self):
@@ -322,22 +332,34 @@ def steps_program(steps) -> Sequence:
 
 
 def assert_state_derived_from_rail_and_age(seq: Sequence) -> None:
-    """After every op, each component's variance is sigma0² + 2 D age, exactly,
-    and its centre and lifetime are those of the rail it was written on."""
+    """Every read retrieves, exactly, the sum over the snapshot (oldest first)
+    of amplitude * eta_read * exp(-age / tau) * overlap, with each component's
+    centre and lifetime those of the rail it was written on and its variance
+    sigma0² + 2 D age; after every op the snapshot holds, in birth order, the
+    amplitude stored on each rail and the time of that rail's last write."""
     diff = physics.diffusion_coefficient(P)
+    v_read = physics.read_sampling_variance_um2(P)
     cals = {c.f_rail: c for c in RAILS}
-    written_on = {}
+    written_on, last_write = {}, {}
     mem = fresh()
     for op in seq.ops:
-        mem.apply(op)
+        expected = 0.0
+        for c in mem.components:
+            rail = written_on[c.t_birth_ns]
+            age_us = (op.t_ns - c.t_birth_ns) / US
+            s2 = physics.spread_variance_um2(P.sigma0 ** 2, age_us, diff)
+            d = abs(physics.rail_position_um(op.f_rail, P) - physics.rail_position_um(rail, P))
+            expected += (c.amplitude * cals[op.f_rail].eta_read
+                         * physics.temporal_decay(1.0, age_us, cals[rail].tau_us)
+                         * physics._overlap(d, s2, v_read))
+        out = mem.apply(op)
+        if op.kind is OpKind.READ:
+            assert out == expected
         if op.kind is OpKind.WRITE:
             written_on[op.t_ns] = op.f_rail
-        for c in mem.components:
-            age_us = (mem.t_now_ns - c.t_birth_ns) / US
-            assert c.s2 == physics.spread_variance_um2(P.sigma0 ** 2, age_us, diff)
-            rail = written_on[c.t_birth_ns]
-            assert c.x_center == physics.rail_position_um(rail, P)
-            assert c.tau_us == cals[rail].tau_us
+            last_write[op.f_rail] = op.t_ns
+        assert [(c.t_birth_ns, c.amplitude) for c in mem.components] == sorted(
+            (t, mem.stored_on(f)) for f, t in last_write.items() if mem.stored_on(f) > 0.0)
 
 
 class TestPool:
@@ -476,6 +498,19 @@ class TestDiagnose:
         seq = three_ops(first, 5000.0, last)
         assert engine.diagnose(engine.Memory(HOT, RAILS), seq) == []
         engine.run_sequence(engine.Memory(HOT, RAILS), seq)
+
+    def test_snapshot_of_components_too_old_for_a_read(self):
+        # a valid program (no read) leaves a component whose spread variance
+        # would overflow; the snapshot holds stored state only, so it is taken
+        seq = seqlang.parse("SEQUENCE s\nRAILS 190MHz 210MHz\nAT 0ns WRITE 190MHz\n"
+                            "AT 5us WRITE 210MHz\n")
+        mem = engine.Memory(HOT, RAILS)
+        engine.run_sequence(mem, seq)
+        with pytest.raises(DomainError, match="spread variance"):
+            physics.spread_variance_um2(HOT.sigma0 ** 2, 5.0, physics.diffusion_coefficient(HOT))
+        assert mem.stored_on(190.0) > 0.0
+        assert mem.components == [core.SpinWaveComponent(mem.stored_on(190.0), 0.0),
+                                  core.SpinWaveComponent(mem.stored_on(210.0), 5000.0)]
 
 
 class TestRenderWaveform:

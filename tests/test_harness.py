@@ -1,11 +1,12 @@
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, strategies as st
 
-from vapormem import core, engine, harness, physics
+from vapormem import core, engine, harness, physics, seqlang
 from vapormem.core import (
     DomainError,
     FitResult,
@@ -389,6 +390,10 @@ class TestRandomAccessSequence:
         from vapormem.seqlang import validate
         assert validate(random_access_sequence(), P) == []
 
+    def test_demo_file_is_the_same_program(self):
+        path = Path(__file__).resolve().parent.parent / "demos" / "random_access.seq"
+        assert seqlang.parse(path.read_text(encoding="utf-8")) == random_access_sequence()
+
     def test_rails(self):
         assert random_access_sequence().rails == (170.0, 190.0, 210.0, 230.0)
 
@@ -397,6 +402,14 @@ def _run_canonical():
     seq = random_access_sequence()
     trace = engine.run_sequence(engine.Memory(P, RAILS), seq)
     return trace, seq
+
+
+def _check_text(*ops):
+    """check_criteria of ops such as "WRITE 190", 400 ns apart, on rails 190 and 230."""
+    lines = [f"AT {400 * i}ns {verb} {rail}MHz" for i, (verb, rail) in
+             enumerate(op.split() for op in ops)]
+    seq = seqlang.parse("SEQUENCE s\nRAILS 190MHz 230MHz\n" + "\n".join(lines) + "\n")
+    return check_criteria(engine.run_sequence(engine.Memory(P, RAILS), seq), seq, P, RAILS)
 
 
 class TestCheckCriteria:
@@ -464,6 +477,35 @@ class TestCheckCriteria:
             check_criteria(tampered, seq, P, RAILS)
         with pytest.raises(TraceMismatchError):
             check_criteria(core.replace(trace, events=trace.events[:-1]), seq, P, RAILS)
+
+    def test_same_rail_pump_ends_the_pair(self):
+        # the pump empties the 190 rail; it is not an interaction, with or
+        # without another rail's op before it
+        for ops in (("WRITE 190", "READ 230", "PUMP 190", "READ 190"),
+                    ("WRITE 190", "PUMP 190", "READ 190")):
+            report = _check_text(*ops)
+            assert report.interaction_free == harness.CriterionCheck(True, 0.0)
+            assert report.all_pass
+
+    def test_write_after_a_pump_opens_a_scored_pair(self):
+        # the 8 MHz neighbor's read depletes the second write's pulse
+        rails = (RailCalibration(190.0, 5.4, 0.7, 0.35),
+                 RailCalibration(198.0, 5.4, 0.7, 0.35))
+        seq = Sequence("tight", (190.0, 198.0), tuple(
+            Operation(400.0 * i, kind, f) for i, (kind, f) in enumerate([
+                (OpKind.WRITE, 190.0), (OpKind.PUMP, 190.0), (OpKind.WRITE, 190.0),
+                (OpKind.READ, 198.0), (OpKind.READ, 190.0)])))
+        trace = engine.run_sequence(engine.Memory(P, rails), seq)
+        assert check_criteria(trace, seq, P, rails).interaction_free.margin > 1.0
+
+    def test_underflowing_prediction_is_not_scored(self):
+        # exp(-2000 / 2.6) is 0.0: the read is not compared with it
+        seq = seqlang.parse("SEQUENCE s\nRAILS 190MHz 230MHz\nAT 0ns WRITE 230MHz\n"
+                            "AT 400ns READ 190MHz\nAT 2000us READ 230MHz\n")
+        trace = engine.run_sequence(engine.Memory(P, RAILS), seq)
+        report = check_criteria(trace, seq, P, RAILS)
+        assert report.interaction_free == harness.CriterionCheck(True, 0.0)
+        assert report.all_pass
 
     def test_tolerances_are_configurable(self, monkeypatch):
         trace, seq = _run_canonical()
@@ -536,6 +578,16 @@ class TestMonteCarloOverlaps:
         # the cap itself is allowed: it reaches the allocation
         with pytest.raises(_Allocated):
             monte_carlo_overlaps(P, MAX_ORACLE_ATOMS, [(0.0, 0.4)], seed=1)
+
+    def test_negative_seed_rejected_before_any_draw(self, monkeypatch):
+        assert monte_carlo_overlaps(P, 1000, [(0.0, 0.4)], seed=0) == (1.0,)
+
+        def allocate(*args, **kwargs):
+            raise _Allocated
+        monkeypatch.setattr(np, "empty", allocate)
+        monkeypatch.setattr(np.random, "default_rng", allocate)
+        with pytest.raises(DomainError, match="^seed -1 is negative"):
+            monte_carlo_overlaps(P, 1000, [(0.0, 0.4)], seed=-1)
 
 
 class TestMonteCarloOverlap:
