@@ -13,12 +13,13 @@ from vapormem import (
     rail_position_um,
     transit_time_us,
 )
+from vapormem.physics import P_REF_TORR, T_REF_K
 
 p = default_params()
 d = diffusion_coefficient(p)
 
 print(f"cell diffusion coefficient: {d:.2f} cm^2/s "
-      f"(reference {p.d0} cm^2/s at {p.t0} K, {p.p0} torr)")
+      f"(reference {p.d0} cm^2/s at {T_REF_K} K, {P_REF_TORR} torr)")
 print(f"transit time across one signal radius (270 um): "
       f"{transit_time_us(270.0, d):.2f} us")
 print()

@@ -102,10 +102,7 @@ def load_config(path: str) -> tuple[dict, dict]:
                 raise ConfigError(f"{path}:{lineno}: bad value for {key!r}") from None
         elif key in _PARAM_KEYS:
             try:
-                if key == "m_dep":
-                    param_over[key] = int(value)
-                else:
-                    param_over[key] = float(value)
+                param_over[key] = int(value) if key == "m_dep" else float(value)
             except ValueError:
                 raise ConfigError(f"{path}:{lineno}: bad value for {key!r}") from None
         else:

@@ -79,12 +79,12 @@ _FLOAT_MAX = sys.float_info.max
 class _Value:
     """Base of the immutable value types.
 
-    A subclass names its fields in ``__init__`` order in ``_fields``, and its
-    own ``__init__`` sets each with ``_set`` and checks them. The base gives
-    what ``@dataclass(frozen=True)`` would: assigning or deleting an
-    attribute raises AttributeError, equality and hashing compare the
-    values ``_key`` returns, only between instances of the same class, and
-    the repr reads ``Name(field=value, ...)``.
+    A subclass names its fields in ``__init__`` order in ``_fields``; its
+    ``__init__`` sets them with ``_assign`` (or ``_set``) and checks them.
+    The base gives what ``@dataclass(frozen=True)`` would: assigning or
+    deleting an attribute raises AttributeError, equality and hashing
+    compare the values ``_key`` returns, only between instances of the same
+    class, and the repr reads ``Name(field=value, ...)``.
     """
 
     _fields: tuple[str, ...] = ()
@@ -94,6 +94,11 @@ class _Value:
 
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"cannot delete field {name!r}")
+
+    def _assign(self, *values) -> None:
+        """Set the fields to values, given in ``_fields`` order."""
+        for name, value in zip(self._fields, values, strict=True):
+            _set(self, name, value)
 
     def _key(self) -> tuple:
         """The values equality and hashing compare: every field's."""
@@ -141,15 +146,15 @@ class PhysicsParams(_Value):
     On-rail retrieval decays with the measured per-rail 1/e lifetime,
     exp(-t/tau); that is the model, not a setting.
 
+    Only independent constants are fields: the spin wave starts with the
+    signal beam's profile, so ``sigma0`` is the read-only w_signal / 2.
+
     Fields (units):
-        d0: diffusion constant at reference conditions, cm²/s
-        t0: reference temperature, K
-        p0: reference pressure, torr
+        d0: diffusion constant at 0 °C and 760 torr (physics.T_REF_K, P_REF_TORR), cm²/s
         t_cell: cell temperature, K
         p_buffer: buffer-gas pressure, torr
         w_signal: signal beam 1/e² intensity radius, µm
         w_control: control beam 1/e² intensity radius, µm
-        sigma0: initial spin-wave Gaussian standard deviation per axis, µm
         w_dep: depletion-kernel radius, µm
         m_dep: depletion-kernel super-Gaussian order
         f_center: deflector band center, MHz
@@ -160,43 +165,31 @@ class PhysicsParams(_Value):
         pump_fidelity: fraction of residual excitation removed by a pump
     """
 
-    _fields = ("d0", "t0", "p0", "t_cell", "p_buffer", "w_signal", "w_control",
-               "sigma0", "w_dep", "m_dep", "f_center", "f_halfband", "edge_loss",
-               "pos_per_mhz", "t_switch", "pump_fidelity")
+    _fields = ("d0", "t_cell", "p_buffer", "w_signal", "w_control", "w_dep", "m_dep",
+               "f_center", "f_halfband", "edge_loss", "pos_per_mhz", "t_switch",
+               "pump_fidelity")
 
-    def __init__(self, d0: float, t0: float, p0: float, t_cell: float, p_buffer: float,
-                 w_signal: float, w_control: float, sigma0: float, w_dep: float,
-                 m_dep: int, f_center: float, f_halfband: float, edge_loss: float,
-                 pos_per_mhz: float, t_switch: float, pump_fidelity: float) -> None:
-        _set(self, "d0", d0)
-        _set(self, "t0", t0)
-        _set(self, "p0", p0)
-        _set(self, "t_cell", t_cell)
-        _set(self, "p_buffer", p_buffer)
-        _set(self, "w_signal", w_signal)
-        _set(self, "w_control", w_control)
-        _set(self, "sigma0", sigma0)
-        _set(self, "w_dep", w_dep)
-        _set(self, "m_dep", m_dep)
-        _set(self, "f_center", f_center)
-        _set(self, "f_halfband", f_halfband)
-        _set(self, "edge_loss", edge_loss)
-        _set(self, "pos_per_mhz", pos_per_mhz)
-        _set(self, "t_switch", t_switch)
-        _set(self, "pump_fidelity", pump_fidelity)
+    def __init__(self, d0: float, t_cell: float, p_buffer: float, w_signal: float,
+                 w_control: float, w_dep: float, m_dep: int, f_center: float,
+                 f_halfband: float, edge_loss: float, pos_per_mhz: float,
+                 t_switch: float, pump_fidelity: float) -> None:
+        self._assign(d0, t_cell, p_buffer, w_signal, w_control, w_dep, m_dep, f_center,
+                     f_halfband, edge_loss, pos_per_mhz, t_switch, pump_fidelity)
         _require_finite(self)
-        for name in ("d0", "t0", "p0", "t_cell", "p_buffer", "w_signal",
-                     "w_control", "sigma0", "w_dep"):
+        for name in ("d0", "t_cell", "p_buffer", "w_signal", "w_control", "w_dep",
+                     "f_halfband", "pos_per_mhz", "t_switch"):
             _require(getattr(self, name) > 0.0, f"{name} must be strictly positive")
         _require(0.0 <= edge_loss < 1.0, "edge_loss must lie in [0, 1)")
         _require(0.0 <= pump_fidelity <= 1.0, "pump_fidelity must lie in [0, 1]")
         # a component's variance starts at sigma0², which must be a positive float
-        _require(0.0 < sigma0 * sigma0 <= _FLOAT_MAX,
-                 "sigma0² must be a strictly positive finite float")
+        _require(0.0 < self.sigma0 * self.sigma0 <= _FLOAT_MAX,
+                 "sigma0² = (w_signal / 2)² must be a strictly positive finite float")
         _require(m_dep >= 1, "m_dep must be at least 1")
-        _require(f_halfband > 0.0, "f_halfband must be strictly positive")
-        _require(t_switch > 0.0, "t_switch must be strictly positive")
-        _require(pos_per_mhz > 0.0, "pos_per_mhz must be strictly positive")
+
+    @property
+    def sigma0(self) -> float:
+        """Initial spin-wave standard deviation per axis, µm: half the signal radius."""
+        return self.w_signal / 2.0
 
     @property
     def band(self) -> tuple[float, float]:
@@ -222,10 +215,7 @@ class RailCalibration(_Value):
 
     def __init__(self, f_rail: float, tau_us: float, tau_err_us: float,
                  eta_mem: float) -> None:
-        _set(self, "f_rail", f_rail)
-        _set(self, "tau_us", tau_us)
-        _set(self, "tau_err_us", tau_err_us)
-        _set(self, "eta_mem", eta_mem)
+        self._assign(f_rail, tau_us, tau_err_us, eta_mem)
         _require_finite(self)
         _require(tau_us > 0.0, "tau_us must be strictly positive")
         _require(tau_err_us >= 0.0, "tau_err_us must be non-negative")
@@ -254,8 +244,7 @@ class SpinWaveComponent(_Value):
     _fields = ("amplitude", "t_birth_ns")
 
     def __init__(self, amplitude: float, t_birth_ns: float) -> None:
-        _set(self, "amplitude", amplitude)
-        _set(self, "t_birth_ns", t_birth_ns)
+        self._assign(amplitude, t_birth_ns)
         _require(amplitude >= 0.0, "amplitude must be non-negative")
 
 
@@ -268,15 +257,17 @@ class Operation(_Value):
         _set(self, "t_ns", t_ns)
         _set(self, "kind", kind)
         _set(self, "f_rail", f_rail)
-        _set(self, "energy", energy)
         # parse builds every op of a program here, so each check is a chained
         # comparison, not a call
         if not 0.0 <= t_ns <= _FLOAT_MAX:
             raise ParamError("operation time must be finite and non-negative")
         if not -_FLOAT_MAX <= energy <= _FLOAT_MAX:
             raise ParamError("operation energy must be finite")
-        if kind is OpKind.WRITE and not energy > 0.0:
+        if kind is not OpKind.WRITE:
+            energy = 1.0  # ignored, so equality and the text format ignore it too
+        elif not energy > 0.0:
             raise ParamError("write energy must be strictly positive")
+        _set(self, "energy", energy)
 
 
 class Sequence(_Value):
@@ -295,11 +286,8 @@ class Sequence(_Value):
     def __init__(self, name: str, rails: tuple[float, ...], ops: tuple[Operation, ...],
                  src_lines: tuple[int, ...] | None = None,
                  rails_line: int | None = None) -> None:
-        _set(self, "name", name)
-        _set(self, "rails", tuple(rails))
-        _set(self, "ops", tuple(ops))
-        _set(self, "src_lines", None if src_lines is None else tuple(src_lines))
-        _set(self, "rails_line", rails_line)
+        self._assign(name, tuple(rails), tuple(ops),
+                     None if src_lines is None else tuple(src_lines), rails_line)
         if self.src_lines is not None:
             _require(len(self.src_lines) == len(self.ops), "src_lines must parallel ops")
         if len(set(self.rails)) != len(self.rails):
@@ -371,10 +359,7 @@ class FitResult(_Value):
     _fields = ("a0", "tau_us", "tau_err_us", "rss")
 
     def __init__(self, a0: float, tau_us: float, tau_err_us: float, rss: float) -> None:
-        _set(self, "a0", a0)
-        _set(self, "tau_us", tau_us)
-        _set(self, "tau_err_us", tau_err_us)
-        _set(self, "rss", rss)
+        self._assign(a0, tau_us, tau_err_us, rss)
         _require_finite(self)
         _require(tau_us > 0.0, "fitted tau must be strictly positive")
         _require(rss >= 0.0, "rss must be non-negative")
@@ -386,21 +371,18 @@ def default_params() -> PhysicsParams:
     The cell runs at 60 °C with 5 torr of nitrogen buffer gas; the
     deflector band is 200±50 MHz with 25 % diffraction loss at the edges
     and 8 MHz of drive change moving the beam by one signal radius
-    (270 µm, hence 33.75 µm/MHz). The diffusion constant is referenced to
-    0 °C and 760 torr. sigma0 is the intensity standard deviation of the
-    signal beam (half its 1/e² radius). The depletion kernel (w_dep,
-    m_dep) is calibrated so a read fully depletes excitations up to one
-    signal radius away while leaving rails 20 MHz away untouched.
+    (270 µm, hence 33.75 µm/MHz). d0 is quoted at 0 °C and 760 torr.
+    sigma0 = w_signal / 2 = 135 µm, the signal beam's intensity standard
+    deviation, is not a parameter. The depletion kernel (w_dep, m_dep) is
+    calibrated so a read fully depletes excitations up to one signal
+    radius away while leaving rails 20 MHz away untouched.
     """
     return PhysicsParams(
         d0=0.24,
-        t0=273.15,
-        p0=760.0,
         t_cell=333.15,
         p_buffer=5.0,
         w_signal=270.0,
         w_control=350.0,
-        sigma0=135.0,
         w_dep=450.0,
         m_dep=4,
         f_center=200.0,

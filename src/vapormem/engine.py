@@ -48,7 +48,7 @@ class Memory:
 
     All mutation goes through :meth:`apply` (or :meth:`pump`,
     :meth:`write` and :meth:`read`) and :meth:`advance`; time never moves
-    backwards.
+    backwards, and an operation that raises leaves the memory as it was.
 
     Each rail holds at most one live component, stored as its amplitude
     and birth time only. Its centre and lifetime are its rail's, and its
@@ -75,9 +75,10 @@ class Memory:
         # the live component of each rail, oldest write first: [amplitude, t_birth_ns]
         self._stored: dict[float, list[float]] = {}
         self.t_now_ns = 0.0
-        # the cell diffusion coefficient and the read sampling variance are
-        # fixed for the lifetime of the state
+        # the cell diffusion coefficient, the initial variance sigma0² and the
+        # read sampling variance are fixed for the lifetime of the state
         self._diff = physics.diffusion_coefficient(params)
+        self._s2_birth = params.sigma0 ** 2
         self._v_read = physics.read_sampling_variance_um2(params)
 
     @property
@@ -92,7 +93,7 @@ class Memory:
 
     def _variance(self, age_us: float) -> float:
         """Per-axis variance of a component of the given age (free diffusion)."""
-        return physics.spread_variance_um2(self.params.sigma0 ** 2, age_us, self._diff)
+        return physics.spread_variance_um2(self._s2_birth, age_us, self._diff)
 
     def _rail(self, f_rail: float) -> tuple[RailCalibration, float]:
         """Calibration and beam position of a calibrated rail.
@@ -179,17 +180,22 @@ class Memory:
         component loses the depletion fraction for its distance.
         """
         cal, x_op = self._rail(f_rail)
+        t_was = self.t_now_ns
         self.advance(t_ns)
         eta_read = cal.eta_read
         retrieved = 0.0
-        for f, (amplitude, t_birth_ns) in self._stored.items():
-            stored_cal, x_center = self._rails[f]
-            age_us = (t_ns - t_birth_ns) / NS_PER_US
-            decay = physics.temporal_decay(1.0, age_us, stored_cal.tau_us)
-            # a variance from _variance is at least sigma0² > 0
-            retrieved += (amplitude * eta_read * decay
-                          * physics._overlap(abs(x_op - x_center),
-                                             self._variance(age_us), self._v_read))
+        try:
+            for f, (amplitude, t_birth_ns) in self._stored.items():
+                stored_cal, x_center = self._rails[f]
+                age_us = (t_ns - t_birth_ns) / NS_PER_US
+                decay = physics.temporal_decay(1.0, age_us, stored_cal.tau_us)
+                # a variance from _variance is at least sigma0² > 0
+                retrieved += (amplitude * eta_read * decay
+                              * physics._overlap(abs(x_op - x_center),
+                                                 self._variance(age_us), self._v_read))
+        except DomainError:
+            self.t_now_ns = t_was
+            raise
         self._deplete(x_op, 1.0)
         return retrieved
 

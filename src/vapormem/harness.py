@@ -29,7 +29,6 @@ from .core import (
     Trace,
     UnknownRailError,
     VaporMemError,
-    _set,
     _Value,
     replace,
 )
@@ -112,9 +111,7 @@ class ScanResult(_Value):
 
     def __init__(self, axis_name: str, axis: tuple[float, ...],
                  series: dict[str, tuple[float, ...]]) -> None:
-        _set(self, "axis_name", axis_name)
-        _set(self, "axis", tuple(axis))
-        _set(self, "series", {k: tuple(v) for k, v in series.items()})
+        self._assign(axis_name, tuple(axis), {k: tuple(v) for k, v in series.items()})
         for name, vals in self.series.items():
             if len(vals) != len(self.axis):
                 raise DomainError(f"series {name!r} length differs from axis")
@@ -130,8 +127,7 @@ class CriterionCheck(_Value):
     _fields = ("passed", "margin")
 
     def __init__(self, passed: bool, margin: float) -> None:
-        _set(self, "passed", passed)
-        _set(self, "margin", margin)
+        self._assign(passed, margin)
 
 
 class CriteriaReport(_Value):
@@ -141,9 +137,7 @@ class CriteriaReport(_Value):
 
     def __init__(self, interaction_free: CriterionCheck, empty_state: CriterionCheck,
                  full_retrieval: CriterionCheck) -> None:
-        _set(self, "interaction_free", interaction_free)
-        _set(self, "empty_state", empty_state)
-        _set(self, "full_retrieval", full_retrieval)
+        self._assign(interaction_free, empty_state, full_retrieval)
 
     @property
     def all_pass(self) -> bool:
@@ -191,14 +185,12 @@ def scan_lifetime(params: PhysicsParams, rails_cal: Iterable[RailCalibration],
     """Retrieved energy against storage delay on one rail.
 
     Each point runs on a fresh memory: pump, write a unit pulse at t = 0,
-    read after the delay.
+    read after the delay. Delays that are not positive and strictly
+    ascending, NaN included, raise DomainError before any point runs.
     """
     cal = _find_cal(tuple(rails_cal), f_rail)
-    prev = 0.0
-    for d in delays_us:
-        if d <= prev:
-            raise DomainError("delays must be positive and strictly ascending")
-        prev = d
+    if not all(b > a for a, b in zip((0.0, *delays_us), delays_us)):
+        raise DomainError("delays must be positive and strictly ascending")
     retrieved = []
     for delay in delays_us:
         mem = engine.Memory(params, [cal])
@@ -370,13 +362,19 @@ def extrapolate_efficiency(e_read: float, t_read_us: float, tau_us: float) -> fl
 
     Undoes the storage decay over t_read: eta = e_read * exp(t_read / tau).
     Energies are in units of the normalization pulse, so e_read needs no
-    further normalization.
+    further normalization. A NaN argument, or an eta that is not a finite
+    float, raises DomainError.
     """
-    if e_read <= 0.0 or tau_us <= 0.0:
-        raise DomainError("energies and lifetime must be strictly positive")
-    if t_read_us < 0.0:
-        raise DomainError("read time must be non-negative")
-    return e_read * math.exp(t_read_us / tau_us)
+    if not (e_read > 0.0 and tau_us > 0.0 and t_read_us >= 0.0):
+        raise DomainError("energy and lifetime must be strictly positive, "
+                          "read time non-negative")
+    try:
+        eta = e_read * math.exp(t_read_us / tau_us)
+        if math.isfinite(eta):
+            return eta
+    except OverflowError:
+        pass
+    raise DomainError("extrapolated efficiency must be a finite float")
 
 
 def weighted_mean(values: SeqABC[float], sigmas: SeqABC[float]) -> tuple[float, float]:
@@ -385,7 +383,7 @@ def weighted_mean(values: SeqABC[float], sigmas: SeqABC[float]) -> tuple[float, 
         raise DomainError("values and sigmas must have equal length")
     if not values:
         raise DomainError("need at least one value")
-    if any(s <= 0.0 for s in sigmas):
+    if not all(s > 0.0 for s in sigmas):
         raise DomainError("sigmas must be strictly positive")
     # s * s underflows to 0 for a tiny sigma (1/(s * s) overflows for a slightly
     # larger one) and overflows to inf for a huge one
@@ -394,6 +392,8 @@ def weighted_mean(values: SeqABC[float], sigmas: SeqABC[float]) -> tuple[float, 
     if not 0.0 < total < math.inf:
         raise DomainError("weights 1/sigma² must be finite and not all zero")
     mean = sum(w * x for w, x in zip(weights, values)) / total
+    if not math.isfinite(mean):  # a NaN or infinite value, or an overflow
+        raise DomainError("weighted mean must be a finite float")
     return mean, 1.0 / math.sqrt(total)
 
 
@@ -421,12 +421,13 @@ def check_criteria(trace: Trace, seq: Sequence, params: PhysicsParams,
                    rails_cal: Iterable[RailCalibration]) -> CriteriaReport:
     """Evaluate the three random-access memory criteria on a trace.
 
-    interaction_free: a write's first read, when only operations on other
-    rails ran between them, retrieves within ``INTERACTION_TOL`` of the
-    analytic no-intervention prediction energy * eta_mem * exp(-dt / tau).
-    A pump on the write's rail ends the pair unscored, since it is not an
-    interaction, and so does a prediction that underflows to 0.0, where
-    the ratio has no meaning. empty_state: every read of a rail holding at
+    interaction_free: a write's first read, when at least one operation
+    ran between them and every one was on another rail, retrieves within
+    ``INTERACTION_TOL`` of the analytic no-intervention prediction
+    energy * eta_mem * exp(-dt / tau); a read directly after its write is
+    not scored. A pump on the write's rail ends the pair unscored, since it
+    is not an interaction, and so does a prediction that underflows to 0.0,
+    where the ratio has no meaning. empty_state: every read of a rail holding at
     most 1e-12 just before it returns at most ``EMPTY_TOL`` of the
     reference retrieval ``REFERENCE_ENERGY``. full_retrieval: every
     immediate re-read (adjacent operations, same rail) returns at most

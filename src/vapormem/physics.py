@@ -13,18 +13,21 @@ from .core import DomainError, OutOfBandError, PhysicsParams
 
 # variance growth conversion: 1 cm^2/s = 1e8 um^2/s = 100 um^2/us
 _CM2_PER_S_TO_UM2_PER_US = 100.0
+# d0's reference conditions, 0 °C and 760 torr (Firstenberg et al., RMP 85, 941 (2013))
+T_REF_K = 273.15
+P_REF_TORR = 760.0
 
 
 def diffusion_coefficient(p: PhysicsParams) -> float:
     """Diffusion coefficient under cell conditions, cm²/s.
 
-    Scales the reference value inversely with buffer pressure and with
-    temperature to the 3/2 power:  D = d0 * (p0/p_buffer) * (t_cell/t0)^1.5
+    Scales d0 inversely with buffer pressure and with temperature to the
+    3/2 power: D = d0 * (P_REF_TORR / p_buffer) * (t_cell / T_REF_K)^1.5
     Raises DomainError when D, or the variance growth rate 2 D it sets, is
     not a finite float.
     """
     try:
-        diff = p.d0 * (p.p0 / p.p_buffer) * (p.t_cell / p.t0) ** 1.5
+        diff = p.d0 * (P_REF_TORR / p.p_buffer) * (p.t_cell / T_REF_K) ** 1.5
     except OverflowError:
         diff = math.inf
     if not math.isfinite(2.0 * diff * _CM2_PER_S_TO_UM2_PER_US):
@@ -38,7 +41,7 @@ def transit_time_us(delta_x_um: float, d_cm2_s: float) -> float:
 
     Inverts the 2D diffusion length relation delta_x = sqrt(4 D t).
     """
-    if delta_x_um <= 0.0 or d_cm2_s <= 0.0:
+    if not (delta_x_um > 0.0 and d_cm2_s > 0.0):
         raise DomainError("distance and diffusion coefficient must be positive")
     # um^2 / (um^2/us): 4*D in um^2/us is 4*D*100
     return delta_x_um * delta_x_um / (4.0 * d_cm2_s * _CM2_PER_S_TO_UM2_PER_US)
@@ -93,11 +96,12 @@ def read_sampling_variance_um2(p: PhysicsParams) -> float:
     Retrieval is driven by the control beam and the retrieved light is
     detected in the signal mode, so the sampling weight is the product of
     both intensity profiles; per axis the variances (w/2)² combine
-    harmonically. Raises DomainError when that arithmetic overflows.
+    harmonically, the signal's being sigma0². Raises DomainError when that
+    arithmetic overflows.
     """
     try:
         v_control = (p.w_control / 2.0) ** 2
-        v_signal = (p.w_signal / 2.0) ** 2
+        v_signal = p.sigma0 ** 2
         v = v_control * v_signal / (v_control + v_signal)
     except OverflowError:
         v = math.inf
@@ -115,8 +119,8 @@ def overlap_factor(d_um: float, s2_um2: float, p: PhysicsParams) -> float:
     Equals 1 iff d = 0; grows toward 1 with s2 for fixed d != 0 as the
     spreading component reaches the displaced read beam.
     """
-    if s2_um2 < 0.0:
-        raise DomainError("variance must be non-negative")
+    if not s2_um2 >= 0.0 or math.isnan(d_um):
+        raise DomainError("variance must be non-negative and displacement not NaN")
     return _overlap(d_um, s2_um2, read_sampling_variance_um2(p))
 
 
@@ -137,18 +141,21 @@ def depletion_fraction(d_um: float, p: PhysicsParams) -> float:
     (and much flatter than) the retrieval overlap. Beyond w_dep a high
     order makes the power overflow a float, and exp(-huge) is 0.0.
     """
+    x = abs(d_um) / p.w_dep
+    if not x >= 0.0:
+        raise DomainError("distance must not be NaN")
     # a float exponent is inf, not an error, when 2 * m_dep is beyond a float
     try:
-        return math.exp(-((abs(d_um) / p.w_dep) ** (2.0 * p.m_dep)))
+        return math.exp(-(x ** (2.0 * p.m_dep)))
     except OverflowError:
         return 0.0
 
 
 def temporal_decay(amplitude: float, dt_us: float, tau_us: float) -> float:
     """Exponential storage decay: amplitude * exp(-dt / tau)."""
-    if tau_us <= 0.0:
+    if not tau_us > 0.0:
         raise DomainError("lifetime must be strictly positive")
-    if dt_us < 0.0:
+    if not dt_us >= 0.0:
         raise DomainError("elapsed time must be non-negative")
     return amplitude * math.exp(-dt_us / tau_us)
 

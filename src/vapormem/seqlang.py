@@ -30,12 +30,13 @@ import math
 import re
 
 from .core import (
+    _FLOAT_MAX,
     OpKind,
     Operation,
+    ParamError,
     PhysicsParams,
     Sequence,
     VaporMemError,
-    _set,
     _Value,
 )
 
@@ -86,10 +87,7 @@ class Diagnostic(_Value):
     _fields = ("code", "severity", "line", "message")
 
     def __init__(self, code: str, severity: str, line: int, message: str) -> None:
-        _set(self, "code", code)
-        _set(self, "severity", severity)
-        _set(self, "line", line)
-        _set(self, "message", message)
+        self._assign(code, severity, line, message)
 
 
 def _col(line: str, k: int) -> int:
@@ -246,9 +244,17 @@ def format_sequence(seq: Sequence) -> str:
     """Canonical text rendering; parse(format_sequence(s)) equals s.
 
     Times are printed in ns, as integers when exact; the default write
-    energy 1.0 is omitted.
+    energy 1.0 is omitted. A sequence the text cannot hold, one whose name
+    is not one whitespace-free token without ``#`` or with a rail that is
+    not finite and non-negative, raises ParamError.
     """
-    lines = [f"SEQUENCE {seq.name}"]
+    name = seq.name
+    if not (isinstance(name, str) and "#" not in name and name.split() == [name]):
+        raise ParamError(f"sequence name {name!r} is not one token without '#'")
+    for f in seq.rails:
+        if not 0.0 <= f <= _FLOAT_MAX:
+            raise ParamError(f"rail {f!r} is not a finite non-negative float")
+    lines = [f"SEQUENCE {name}"]
     if seq.rails:
         lines.append("RAILS " + " ".join(f"{_fmt_number(f)}MHz" for f in seq.rails))
     for op in seq.ops:

@@ -64,8 +64,8 @@ NON_FINITE_CONFIGS = [
 OVERFLOWING_CONFIGS = [
     ("t_cell = 1e308", "diffusion coefficient"),
     ("d0 = 1e308", "diffusion coefficient"),
-    ("p0 = 1e308", "diffusion coefficient"),
-    ("w_signal = 1e308", "read sampling variance"),
+    ("p_buffer = 1e-304", "diffusion coefficient"),
+    ("w_signal = 1e308", "sigma0"),
     ("w_control = 1e308", "read sampling variance"),
     ("pos_per_mhz = 1e307", "beam position"),
 ]
@@ -502,7 +502,7 @@ class TestLateError:
     # the report's error comes after the first table row is known; the
     # oracle's overflowing read variance is caught with the configuration
     @pytest.mark.parametrize("line,command", [
-        ("w_signal = 1e308", ["oracle", "--n", "1000"]),
+        ("w_control = 1e308", ["oracle", "--n", "1000"]),
         ("rail.190.tau_err_us = 1e-308", ["report"]),
     ], ids=["oracle", "report"])
     def test_prints_nothing_before_the_error(self, tmp_path, capfd, line, command):
@@ -527,6 +527,26 @@ class TestConfig:
         cfg.write_text("decay_mode = diffusive\n")
         assert main(["--config", str(cfg), "report"]) == 2
         assert "unknown key 'decay_mode'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["sigma0", "t0", "p0"])
+    def test_derived_and_reference_values_are_unknown_keys(self, seqfile, tmp_path,
+                                                          capsys, key):
+        # sigma0 is w_signal / 2, and d0 is quoted at fixed reference conditions
+        cfg = tmp_path / "removed.cfg"
+        cfg.write_text(f"{key} = 1\n")
+        out = tmp_path / "trace.csv"
+        rc = main(["--config", str(cfg), "run", seqfile(CANONICAL), "--trace-out", str(out)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert f"unknown key {key!r}" in captured.err
+        assert not out.exists()
+
+    def test_wider_signal_beam_still_passes_the_report(self, tmp_path, capsys):
+        cfg = tmp_path / "wide.cfg"
+        cfg.write_text("w_signal = 300\n")
+        assert main(["--config", str(cfg), "report"]) == 0
+        assert capsys.readouterr().out.endswith("REPORT PASS\n")
 
     def test_override_revalidated(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"

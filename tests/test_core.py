@@ -6,7 +6,7 @@ import re
 import pytest
 from hypothesis import given, strategies as st
 
-from vapormem import core
+from vapormem import core, physics
 from vapormem.core import (
     DomainError,
     DuplicateRailError,
@@ -32,8 +32,7 @@ class TestDefaultParams:
     def test_calibrated_values(self):
         p = default_params()
         assert p.d0 == 0.24
-        assert p.t0 == 273.15
-        assert p.p0 == 760.0
+        assert (physics.T_REF_K, physics.P_REF_TORR) == (273.15, 760.0)
         assert p.t_cell == 333.15
         assert p.p_buffer == 5.0
         assert p.w_signal == 270.0
@@ -53,6 +52,22 @@ class TestDefaultParams:
         p = default_params()
         assert p.sigma0 == p.w_signal / 2.0 == 135.0
 
+    def test_only_independent_constants_are_fields(self):
+        names = core.fields(PhysicsParams)
+        assert len(names) == 13
+        assert not {"sigma0", "t0", "p0"} & set(names)
+        for name in ("sigma0", "t0", "p0"):
+            with pytest.raises(TypeError):
+                core.replace(default_params(), **{name: 1.0})
+
+    def test_sigma0_follows_the_signal_beam(self):
+        p = core.replace(default_params(), w_signal=300.0)
+        assert p.sigma0 == 150.0
+        with pytest.raises(AttributeError):
+            p.sigma0 = 135.0
+        with pytest.raises(ParamError, match=r"^sigma0² = \(w_signal / 2\)² must be"):
+            core.replace(p, w_signal=1e200)
+
     def test_bit_stable_across_calls(self):
         assert default_params() == default_params()
         assert default_rails() == default_rails()
@@ -64,9 +79,9 @@ class TestDefaultParams:
         assert not p.in_band(149.999) and not p.in_band(250.001)
 
     @pytest.mark.parametrize("field,value", [
-        ("d0", 0.0), ("d0", -1.0), ("t0", 0.0), ("p_buffer", -5.0),
-        ("w_signal", 0.0), ("w_control", -1.0), ("sigma0", 0.0),
-        ("sigma0", 1e-200), ("sigma0", 1e200),
+        ("d0", 0.0), ("d0", -1.0), ("p_buffer", -5.0),
+        ("w_signal", 0.0), ("w_control", -1.0),
+        ("w_signal", 1e-200), ("w_signal", 1e200),
         ("w_dep", 0.0), ("m_dep", 0), ("f_halfband", 0.0),
         ("edge_loss", -0.1), ("edge_loss", 1.0), ("t_switch", 0.0),
         ("pump_fidelity", -0.1), ("pump_fidelity", 1.1), ("pos_per_mhz", 0.0),
@@ -284,12 +299,10 @@ _PASS = CriterionCheck(True, 0.5)
 VALUE_TYPES = [
     pytest.param(
         PhysicsParams,
-        (0.24, 273.15, 760.0, 333.15, 5.0, 270.0, 350.0, 135.0, 450.0, 4, 200.0, 50.0,
-         0.25, 33.75, 48.0, 1.0),
-        "PhysicsParams(d0=0.24, t0=273.15, p0=760.0, t_cell=333.15, p_buffer=5.0, "
-        "w_signal=270.0, w_control=350.0, sigma0=135.0, w_dep=450.0, m_dep=4, "
-        "f_center=200.0, f_halfband=50.0, edge_loss=0.25, pos_per_mhz=33.75, "
-        "t_switch=48.0, pump_fidelity=1.0)",
+        (0.24, 333.15, 5.0, 270.0, 350.0, 450.0, 4, 200.0, 50.0, 0.25, 33.75, 48.0, 1.0),
+        "PhysicsParams(d0=0.24, t_cell=333.15, p_buffer=5.0, w_signal=270.0, "
+        "w_control=350.0, w_dep=450.0, m_dep=4, f_center=200.0, f_halfband=50.0, "
+        "edge_loss=0.25, pos_per_mhz=33.75, t_switch=48.0, pump_fidelity=1.0)",
         ("d0", 0.25), ("t_switch", 0.0, ParamError), id="PhysicsParams"),
     pytest.param(
         RailCalibration, (190.0, 5.4, 0.7, 0.35),
@@ -414,6 +427,12 @@ class TestValueTypeDefaults:
     def test_operation_energy_defaults_to_one(self):
         assert Operation(400.0, OpKind.READ, 190.0) == Operation(400.0, OpKind.READ, 190.0, 1.0)
         assert Operation(400.0, OpKind.READ, 190.0).energy == 1.0
+
+    @pytest.mark.parametrize("kind", [OpKind.READ, OpKind.PUMP])
+    def test_ignored_energy_is_stored_as_the_default(self, kind):
+        # a read or pump ignores its energy, so equality ignores it too
+        assert Operation(400.0, kind, 190.0, 5.0).energy == 1.0
+        assert Operation(400.0, kind, 190.0, -5.0) == Operation(400.0, kind, 190.0)
 
     def test_sequence_source_lines_default_to_none(self):
         plain = Sequence("s", (190.0,), (_WRITE,))

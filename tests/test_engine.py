@@ -98,7 +98,7 @@ class TestConstruction:
 
     @pytest.mark.parametrize("change,quantity", [
         (dict(t_cell=1e308), "diffusion coefficient"),
-        (dict(w_signal=1e308), "read sampling variance"),
+        (dict(w_control=1e308), "read sampling variance"),
     ])
     def test_overflowing_constant_rejected_at_construction(self, change, quantity):
         # both are computed once per memory, not on every read
@@ -256,6 +256,33 @@ class TestRead:
         with pytest.raises(TimeOrderError):
             mem.read(190.0, 0.0)
         assert mem.read(190.0, 1400.0) > 0.0  # the stored component was kept too
+
+    def test_read_that_raises_leaves_the_memory_as_it_was(self):
+        # under d0 = 4e303 a component 2 us old has no float variance; the
+        # failed read keeps the clock and the component, so an earlier read runs
+        mem = engine.Memory(HOT, RAILS)
+        mem.write(190.0, 0.0, 1.0)
+        stored = mem.components
+        with pytest.raises(DomainError, match="spread variance"):
+            mem.read(190.0, 2000.0)
+        assert mem.t_now_ns == 0.0
+        assert mem.components == stored
+        assert mem.read(190.0, 1000.0) > 0.0
+
+    def test_signal_radius_sets_the_initial_variance(self):
+        # sigma0 follows w_signal: a 300 um signal beam starts components at 150 um
+        p = core.replace(P, w_signal=300.0)
+        assert p.sigma0 == 150.0
+        mem = engine.Memory(p, RAILS)
+        mem.write(190.0, 0.0, 1.0)
+        amplitude = mem.stored_on(190.0)
+        age_us = 0.4
+        s2 = 150.0 ** 2 + 2.0 * physics.diffusion_coefficient(p) * 100.0 * age_us
+        d = abs(physics.rail_position_um(210.0, p) - physics.rail_position_um(190.0, p))
+        expected = (amplitude * RAILS[2].eta_read * physics.temporal_decay(1.0, age_us, 5.4)
+                    * math.exp(-(d * d) / (2.0 * (s2 + physics.read_sampling_variance_um2(p)))))
+        assert expected > 0.0
+        assert mem.read(210.0, age_us * US) == expected
 
 
 class TestStateEvolution:

@@ -153,6 +153,11 @@ class TestScanLifetime:
         with pytest.raises(DomainError):
             scan_lifetime(P, RAILS, 190.0, [0.0, 0.4])
 
+    @pytest.mark.parametrize("delays", [[0.4, math.nan], [math.nan]])
+    def test_nan_delay_is_a_domain_error(self, delays):
+        with pytest.raises(DomainError, match="ascending"):
+            scan_lifetime(P, RAILS, 190.0, delays)
+
     def test_fit_recovers_every_rail(self):
         for cal in RAILS:
             scan = scan_lifetime(P, RAILS, cal.f_rail)
@@ -336,6 +341,19 @@ class TestExtrapolateEfficiency:
         with pytest.raises(DomainError):
             extrapolate_efficiency(*args)
 
+    @pytest.mark.parametrize("args", [
+        (math.nan, 0.4, 3.2), (0.3, math.nan, 3.2), (0.3, 0.4, math.nan),
+    ])
+    def test_nan_is_a_domain_error(self, args):
+        with pytest.raises(DomainError):
+            extrapolate_efficiency(*args)
+
+    # exp(t / tau) overflows; the product with e_read overflows
+    @pytest.mark.parametrize("args", [(1.0, 1000.0, 1e-3), (1e300, 1000.0, 1.0)])
+    def test_overflow_is_a_domain_error(self, args):
+        with pytest.raises(DomainError, match="finite float"):
+            extrapolate_efficiency(*args)
+
 
 class TestWeightedMean:
     def test_calibrated_lifetimes(self):
@@ -365,6 +383,18 @@ class TestWeightedMean:
             weighted_mean([1.0], [0.0])
         with pytest.raises(DomainError):
             weighted_mean([], [])
+
+    @pytest.mark.parametrize("values,sigmas", [
+        ([math.nan], [1.0]), ([math.inf], [1.0]), ([3.0, math.nan], [0.3, 0.3]),
+        ([3.0], [math.nan]),
+    ])
+    def test_nan_is_a_domain_error(self, values, sigmas):
+        with pytest.raises(DomainError):
+            weighted_mean(values, sigmas)
+
+    def test_overflowing_mean_is_a_domain_error(self):
+        with pytest.raises(DomainError, match="finite float"):
+            weighted_mean([1e308, 1e308], [1.0, 1.0])
 
     # s * s underflows to 0; 1 / (s * s) overflows; every weight underflows to 0
     @pytest.mark.parametrize("sigmas", [[0.3, 1e-308], [0.3, 1e-160], [1e200, 1e200]])

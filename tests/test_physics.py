@@ -7,6 +7,8 @@ from scipy.integrate import dblquad
 from vapormem import core
 from vapormem.core import DomainError, OutOfBandError, default_params
 from vapormem.physics import (
+    P_REF_TORR,
+    T_REF_K,
     aod_efficiency,
     depletion_fraction,
     diffusion_coefficient,
@@ -41,7 +43,7 @@ def overlap_quadrature(d, s2, v):
 
 class TestDiffusion:
     def test_reference_conditions_return_d0_exactly(self):
-        p = core.replace(P, t_cell=P.t0, p_buffer=P.p0)
+        p = core.replace(P, t_cell=T_REF_K, p_buffer=P_REF_TORR)
         assert diffusion_coefficient(p) == 0.24
 
     def test_default_cell_conditions(self):
@@ -53,11 +55,11 @@ class TestDiffusion:
         assert diffusion_coefficient(P) == pytest.approx(d_oracle, rel=0.02)
 
     def test_double_pressure_halves_d(self):
-        p = core.replace(P, t_cell=P.t0, p_buffer=2 * P.p0)
+        p = core.replace(P, t_cell=T_REF_K, p_buffer=2 * P_REF_TORR)
         assert diffusion_coefficient(p) == pytest.approx(0.12, rel=1e-14)
 
-    # (t_cell/t0)^1.5 overflows; D is finite but 2 D in um^2/us is not; D overflows
-    @pytest.mark.parametrize("change", [{"t_cell": 1e308}, {"p0": 1e308}, {"d0": 1e306}])
+    # (t_cell/T_REF_K)^1.5 overflows; D is finite but 2 D in um^2/us is not; D overflows
+    @pytest.mark.parametrize("change", [{"t_cell": 1e308}, {"p_buffer": 1e-304}, {"d0": 1e306}])
     def test_overflow_is_a_domain_error(self, change):
         with pytest.raises(DomainError, match="diffusion coefficient"):
             diffusion_coefficient(core.replace(P, **change))
@@ -80,6 +82,11 @@ class TestTransitTime:
 
     @pytest.mark.parametrize("dx,dd", [(0.0, 1.0), (-1.0, 1.0), (270.0, 0.0), (270.0, -1.0)])
     def test_domain(self, dx, dd):
+        with pytest.raises(DomainError):
+            transit_time_us(dx, dd)
+
+    @pytest.mark.parametrize("dx,dd", [(math.nan, 1.0), (270.0, math.nan)])
+    def test_nan_is_a_domain_error(self, dx, dd):
         with pytest.raises(DomainError):
             transit_time_us(dx, dd)
 
@@ -177,6 +184,11 @@ class TestOverlap:
         # a spreading component reaches a displaced read beam more, not less
         assert overlap_factor(d, s2 + ds, P) > overlap_factor(d, s2, P)
 
+    @pytest.mark.parametrize("d,s2", [(math.nan, 18225.0), (270.0, math.nan)])
+    def test_nan_is_a_domain_error(self, d, s2):
+        with pytest.raises(DomainError):
+            overlap_factor(d, s2, P)
+
     def test_unity_only_on_axis(self):
         assert overlap_factor(1e-3, 18225.0, P) < 1.0
 
@@ -186,9 +198,11 @@ class TestOverlap:
         assert read_sampling_variance_um2(P) == pytest.approx(
             v_c * v_s / (v_c + v_s), rel=1e-14)
 
-    # (w/2)^2 overflows; both squares are finite but their product is not
-    @pytest.mark.parametrize("change", [{"w_signal": 1e308}, {"w_control": 1e308},
-                                        {"w_signal": 1e200, "w_control": 1e200}])
+    # the product of the two squares overflows; (w_control/2)^2 overflows; both
+    # squares are finite but their product and sum are not. A w_signal whose
+    # square overflows is rejected by PhysicsParams, as sigma0² is.
+    @pytest.mark.parametrize("change", [{"w_control": 2e154}, {"w_control": 1e308},
+                                        {"w_signal": 2e154, "w_control": 2e154}])
     def test_sampling_variance_overflow_rejected(self, change):
         with pytest.raises(DomainError, match="read sampling variance"):
             read_sampling_variance_um2(core.replace(P, **change))
@@ -212,6 +226,10 @@ class TestDepletion:
 
     def test_symmetric(self):
         assert depletion_fraction(-270.0, P) == depletion_fraction(270.0, P)
+
+    def test_nan_is_a_domain_error(self):
+        with pytest.raises(DomainError, match="NaN"):
+            depletion_fraction(math.nan, P)
 
     @given(d=st.floats(50.0, 500.0), scale=st.floats(1.01, 2.0))
     def test_strictly_decreasing(self, d, scale):
@@ -261,3 +279,8 @@ class TestTemporalDecay:
             temporal_decay(1.0, 1.0, 0.0)
         with pytest.raises(DomainError):
             temporal_decay(1.0, -0.1, 3.2)
+
+    @pytest.mark.parametrize("dt,tau", [(math.nan, 3.2), (1.0, math.nan)])
+    def test_nan_is_a_domain_error(self, dt, tau):
+        with pytest.raises(DomainError):
+            temporal_decay(1.0, dt, tau)
