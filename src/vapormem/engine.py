@@ -72,6 +72,13 @@ class Memory:
             if cal.f_rail in self._rails:
                 raise DuplicateRailError(f"rail {cal.f_rail} MHz declared twice")
             self._rails[cal.f_rail] = (cal, physics.rail_position_um(cal.f_rail, params))
+        # a read squares the distance between two rails; were that inf, a
+        # component spread past a float would give inf/inf in its overlap
+        by_x = sorted((x, f) for f, (_, x) in self._rails.items())
+        (lo, f_lo), (hi, f_hi) = by_x[0], by_x[-1]
+        if not (hi - lo) * (hi - lo) < math.inf:
+            raise DomainError(f"squared distance between rails {f_lo} and {f_hi} MHz "
+                              f"must be a finite float")
         # the live component of each rail, oldest write first: [amplitude, t_birth_ns]
         self._stored: dict[float, list[float]] = {}
         self.t_now_ns = 0.0
@@ -90,10 +97,6 @@ class Memory:
         """Snapshot of the live components, oldest first."""
         return [SpinWaveComponent(amplitude, t_birth_ns)
                 for amplitude, t_birth_ns in self._stored.values()]
-
-    def _variance(self, age_us: float) -> float:
-        """Per-axis variance of a component of the given age (free diffusion)."""
-        return physics.spread_variance_um2(self._s2_birth, age_us, self._diff)
 
     def _rail(self, f_rail: float) -> tuple[RailCalibration, float]:
         """Calibration and beam position of a calibrated rail.
@@ -180,22 +183,19 @@ class Memory:
         component loses the depletion fraction for its distance.
         """
         cal, x_op = self._rail(f_rail)
-        t_was = self.t_now_ns
         self.advance(t_ns)
         eta_read = cal.eta_read
         retrieved = 0.0
-        try:
-            for f, (amplitude, t_birth_ns) in self._stored.items():
-                stored_cal, x_center = self._rails[f]
-                age_us = (t_ns - t_birth_ns) / NS_PER_US
-                decay = physics.temporal_decay(1.0, age_us, stored_cal.tau_us)
-                # a variance from _variance is at least sigma0² > 0
-                retrieved += (amplitude * eta_read * decay
-                              * physics._overlap(abs(x_op - x_center),
-                                                 self._variance(age_us), self._v_read))
-        except DomainError:
-            self.t_now_ns = t_was
-            raise
+        for f, (amplitude, t_birth_ns) in self._stored.items():
+            stored_cal, x_center = self._rails[f]
+            age_us = (t_ns - t_birth_ns) / NS_PER_US
+            decay = physics.temporal_decay(1.0, age_us, stored_cal.tau_us)
+            # the variance sigma0² + 2 D age is at least sigma0² > 0; past a
+            # float it is inf, where the overlap is 1.0
+            retrieved += (amplitude * eta_read * decay
+                          * physics._overlap(abs(x_op - x_center),
+                                             physics._spread(self._s2_birth, age_us, self._diff),
+                                             self._v_read))
         self._deplete(x_op, 1.0)
         return retrieved
 
@@ -215,14 +215,8 @@ def diagnose(state: Memory, seq: Sequence) -> list[seqlang.Diagnostic]:
     """Every diagnostic of a sequence on a memory, sorted by line then code.
 
     These are ``seqlang.validate``'s, against the memory's parameters, and
-    two that need the memory itself:
-
-    * E003, on the RAILS line, for each declared rail the memory has no
-      calibration for, since it could not act on that rail;
-    * E004, on the line of the last READ, when a component stored by the
-      first WRITE would be too old at that READ for its spread variance,
-      sigma0² + 2 D age, to be a finite float. No read sees an older
-      component and the variance grows with age, so every read is covered.
+    E003, on the RAILS line, for each declared rail the memory has no
+    calibration for, since it could not act on that rail.
 
     A sequence built in Python reports line 0, as ``validate`` does.
     """
@@ -234,18 +228,6 @@ def diagnose(state: Memory, seq: Sequence) -> list[seqlang.Diagnostic]:
                                  f"rail {seqlang._fmt_number(f)} MHz has no calibration "
                                  f"(calibrated rails: {listing} MHz)")
               for f in seq.rails if f not in state._rails]
-    ops = seq.ops
-    t_write = next((op.t_ns for op in ops if op.kind is OpKind.WRITE), None)
-    i_read = next((i for i in range(len(ops) - 1, -1, -1) if ops[i].kind is OpKind.READ), None)
-    if t_write is not None and i_read is not None and ops[i_read].t_ns > t_write:
-        age_us = (ops[i_read].t_ns - t_write) / NS_PER_US
-        try:
-            state._variance(age_us)
-        except DomainError:
-            diags.append(seqlang.Diagnostic(
-                "E004", "error", seq.src_lines[i_read] if seq.src_lines is not None else 0,
-                f"READ {seqlang._fmt_number(age_us)} us after the first WRITE: the spread "
-                f"variance sigma0^2 + 2 D t of a component that old is not a finite float"))
     diags.sort(key=lambda d: (d.line, d.code))
     return diags
 
@@ -255,10 +237,9 @@ def run_sequence(state: Memory, seq: Sequence) -> Trace:
 
     The sequence is checked by :func:`diagnose` first: besides
     ``seqlang.validate``'s rules, every declared rail must have a
-    calibration in the memory (E003), and no read may see a component so
-    old that its spread variance overflows a float (E004). Any
-    error-severity diagnostic raises ValidationFailure before the first
-    operation, leaving the memory untouched.
+    calibration in the memory (E003). Any error-severity diagnostic raises
+    ValidationFailure before the first operation, leaving the memory
+    untouched.
     """
     errors = [d for d in diagnose(state, seq) if d.severity == "error"]
     if errors:

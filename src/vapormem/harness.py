@@ -186,11 +186,13 @@ def scan_lifetime(params: PhysicsParams, rails_cal: Iterable[RailCalibration],
 
     Each point runs on a fresh memory: pump, write a unit pulse at t = 0,
     read after the delay. Delays that are not positive and strictly
-    ascending, NaN included, raise DomainError before any point runs.
+    ascending, NaN included, or whose value in ns is not a finite float
+    raise DomainError before any point runs.
     """
     cal = _find_cal(tuple(rails_cal), f_rail)
-    if not all(b > a for a, b in zip((0.0, *delays_us), delays_us)):
-        raise DomainError("delays must be positive and strictly ascending")
+    if not all(b > a and b * engine.NS_PER_US < math.inf
+               for a, b in zip((0.0, *delays_us), delays_us)):
+        raise DomainError("delays must be positive, strictly ascending and finite in ns")
     retrieved = []
     for delay in delays_us:
         mem = engine.Memory(params, [cal])

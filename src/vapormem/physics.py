@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 
-from .core import DomainError, OutOfBandError, PhysicsParams
+from .core import _FLOAT_MAX, DomainError, OutOfBandError, PhysicsParams
 
 # variance growth conversion: 1 cm^2/s = 1e8 um^2/s = 100 um^2/us
 _CM2_PER_S_TO_UM2_PER_US = 100.0
@@ -41,8 +41,8 @@ def transit_time_us(delta_x_um: float, d_cm2_s: float) -> float:
 
     Inverts the 2D diffusion length relation delta_x = sqrt(4 D t).
     """
-    if not (delta_x_um > 0.0 and d_cm2_s > 0.0):
-        raise DomainError("distance and diffusion coefficient must be positive")
+    if not (0.0 < delta_x_um <= _FLOAT_MAX and 0.0 < d_cm2_s <= _FLOAT_MAX):
+        raise DomainError("distance and diffusion coefficient must be finite and positive")
     # um^2 / (um^2/us): 4*D in um^2/us is 4*D*100
     return delta_x_um * delta_x_um / (4.0 * d_cm2_s * _CM2_PER_S_TO_UM2_PER_US)
 
@@ -84,10 +84,19 @@ def spread_variance_um2(s2_um2: float, dt_us: float, d_cm2_s: float) -> float:
         raise DomainError("variance must be non-negative")
     if dt_us < 0.0:
         raise DomainError("elapsed time must be non-negative")
-    s2 = s2_um2 + 2.0 * d_cm2_s * _CM2_PER_S_TO_UM2_PER_US * dt_us
+    s2 = _spread(s2_um2, dt_us, d_cm2_s)
     if not math.isfinite(s2):
         raise DomainError("spread variance must be a finite float")
     return s2
+
+
+def _spread(s2_um2: float, dt_us: float, d_cm2_s: float) -> float:
+    """spread_variance_um2 unchecked: inf once the variance passes a float.
+
+    ``_overlap`` of an inf variance at a finite d² is 1.0, the limit of an
+    ever wider Gaussian.
+    """
+    return s2_um2 + 2.0 * d_cm2_s * _CM2_PER_S_TO_UM2_PER_US * dt_us
 
 
 def read_sampling_variance_um2(p: PhysicsParams) -> float:
@@ -153,9 +162,12 @@ def depletion_fraction(d_um: float, p: PhysicsParams) -> float:
 
 def temporal_decay(amplitude: float, dt_us: float, tau_us: float) -> float:
     """Exponential storage decay: amplitude * exp(-dt / tau)."""
-    if not tau_us > 0.0:
-        raise DomainError("lifetime must be strictly positive")
-    if not dt_us >= 0.0:
-        raise DomainError("elapsed time must be non-negative")
+    # comparisons, not math.isfinite calls: this runs once per component per read
+    if not abs(amplitude) <= _FLOAT_MAX:
+        raise DomainError("amplitude must be a finite float")
+    if not 0.0 < tau_us <= _FLOAT_MAX:
+        raise DomainError("lifetime must be finite and strictly positive")
+    if not 0.0 <= dt_us <= _FLOAT_MAX:
+        raise DomainError("elapsed time must be finite and non-negative")
     return amplitude * math.exp(-dt_us / tau_us)
 

@@ -76,12 +76,10 @@ class Diagnostic(_Value):
         E001  operations closer than the deflector switching time
         E002  declared rail outside the deflector band
         E003  declared rail with no calibration
-        E004  a READ late enough after the first WRITE that a component's
-              spread variance overflows a float
         W001  declared rails closer than the cross-talk-free separation
 
-    E003 and E004 need the memory's calibrations and diffusion, so
-    ``engine.diagnose`` reports them; ``validate`` sees only the parameters.
+    E003 needs the memory's calibrations, so ``engine.diagnose`` reports
+    it; ``validate`` sees only the parameters.
     """
 
     _fields = ("code", "severity", "line", "message")
@@ -244,20 +242,24 @@ def format_sequence(seq: Sequence) -> str:
     """Canonical text rendering; parse(format_sequence(s)) equals s.
 
     Times are printed in ns, as integers when exact; the default write
-    energy 1.0 is omitted. A sequence the text cannot hold, one whose name
-    is not one whitespace-free token without ``#`` or with a rail that is
-    not finite and non-negative, raises ParamError.
+    energy 1.0 is omitted. A sequence the text cannot hold raises
+    ParamError: one whose name is not one whitespace-free token without
+    ``#``, with a rail that is not finite and non-negative, or with a rail,
+    time or energy that no float equals (the text is parsed to floats).
     """
     name = seq.name
     if not (isinstance(name, str) and "#" not in name and name.split() == [name]):
         raise ParamError(f"sequence name {name!r} is not one token without '#'")
     for f in seq.rails:
-        if not 0.0 <= f <= _FLOAT_MAX:
+        if not (0.0 <= f <= _FLOAT_MAX and float(f) == f):
             raise ParamError(f"rail {f!r} is not a finite non-negative float")
     lines = [f"SEQUENCE {name}"]
     if seq.rails:
         lines.append("RAILS " + " ".join(f"{_fmt_number(f)}MHz" for f in seq.rails))
     for op in seq.ops:
+        # Operation bounds both to a float's range, so float() cannot overflow
+        if float(op.t_ns) != op.t_ns or float(op.energy) != op.energy:
+            raise ParamError(f"no float equals time {op.t_ns!r} ns or energy {op.energy!r}")
         parts = [f"AT {_fmt_number(op.t_ns)}ns", op.kind.value, f"{_fmt_number(op.f_rail)}MHz"]
         if op.kind is OpKind.WRITE and op.energy != 1.0:
             parts.append(_fmt_number(op.energy))

@@ -158,6 +158,11 @@ class TestScanLifetime:
         with pytest.raises(DomainError, match="ascending"):
             scan_lifetime(P, RAILS, 190.0, delays)
 
+    def test_delay_past_a_float_in_ns_is_a_domain_error(self):
+        # 1e306 us is finite, but 1e309 ns is not
+        with pytest.raises(DomainError, match="finite in ns"):
+            scan_lifetime(P, RAILS, 190.0, [0.4, 1e306])
+
     def test_fit_recovers_every_rail(self):
         for cal in RAILS:
             scan = scan_lifetime(P, RAILS, cal.f_rail)

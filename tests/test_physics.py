@@ -80,7 +80,8 @@ class TestTransitTime:
         assert transit_time_us(270.0, 2 * d) == pytest.approx(
             transit_time_us(270.0, d) / 2, rel=1e-12)
 
-    @pytest.mark.parametrize("dx,dd", [(0.0, 1.0), (-1.0, 1.0), (270.0, 0.0), (270.0, -1.0)])
+    @pytest.mark.parametrize("dx,dd", [(0.0, 1.0), (-1.0, 1.0), (270.0, 0.0), (270.0, -1.0),
+                                       (math.inf, 1.0), (1.0, math.inf)])
     def test_domain(self, dx, dd):
         with pytest.raises(DomainError):
             transit_time_us(dx, dd)
@@ -284,3 +285,7 @@ class TestTemporalDecay:
     def test_nan_is_a_domain_error(self, dt, tau):
         with pytest.raises(DomainError):
             temporal_decay(1.0, dt, tau)
+
+    def test_nan_amplitude_is_a_domain_error(self):
+        with pytest.raises(DomainError, match="amplitude"):
+            temporal_decay(math.nan, 1.0, 3.2)

@@ -334,11 +334,17 @@ class TestRoundTrip:
     @example(Sequence("a b", (190.0,), ()))
     @example(Sequence("s", (-5.0,), ()))
     @example(Sequence("s", (math.nan,), ()))
+    # an int no float equals would parse back as its nearest float
+    @example(Sequence("s", (190.0,), (Operation(2**53 + 1, OpKind.READ, 190.0),)))
+    @example(Sequence("s", (190.0,), (Operation(0.0, OpKind.WRITE, 190.0, 2**53 + 1),)))
+    @example(Sequence("s", (2**53 + 1,), ()))
     @given(seq=any_sequences())
     def test_every_sequence_round_trips_or_is_refused(self, seq):
         holdable = (seq.name != "" and "#" not in seq.name
                     and not any(c.isspace() for c in seq.name)
-                    and all(0.0 <= f < math.inf for f in seq.rails))
+                    and all(0.0 <= f < math.inf and float(f) == f for f in seq.rails)
+                    and all(float(op.t_ns) == op.t_ns and float(op.energy) == op.energy
+                            for op in seq.ops))
         if holdable:
             assert parse(format_sequence(seq)) == seq
         else:
