@@ -362,6 +362,10 @@ def _make_dirs(name: str, made: list[str]) -> None:
 
 
 def main(argv=None) -> int:
+    # numpy's OpenBLAS starts one thread per core when it loads, about 60 ms
+    # of the oracle's numpy import, and this process never calls BLAS. The
+    # setting only acts before numpy loads, and a value already set wins.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     args = build_parser().parse_args(argv)
     made, created = [], []
     try:

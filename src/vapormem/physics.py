@@ -39,12 +39,16 @@ def diffusion_coefficient(p: PhysicsParams) -> float:
 def transit_time_us(delta_x_um: float, d_cm2_s: float) -> float:
     """Time for an atom to diffuse a distance delta_x, in µs.
 
-    Inverts the 2D diffusion length relation delta_x = sqrt(4 D t).
+    Inverts the 2D diffusion length relation delta_x = sqrt(4 D t). Raises
+    DomainError when the time is not a finite positive float.
     """
     if not (0.0 < delta_x_um <= _FLOAT_MAX and 0.0 < d_cm2_s <= _FLOAT_MAX):
         raise DomainError("distance and diffusion coefficient must be finite and positive")
     # um^2 / (um^2/us): 4*D in um^2/us is 4*D*100
-    return delta_x_um * delta_x_um / (4.0 * d_cm2_s * _CM2_PER_S_TO_UM2_PER_US)
+    t = delta_x_um * delta_x_um / (4.0 * d_cm2_s * _CM2_PER_S_TO_UM2_PER_US)
+    if not 0.0 < t <= _FLOAT_MAX:
+        raise DomainError("transit time must be a finite positive float")
+    return t
 
 
 def _require_in_band(f_mhz: float, p: PhysicsParams) -> None:

@@ -81,7 +81,9 @@ class TestTransitTime:
             transit_time_us(270.0, d) / 2, rel=1e-12)
 
     @pytest.mark.parametrize("dx,dd", [(0.0, 1.0), (-1.0, 1.0), (270.0, 0.0), (270.0, -1.0),
-                                       (math.inf, 1.0), (1.0, math.inf)])
+                                       (math.inf, 1.0), (1.0, math.inf),
+                                       # 4 D overflows, dx² overflows, dx² underflows
+                                       (1.0, 1e307), (1e200, 1.0), (1e-200, 1.0)])
     def test_domain(self, dx, dd):
         with pytest.raises(DomainError):
             transit_time_us(dx, dd)
