@@ -29,6 +29,7 @@ a whole must give a memory on which every calibrated rail is usable.
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 from array import array
@@ -391,9 +392,24 @@ def main(argv=None) -> int:
             os.rmdir(name)
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    sys.stdout.write(text + "".join(f"wrote {path}\n" for path, _ in files))
+    # two writes, not one concatenation, so a long table is not copied again
+    sys.stdout.write(text)
+    sys.stdout.write("".join(f"wrote {path}\n" for path, _ in files))
     return code
 
 
+def entry() -> None:
+    """Process entry of ``python -m vapormem.cli`` and the ``vapormem`` script."""
+    code = main()
+    # the interpreter's final collections at exit would walk every object
+    # that start-up and the command left (about 11 ms a command on a 2-core
+    # host, 30 ms with numpy loaded). Frozen objects are still freed by
+    # reference counting, main has closed every output, and atexit handlers
+    # and the stdio flush still run. main itself does not freeze: its
+    # in-process callers collect between calls and would keep their garbage.
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

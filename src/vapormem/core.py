@@ -306,11 +306,6 @@ class Sequence(_Value):
     def _key(self) -> tuple:
         return (self.name, self.rails, self.ops)
 
-    @property
-    def span_ns(self) -> float:
-        """Time of the last operation (0 for an empty sequence)."""
-        return self.ops[-1].t_ns if self.ops else 0.0
-
 
 class TraceEvent(_Value):
     """Per-operation record: leakage (write) or retrieved energy (read)."""

@@ -413,7 +413,7 @@ class TestRandomAccessSequence:
         assert len(random_access_sequence().ops) == 12
 
     def test_span_under_5us(self):
-        assert random_access_sequence().span_ns == 4400.0 <= 5000.0
+        assert random_access_sequence().ops[-1].t_ns == 4400.0 <= 5000.0
 
     def test_four_foreign_ops_during_190_storage(self):
         seq = random_access_sequence()
