@@ -60,7 +60,7 @@ WAVEFORM_CSV_CHUNK = 1 << 14
 
 Outcome = tuple[int, str, list[tuple[str, str]]]  # exit code, stdout, (path, text) per output
 _PARAM_KEYS = set(fields(PhysicsParams))
-_RAIL_KEYS = {"tau_us", "tau_err_us", "eta_mem"}
+_RAIL_KEYS = set(fields(RailCalibration)) - {"f_rail"}
 
 
 class ConfigError(VaporMemError):

@@ -50,14 +50,14 @@ class Memory:
     :meth:`write` and :meth:`read`) and :meth:`advance`; time never moves
     backwards, and an operation that raises leaves the memory as it was.
 
-    Each rail holds at most one live component, stored as its amplitude
-    and birth time only. Its centre and lifetime are its rail's, and its
-    per-axis variance is computed from its age when a read needs it,
-    sigma0² + 2 D age. A write, read or perfect pump on a rail depletes
-    every component centered there by exactly dep(0) = 1, which leaves
-    amplitude 0.0; such a component adds exactly nothing to any later read
-    or :meth:`stored_on`, so it is dropped. The cost of a run is linear in
-    its number of operations.
+    Each rail holds at most one live component: its amplitude, birth time,
+    amplitude at birth and what off-rail reads drew from it. Its centre and
+    lifetime are its rail's, and its per-axis variance is computed from its
+    age when a read needs it, sigma0² + 2 D age. A write, read or perfect
+    pump on a rail depletes every component centered there by exactly
+    dep(0) = 1, which leaves amplitude 0.0; such a component adds exactly
+    nothing to any later read or :meth:`stored_on`, so it is dropped. The
+    cost of a run is linear in its number of operations.
     """
 
     def __init__(self, params: PhysicsParams, rails: Iterable[RailCalibration]):
@@ -79,7 +79,8 @@ class Memory:
         if not (hi - lo) * (hi - lo) < math.inf:
             raise DomainError(f"squared distance between rails {f_lo} and {f_hi} MHz "
                               f"must be a finite float")
-        # the live component of each rail, oldest write first: [amplitude, t_birth_ns]
+        # the live component of each rail, oldest write first:
+        # [amplitude, t_birth_ns, drawn by off-rail reads, amplitude at birth]
         self._stored: dict[float, list[float]] = {}
         self.t_now_ns = 0.0
         # the cell diffusion coefficient, the initial variance sigma0² and the
@@ -89,14 +90,9 @@ class Memory:
         self._v_read = physics.read_sampling_variance_um2(params)
 
     @property
-    def rails(self) -> tuple[RailCalibration, ...]:
-        return tuple(cal for cal, _ in self._rails.values())
-
-    @property
     def components(self) -> list[SpinWaveComponent]:
         """Snapshot of the live components, oldest first."""
-        return [SpinWaveComponent(amplitude, t_birth_ns)
-                for amplitude, t_birth_ns in self._stored.values()]
+        return [SpinWaveComponent(slot[0], slot[1]) for slot in self._stored.values()]
 
     def _rail(self, f_rail: float) -> tuple[RailCalibration, float]:
         """Calibration and beam position of a calibrated rail.
@@ -171,7 +167,7 @@ class Memory:
         leakage = energy - stored
         # the depletion above zeroed and dropped this rail's older component,
         # so the new one is inserted last and reads sum in write order
-        self._stored[f_rail] = [stored, t_ns]
+        self._stored[f_rail] = [stored, t_ns, 0.0, stored]
         return leakage
 
     def read(self, f_rail: float, t_ns: float) -> float:
@@ -181,22 +177,34 @@ class Memory:
         efficiency, its storage decay exp(-age/tau), and the overlap of
         the displaced read with its spread Gaussian; afterwards each
         component loses the depletion fraction for its distance.
+
+        A component on another rail gives at most what has left its home
+        mode and no earlier read took (Gorshkov et al., PRA 76, 033804 (2007)).
         """
         cal, x_op = self._rail(f_rail)
         self.advance(t_ns)
         eta_read = cal.eta_read
         retrieved = 0.0
-        for f, (amplitude, t_birth_ns) in self._stored.items():
+        for f, slot in self._stored.items():
+            amplitude, t_birth_ns, drawn, a_birth = slot
             stored_cal, x_center = self._rails[f]
+            d = abs(x_op - x_center)
             age_us = (t_ns - t_birth_ns) / NS_PER_US
             decay = physics.temporal_decay(1.0, age_us, stored_cal.tau_us)
             # the variance sigma0² + 2 D age is at least sigma0² > 0; past a
             # float it is inf, where the overlap is 1.0
-            retrieved += (amplitude * eta_read * decay
-                          * physics._overlap(abs(x_op - x_center),
-                                             physics._spread(self._s2_birth, age_us, self._diff),
-                                             self._v_read))
-        self._deplete(x_op, 1.0)
+            out = (amplitude * eta_read * decay
+                   * physics._overlap(d, physics._spread(self._s2_birth, age_us, self._diff),
+                                      self._v_read))
+            # the factor _deplete applies, computed once for the cap and the state
+            slot[0] = amplitude * (1.0 - physics.depletion_fraction(d, self.params))
+            if f != f_rail:
+                budget = a_birth - slot[0] * decay - drawn
+                if out > budget:
+                    out = max(budget, 0.0)
+                slot[2] = drawn + out
+            retrieved += out
+        self._stored = {f: slot for f, slot in self._stored.items() if slot[0] != 0.0}
         return retrieved
 
     def _deplete(self, x_op: float, fidelity: float) -> None:

@@ -44,9 +44,10 @@ from .core import (
 MIN_CROSSTALK_FREE_SEPARATION_MHZ = 20.0
 
 _NUMBER = r"[0-9]+(?:\.[0-9]+)?"
+# each captures (number, unit); _number reads all three
 _TIME_RE = re.compile(rf"^({_NUMBER})(ns|us)$")
-_FREQ_RE = re.compile(rf"^({_NUMBER})MHz$")
-_NUMBER_RE = re.compile(rf"^{_NUMBER}$")
+_FREQ_RE = re.compile(rf"^({_NUMBER})(MHz)$")
+_NUMBER_RE = re.compile(rf"^({_NUMBER})()$")
 
 _VERBS = {"WRITE": OpKind.WRITE, "READ": OpKind.READ, "PUMP": OpKind.PUMP}
 
@@ -97,17 +98,27 @@ def _col(line: str, k: int) -> int:
     return [m.start() + 1 for m in re.finditer(r"\S+", line)][k]
 
 
-def _time_ns(number: str, unit: str) -> float:
-    """A time token's value in ns, correctly rounded once.
+def _number(tok: str, pattern: re.Pattern, what: str, lineno: int, line: str, k: int) -> float:
+    """A number token's value, correctly rounded once; a time's is in ns.
 
-    1 us = 1000 ns exactly: a us token's decimal point moves three digits
-    right in the string itself, so float() sees the exact ns value.
+    ``pattern`` captures the token's (number, unit). A token it does not
+    match, or whose value is past a float, raises ParseError naming
+    ``what`` at the column of the line's k-th token. 1 us = 1000 ns exactly:
+    a us token's decimal point moves three digits right in the string
+    itself, so float() sees the exact ns value.
     """
+    m = pattern.match(tok)
+    if not m:
+        raise ParseError(f"malformed {what} {tok!r}", lineno, _col(line, k))
+    number, unit = m.groups()
     if unit == "us":
         whole, _, frac = number.partition(".")
         frac = frac.ljust(3, "0")
         number = f"{whole}{frac[:3]}.{frac[3:]}"
-    return float(number)
+    value = float(number)
+    if math.isinf(value):
+        raise ParseError(f"{what} is too large", lineno, _col(line, k))
+    return value
 
 
 def parse(text: str) -> Sequence:
@@ -118,7 +129,8 @@ def parse(text: str) -> Sequence:
     duplicate header or RAILS directive, on an operation that uses an
     undeclared rail, and on non-increasing times.
 
-    Every value ``Operation`` checks is checked here first, so a bad one is
+    Every number token goes through one reader, ``_number``, and every
+    value ``Operation`` checks is checked here first, so a bad one is
     reported at its line and column. A frequency token resolves through a
     table of the tokens already seen to name a declared rail; only a token
     not in it is matched, converted and looked up, so an undeclared one
@@ -157,12 +169,7 @@ def parse(text: str) -> Sequence:
             if len(tokens) < 2:
                 raise ParseError("RAILS needs at least one frequency", lineno, _col(line, 0))
             for k, tok in enumerate(tokens[1:], start=1):
-                m = _FREQ_RE.match(tok)
-                if not m:
-                    raise ParseError(f"malformed frequency {tok!r}", lineno, _col(line, k))
-                f = float(m.group(1))
-                if math.isinf(f):
-                    raise ParseError("frequency is too large", lineno, _col(line, k))
+                f = _number(tok, _FREQ_RE, "frequency", lineno, line, k)
                 if f in rails:
                     raise ParseError(f"rail {tok} declared twice", lineno, _col(line, k))
                 rails.append(f)
@@ -173,38 +180,22 @@ def parse(text: str) -> Sequence:
         if word == "AT":
             if len(tokens) not in (4, 5):
                 raise ParseError("expected AT <time> <verb> <freq> [energy]", lineno, _col(line, 0))
-            m = _TIME_RE.match(tokens[1])
-            if not m:
-                raise ParseError(f"malformed time {tokens[1]!r}", lineno, _col(line, 1))
-            t_ns = _time_ns(*m.groups())
-            if math.isinf(t_ns):
-                raise ParseError("time is too large", lineno, _col(line, 1))
+            t_ns = _number(tokens[1], _TIME_RE, "time", lineno, line, 1)
             kind = _VERBS.get(tokens[2])
             if kind is None:
                 raise ParseError(f"unknown operation {tokens[2]!r}", lineno, _col(line, 2))
             ftok = tokens[3]
             f_rail = rail_of.get(ftok)
             if f_rail is None:
-                fm = _FREQ_RE.match(ftok)
-                if not fm:
-                    raise ParseError(f"malformed frequency {ftok!r}", lineno, _col(line, 3))
-                f_rail = float(fm.group(1))
+                f_rail = _number(ftok, _FREQ_RE, "frequency", lineno, line, 3)
                 if f_rail not in rails:
-                    # declared rails are finite, so an overflowing frequency lands here
-                    if math.isinf(f_rail):
-                        raise ParseError("frequency is too large", lineno, _col(line, 3))
                     raise ParseError(f"operation on undeclared rail {ftok}", lineno, _col(line, 3))
                 rail_of[ftok] = f_rail
             energy = 1.0
             if len(tokens) == 5:
-                etok = tokens[4]
                 if kind is not OpKind.WRITE:
                     raise ParseError("only WRITE takes an energy", lineno, _col(line, 4))
-                if not _NUMBER_RE.match(etok):
-                    raise ParseError(f"malformed energy {etok!r}", lineno, _col(line, 4))
-                energy = float(etok)
-                if math.isinf(energy):
-                    raise ParseError("energy is too large", lineno, _col(line, 4))
+                energy = _number(tokens[4], _NUMBER_RE, "energy", lineno, line, 4)
                 if energy <= 0.0:
                     raise ParseError("write energy must be strictly positive",
                                      lineno, _col(line, 4))

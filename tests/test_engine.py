@@ -2,10 +2,11 @@ import hashlib
 import math
 import random
 from array import array
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from vapormem import cli, core, engine, harness, physics, seqlang
 from vapormem.core import (
@@ -78,7 +79,8 @@ def random_program(rng: random.Random, n_ops: int) -> Sequence:
 class TestConstruction:
     def test_starts_empty(self):
         mem = fresh()
-        assert len(mem.rails) == 4
+        # stored_on raises UnknownRailError for a rail with no calibration
+        assert [mem.stored_on(c.f_rail) for c in RAILS] == [0.0] * 4
         assert mem.components == []
         assert mem.t_now_ns == 0.0
 
@@ -262,11 +264,17 @@ class TestRead:
 
     def test_spread_past_a_float_reads_with_overlap_one(self):
         # under d0 = 4e303 a component 2 us old has variance inf, the limit in
-        # which the displaced read's overlap exp(-d² / (2 (s2 + v))) is 1.0
+        # which the displaced read's overlap exp(-d² / (2 (s2 + v))) is 1.0.
+        # That term (0.431 x stored) is more than has left the home mode, so
+        # the read returns what has (0.310 x)
         mem = engine.Memory(HOT, RAILS)
         mem.write(190.0, 0.0, 1.0)
         stored = mem.stored_on(190.0)
-        assert mem.read(210.0, 2000.0) == stored * RAILS[2].eta_read * math.exp(-2.0 / RAILS[1].tau_us)
+        decay = math.exp(-2.0 / RAILS[1].tau_us)
+        d = abs(physics.rail_position_um(210.0, HOT) - physics.rail_position_um(190.0, HOT))
+        home = stored * (1.0 - physics.depletion_fraction(d, HOT))
+        assert stored * RAILS[2].eta_read * decay > stored - home * decay
+        assert mem.read(210.0, 2000.0) == stored - home * decay
         assert mem.t_now_ns == 2000.0
 
     def test_signal_radius_sets_the_initial_variance(self):
@@ -283,6 +291,38 @@ class TestRead:
                     * math.exp(-(d * d) / (2.0 * (s2 + physics.read_sampling_variance_um2(p)))))
         assert expected > 0.0
         assert mem.read(210.0, age_us * US) == expected
+
+
+class TestOffRailReads:
+    # uncapped, a spreading component's overlap with a neighbour's read grows,
+    # and these two programs returned 5.39 x and 7.77 x what was stored
+    @example(f_read=210, n_reads=1999, gap_ns=48.0)
+    @example(f_read=208, n_reads=1999, gap_ns=48.0)
+    @given(f_read=st.integers(194, 214), n_reads=st.integers(1, 400),
+           gap_ns=st.sampled_from([10.0, 48.0, 200.0]))
+    def test_reads_return_at_most_what_was_stored(self, f_read, n_reads, gap_ns):
+        # 10 ns is below the switching time, so the ops go to the memory directly
+        neighbour = core.replace(RAILS[2], f_rail=float(f_read))
+        mem = engine.Memory(P, (RAILS[1], neighbour))
+        mem.write(190.0, 0.0, 1.0)
+        stored = mem.stored_on(190.0)
+        out = [mem.read(float(f_read), k * gap_ns) for k in range(1, n_reads + 1)]
+        assert math.fsum(out) <= math.nextafter(stored, math.inf)
+
+    def test_reads_after_the_largest_writes_sum_to_a_float(self):
+        # under d0 = 1e12, writes of 1.7e308 on the four rails, then a read on
+        # 190 MHz: uncapped, its terms summed past a float
+        energy = "17" + "0" * 307
+        seq = seqlang.parse("SEQUENCE s\nRAILS 170MHz 190MHz 210MHz 230MHz\n"
+                            + "".join(f"AT {100 * i}ns WRITE {f}MHz {energy}\n"
+                                      for i, f in enumerate((170, 190, 210, 230)))
+                            + "AT 500ns READ 190MHz\n")
+        trace = engine.run_sequence(engine.Memory(core.replace(P, d0=1e12), RAILS), seq)
+        assert all(math.isfinite(ev.out_energy) and math.isfinite(ev.stored_after)
+                   for ev in trace)
+        # what was stored sums past a float too, so it is summed exactly
+        stored = sum(Fraction(ev.stored_after) for ev in trace if ev.kind is OpKind.WRITE)
+        assert Fraction(trace.events[-1].out_energy) <= stored
 
 
 class TestStateEvolution:
@@ -396,7 +436,7 @@ class TestPool:
         mem = fresh()
         for op in seq.ops:
             mem.apply(op)
-            assert len(mem.components) <= len(mem.rails)
+            assert len(mem.components) <= len(RAILS)
             assert all(c.amplitude > 0.0 for c in mem.components)
 
     @given(steps=STEPS)
@@ -468,10 +508,11 @@ class TestRunSequence:
 HOT = core.replace(P, d0=4e303)
 
 
-def assert_runs_as_stepped(mem: engine.Memory, seq: Sequence) -> None:
+def assert_runs_as_stepped(mem: engine.Memory, rails, seq: Sequence) -> None:
     """run_sequence accepts the program, and its events are the values that
-    applying the ops one by one to an equal memory gives."""
-    stepped = engine.Memory(mem.params, mem.rails)
+    applying the ops one by one to an equal memory, built from mem's
+    parameters and the given rails, gives."""
+    stepped = engine.Memory(mem.params, rails)
     expected = [(stepped.apply(op), stepped.stored_on(op.f_rail)) for op in seq.ops]
     assert engine.diagnose(mem, seq) == []
     trace = engine.run_sequence(mem, seq)
@@ -499,7 +540,7 @@ class TestDiagnose:
             Operation(t_read, OpKind.READ, 210.0),
         ))
         mem = engine.Memory(HOT, RAILS)
-        assert_runs_as_stepped(mem, seq)
+        assert_runs_as_stepped(mem, RAILS, seq)
         assert mem.t_now_ns == t_read
 
     def test_read_long_after_the_first_write_runs(self):
@@ -508,7 +549,7 @@ class TestDiagnose:
         seq = seqlang.parse("SEQUENCE s\nRAILS 190MHz\nAT 0ns WRITE 190MHz\n"
                             "AT 100ns READ 190MHz\nAT 2us WRITE 190MHz\n"
                             "AT 2100ns READ 190MHz\n")
-        assert_runs_as_stepped(engine.Memory(HOT, RAILS), seq)
+        assert_runs_as_stepped(engine.Memory(HOT, RAILS), RAILS, seq)
 
     def test_snapshot_of_components_too_old_for_a_read(self):
         # a valid program (no read) leaves a component whose spread variance
