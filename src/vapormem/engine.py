@@ -53,11 +53,14 @@ class Memory:
     Each rail holds at most one live component: its amplitude, birth time,
     amplitude at birth and what off-rail reads drew from it. Its centre and
     lifetime are its rail's, and its per-axis variance is computed from its
-    age when a read needs it, sigma0² + 2 D age. A write, read or perfect
-    pump on a rail depletes every component centered there by exactly
-    dep(0) = 1, which leaves amplitude 0.0; such a component adds exactly
-    nothing to any later read or :meth:`stored_on`, so it is dropped. The
-    cost of a run is linear in its number of operations.
+    age when a read needs it, sigma0² + 2 D age. Every operation is a
+    control pulse on its rail that scales each component by 1 - f dep(d),
+    with f = 1 for a write or a read and pump_fidelity for a pump; d and
+    dep(d) depend on the rail pair alone and are fixed when the memory is
+    built. Only a read retrieves, and only a read charges off-rail
+    budgets. A pulse with f = 1 leaves its rail's component at exactly
+    0.0, adding nothing to any later read or :meth:`stored_on`, so it is
+    dropped. The cost of a run is linear in its number of operations.
     """
 
     def __init__(self, params: PhysicsParams, rails: Iterable[RailCalibration]):
@@ -65,20 +68,26 @@ class Memory:
         if not rails:
             raise DomainError("a memory needs at least one rail")
         self.params = params
-        # each rail's calibration and beam position; the position is computed
-        # (and its band checked) here once, not on every operation
-        self._rails: dict[float, tuple[RailCalibration, float]] = {}
+        self._rails: dict[float, RailCalibration] = {}
+        x: dict[float, float] = {}  # beam positions, checked here and then dropped
         for cal in rails:
             if cal.f_rail in self._rails:
                 raise DuplicateRailError(f"rail {cal.f_rail} MHz declared twice")
-            self._rails[cal.f_rail] = (cal, physics.rail_position_um(cal.f_rail, params))
+            self._rails[cal.f_rail] = cal
+            x[cal.f_rail] = physics.rail_position_um(cal.f_rail, params)
         # a read squares the distance between two rails; were that inf, a
         # component spread past a float would give inf/inf in its overlap
-        by_x = sorted((x, f) for f, (_, x) in self._rails.items())
+        by_x = sorted((v, f) for f, v in x.items())
         (lo, f_lo), (hi, f_hi) = by_x[0], by_x[-1]
         if not (hi - lo) * (hi - lo) < math.inf:
             raise DomainError(f"squared distance between rails {f_lo} and {f_hi} MHz "
                               f"must be a finite float")
+        # _pairs[f_op][f] = (d, dep(d)) for a pulse on f_op and a component on f
+        self._pairs: dict[float, dict[float, tuple[float, float]]] = {}
+        for f_op, x_op in x.items():
+            ds = {f: abs(x_op - x_f) for f, x_f in x.items()}
+            self._pairs[f_op] = {f: (d, physics.depletion_fraction(d, params))
+                                 for f, d in ds.items()}
         # the live component of each rail, oldest write first:
         # [amplitude, t_birth_ns, drawn by off-rail reads, amplitude at birth]
         self._stored: dict[float, list[float]] = {}
@@ -94,8 +103,8 @@ class Memory:
         """Snapshot of the live components, oldest first."""
         return [SpinWaveComponent(slot[0], slot[1]) for slot in self._stored.values()]
 
-    def _rail(self, f_rail: float) -> tuple[RailCalibration, float]:
-        """Calibration and beam position of a calibrated rail.
+    def _rail(self, f_rail: float) -> RailCalibration:
+        """Calibration of a calibrated rail.
 
         A sequence may declare any rail, but the memory can act only on the
         rails it was given calibrations for.
@@ -147,76 +156,66 @@ class Memory:
         Every component is scaled by (1 - pump_fidelity * dep(d)); with
         perfect pump fidelity the addressed region is emptied.
         """
-        x_op = self._rail(f_rail)[1]
+        self._rail(f_rail)
         self.advance(t_ns)
-        self._deplete(x_op, self.params.pump_fidelity)
+        self._pulse(f_rail, self.params.pump_fidelity)
 
     def write(self, f_rail: float, t_ns: float, energy: float = 1.0) -> float:
         """Store a pulse on a rail; returns the leakage energy.
 
-        The control field present during a write depletes pre-existing
-        components exactly as a read would; whatever it retrieves from
-        them is discarded, not added to the leakage.
+        Its control pulse scales every component by (1 - dep(d)) as a
+        read's does, but retrieves nothing and charges no budget.
         """
-        cal, x_op = self._rail(f_rail)
+        cal = self._rail(f_rail)
         if not (math.isfinite(energy) and energy > 0.0):
             raise DomainError("write energy must be finite and strictly positive")
         self.advance(t_ns)
-        self._deplete(x_op, 1.0)
+        self._pulse(f_rail, 1.0)
         stored = energy * cal.eta_write
-        leakage = energy - stored
-        # the depletion above zeroed and dropped this rail's older component,
+        # the pulse above zeroed and dropped this rail's older component,
         # so the new one is inserted last and reads sum in write order
         self._stored[f_rail] = [stored, t_ns, 0.0, stored]
-        return leakage
+        return energy - stored
 
     def read(self, f_rail: float, t_ns: float) -> float:
         """Retrieve from a rail; returns the total retrieved energy.
 
-        Every component contributes its amplitude scaled by the read
-        efficiency, its storage decay exp(-age/tau), and the overlap of
-        the displaced read with its spread Gaussian; afterwards each
-        component loses the depletion fraction for its distance.
-
-        A component on another rail gives at most what has left its home
-        mode and no earlier read took (Gorshkov et al., PRA 76, 033804 (2007)).
+        Every component contributes its amplitude times the read
+        efficiency, its storage decay exp(-age/tau) and the overlap of the
+        displaced read with its spread Gaussian; one on another rail gives
+        at most what has left its home mode and no earlier read took
+        (Gorshkov et al., PRA 76, 033804 (2007)).
         """
-        cal, x_op = self._rail(f_rail)
+        eta_read = self._rail(f_rail).eta_read
         self.advance(t_ns)
-        eta_read = cal.eta_read
+        return self._pulse(f_rail, 1.0, eta_read)
+
+    def _pulse(self, f_rail: float, fidelity: float, eta_read: float | None = None) -> float:
+        """Scale each component by (1 - fidelity * dep(d)), dropping any left at 0.0.
+
+        Only a read passes eta_read; it returns what it retrieves, 0.0 otherwise.
+        """
+        pairs = self._pairs[f_rail]
         retrieved = 0.0
         for f, slot in self._stored.items():
             amplitude, t_birth_ns, drawn, a_birth = slot
-            stored_cal, x_center = self._rails[f]
-            d = abs(x_op - x_center)
-            age_us = (t_ns - t_birth_ns) / NS_PER_US
-            decay = physics.temporal_decay(1.0, age_us, stored_cal.tau_us)
+            d, dep = pairs[f]
+            slot[0] = amplitude * (1.0 - fidelity * dep)
+            if eta_read is None:
+                continue
+            age_us = (self.t_now_ns - t_birth_ns) / NS_PER_US
+            decay = physics.temporal_decay(1.0, age_us, self._rails[f].tau_us)
             # the variance sigma0² + 2 D age is at least sigma0² > 0; past a
             # float it is inf, where the overlap is 1.0
             out = (amplitude * eta_read * decay
                    * physics._overlap(d, physics._spread(self._s2_birth, age_us, self._diff),
                                       self._v_read))
-            # the factor _deplete applies, computed once for the cap and the state
-            slot[0] = amplitude * (1.0 - physics.depletion_fraction(d, self.params))
             if f != f_rail:
-                budget = a_birth - slot[0] * decay - drawn
-                if out > budget:
-                    out = max(budget, 0.0)
+                out = min(out, max(a_birth - slot[0] * decay - drawn, 0.0))
                 slot[2] = drawn + out
             retrieved += out
         self._stored = {f: slot for f, slot in self._stored.items() if slot[0] != 0.0}
         return retrieved
-
-    def _deplete(self, x_op: float, fidelity: float) -> None:
-        """Scale each component by (1 - fidelity * dep(d)) for a pulse at x_op.
-
-        Beam positions are finite, so dep(d) and the scale lie in [0, 1].
-        Components left at exactly 0.0 are then dropped.
-        """
-        for f, slot in self._stored.items():
-            slot[0] *= 1.0 - fidelity * physics.depletion_fraction(
-                abs(x_op - self._rails[f][1]), self.params)
-        self._stored = {f: slot for f, slot in self._stored.items() if slot[0] != 0.0}
 
 
 def diagnose(state: Memory, seq: Sequence) -> list[seqlang.Diagnostic]:

@@ -490,8 +490,8 @@ def monte_carlo_overlap(params: PhysicsParams, n_atoms: int, d_um: float,
     variance 2 D t, and returns the mean read sampling weight at
     displacement d normalized by the coaxial mean over the same advanced
     cloud. The estimator is therefore exactly 1 at d = 0 and consistent
-    with overlap_factor(d, spread_variance(sigma0², t, D)). It is the
-    single-point case of ``monte_carlo_overlaps``.
+    with overlap_factor(d, spread_variance_um2(sigma0², t, D), params),
+    both in ``physics``. It is the single-point case of ``monte_carlo_overlaps``.
     """
     return monte_carlo_overlaps(params, n_atoms, [(d_um, t_us)], seed)[0]
 

@@ -19,6 +19,7 @@ from vapormem.core import (
     Sequence,
     TimeOrderError,
     UnknownRailError,
+    VaporMemError,
     default_params,
     default_rails,
 )
@@ -378,6 +379,29 @@ class TestStateEvolution:
             assert after.keys() - before.keys() == ({t} if kind == 0 else set())
             assert all(after.get(k, 0.0) <= a for k, a in before.items())
 
+    # each op checks its rail first, then (a write) its energy, then the time;
+    # 200 MHz is in band but uncalibrated, -1.0 is no energy, 500 ns is past
+    @pytest.mark.parametrize("method, args, error", [
+        ("write", (200.0, 500.0, -1.0), UnknownRailError),
+        ("write", (190.0, 500.0, -1.0), DomainError),
+        ("write", (190.0, 500.0, 1.0), TimeOrderError),
+        ("read", (200.0, 500.0), UnknownRailError),
+        ("read", (190.0, 500.0), TimeOrderError),
+        ("pump", (200.0, 500.0), UnknownRailError),
+        ("pump", (190.0, 500.0), TimeOrderError),
+    ])
+    def test_failed_op_raises_in_check_order_and_changes_nothing(self, method, args, error):
+        mem = fresh()
+        mem.write(190.0, 0.0, 1.0)
+        mem.advance(1000.0)
+        before = {c.f_rail: mem.stored_on(c.f_rail) for c in RAILS}
+        with pytest.raises(VaporMemError) as raised:
+            getattr(mem, method)(*args)
+        assert type(raised.value) is error
+        assert mem.t_now_ns == 1000.0
+        assert {c.f_rail: mem.stored_on(c.f_rail) for c in RAILS} == before
+        assert before[190.0] > 0.0
+
 
 STEPS = st.lists(st.tuples(
     st.sampled_from(list(OpKind)),
@@ -402,29 +426,41 @@ def assert_state_derived_from_rail_and_age(seq: Sequence) -> None:
     """Every read retrieves, exactly, the sum over the snapshot (oldest first)
     of amplitude * eta_read * exp(-age / tau) * overlap, with each component's
     centre and lifetime those of the rail it was written on and its variance
-    sigma0² + 2 D age; after every op the snapshot holds, in birth order, the
-    amplitude stored on each rail and the time of that rail's last write."""
+    sigma0² + 2 D age. A term of a component on another rail is capped at
+    max(a_birth - A_after * decay - drawn, 0), A_after its amplitude after the
+    read's depletion, and only reads add what they took to drawn. After every
+    op the snapshot holds, in birth order, the amplitude stored on each rail
+    and the time of that rail's last write."""
     diff = physics.diffusion_coefficient(P)
     v_read = physics.read_sampling_variance_um2(P)
     cals = {c.f_rail: c for c in RAILS}
     written_on, last_write = {}, {}
+    a_birth, drawn = {}, {}  # by birth time
     mem = fresh()
     for op in seq.ops:
-        expected = 0.0
+        expected, took = 0.0, {}
         for c in mem.components:
             rail = written_on[c.t_birth_ns]
             age_us = (op.t_ns - c.t_birth_ns) / US
             s2 = physics.spread_variance_um2(P.sigma0 ** 2, age_us, diff)
             d = abs(physics.rail_position_um(op.f_rail, P) - physics.rail_position_um(rail, P))
-            expected += (c.amplitude * cals[op.f_rail].eta_read
-                         * physics.temporal_decay(1.0, age_us, cals[rail].tau_us)
-                         * physics._overlap(d, s2, v_read))
+            decay = physics.temporal_decay(1.0, age_us, cals[rail].tau_us)
+            term = c.amplitude * cals[op.f_rail].eta_read * decay * physics._overlap(d, s2, v_read)
+            if rail != op.f_rail:
+                a_after = c.amplitude * (1.0 - physics.depletion_fraction(d, P))
+                budget = a_birth[c.t_birth_ns] - a_after * decay - drawn[c.t_birth_ns]
+                term = min(term, max(budget, 0.0))
+                took[c.t_birth_ns] = term
+            expected += term
         out = mem.apply(op)
         if op.kind is OpKind.READ:
             assert out == expected
+            for t_birth, term in took.items():
+                drawn[t_birth] += term
         if op.kind is OpKind.WRITE:
             written_on[op.t_ns] = op.f_rail
             last_write[op.f_rail] = op.t_ns
+            a_birth[op.t_ns], drawn[op.t_ns] = mem.stored_on(op.f_rail), 0.0
         assert [(c.t_birth_ns, c.amplitude) for c in mem.components] == sorted(
             (t, mem.stored_on(f)) for f, t in last_write.items() if mem.stored_on(f) > 0.0)
 
@@ -439,6 +475,14 @@ class TestPool:
             assert len(mem.components) <= len(RAILS)
             assert all(c.amplitude > 0.0 for c in mem.components)
 
+    # an off-rail cap that binds at the 78th read; then the same drain cut by
+    # a pump or a write on the read rail, neither of which may draw from the
+    # 190 MHz component's budget
+    @example(steps=[(OpKind.WRITE, 190.0, 200, 1.0)] + [(OpKind.READ, 210.0, 200, 1.0)] * 79)
+    @example(steps=[(OpKind.WRITE, 190.0, 200, 1.0)] + [(OpKind.READ, 210.0, 200, 1.0)] * 70
+             + [(OpKind.PUMP, 210.0, 200, 1.0)] + [(OpKind.READ, 210.0, 200, 1.0)] * 9)
+    @example(steps=[(OpKind.WRITE, 190.0, 200, 1.0)] + [(OpKind.READ, 210.0, 200, 1.0)] * 77
+             + [(OpKind.WRITE, 230.0, 200, 1.0)] + [(OpKind.READ, 210.0, 200, 1.0)] * 2)
     @given(steps=STEPS)
     def test_variance_follows_age(self, steps):
         assert_state_derived_from_rail_and_age(steps_program(steps))
