@@ -31,6 +31,7 @@ from __future__ import annotations
 import argparse
 import gc
 import os
+import struct
 import sys
 from array import array
 from itertools import chain
@@ -54,9 +55,12 @@ REPORT_MEAN_LIFETIME_US = (3.2, 0.2)
 REPORT_MEAN_EFFICIENCY_PCT = (36.0, 1.0)
 ORACLE_ABS_TOL = 0.02
 ORACLE_GRID = tuple((d, t) for d in (0.0, 270.0, 675.0) for t in (0.4, 2.0))
-# samples per step of waveform_csv: its per-chunk lists and bytes stay near
+# samples per step of waveform_csv: a multiple of _GRID_BLOCK, so every chunk
+# after the first starts a block; its per-chunk lists and bytes stay near
 # 1 MiB, while the intensity table lives for the whole call
-WAVEFORM_CSV_CHUNK = 1 << 14
+WAVEFORM_CSV_CHUNK = 16_000
+# rows per template of waveform_csv's integer time grid: times 100m ... 100m + 99
+_GRID_BLOCK = 100
 
 Outcome = tuple[int, str, list[tuple[str, str]]]  # exit code, stdout, (path, text) per output
 _PARAM_KEYS = set(fields(PhysicsParams))
@@ -158,14 +162,16 @@ def scan_csv(result: harness.ScanResult) -> str:
 def waveform_csv(t, y) -> str:
     """CSV of two equal-length float64 arrays, built a chunk at a time.
 
+    Every row is ``f"{t!r},{y!r}"`` of its own two floats; everything
+    below only avoids calling ``repr`` where its text is known in advance.
+
     A rendered waveform repeats few intensities: most samples are the
     noise floor, and the pulses' far tails, near 1e-300 where ``repr`` is
     slowest, are symmetric about their centres and recur from pulse to
     pulse. So one table, kept for the whole call, holds the text of each
     distinct intensity, and each is formatted once. On a 400k-sample,
     200-pulse render that is 38k intensities, where per-chunk tables
-    formatted 62k. The table costs about 5 MiB, so it is dropped before
-    the chunks are joined, where the call's memory peaks.
+    formatted 62k. The table costs about 5 MiB.
 
     The table is keyed by each sample's 64-bit pattern, not its value.
     Floats that compare equal but print differently (0.0 and -0.0) get
@@ -173,25 +179,69 @@ def waveform_csv(t, y) -> str:
     print ``nan``; a key's text is the ``repr`` of the float with its
     bits, so every sample prints as its own ``repr`` with no special case.
 
-    Each chunk's rows are joined in C: ``repr`` of each time interleaved
-    with each intensity's table text, with no Python bytecode per row.
+    Times on the default 1 ns grid are not formatted at all. A chunk whose
+    times are bitwise the floats ``i, i + 1, ...`` of their own row numbers
+    prints each full block of 100 rows ``100m ... 100m + 99`` (m >= 1) from
+    a template: ``repr(float(k))`` is ``f"{k}.0"`` for every integer k below
+    1e16, so row ``100m + r`` reads ``f"{m}{r:02d}.0"``, m's digits then r's
+    two. A block whose 100 intensities share one bit pattern (the noise
+    floor) is the last such block's text with m replaced, rebuilt only when
+    the intensity changes; any other block is one ``str.format`` of the
+    100-row template with the block's table texts. Block 0, whose times
+    have fewer digits, a partial last block, and every chunk off the grid
+    (another period, a moved time, a -0.0) take the ``repr`` path: the
+    ``repr`` of each time interleaved with each intensity's table text,
+    joined in C with no Python bytecode per row. Both paths print the
+    same text for a grid time, so which one a row takes changes no byte.
+
     ``tolist()`` and ``tobytes()`` convert a chunk in one call each, and
-    chunks keep those copies small next to the text being built.
+    chunks keep those copies small next to the text being built. Each
+    chunk's text is appended to the one result string, which CPython
+    resizes in place while nothing else refers to it, so the call never
+    holds its text twice, as a final join of all chunks would.
     """
-    fmt = memoryview(y).format
-    if fmt != "d":  # any other item would be keyed by bytes that are not its own
-        raise TypeError(f"waveform_csv needs native float64 intensities, not format {fmt!r}")
-    chunks = ["t_ns,intensity\n"]
+    for what, a in (("times", t), ("intensities", y)):
+        fmt = memoryview(a).format
+        if fmt != "d":  # any other item would be read from bytes that are not its own
+            raise TypeError(f"waveform_csv needs native float64 {what}, not format {fmt!r}")
+    n = len(y)
+    if len(t) != n:
+        raise ValueError(f"waveform_csv needs one time per intensity, "
+                         f"not {len(t)} times for {n} intensities")
+    block = _GRID_BLOCK
+    csv = "t_ns,intensity\n"
     text: dict[int, str] = {}
-    for i in range(0, len(t), WAVEFORM_CSV_CHUNK):
-        j = i + WAVEFORM_CSV_CHUNK
-        keys = array("Q", y[i:j].tobytes()).tolist()
+    # "{0}00.0{1}{0}01.0{2}...{0}99.0{100}": block m's rows, from m and 100 texts
+    rows = "".join(f"{{0}}{r:02d}.0{{{r + 1}}}" for r in range(block))
+    same_key, same_rows = None, ""  # the last one-intensity block, "|" for its m
+    for i in range(0, n, WAVEFORM_CSV_CHUNK):
+        j = min(i + WAVEFORM_CSV_CHUNK, n)
+        yb = y[i:j].tobytes()
+        keys = array("Q", yb).tolist()
         new = array("Q", set(keys).difference(text))
         text.update({k: f",{v!r}\n" for k, v in zip(new, array("d", new.tobytes()))})
-        chunks.append("".join(chain.from_iterable(
-            zip(map(repr, t[i:j].tolist()), map(text.__getitem__, keys)))))
-    del text  # before the join, which doubles the text
-    return "".join(chunks)
+        lo, hi = max(i, block), j - j % block  # the chunk's templated rows
+        if not (lo < hi and t[i:j].tobytes() == struct.pack(f"{j - i}d", *range(i, j))):
+            lo = hi = j
+        parts = [_repr_rows(t[i:lo], keys[:lo - i], text)]
+        for b in range(lo, hi, block):
+            o = b - i
+            ybits = yb[8 * o:8 * (o + block)]
+            if ybits == ybits[:8] * block:
+                if keys[o] != same_key:
+                    same_key = keys[o]
+                    same_rows = "".join(f"|{r:02d}.0{text[same_key]}" for r in range(block))
+                parts.append(same_rows.replace("|", str(b // block)))
+            else:
+                parts.append(rows.format(b // block, *map(text.__getitem__, keys[o:o + block])))
+        parts.append(_repr_rows(t[hi:j], keys[hi - i:], text))
+        csv += "".join(parts)
+    return csv
+
+
+def _repr_rows(t, keys: list[int], text: dict[int, str]) -> str:
+    """Rows of the times ``t``, each by ``repr``, with their intensities' texts."""
+    return "".join(chain.from_iterable(zip(map(repr, t.tolist()), map(text.__getitem__, keys))))
 
 
 def _checked(path: str, params: PhysicsParams, rails: tuple[RailCalibration, ...]):

@@ -1,13 +1,15 @@
 import math
+import random
 import struct
 from array import array
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, reject, strategies as st
+from hypothesis import example, given, reject, settings, strategies as st
 
 from corpus import CANONICAL
-from vapormem import core
+from vapormem import cli, core
 from vapormem.cli import (
     ORACLE_GRID,
     WAVEFORM_CSV_CHUNK,
@@ -17,7 +19,7 @@ from vapormem.cli import (
     waveform_csv,
 )
 from vapormem.core import ParamError, PhysicsParams, default_params, default_rails
-from vapormem.engine import Memory, run_sequence
+from vapormem.engine import Memory, render_waveform, run_sequence
 from vapormem.harness import MAX_ORACLE_ATOMS, monte_carlo_overlap
 from vapormem.seqlang import ValidationFailure, parse
 
@@ -328,12 +330,53 @@ def per_sample_waveform_csv(t, y) -> str:
     return "\n".join(lines) + "\n"
 
 
+C = WAVEFORM_CSV_CHUNK
+
+
+def assert_same_csv(got: str, expected: str) -> None:
+    """``got == expected``, naming the first row that differs; pytest's diff
+    of two texts this long would take minutes."""
+    if got != expected:
+        g, e = got.split("\n"), expected.split("\n")
+        k = next((k for k, (a, b) in enumerate(zip(g, e)) if a != b), min(len(g), len(e)))
+        raise AssertionError(f"line {k} differs: {g[k:k + 1]} != {e[k:k + 1]} "
+                             f"({len(g)} and {len(e)} lines)")
+
+
+def assert_same_bytes(t, y):
+    """waveform_csv of ``t, y`` as numpy arrays, array('d') buffers and strided views."""
+    expected = per_sample_waveform_csv(t, y)
+    assert_same_csv(waveform_csv(t, y), expected)
+    # render_waveform returns array('d') buffers, which format the same
+    assert_same_csv(waveform_csv(array("d", t), array("d", y)), expected)
+    # a strided view, whose chunks are not contiguous
+    t2, y2 = np.repeat(t, 2), np.repeat(y, 2)
+    assert_same_csv(waveform_csv(t2[::2], y2[::2]), expected)
+
+
+def one_intensity_blocks(y) -> int:
+    """How many full 100-row blocks after the first hold one bit pattern."""
+    bits = np.asarray(y).view(np.uint64)
+    blocks = bits[100:len(bits) // 100 * 100].reshape(-1, 100)
+    return int((blocks == blocks[:, :1]).all(axis=1).sum())
+
+
+def sparse_program(rng: random.Random, last_ns: int) -> str:
+    """A validator-clean program whose ops lie sparsely over ``last_ns`` ns."""
+    times = [0] + sorted(rng.sample(range(48, last_ns, 48), 20)) + [last_ns]
+    kinds = ["WRITE"] + rng.choices(["WRITE", "READ", "PUMP"], weights=(9, 9, 2), k=21)
+    rails = (170, 190, 210, 230)
+    lines = [f"AT {t}ns {kind} {rng.choice(rails)}MHz" for t, kind in zip(times, kinds)]
+    return "\n".join(["SEQUENCE sparse", "RAILS 170MHz 190MHz 210MHz 230MHz"] + lines) + "\n"
+
+
 class TestWaveformCsv:
-    @pytest.mark.parametrize("n", [0, 1, 2 * WAVEFORM_CSV_CHUNK - 1,
-                                   2 * WAVEFORM_CSV_CHUNK, 2 * WAVEFORM_CSV_CHUNK + 1])
+    # 32767-32769 were 2 C - 1 ... 2 C + 1 when C was 16384; they stay as
+    # lengths whose last block is partial
+    @pytest.mark.parametrize("n", [0, 1, 99, 100, 101, C - 1, C, C + 1, 2 * C + 101,
+                                   32767, 32768, 32769])
     def test_same_bytes_as_per_sample_formatter(self, n):
         rng = np.random.default_rng(n)
-        t = np.arange(n) * 0.37
         y = rng.exponential(1e-3, n)
         y[::7] = 0.0
         y[1::7] = -0.0  # equal to 0.0, but printed differently
@@ -344,20 +387,74 @@ class TestWaveformCsv:
         y[5::37] = -math.inf
         y[6::41] = struct.unpack("d", struct.pack("Q", 0x7FF8_0000_0000_1234))[0]  # a NaN payload
         y[7::43] = -math.nan  # the sign bit set; it prints "nan" too
-        y[n // 3:n // 2] = 2.5e-7  # a long run of one noise floor
+        y[n // 3:n // 2] = 2.5e-7  # a long run of one noise floor, not block-aligned
+        y[200:500] = 3e-6  # three blocks of one intensity, aligned with them
+        y[500:600] = -0.0  # one block of -0.0, whose text is not 0.0's
+        y[600:700] = 0.0
+        # one-intensity runs across a chunk boundary: aligned, then not
+        y[C - 300:C + 200] = 1e-5
+        y[2 * C - 250:2 * C + 150] = 7e-9
         # one far-tail value on both sides of a chunk boundary
-        y[WAVEFORM_CSV_CHUNK - 5:WAVEFORM_CSV_CHUNK + 5] = 1.7e-300
-        assert waveform_csv(t, y) == per_sample_waveform_csv(t, y)
-        # render_waveform returns array('d') buffers, which format the same
-        assert waveform_csv(array("d", t), array("d", y)) == per_sample_waveform_csv(t, y)
-        # a strided view, whose chunks are not contiguous
-        t2, y2 = np.repeat(t, 2), np.repeat(y, 2)
-        assert waveform_csv(t2[::2], y2[::2]) == per_sample_waveform_csv(t, y)
+        y[C - 5:C + 5] = 1.7e-300
+        assert_same_bytes(np.arange(n) * 0.37, y)
+        assert_same_bytes(np.arange(n) * 1.0, y)  # the integer grid
+        # grids that are not the integer one, which the repr path prints
+        off_grid = [np.arange(n) * 2.0, np.arange(n) * 0.5]
+        if n:
+            t = np.arange(n) * 1.0
+            t[0] = -0.0
+            off_grid.append(t)
+            t = np.arange(n) * 1.0
+            k = min(C + 150, n - 1)  # in a later chunk where there is one
+            t[k] = math.nextafter(t[k], math.inf)
+            off_grid.append(t)
+        for t in off_grid:
+            assert_same_csv(waveform_csv(t, y), per_sample_waveform_csv(t, y))
+
+    @settings(deadline=None, max_examples=60)
+    @given(pool=st.lists(st.floats(width=64) | st.sampled_from([0.0, -0.0, 5e-324, 1e-5]),
+                         min_size=1, max_size=4),
+           runs=st.lists(st.tuples(st.integers(1, 5) | st.integers(1, 400), st.integers(0, 3)),
+                         max_size=40),
+           chunk=st.sampled_from([100, 300, C]))
+    def test_grid_waveforms_match_per_sample_formatter(self, pool, runs, chunk):
+        # runs of a few intensities: blocks of one intensity, mixed blocks and
+        # runs that start mid-block; chunks of 100 and 300 rows put chunk
+        # boundaries inside waveforms this small
+        y = array("d")
+        for length, k in runs:
+            y.extend(array("d", [pool[k % len(pool)]]) * length)
+        t = array("d", range(len(y)))
+        with mock.patch.object(cli, "WAVEFORM_CSV_CHUNK", chunk):
+            assert_same_csv(waveform_csv(t, y), per_sample_waveform_csv(t, y))
+
+    @pytest.mark.parametrize("floor", [0.0, 1e-5])  # 1e-5 is demo 02's noise floor
+    def test_sparse_render_matches_per_sample_formatter(self, floor):
+        seq = parse(sparse_program(random.Random(3), 36_000))
+        trace = run_sequence(Memory(default_params(), default_rails()), seq)
+        t, y = render_waveform(trace, 1.0, noise_floor=floor)
+        assert len(t) > 2 * C
+        assert one_intensity_blocks(y) > len(t) // 200  # over half the blocks are templated
+        assert_same_csv(waveform_csv(t, y), per_sample_waveform_csv(t, y))
 
     @pytest.mark.parametrize("dtype", [np.float32, ">f8"])
     def test_rejects_intensities_that_are_not_native_float64(self, dtype):
         with pytest.raises(TypeError, match="float64"):
             waveform_csv(np.zeros(3), np.zeros(3, dtype=dtype))
+
+    @pytest.mark.parametrize("t", [np.arange(3), array("i", [0, 1, 2]),
+                                   np.zeros(3, dtype=np.float32), np.zeros(3, dtype=">f8")],
+                             ids=["int64", "array-i", "float32", ">f8"])
+    def test_rejects_times_that_are_not_native_float64(self, t):
+        # integer times printed as 0, 1, 2 where a float64 grid prints 0.0
+        with pytest.raises(TypeError, match="float64 times"):
+            waveform_csv(t, np.zeros(3))
+
+    @pytest.mark.parametrize("n_t, n_y", [(4, 3), (3, 4), (0, 1)])
+    def test_rejects_unequal_lengths(self, n_t, n_y):
+        # zip dropped the extra rows without a word
+        with pytest.raises(ValueError, match="one time per intensity"):
+            waveform_csv(np.arange(n_t) * 1.0, np.zeros(n_y))
 
 
 class TestScan:
