@@ -86,9 +86,14 @@ def _read_text(path: str) -> str:
 
 
 def load_config(path: str) -> tuple[dict, dict]:
-    """Parse a config file into (param overrides, per-rail overrides)."""
+    """Parse a config file into (param overrides, per-rail overrides).
+
+    A key may be set once: a second line for it is a ConfigError that names
+    the line that first set it.
+    """
     param_over: dict[str, object] = {}
     rail_over: dict[float, dict[str, float]] = {}
+    set_on: dict[object, int] = {}  # parameter name or (rail, field) -> line
     for lineno, raw in enumerate(_read_text(path).split("\n"), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -101,17 +106,22 @@ def load_config(path: str) -> tuple[dict, dict]:
             if len(parts) != 3 or parts[2] not in _RAIL_KEYS:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
             try:
-                f_rail = float(parts[1])
-                rail_over.setdefault(f_rail, {})[parts[2]] = float(value)
+                f_rail, number = float(parts[1]), float(value)
             except ValueError:
                 raise ConfigError(f"{path}:{lineno}: bad value for {key!r}") from None
+            over, name, slot = rail_over.setdefault(f_rail, {}), parts[2], (f_rail, parts[2])
         elif key in _PARAM_KEYS:
             try:
-                param_over[key] = int(value) if key == "m_dep" else float(value)
+                number = int(value) if key == "m_dep" else float(value)
             except ValueError:
                 raise ConfigError(f"{path}:{lineno}: bad value for {key!r}") from None
+            over, name, slot = param_over, key, key
         else:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        first = set_on.setdefault(slot, lineno)
+        if first != lineno:
+            raise ConfigError(f"{path}:{lineno}: {key!r} was already set on line {first}")
+        over[name] = number
     return param_over, rail_over
 
 

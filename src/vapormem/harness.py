@@ -483,22 +483,21 @@ def check_criteria(trace: Trace, seq: Sequence, params: PhysicsParams,
 
 def monte_carlo_overlap(params: PhysicsParams, n_atoms: int, d_um: float,
                         t_us: float, seed: int) -> float:
-    """Brownian-walker estimate of the read overlap at displacement d, time t.
-
-    Samples atom positions from the initial Gaussian (std sigma0 per
-    axis), advances each by an independent Gaussian step of per-axis
-    variance 2 D t, and returns the mean read sampling weight at
-    displacement d normalized by the coaxial mean over the same advanced
-    cloud. The estimator is therefore exactly 1 at d = 0 and consistent
-    with overlap_factor(d, spread_variance_um2(sigma0², t, D), params),
-    both in ``physics``. It is the single-point case of ``monte_carlo_overlaps``.
-    """
+    """``monte_carlo_overlaps`` at the one point (d_um, t_us)."""
     return monte_carlo_overlaps(params, n_atoms, [(d_um, t_us)], seed)[0]
 
 
 def monte_carlo_overlaps(params: PhysicsParams, n_atoms: int,
                          points: Iterable[tuple[float, float]], seed: int) -> tuple[float, ...]:
-    """``monte_carlo_overlap`` at each (d_um, t_us) of points, in order.
+    """Brownian-walker estimates of the read overlap at each (d_um, t_us) of points, in order.
+
+    For each point, samples atom positions from the initial Gaussian (std
+    sigma0 per axis), advances each by an independent Gaussian step of
+    per-axis variance 2 D t, and returns the mean read sampling weight at
+    displacement d normalized by the coaxial mean over the same advanced
+    cloud. The estimator is therefore exactly 1 at d = 0 and consistent
+    with overlap_factor(d, spread_variance_um2(sigma0², t, D), params),
+    both in ``physics``.
 
     Every point re-seeds the generator with seed, and the draw order is
     fixed (x origins, y origins, x steps, y steps), so each estimate is

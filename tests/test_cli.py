@@ -250,12 +250,16 @@ class TestRun:
     def test_uncalibrated_rail_names_the_calibrated_ones(self, seqfile, tmp_path, capsys):
         # 198 MHz is declared, so the error must not say it was not; it is a
         # validation error on the RAILS line, as validate reports it
+        prog = seqfile(CLOSE_RAILS)
+        assert main(["validate", prog]) == 1
+        validated = capsys.readouterr()
         trace_path = tmp_path / "trace.csv"
-        rc = main(["run", seqfile(CLOSE_RAILS), "--trace-out", str(trace_path)])
+        rc = main(["run", prog, "--trace-out", str(trace_path)])
         captured = capsys.readouterr()
         assert rc == 1
         assert f"error E003 line 2: {UNCALIBRATED_198}\n" in captured.out
-        assert captured.err == ""
+        assert captured.out == validated.out
+        assert captured.err == validated.err == ""
         assert not trace_path.exists()
 
     @pytest.mark.parametrize("bad", [
@@ -651,6 +655,23 @@ class TestConfig:
         assert main(["--config", str(cfg), "report"]) == 0
         assert capsys.readouterr().out.endswith("REPORT PASS\n")
 
+    @pytest.mark.parametrize("first,second", [
+        ("d0 = 0.1", "d0 = 0.24"),
+        ("rail.190.tau_us = 5.4", "rail.190.tau_us = 6.0"),
+    ], ids=["parameter", "rail"])
+    def test_key_given_twice_rejected(self, seqfile, tmp_path, capsys, first, second):
+        # the last value does not win without a word
+        key = first.split(" = ")[0]
+        cfg = tmp_path / "twice.cfg"
+        cfg.write_text(f"{first}\n# the same key again\n{second}\n")
+        out = tmp_path / "trace.csv"
+        rc = main(["--config", str(cfg), "run", seqfile(CANONICAL), "--trace-out", str(out)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err == f"error: {cfg}:3: {key!r} was already set on line 1\n"
+        assert not out.exists()
+
     def test_override_revalidated(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("w_signal = -1\n")
@@ -786,7 +807,8 @@ class TestNonUtf8Input:
 
 class TestOracle:
     def test_passes_at_default_tolerance(self, capsys):
-        rc = main(["--seed", "2", "oracle", "--n", "20000"])
+        # the default --n, 100,000 walkers
+        rc = main(["--seed", "2", "oracle"])
         out = capsys.readouterr().out
         assert rc == 0
         assert "ORACLE PASS" in out
