@@ -21,9 +21,11 @@ of the package.
 Configuration files are flat ``key = value`` text, one entry per line,
 ``#`` comments allowed. Keys are the physics parameter names (``d0``,
 ``t_cell``, ``w_dep``, ...) and dotted per-rail paths such as
-``rail.190.tau_us``. Unknown keys are rejected, overridden values are
-re-checked against the construction invariants, and the configuration as
-a whole must give a memory on which every calibrated rail is usable.
+``rail.190.tau_us``, whose MHz must name a calibrated rail: another
+number is ``<path>:<line>: `` and the engine's no-calibration sentence.
+Unknown keys are rejected, overridden values are re-checked against the
+construction invariants, and the configuration as a whole must give a
+memory on which every calibrated rail is usable.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ from .core import (
     PhysicsParams,
     RailCalibration,
     Trace,
+    UnknownRailError,
     VaporMemError,
     default_params,
     default_rails,
@@ -89,11 +92,12 @@ def load_config(path: str) -> tuple[dict, dict]:
     """Parse a config file into (param overrides, per-rail overrides).
 
     A key may be set once: a second line for it is a ConfigError that names
-    the line that first set it.
+    the line that first set it. A rail key must name a calibrated rail.
     """
     param_over: dict[str, object] = {}
     rail_over: dict[float, dict[str, float]] = {}
     set_on: dict[object, int] = {}  # parameter name or (rail, field) -> line
+    cals = {cal.f_rail: cal for cal in default_rails()}
     for lineno, raw in enumerate(_read_text(path).split("\n"), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -103,10 +107,17 @@ def load_config(path: str) -> tuple[dict, dict]:
         key, value = (part.strip() for part in line.split("=", 1))
         if key.startswith("rail."):
             parts = key.split(".")
+            try:
+                f_rail = float(parts[1])
+            except ValueError:
+                parts = []  # a rail that is not a number is an unknown key
             if len(parts) != 3 or parts[2] not in _RAIL_KEYS:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
             try:
-                f_rail, number = float(parts[1]), float(value)
+                engine._calibration(cals, f_rail)
+                number = float(value)
+            except UnknownRailError as exc:
+                raise ConfigError(f"{path}:{lineno}: {exc}") from None
             except ValueError:
                 raise ConfigError(f"{path}:{lineno}: bad value for {key!r}") from None
             over, name, slot = rail_over.setdefault(f_rail, {}), parts[2], (f_rail, parts[2])
@@ -140,10 +151,6 @@ def configured(config_path: str | None) -> tuple[PhysicsParams, tuple[RailCalibr
     param_over, rail_over = load_config(config_path)
     if param_over:
         params = replace(params, **param_over)
-    known = {cal.f_rail for cal in rails}
-    for f_rail in rail_over:
-        if f_rail not in known:
-            raise ConfigError(f"config overrides unknown rail {f_rail} MHz")
     rails = tuple(replace(cal, **rail_over.get(cal.f_rail, {})) for cal in rails)
     try:
         engine.Memory(params, rails)

@@ -43,6 +43,16 @@ MAX_WAVEFORM_SAMPLES = 10**7  # render_waveform allocates two float64 arrays thi
 _RENDER_CHUNK = 1 << 14  # samples of the time axis built per step of render_waveform
 
 
+def _calibration(cals: dict[float, RailCalibration], f_rail: float) -> RailCalibration:
+    """cals[f_rail], or the UnknownRailError every entry point prints for a rail with none."""
+    try:
+        return cals[f_rail]
+    except KeyError:
+        listing = ", ".join(map(seqlang._fmt_number, sorted(cals)))
+        raise UnknownRailError(f"rail {seqlang._fmt_number(f_rail)} MHz has no calibration "
+                               f"(calibrated rails: {listing} MHz)") from None
+
+
 class Memory:
     """Multi-rail memory state: parameters, rail calibrations, stored pulses.
 
@@ -104,17 +114,8 @@ class Memory:
         return [SpinWaveComponent(slot[0], slot[1]) for slot in self._stored.values()]
 
     def _rail(self, f_rail: float) -> RailCalibration:
-        """Calibration of a calibrated rail.
-
-        A sequence may declare any rail, but the memory can act only on the
-        rails it was given calibrations for.
-        """
-        try:
-            return self._rails[f_rail]
-        except KeyError:
-            calibrated = ", ".join(str(f) for f in sorted(self._rails))
-            raise UnknownRailError(f"rail {f_rail} MHz has no calibration "
-                                   f"(calibrated rails: {calibrated} MHz)") from None
+        """Calibration of a rail; the memory acts only on rails it was given one for."""
+        return _calibration(self._rails, f_rail)
 
     def advance(self, t_ns: float) -> None:
         """Advance time without performing an operation.
@@ -230,11 +231,11 @@ def diagnose(state: Memory, seq: Sequence) -> list[seqlang.Diagnostic]:
     # through the module, so a wrapper of seqlang.validate sees this call
     diags = seqlang.validate(seq, state.params)
     rails_line = seq.rails_line if seq.rails_line is not None else 0
-    listing = ", ".join(map(seqlang._fmt_number, sorted(state._rails)))
-    diags += [seqlang.Diagnostic("E003", "error", rails_line,
-                                 f"rail {seqlang._fmt_number(f)} MHz has no calibration "
-                                 f"(calibrated rails: {listing} MHz)")
-              for f in seq.rails if f not in state._rails]
+    for f in seq.rails:
+        try:
+            state._rail(f)
+        except UnknownRailError as exc:
+            diags.append(seqlang.Diagnostic("E003", "error", rails_line, str(exc)))
     diags.sort(key=lambda d: (d.line, d.code))
     return diags
 

@@ -27,7 +27,6 @@ from .core import (
     RailCalibration,
     Sequence,
     Trace,
-    UnknownRailError,
     VaporMemError,
     _Value,
     replace,
@@ -145,13 +144,6 @@ class CriteriaReport(_Value):
                 and self.full_retrieval.passed)
 
 
-def _find_cal(rails_cal: Iterable[RailCalibration], f_rail: float) -> RailCalibration:
-    for cal in rails_cal:
-        if cal.f_rail == f_rail:
-            return cal
-    raise UnknownRailError(f"no calibration for rail {f_rail} MHz")
-
-
 def scan_crosstalk(params: PhysicsParams, rails_cal: Iterable[RailCalibration],
                    separations_mhz: SeqABC[float] = CROSSTALK_SEPARATIONS_MHZ) -> ScanResult:
     """Two-rail cross-talk scan against rail separation.
@@ -162,7 +154,7 @@ def scan_crosstalk(params: PhysicsParams, rails_cal: Iterable[RailCalibration],
     zero separation both reads address the write rail. Unmeasured neighbor
     rails inherit the write rail's calibration.
     """
-    base = _find_cal(tuple(rails_cal), CROSSTALK_WRITE_RAIL_MHZ)
+    base = engine._calibration({c.f_rail: c for c in rails_cal}, CROSSTALK_WRITE_RAIL_MHZ)
     peak1, peak2 = [], []
     for sep in separations_mhz:
         if sep == 0.0:
@@ -189,7 +181,7 @@ def scan_lifetime(params: PhysicsParams, rails_cal: Iterable[RailCalibration],
     ascending, NaN included, or whose value in ns is not a finite float
     raise DomainError before any point runs.
     """
-    cal = _find_cal(tuple(rails_cal), f_rail)
+    cal = engine._calibration({c.f_rail: c for c in rails_cal}, f_rail)
     if not all(b > a and b * engine.NS_PER_US < math.inf
                for a, b in zip((0.0, *delays_us), delays_us)):
         raise DomainError("delays must be positive, strictly ascending and finite in ns")
@@ -440,7 +432,6 @@ def check_criteria(trace: Trace, seq: Sequence, params: PhysicsParams,
     sequence and observes each rail's occupancy before a read; a mismatch
     raises TraceMismatchError.
     """
-    rails_cal = tuple(rails_cal)
     if len(trace.events) != len(seq.ops):
         raise TraceMismatchError("trace length differs from sequence length")
     mem = engine.Memory(params, rails_cal)
@@ -464,7 +455,7 @@ def check_criteria(trace: Trace, seq: Sequence, params: PhysicsParams,
             # an op on this rail since the write would have ended the pair, so
             # every op between the two is on another rail
             if iw is not None and i > iw + 1:
-                write, cal = seq.ops[iw], _find_cal(rails_cal, op.f_rail)
+                write, cal = seq.ops[iw], mem._rail(op.f_rail)
                 dt_us = (op.t_ns - write.t_ns) / engine.NS_PER_US
                 predicted = write.energy * cal.eta_mem * math.exp(-dt_us / cal.tau_us)
                 if predicted > 0.0:

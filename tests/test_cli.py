@@ -28,6 +28,7 @@ CLOSE_RAILS = ("SEQUENCE close\nRAILS 190MHz 198MHz\n"
                "AT 0ns WRITE 190MHz\nAT 400ns READ 198MHz\n")
 UNCALIBRATED_198 = ("rail 198 MHz has no calibration "
                     "(calibrated rails: 170, 190, 210, 230 MHz)")
+UNCALIBRATED_195 = UNCALIBRATED_198.replace("198", "195")
 # under d0 = 4e303, D and 2 D are finite, but the spread variance of a
 # component 2 us old is not
 LATE_READ = "SEQUENCE late\nRAILS 190MHz\nAT 0ns WRITE 190MHz\nAT 2us READ 190MHz\n"
@@ -498,6 +499,12 @@ class TestScan:
         assert "must be finite" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    def test_uncalibrated_rail_rejected(self, tmp_path, capsys):
+        rc = main(["--out", str(tmp_path), "scan", "lifetime", "--rail", "195"])
+        assert rc == 2
+        assert capsys.readouterr() == ("", f"error: {UNCALIBRATED_195}\n")
+        assert list(tmp_path.iterdir()) == []
+
     def test_inverted_grid_rejected(self, tmp_path):
         rc = main(["--out", str(tmp_path), "scan", "lifetime",
                    "--min", "5", "--max", "1", "--step", "0.4"])
@@ -677,10 +684,22 @@ class TestConfig:
         cfg.write_text("w_signal = -1\n")
         assert main(["--config", str(cfg), "report"]) == 2
 
-    def test_unknown_rail_rejected(self, tmp_path, capsys):
+    def test_unknown_rail_rejected(self, seqfile, tmp_path, capsys):
+        # a number that names no calibrated rail gets the engine's sentence at
+        # its line; a rail that is not a number makes the key unknown
         cfg = tmp_path / "bad.cfg"
-        cfg.write_text("rail.195.tau_us = 1.0\n")
-        assert main(["--config", str(cfg), "report"]) == 2
+        out = tmp_path / "trace.csv"
+        for rail, message in [("195", UNCALIBRATED_195),
+                              ("nan", UNCALIBRATED_195.replace("195", "nan")),
+                              ("abc", "unknown key 'rail.abc.tau_us'")]:
+            cfg.write_text(f"rail.{rail}.tau_us = 1.0\n")
+            assert main(["--config", str(cfg), "report"]) == 2
+            assert capsys.readouterr() == ("", f"error: {cfg}:1: {message}\n")
+            cfg.write_text(f"# line 1\nrail.{rail}.tau_us = 5.4\n")
+            rc = main(["--config", str(cfg), "run", seqfile(CANONICAL), "--trace-out", str(out)])
+            assert rc == 2
+            assert capsys.readouterr() == ("", f"error: {cfg}:2: {message}\n")
+            assert not out.exists()
 
     @pytest.mark.parametrize("line,field", NON_FINITE_CONFIGS)
     def test_non_finite_value_rejected(self, seqfile, tmp_path, capsys, line, field):

@@ -184,9 +184,11 @@ class TestWrite:
         assert c.amplitude == pytest.approx(math.sqrt(0.35), rel=1e-12)
 
     def test_unknown_rail(self):
-        with pytest.raises(UnknownRailError, match=r"^rail 195.0 MHz has no calibration \(calibrated "
-                                                   r"rails: 170.0, 190.0, 210.0, 230.0 MHz\)$"):
-            fresh().write(195.0, 0.0, 1.0)
+        # write, read and pump print the sentence of E003
+        sentence = r"^rail 195 MHz has no calibration \(calibrated rails: 170, 190, 210, 230 MHz\)$"
+        for method in ("write", "read", "pump"):
+            with pytest.raises(UnknownRailError, match=sentence):
+                getattr(fresh(), method)(195.0, 0.0)
 
     def test_infinite_amplitude_depleted_on_rail_rejected(self):
         # the write refuses an infinite energy, so no infinite amplitude is

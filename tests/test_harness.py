@@ -206,8 +206,15 @@ class TestFitExponential:
         with pytest.raises(FitError):
             fit_exponential([(0.4, 1.0), (0.8, 2.0), (1.2, 4.0)])
 
-    def test_convergence_error_is_distinct(self):
+    def test_convergence_error_is_distinct(self, monkeypatch):
         assert issubclass(FitConvergenceError, FitError)
+        # on noisy data the log-linear start is not the relative-residual
+        # minimum, so one Gauss-Newton step does not reach the tolerance
+        monkeypatch.setattr(harness, "_GN_MAX_ITER", 1)
+        noisy = [(0.4, 1.0), (0.8, 0.5), (1.2, 0.4), (1.6, 0.15)]
+        with pytest.raises(FitConvergenceError,
+                           match=r"^no convergence after 1 Gauss-Newton iterations$"):
+            fit_exponential(noisy)
 
     @pytest.mark.parametrize("pts,message", [
         ([(0.4, 1.0), (0.8, math.nan), (1.2, 0.5)], "must be finite"),
@@ -512,6 +519,13 @@ class TestCheckCriteria:
             check_criteria(tampered, seq, P, RAILS)
         with pytest.raises(TraceMismatchError):
             check_criteria(core.replace(trace, events=trace.events[:-1]), seq, P, RAILS)
+        # an event with its operation's energy but another rail or kind
+        last = trace.events[-1]
+        for changed in ({"f_rail": 210.0}, {"kind": OpKind.PUMP}):
+            moved = core.replace(trace, events=trace.events[:-1] + (
+                core.replace(last, **changed),))
+            with pytest.raises(TraceMismatchError, match="does not match its operation"):
+                check_criteria(moved, seq, P, RAILS)
 
     def test_same_rail_pump_ends_the_pair(self):
         # the pump empties the 190 rail; it is not an interaction, with or

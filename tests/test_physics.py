@@ -146,6 +146,8 @@ class TestSpreadVariance:
     def test_negative_time_rejected(self):
         with pytest.raises(DomainError):
             spread_variance_um2(18225.0, -0.1, 49.1)
+        with pytest.raises(DomainError, match="variance must be non-negative"):
+            spread_variance_um2(-1.0, 0.1, 49.1)
 
     def test_overflow_rejected(self):
         with pytest.raises(DomainError, match="spread variance"):
