@@ -5,6 +5,15 @@ Verbs: ``validate`` and ``run`` for sequence files, ``scan crosstalk`` and
 two-column CSV data, ``report`` for the four-rail calibration round trip,
 and ``oracle`` for the Monte Carlo / closed-form overlap comparison.
 
+The command line is described once, in ``GLOBAL_OPTIONS`` and
+``COMMANDS``. ``_plain_args`` reads its plain form from that table:
+options spelled in full, once each, with values that do not start with
+``-``. That covers every command line the documentation shows, and it
+does not import argparse, with the gettext and locale that argparse
+loads. Anything else, help and errors included, goes to the argparse
+parser that ``build_parser`` makes from the same table, so it is read,
+printed and refused exactly as argparse does it.
+
 All commands are deterministic for a given input, configuration and seed;
 re-running produces byte-identical CSV output. All CSV is UTF-8 with
 ``\\n`` line endings and ``.`` as the decimal separator.
@@ -30,13 +39,13 @@ memory on which every calibrated rail is usable.
 
 from __future__ import annotations
 
-import argparse
 import gc
 import os
 import struct
 import sys
 from array import array
 from itertools import chain
+from types import SimpleNamespace
 
 from . import engine, harness, physics, seqlang
 from .core import (
@@ -97,7 +106,7 @@ def load_config(path: str) -> tuple[dict, dict]:
     param_over: dict[str, object] = {}
     rail_over: dict[float, dict[str, float]] = {}
     set_on: dict[object, int] = {}  # parameter name or (rail, field) -> line
-    cals = {cal.f_rail: cal for cal in default_rails()}
+    cals = engine._rail_table(default_rails())
     for lineno, raw in enumerate(_read_text(path).split("\n"), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -375,48 +384,106 @@ def cmd_oracle(args, params, rails) -> Outcome:
     return 0 if ok else 1, "\n".join(lines) + "\n", []
 
 
-def build_parser() -> argparse.ArgumentParser:
+# The command line, described once: build_parser makes argparse's parser
+# from it, and _plain_args reads its plain form without argparse. An option
+# is (flag, type, default, help); a positional is (name, choices or None).
+GLOBAL_OPTIONS = (
+    ("--config", str, None, "key = value configuration file"),
+    ("--seed", int, 1, "random seed"),
+    ("--out", str, ".", "output directory for scan CSV"),
+)
+# command word -> (function, help, positionals, options)
+COMMANDS = {
+    "validate": (cmd_validate, "check a sequence file", (("seqfile", None),), ()),
+    "run": (cmd_run, "validate and simulate a sequence file", (("seqfile", None),), (
+        ("--trace-out", str, None, "write the trace CSV here"),
+        ("--waveform-out", str, None, "write a sampled waveform CSV here"),
+        ("--sample-period-ns", float, 1.0, None),
+        ("--waveform-span-ns", float, None, None),
+        ("--noise-floor", float, 0.0, None),
+    )),
+    "scan": (cmd_scan, "run a standard scan", (("kind", ("crosstalk", "lifetime")),), (
+        ("--min", float, None, None),
+        ("--max", float, None, None),
+        ("--step", float, None, None),
+        ("--rail", float, 190.0, None),
+    )),
+    "fit": (cmd_fit, "fit an exponential decay to CSV data", (("csvfile", None),), ()),
+    "report": (cmd_report, "calibration round trip for all rails", (), ()),
+    "oracle": (cmd_oracle, "Monte Carlo check of the overlap model", (),
+               (("--n", int, 100_000, None),)),
+}
+
+
+def build_parser():
+    """argparse's parser for the command line: every help text, usage line and error."""
+    import argparse
+
+    def add_options(parser, options):
+        for flag, kind, default, text in options:
+            parser.add_argument(flag, type=kind, default=default, help=text)
+
     parser = argparse.ArgumentParser(
         prog="vapormem",
         description="Simulator of a multiplexed random-access vapor memory")
-    parser.add_argument("--config", help="key = value configuration file")
-    parser.add_argument("--seed", type=int, default=1, help="random seed")
-    parser.add_argument("--out", default=".", help="output directory for scan CSV")
+    add_options(parser, GLOBAL_OPTIONS)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("validate", help="check a sequence file")
-    p.add_argument("seqfile")
-    p.set_defaults(func=cmd_validate)
-
-    p = sub.add_parser("run", help="validate and simulate a sequence file")
-    p.add_argument("seqfile")
-    p.add_argument("--trace-out", help="write the trace CSV here")
-    p.add_argument("--waveform-out", help="write a sampled waveform CSV here")
-    p.add_argument("--sample-period-ns", type=float, default=1.0)
-    p.add_argument("--waveform-span-ns", type=float, default=None)
-    p.add_argument("--noise-floor", type=float, default=0.0)
-    p.set_defaults(func=cmd_run)
-
-    p = sub.add_parser("scan", help="run a standard scan")
-    p.add_argument("kind", choices=("crosstalk", "lifetime"))
-    p.add_argument("--min", type=float, default=None)
-    p.add_argument("--max", type=float, default=None)
-    p.add_argument("--step", type=float, default=None)
-    p.add_argument("--rail", type=float, default=190.0)
-    p.set_defaults(func=cmd_scan)
-
-    p = sub.add_parser("fit", help="fit an exponential decay to CSV data")
-    p.add_argument("csvfile")
-    p.set_defaults(func=cmd_fit)
-
-    p = sub.add_parser("report", help="calibration round trip for all rails")
-    p.set_defaults(func=cmd_report)
-
-    p = sub.add_parser("oracle", help="Monte Carlo check of the overlap model")
-    p.add_argument("--n", type=int, default=100_000)
-    p.set_defaults(func=cmd_oracle)
-
+    for word, (func, text, positionals, options) in COMMANDS.items():
+        p = sub.add_parser(word, help=text)
+        for name, choices in positionals:
+            p.add_argument(name, choices=choices)
+        add_options(p, options)
+        p.set_defaults(func=func)
     return parser
+
+
+def _dest(flag: str) -> str:
+    return flag[2:].replace("-", "_")
+
+
+def _plain_args(argv) -> SimpleNamespace | None:
+    """The arguments ``build_parser().parse_args(argv)`` gives, for a plain argv, else None.
+
+    Plain means: the global options, then one command word, then exactly
+    its positionals mixed with its options. Every option is spelled in
+    full, given at most once and followed by a value that does not start
+    with ``-`` and that its type converts; a positional does not start with
+    ``-`` either, and ``scan``'s kind is one of its choices. Anything else
+    (``-h``, ``--``, ``--seed=3``, ``--se``, ``-1``, a repeated or misplaced
+    option) is None, and argparse reads it, prints its help or its error.
+    """
+    values = {_dest(flag): default for flag, _, default, _ in GLOBAL_OPTIONS}
+    options = {flag: kind for flag, kind, _, _ in GLOBAL_OPTIONS}
+    positionals, given = None, []  # the command's positionals, the tokens for them
+    tokens = iter(argv)
+    for token in tokens:
+        if token in options:
+            kind = options.pop(token)  # so a second one is unknown
+            value = next(tokens, None)
+            if value is None or value.startswith("-"):
+                return None
+            try:
+                values[_dest(token)] = kind(value)
+            except (TypeError, ValueError):
+                return None
+        elif token.startswith("-"):
+            return None
+        elif positionals is None:
+            if token not in COMMANDS:
+                return None
+            func, _, positionals, command_options = COMMANDS[token]
+            values.update(command=token, func=func)
+            values.update((_dest(flag), default) for flag, _, default, _ in command_options)
+            options = {flag: kind for flag, kind, _, _ in command_options}
+        else:
+            given.append(token)
+    if positionals is None or len(given) != len(positionals):
+        return None
+    for (name, choices), token in zip(positionals, given):
+        if choices is not None and token not in choices:
+            return None
+        values[name] = token
+    return SimpleNamespace(**values)
 
 
 def _make_dirs(name: str, made: list[str]) -> None:
@@ -434,7 +501,10 @@ def main(argv=None) -> int:
     # of the oracle's numpy import, and this process never calls BLAS. The
     # setting only acts before numpy loads, and a value already set wins.
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-    args = build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    # argparse reads, and prints the help or error for, what the plain reader does not
+    args = _plain_args(argv) or build_parser().parse_args(argv)
     made, created = [], []
     try:
         params, rails = configured(args.config)

@@ -43,6 +43,16 @@ MAX_WAVEFORM_SAMPLES = 10**7  # render_waveform allocates two float64 arrays thi
 _RENDER_CHUNK = 1 << 14  # samples of the time axis built per step of render_waveform
 
 
+def _rail_table(rails: Iterable[RailCalibration]) -> dict[float, RailCalibration]:
+    """Each rail's calibration by its MHz, or DuplicateRailError for a rail given twice."""
+    cals: dict[float, RailCalibration] = {}
+    for cal in rails:
+        if cal.f_rail in cals:
+            raise DuplicateRailError(f"rail {cal.f_rail} MHz declared twice")
+        cals[cal.f_rail] = cal
+    return cals
+
+
 def _calibration(cals: dict[float, RailCalibration], f_rail: float) -> RailCalibration:
     """cals[f_rail], or the UnknownRailError every entry point prints for a rail with none."""
     try:
@@ -74,17 +84,12 @@ class Memory:
     """
 
     def __init__(self, params: PhysicsParams, rails: Iterable[RailCalibration]):
-        rails = tuple(rails)
-        if not rails:
+        self._rails = _rail_table(rails)
+        if not self._rails:
             raise DomainError("a memory needs at least one rail")
         self.params = params
-        self._rails: dict[float, RailCalibration] = {}
-        x: dict[float, float] = {}  # beam positions, checked here and then dropped
-        for cal in rails:
-            if cal.f_rail in self._rails:
-                raise DuplicateRailError(f"rail {cal.f_rail} MHz declared twice")
-            self._rails[cal.f_rail] = cal
-            x[cal.f_rail] = physics.rail_position_um(cal.f_rail, params)
+        # beam positions, checked here and then dropped
+        x = {f: physics.rail_position_um(f, params) for f in self._rails}
         # a read squares the distance between two rails; were that inf, a
         # component spread past a float would give inf/inf in its overlap
         by_x = sorted((v, f) for f, v in x.items())

@@ -154,7 +154,7 @@ def scan_crosstalk(params: PhysicsParams, rails_cal: Iterable[RailCalibration],
     zero separation both reads address the write rail. Unmeasured neighbor
     rails inherit the write rail's calibration.
     """
-    base = engine._calibration({c.f_rail: c for c in rails_cal}, CROSSTALK_WRITE_RAIL_MHZ)
+    base = engine._calibration(engine._rail_table(rails_cal), CROSSTALK_WRITE_RAIL_MHZ)
     peak1, peak2 = [], []
     for sep in separations_mhz:
         if sep == 0.0:
@@ -181,7 +181,7 @@ def scan_lifetime(params: PhysicsParams, rails_cal: Iterable[RailCalibration],
     ascending, NaN included, or whose value in ns is not a finite float
     raise DomainError before any point runs.
     """
-    cal = engine._calibration({c.f_rail: c for c in rails_cal}, f_rail)
+    cal = engine._calibration(engine._rail_table(rails_cal), f_rail)
     if not all(b > a and b * engine.NS_PER_US < math.inf
                for a, b in zip((0.0, *delays_us), delays_us)):
         raise DomainError("delays must be positive, strictly ascending and finite in ns")

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import math
 import random
 import struct
@@ -856,3 +858,79 @@ class TestOracle:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {n} atoms are more than {MAX_ORACLE_ATOMS}\n"
+
+
+# every word of the command-line table, with tokens that argparse reads in
+# other ways: help, the end of options, an attached value, an abbreviation,
+# a negative number, and values that a type does or does not convert
+ARGV_WORDS = sorted(
+    {*cli.COMMANDS}
+    | {flag for flag, *_ in cli.GLOBAL_OPTIONS}
+    | {flag for *_, options in cli.COMMANDS.values() for flag, *_ in options}
+    | {choice for _, _, positionals, _ in cli.COMMANDS.values()
+       for _, choices in positionals for choice in choices or ()}
+    | {"-h", "--help", "--", "--seed=3", "--trace", "--se", "-1", "nan", "abc", "", "1"})
+PARSER = cli.build_parser()
+
+
+@st.composite
+def command_lines(draw):
+    """Some global options, then a command word with one token per positional
+    and some of its options in any order; each value a word of ARGV_WORDS,
+    one that does not start with "-" half the time."""
+    words = st.sampled_from([w for w in ARGV_WORDS if not w.startswith("-")])
+    words |= st.sampled_from(ARGV_WORDS)
+    word = draw(st.sampled_from(sorted(cli.COMMANDS)))
+    _, _, positionals, options = cli.COMMANDS[word]
+    flags = [flag for flag, *_ in options]
+    chosen = draw(st.lists(st.sampled_from(flags), unique=True)) if flags else []
+    parts = [[draw(words)] for _ in positionals] + [[flag, draw(words)] for flag in chosen]
+    globals_ = draw(st.lists(st.sampled_from([flag for flag, *_ in cli.GLOBAL_OPTIONS]), unique=True))
+    return ([token for flag in globals_ for token in (flag, draw(words))] + [word]
+            + [token for part in draw(st.permutations(parts)) for token in part])
+
+
+def argparse_args(argv):
+    """build_parser's arguments for argv, or None where argparse exits."""
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            return PARSER.parse_args(argv)
+    except SystemExit:
+        return None
+
+
+class TestPlainArgs:
+    """cli._plain_args reads a plain command line as argparse does, and no other."""
+
+    # plain: True or False where an example must (not) take the plain path
+    @settings(max_examples=500)
+    @given(argv=st.lists(st.sampled_from(ARGV_WORDS), max_size=8) | command_lines(),
+           plain=st.none())
+    # the benchmark workloads' nine command lines
+    @example(argv=["run", "w/random_access.seq", "--trace-out", "w/random_access_trace.csv",
+                   "--waveform-out", "w/random_access_wave.csv"], plain=True)
+    @example(argv=["--out", "w", "scan", "crosstalk"], plain=True)
+    @example(argv=["--out", "w", "scan", "lifetime", "--rail", "190"], plain=True)
+    @example(argv=["fit", "w/lifetime_190.csv"], plain=True)
+    @example(argv=["report"], plain=True)
+    @example(argv=["--seed", "2", "oracle"], plain=True)
+    @example(argv=["run", "w/long_run.seq", "--trace-out", "w/long_run_trace.csv"], plain=True)
+    @example(argv=["validate", "w/bulk.seq"], plain=True)
+    @example(argv=["run", "w/sparse.seq", "--waveform-out", "w/sparse_wave.csv"], plain=True)
+    # argparse reads -1 as a value; the plain reader leaves it to argparse
+    @example(argv=["run", "w/sparse.seq", "--noise-floor", "-1"], plain=False)
+    def test_agrees_with_argparse(self, argv, plain):
+        got = cli._plain_args(argv)
+        if plain is not None:
+            assert (got is not None) == plain
+        if got is not None:
+            expected = argparse_args(argv)
+            assert expected is not None
+            # by repr, so that a nan equals itself and 1 differs from 1.0
+            assert ({k: repr(v) for k, v in vars(got).items()}
+                    == {k: repr(v) for k, v in vars(expected).items()})
+
+    def test_main_reads_a_plain_line_without_building_the_parser(self, capsys):
+        with mock.patch.object(cli, "build_parser", side_effect=AssertionError):
+            assert main(["report"]) == 0
+        assert capsys.readouterr().out.endswith("REPORT PASS\n")

@@ -9,6 +9,7 @@ from hypothesis import assume, example, given, strategies as st
 from vapormem import core, engine, harness, physics, seqlang
 from vapormem.core import (
     DomainError,
+    DuplicateRailError,
     FitResult,
     OpKind,
     Operation,
@@ -121,6 +122,13 @@ class TestScanCrosstalk:
         with pytest.raises(UnknownRailError):
             scan_crosstalk(P, [c for c in RAILS if c.f_rail != 190.0])
 
+    def test_rail_calibrated_twice_rejected(self):
+        # the scan reads only 190 MHz, but a second 230 MHz calibration is
+        # still refused, as Memory refuses it
+        cal230 = RAILS[-1]
+        with pytest.raises(DuplicateRailError, match=r"^rail 230.0 MHz declared twice$"):
+            scan_crosstalk(P, [*RAILS, core.replace(cal230, tau_us=1.0)], [0.0])
+
 
 class TestScanLifetime:
     def test_default_grid(self):
@@ -146,6 +154,12 @@ class TestScanLifetime:
         assert result.series["retrieved"][0] == pytest.approx(
             0.36 * math.exp(-4.4 / 2.6), rel=1e-12)
         assert result.series["retrieved"][0] == pytest.approx(0.0662739122351895, rel=1e-12)
+
+    def test_rail_calibrated_twice_rejected(self):
+        # the last calibration used to win without a word: 0.1288, not 0.2908
+        cal190 = next(c for c in RAILS if c.f_rail == 190.0)
+        with pytest.raises(DuplicateRailError, match=r"^rail 190.0 MHz declared twice$"):
+            scan_lifetime(P, [cal190, core.replace(cal190, tau_us=1.0)], 190.0, [1.0])
 
     def test_delays_must_ascend(self):
         with pytest.raises(DomainError):
