@@ -27,12 +27,13 @@ removes what it made for them. That covers an input file that is missing
 or not UTF-8 text, an output that cannot be opened, and every named error
 of the package.
 
-Configuration files are flat ``key = value`` text, one entry per line,
-``#`` comments allowed. Keys are the physics parameter names (``d0``,
-``t_cell``, ``w_dep``, ...) and dotted per-rail paths such as
-``rail.190.tau_us``, whose MHz must name a calibrated rail: another
-number is ``<path>:<line>: `` and the engine's no-calibration sentence.
-Unknown keys are rejected, overridden values are re-checked against the
+Configuration files, read by ``configured``, are flat ``key = value``
+text, one entry per line, ``#`` comments allowed. Keys are the physics
+parameter names (``d0``, ``t_cell``, ...) and per-rail paths such as
+``rail.190.tau_us``, whose MHz must name a calibrated rail: another number
+is ``<path>:<line>: `` and the engine's no-calibration sentence. An unknown
+key, or a key set twice (the error names the line that first set it), is
+rejected at its line; overridden values are re-checked against the
 construction invariants, and the configuration as a whole must give a
 memory on which every calibrated rail is usable.
 """
@@ -97,22 +98,30 @@ def _read_text(path: str) -> str:
                          f"(byte 0x{exc.object[exc.start]:02x} cannot be decoded)") from None
 
 
-def load_config(path: str) -> tuple[dict, dict]:
-    """Parse a config file into (param overrides, per-rail overrides).
+def configured(config_path: str | None) -> tuple[PhysicsParams, tuple[RailCalibration, ...]]:
+    """The default parameters and rails, with a config file's overrides applied.
 
+    Each line, less its ``#`` comment, is blank or ``key = value``, where the
+    key is a parameter name or ``rail.<MHz>.<field>`` on a calibrated rail.
     A key may be set once: a second line for it is a ConfigError that names
-    the line that first set it. A rail key must name a calibrated rail.
+    the line that first set it. The overrides then go through the
+    constructors' checks, and a memory is built from the result, so a band
+    or beam scale that leaves a calibrated rail unusable (or a diffusion
+    coefficient or read variance that overflows) is a ConfigError for every
+    command, not only for one that simulates.
     """
-    param_over: dict[str, object] = {}
-    rail_over: dict[float, dict[str, float]] = {}
-    set_on: dict[object, int] = {}  # parameter name or (rail, field) -> line
-    cals = engine._rail_table(default_rails())
-    for lineno, raw in enumerate(_read_text(path).split("\n"), start=1):
+    params, rails = default_params(), default_rails()
+    if config_path is None:
+        return params, rails
+    cals = engine._rail_table(rails)
+    over: dict[tuple, tuple[int, object]] = {}  # (rail MHz or None, field) -> (line, value)
+    for lineno, raw in enumerate(_read_text(config_path).split("\n"), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
+        where = f"{config_path}:{lineno}"
         if "=" not in line:
-            raise ConfigError(f"{path}:{lineno}: expected key = value")
+            raise ConfigError(f"{where}: expected key = value")
         key, value = (part.strip() for part in line.split("=", 1))
         if key.startswith("rail."):
             parts = key.split(".")
@@ -121,46 +130,26 @@ def load_config(path: str) -> tuple[dict, dict]:
             except ValueError:
                 parts = []  # a rail that is not a number is an unknown key
             if len(parts) != 3 or parts[2] not in _RAIL_KEYS:
-                raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+                raise ConfigError(f"{where}: unknown key {key!r}")
             try:
                 engine._calibration(cals, f_rail)
-                number = float(value)
             except UnknownRailError as exc:
-                raise ConfigError(f"{path}:{lineno}: {exc}") from None
-            except ValueError:
-                raise ConfigError(f"{path}:{lineno}: bad value for {key!r}") from None
-            over, name, slot = rail_over.setdefault(f_rail, {}), parts[2], (f_rail, parts[2])
+                raise ConfigError(f"{where}: {exc}") from None
+            slot = (f_rail, parts[2])
         elif key in _PARAM_KEYS:
-            try:
-                number = int(value) if key == "m_dep" else float(value)
-            except ValueError:
-                raise ConfigError(f"{path}:{lineno}: bad value for {key!r}") from None
-            over, name, slot = param_over, key, key
+            slot = (None, key)
         else:
-            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        first = set_on.setdefault(slot, lineno)
-        if first != lineno:
-            raise ConfigError(f"{path}:{lineno}: {key!r} was already set on line {first}")
-        over[name] = number
-    return param_over, rail_over
-
-
-def configured(config_path: str | None) -> tuple[PhysicsParams, tuple[RailCalibration, ...]]:
-    """Defaults with config-file overrides applied and re-validated.
-
-    A configuration is also checked as a whole: a memory is built from it
-    once, so a band or beam scale that leaves a calibrated rail unusable
-    (or a diffusion coefficient or read variance that overflows) is a
-    ConfigError for every command, not only for one that simulates.
-    """
-    params = default_params()
-    rails = default_rails()
-    if config_path is None:
-        return params, rails
-    param_over, rail_over = load_config(config_path)
-    if param_over:
-        params = replace(params, **param_over)
-    rails = tuple(replace(cal, **rail_over.get(cal.f_rail, {})) for cal in rails)
+            raise ConfigError(f"{where}: unknown key {key!r}")
+        try:
+            number = int(value) if key == "m_dep" else float(value)
+        except ValueError:
+            raise ConfigError(f"{where}: bad value for {key!r}") from None
+        if slot in over:
+            raise ConfigError(f"{where}: {key!r} was already set on line {over[slot][0]}")
+        over[slot] = lineno, number
+    params = replace(params, **{k: v for (f, k), (_, v) in over.items() if f is None})
+    rails = tuple(replace(cal, **{k: v for (f, k), (_, v) in over.items() if f == cal.f_rail})
+                  for cal in rails)
     try:
         engine.Memory(params, rails)
     except DomainError as exc:
@@ -311,13 +300,17 @@ def _grid(args, standard: tuple[float, float, float]) -> tuple[float, ...]:
 
 def cmd_scan(args, params, rails) -> Outcome:
     if args.kind == "crosstalk":
+        if args.rail is not None:
+            raise VaporMemError(f"scan crosstalk takes no --rail: it always writes on the "
+                                f"{harness.CROSSTALK_WRITE_RAIL_MHZ:g} MHz rail")
         grid = _grid(args, harness.CROSSTALK_GRID_MHZ)
         result = harness.scan_crosstalk(params, rails, grid)
         out_path = os.path.join(args.out, "crosstalk.csv")
     else:
+        f_rail = 190.0 if args.rail is None else args.rail
         grid = _grid(args, harness.LIFETIME_GRID_US)
-        result = harness.scan_lifetime(params, rails, args.rail, grid)
-        out_path = os.path.join(args.out, f"lifetime_{args.rail:g}.csv")
+        result = harness.scan_lifetime(params, rails, f_rail, grid)
+        out_path = os.path.join(args.out, f"lifetime_{f_rail:g}.csv")
     return 0, "", [(out_path, scan_csv(result))]
 
 
@@ -398,20 +391,20 @@ COMMANDS = {
     "run": (cmd_run, "validate and simulate a sequence file", (("seqfile", None),), (
         ("--trace-out", str, None, "write the trace CSV here"),
         ("--waveform-out", str, None, "write a sampled waveform CSV here"),
-        ("--sample-period-ns", float, 1.0, None),
-        ("--waveform-span-ns", float, None, None),
-        ("--noise-floor", float, 0.0, None),
+        ("--sample-period-ns", float, 1.0, "sample period in ns, finite and > 0 (default 1)"),
+        ("--waveform-span-ns", float, None, "span in ns, finite and >= 0 (default: last op + 600)"),
+        ("--noise-floor", float, 0.0, "intensity added to each sample, finite, >= 0 (default 0)"),
     )),
     "scan": (cmd_scan, "run a standard scan", (("kind", ("crosstalk", "lifetime")),), (
-        ("--min", float, None, None),
-        ("--max", float, None, None),
-        ("--step", float, None, None),
-        ("--rail", float, 190.0, None),
+        ("--min", float, None, "first point, MHz for crosstalk, us for lifetime (default 0, 0.4)"),
+        ("--max", float, None, "last point, in the same unit (default 25, 11.2)"),
+        ("--step", float, None, "step, in the same unit (default 1, 0.4)"),
+        ("--rail", float, None, "rail to scan lifetime on, MHz (default 190); not for crosstalk"),
     )),
     "fit": (cmd_fit, "fit an exponential decay to CSV data", (("csvfile", None),), ()),
     "report": (cmd_report, "calibration round trip for all rails", (), ()),
     "oracle": (cmd_oracle, "Monte Carlo check of the overlap model", (),
-               (("--n", int, 100_000, None),)),
+               (("--n", int, 100_000, "Brownian walkers, 1000 to 10^7 (default 100000)"),)),
 }
 
 

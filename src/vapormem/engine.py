@@ -240,7 +240,7 @@ def diagnose(state: Memory, seq: Sequence) -> list[seqlang.Diagnostic]:
         try:
             state._rail(f)
         except UnknownRailError as exc:
-            diags.append(seqlang.Diagnostic("E003", "error", rails_line, str(exc)))
+            diags.append(seqlang.Diagnostic("E003", rails_line, str(exc)))
     diags.sort(key=lambda d: (d.line, d.code))
     return diags
 

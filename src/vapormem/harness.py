@@ -123,10 +123,14 @@ class CriterionCheck(_Value):
     value <= 1 passes and 0 means the criterion was never stressed.
     """
 
-    _fields = ("passed", "margin")
+    _fields = ("margin",)
 
-    def __init__(self, passed: bool, margin: float) -> None:
-        self._assign(passed, margin)
+    def __init__(self, margin: float) -> None:
+        self._assign(margin)
+
+    @property
+    def passed(self) -> bool:
+        return self.margin <= 1.0
 
 
 class CriteriaReport(_Value):
@@ -467,9 +471,9 @@ def check_criteria(trace: Trace, seq: Sequence, params: PhysicsParams,
                 worst_reread = max(worst_reread, out / prev_out)
         prev_kind, prev_rail, prev_out = op.kind, op.f_rail, out
     return CriteriaReport(
-        CriterionCheck(worst_interaction <= INTERACTION_TOL, worst_interaction / INTERACTION_TOL),
-        CriterionCheck(worst_empty <= EMPTY_TOL, worst_empty / EMPTY_TOL),
-        CriterionCheck(worst_reread <= threshold, worst_reread / threshold))
+        CriterionCheck(worst_interaction / INTERACTION_TOL),
+        CriterionCheck(worst_empty / EMPTY_TOL),
+        CriterionCheck(worst_reread / threshold))
 
 
 def monte_carlo_overlap(params: PhysicsParams, n_atoms: int, d_um: float,

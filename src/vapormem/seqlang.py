@@ -73,7 +73,7 @@ class ValidationFailure(VaporMemError):
 class Diagnostic(_Value):
     """One validator finding. E-codes block execution, W-codes do not.
 
-    Codes:
+    ``severity`` is read from the code, "error" or "warning". Codes:
         E001  operations closer than the deflector switching time
         E002  declared rail outside the deflector band
         E003  declared rail with no calibration
@@ -83,10 +83,14 @@ class Diagnostic(_Value):
     it; ``validate`` sees only the parameters.
     """
 
-    _fields = ("code", "severity", "line", "message")
+    _fields = ("code", "line", "message")
 
-    def __init__(self, code: str, severity: str, line: int, message: str) -> None:
-        self._assign(code, severity, line, message)
+    def __init__(self, code: str, line: int, message: str) -> None:
+        self._assign(code, line, message)
+
+    @property
+    def severity(self) -> str:
+        return "error" if self.code.startswith("E") else "warning"
 
 
 def _col(line: str, k: int) -> int:
@@ -274,26 +278,23 @@ def validate(seq: Sequence, p: PhysicsParams) -> list[Diagnostic]:
     lo, hi = p.band
     for f in seq.rails:
         if not p.in_band(f):
-            diags.append(Diagnostic(
-                "E002", "error", rails_line,
-                f"rail {_fmt_number(f)} MHz outside deflector band [{_fmt_number(lo)}, {_fmt_number(hi)}] MHz"))
+            diags.append(Diagnostic("E002", rails_line, f"rail {_fmt_number(f)} MHz outside "
+                                    f"deflector band [{_fmt_number(lo)}, {_fmt_number(hi)}] MHz"))
 
     for i in range(1, len(seq.ops)):
         dt = seq.ops[i].t_ns - seq.ops[i - 1].t_ns
         if dt < p.t_switch:
-            diags.append(Diagnostic(
-                "E001", "error", op_line(i),
-                f"{_fmt_number(dt)} ns between operations is below the "
-                f"{_fmt_number(p.t_switch)} ns switching time"))
+            diags.append(Diagnostic("E001", op_line(i),
+                                    f"{_fmt_number(dt)} ns between operations is below the "
+                                    f"{_fmt_number(p.t_switch)} ns switching time"))
 
     rails_sorted = sorted(seq.rails)
     for a, b in zip(rails_sorted, rails_sorted[1:]):
         if b - a < MIN_CROSSTALK_FREE_SEPARATION_MHZ:
-            diags.append(Diagnostic(
-                "W001", "warning", rails_line,
-                f"rails {_fmt_number(a)} and {_fmt_number(b)} MHz are separated by "
-                f"{_fmt_number(b - a)} MHz, below the cross-talk-free "
-                f"{_fmt_number(MIN_CROSSTALK_FREE_SEPARATION_MHZ)} MHz"))
+            diags.append(Diagnostic("W001", rails_line, f"rails {_fmt_number(a)} and "
+                                    f"{_fmt_number(b)} MHz are separated by {_fmt_number(b - a)} "
+                                    f"MHz, below the cross-talk-free "
+                                    f"{_fmt_number(MIN_CROSSTALK_FREE_SEPARATION_MHZ)} MHz"))
 
     diags.sort(key=lambda d: (d.line, d.code))
     return diags

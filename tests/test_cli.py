@@ -507,6 +507,14 @@ class TestScan:
         assert capsys.readouterr() == ("", f"error: {UNCALIBRATED_195}\n")
         assert list(tmp_path.iterdir()) == []
 
+    def test_rail_refused_on_crosstalk(self, tmp_path, capsys):
+        # only scan lifetime reads --rail; crosstalk always writes on 190 MHz
+        rc = main(["--out", str(tmp_path), "scan", "crosstalk", "--rail", "230"])
+        assert rc == 2
+        assert capsys.readouterr() == (
+            "", "error: scan crosstalk takes no --rail: it always writes on the 190 MHz rail\n")
+        assert list(tmp_path.iterdir()) == []
+
     def test_inverted_grid_rejected(self, tmp_path):
         rc = main(["--out", str(tmp_path), "scan", "lifetime",
                    "--min", "5", "--max", "1", "--step", "0.4"])
@@ -897,6 +905,21 @@ def argparse_args(argv):
             return PARSER.parse_args(argv)
     except SystemExit:
         return None
+
+
+@pytest.mark.parametrize("word", [None, *cli.COMMANDS])
+def test_help_prints_every_option_with_its_text(word):
+    # None is the global options of vapormem --help
+    argv = ["--help"] if word is None else [word, "--help"]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), pytest.raises(SystemExit) as exc:
+        cli.build_parser().parse_args(argv)
+    assert exc.value.code == 0
+    options = cli.GLOBAL_OPTIONS if word is None else cli.COMMANDS[word][3]
+    printed = " ".join(out.getvalue().split())  # argparse wraps long help lines
+    for flag, _, _, text in options:
+        assert isinstance(text, str) and text.strip(), flag
+        assert f"{flag} {cli._dest(flag).upper()} {text}" in printed
 
 
 class TestPlainArgs:

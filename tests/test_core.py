@@ -291,7 +291,7 @@ class TestValueTypes:
 
 _WRITE = Operation(0.0, OpKind.WRITE, 190.0, 0.5)
 _EVENT = TraceEvent(400.0, OpKind.READ, 190.0, 0.25, 0.0)
-_PASS = CriterionCheck(True, 0.5)
+_PASS = CriterionCheck(0.5)
 # each value type: its positional arguments, its repr, a valid change of a
 # compared field, and a change its constructor rejects (None where it checks
 # nothing)
@@ -340,18 +340,18 @@ VALUE_TYPES = [
         "ScanResult(axis_name='delay_us', axis=(0.4, 0.8), series={'retrieved': (0.3, 0.2)})",
         ("axis_name", "t_us"), ("axis", (0.4,), DomainError), id="ScanResult"),
     pytest.param(
-        CriterionCheck, (True, 0.5),
-        "CriterionCheck(passed=True, margin=0.5)",
+        CriterionCheck, (0.5,),
+        "CriterionCheck(margin=0.5)",
         ("margin", 0.6), None, id="CriterionCheck"),
     pytest.param(
-        CriteriaReport, (_PASS, CriterionCheck(False, 2.0), _PASS),
-        "CriteriaReport(interaction_free=CriterionCheck(passed=True, margin=0.5), "
-        "empty_state=CriterionCheck(passed=False, margin=2.0), "
-        "full_retrieval=CriterionCheck(passed=True, margin=0.5))",
-        ("full_retrieval", CriterionCheck(True, 0.0)), None, id="CriteriaReport"),
+        CriteriaReport, (_PASS, CriterionCheck(2.0), _PASS),
+        "CriteriaReport(interaction_free=CriterionCheck(margin=0.5), "
+        "empty_state=CriterionCheck(margin=2.0), "
+        "full_retrieval=CriterionCheck(margin=0.5))",
+        ("full_retrieval", CriterionCheck(0.0)), None, id="CriteriaReport"),
     pytest.param(
-        Diagnostic, ("E001", "error", 4, "too close"),
-        "Diagnostic(code='E001', severity='error', line=4, message='too close')",
+        Diagnostic, ("E001", 4, "too close"),
+        "Diagnostic(code='E001', line=4, message='too close')",
         ("line", 5), None, id="Diagnostic"),
 ]
 

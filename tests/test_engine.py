@@ -566,6 +566,32 @@ def assert_runs_as_stepped(mem: engine.Memory, rails, seq: Sequence) -> None:
 
 
 class TestDiagnose:
+    def test_every_code_has_its_severity(self):
+        # 140 MHz is outside the band and uncalibrated, 198 MHz is 8 MHz from
+        # 190 MHz, and the two ops are 20 ns apart
+        seq = seqlang.parse("SEQUENCE s\nRAILS 140MHz 190MHz 198MHz\n"
+                            "AT 0ns WRITE 190MHz\nAT 20ns READ 190MHz\n")
+        diags = engine.diagnose(fresh(), seq)
+        assert {d.code: d.severity for d in diags} == {
+            "E001": "error", "E002": "error", "E003": "error", "W001": "warning"}
+        with pytest.raises(AttributeError):
+            diags[0].severity = "warning"
+        assert core.fields(diags[0]) == ("code", "line", "message")
+
+    @given(rails=st.lists(st.sampled_from([140.0, 170.0, 190.0, 198.0, 210.0, 230.0, 260.0]),
+                          min_size=1, max_size=4, unique=True),
+           gaps=st.lists(st.sampled_from([20.0, 47.0, 48.0, 400.0]), max_size=5))
+    def test_severity_is_error_exactly_for_e_codes(self, rails, gaps):
+        times = [0.0]
+        for gap in gaps:
+            times.append(times[-1] + gap)
+        seq = Sequence("s", tuple(rails), tuple(
+            Operation(t, OpKind.WRITE, rails[k % len(rails)]) for k, t in enumerate(times)))
+        for diags in (seqlang.validate(seq, P), engine.diagnose(fresh(), seq)):
+            for d in diags:
+                assert d.severity in ("error", "warning")
+                assert (d.severity == "error") == d.code.startswith("E")
+
     def test_python_built_sequence_reports_line_0(self):
         seq = Sequence("s", (190.0, 198.0), (Operation(0.0, OpKind.WRITE, 190.0),))
         diags = engine.diagnose(fresh(), seq)

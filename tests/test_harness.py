@@ -468,7 +468,33 @@ def _check_text(*ops):
     return check_criteria(engine.run_sequence(engine.Memory(P, RAILS), seq), seq, P, RAILS)
 
 
+# each tolerance check_criteria divides a worst ratio by: the re-read one is
+# (1 - dep(0)) + REREAD_TOL
+CRITERIA_TOLERANCES = {
+    "interaction": harness.INTERACTION_TOL,
+    "empty": harness.EMPTY_TOL,
+    "reread": (1.0 - physics.depletion_fraction(0.0, P)) + harness.REREAD_TOL,
+}
+
+
 class TestCheckCriteria:
+    @pytest.mark.parametrize("tol", CRITERIA_TOLERANCES.values(), ids=CRITERIA_TOLERANCES)
+    @given(data=st.data())
+    def test_passed_by_margin_is_worst_within_tolerance(self, tol, data):
+        # check_criteria stores only worst / tol; passed reads margin <= 1
+        edges = [0.0, math.inf, tol, math.nextafter(tol, 0.0), math.nextafter(tol, math.inf)]
+        worst = data.draw(st.sampled_from(edges) | st.floats(0.0, 2.0 * tol)
+                          | st.floats(0.0, allow_infinity=True))
+        for w in (worst, *edges):
+            assert harness.CriterionCheck(w / tol).passed == (w <= tol)
+
+    def test_passed_is_derived_and_read_only(self):
+        check = harness.CriterionCheck(1.0)
+        assert check.passed and not harness.CriterionCheck(math.nextafter(1.0, 2.0)).passed
+        with pytest.raises(AttributeError):
+            check.passed = False
+        assert core.fields(check) == ("margin",)
+
     def test_canonical_program_passes_all(self):
         trace, seq = _run_canonical()
         report = check_criteria(trace, seq, P, RAILS)
@@ -547,7 +573,7 @@ class TestCheckCriteria:
         for ops in (("WRITE 190", "READ 230", "PUMP 190", "READ 190"),
                     ("WRITE 190", "PUMP 190", "READ 190")):
             report = _check_text(*ops)
-            assert report.interaction_free == harness.CriterionCheck(True, 0.0)
+            assert report.interaction_free == harness.CriterionCheck(0.0)
             assert report.all_pass
 
     def test_write_after_a_pump_opens_a_scored_pair(self):
@@ -567,7 +593,7 @@ class TestCheckCriteria:
                             "AT 400ns READ 190MHz\nAT 2000us READ 230MHz\n")
         trace = engine.run_sequence(engine.Memory(P, RAILS), seq)
         report = check_criteria(trace, seq, P, RAILS)
-        assert report.interaction_free == harness.CriterionCheck(True, 0.0)
+        assert report.interaction_free == harness.CriterionCheck(0.0)
         assert report.all_pass
 
     def test_tolerances_are_configurable(self, monkeypatch):

@@ -414,4 +414,4 @@ class TestValidate:
         assert all(d.line == 0 for d in validate(seq, P))
 
     def test_diagnostic_is_a_value(self):
-        assert Diagnostic("E001", "error", 4, "x") == Diagnostic("E001", "error", 4, "x")
+        assert Diagnostic("E001", 4, "x") == Diagnostic("E001", 4, "x")
