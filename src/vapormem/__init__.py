@@ -3,7 +3,7 @@
 The package is organized as:
 
 * :mod:`vapormem.core`: domain types and calibrated defaults
-* :mod:`vapormem.physics`: diffusion, steering, overlap and decay math
+* :mod:`vapormem.physics`: diffusion, steering, overlap and depletion math
 * :mod:`vapormem.engine`: the event-driven memory state machine
 * :mod:`vapormem.seqlang`: the sequence file format and its validator
 * :mod:`vapormem.harness`: scans, fits, criteria and the Monte Carlo oracle
@@ -53,7 +53,6 @@ from .physics import (
     rail_position_um,
     read_sampling_variance_um2,
     spread_variance_um2,
-    temporal_decay,
     transit_time_us,
 )
 from .seqlang import Diagnostic, ParseError, ValidationFailure, format_sequence, parse, validate
@@ -72,7 +71,7 @@ __all__ = [
     "scan_lifetime", "weighted_mean", "aod_efficiency", "depletion_fraction",
     "diffusion_coefficient", "overlap_factor",
     "rail_position_um", "read_sampling_variance_um2", "spread_variance_um2",
-    "temporal_decay", "transit_time_us", "Diagnostic", "ParseError",
+    "transit_time_us", "Diagnostic", "ParseError",
     "ValidationFailure", "format_sequence", "parse", "validate",
     "__version__",
 ]

@@ -85,7 +85,7 @@ class ConfigError(VaporMemError):
 
 
 class InputError(VaporMemError):
-    """An input file is not UTF-8 text."""
+    """An input file is not UTF-8 text, or has a row its command cannot read."""
 
 
 def _read_text(path: str) -> str:
@@ -315,15 +315,20 @@ def cmd_scan(args, params, rails) -> Outcome:
 
 
 def cmd_fit(args, params, rails) -> Outcome:
+    # the first line may be a header; every other row that is not blank must
+    # start with two numbers, so that no row is left out of the fit unseen
     points = []
-    for raw in _read_text(args.csvfile).split("\n"):
-        parts = raw.strip().split(",")
-        if len(parts) < 2:
+    for lineno, raw in enumerate(_read_text(args.csvfile).split("\n"), start=1):
+        row = raw.strip()
+        if not row:
             continue
         try:
-            points.append((float(parts[0]), float(parts[1])))
+            t, y = row.split(",")[:2]
+            points.append((float(t), float(y)))
         except ValueError:
-            continue  # header or comment row
+            if lineno > 1:
+                raise InputError(f"{args.csvfile}:{lineno}: row {row!r} does not start "
+                                 f"with two numbers") from None
     fit = harness.fit_exponential(points)
     return 0, (f"A0={fit.a0!r}\ntau_us={fit.tau_us!r}\n"
                f"tau_err_us={fit.tau_err_us!r}\nrss={fit.rss!r}\n"), []
@@ -379,7 +384,7 @@ def cmd_oracle(args, params, rails) -> Outcome:
 
 # The command line, described once: build_parser makes argparse's parser
 # from it, and _plain_args reads its plain form without argparse. An option
-# is (flag, type, default, help); a positional is (name, choices or None).
+# is (flag, type, default, help); a positional is (name, choices or None, help).
 GLOBAL_OPTIONS = (
     ("--config", str, None, "key = value configuration file"),
     ("--seed", int, 1, "random seed"),
@@ -387,21 +392,24 @@ GLOBAL_OPTIONS = (
 )
 # command word -> (function, help, positionals, options)
 COMMANDS = {
-    "validate": (cmd_validate, "check a sequence file", (("seqfile", None),), ()),
-    "run": (cmd_run, "validate and simulate a sequence file", (("seqfile", None),), (
+    "validate": (cmd_validate, "check a sequence file", (("seqfile", None, "sequence file"),), ()),
+    "run": (cmd_run, "validate and simulate a sequence file",
+            (("seqfile", None, "sequence file"),), (
         ("--trace-out", str, None, "write the trace CSV here"),
         ("--waveform-out", str, None, "write a sampled waveform CSV here"),
         ("--sample-period-ns", float, 1.0, "sample period in ns, finite and > 0 (default 1)"),
         ("--waveform-span-ns", float, None, "span in ns, finite and >= 0 (default: last op + 600)"),
         ("--noise-floor", float, 0.0, "intensity added to each sample, finite, >= 0 (default 0)"),
     )),
-    "scan": (cmd_scan, "run a standard scan", (("kind", ("crosstalk", "lifetime")),), (
+    "scan": (cmd_scan, "run a standard scan",
+             (("kind", ("crosstalk", "lifetime"), "which scan: separation or storage delay"),), (
         ("--min", float, None, "first point, MHz for crosstalk, us for lifetime (default 0, 0.4)"),
         ("--max", float, None, "last point, in the same unit (default 25, 11.2)"),
         ("--step", float, None, "step, in the same unit (default 1, 0.4)"),
         ("--rail", float, None, "rail to scan lifetime on, MHz (default 190); not for crosstalk"),
     )),
-    "fit": (cmd_fit, "fit an exponential decay to CSV data", (("csvfile", None),), ()),
+    "fit": (cmd_fit, "fit an exponential decay to CSV data",
+            (("csvfile", None, "CSV of t_us,energy rows after an optional header line"),), ()),
     "report": (cmd_report, "calibration round trip for all rails", (), ()),
     "oracle": (cmd_oracle, "Monte Carlo check of the overlap model", (),
                (("--n", int, 100_000, "Brownian walkers, 1000 to 10^7 (default 100000)"),)),
@@ -423,8 +431,8 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
     for word, (func, text, positionals, options) in COMMANDS.items():
         p = sub.add_parser(word, help=text)
-        for name, choices in positionals:
-            p.add_argument(name, choices=choices)
+        for name, choices, text in positionals:
+            p.add_argument(name, choices=choices, help=text)
         add_options(p, options)
         p.set_defaults(func=func)
     return parser
@@ -472,7 +480,7 @@ def _plain_args(argv) -> SimpleNamespace | None:
             given.append(token)
     if positionals is None or len(given) != len(positionals):
         return None
-    for (name, choices), token in zip(positionals, given):
+    for (name, choices, _), token in zip(positionals, given):
         if choices is not None and token not in choices:
             return None
         values[name] = token

@@ -134,6 +134,21 @@ def replace(obj, /, **changes):
     return obj.__class__(**kwargs)
 
 
+def _fmt_number(x: float) -> str:
+    """Shortest plain-decimal rendition (no exponent) that round-trips.
+
+    ``+ 0.0`` prints -0.0 as 0, an exponent is expanded through Decimal,
+    and an integral value drops its ``.0``. Every sentence that names a
+    rail prints its MHz this way.
+    """
+    s = repr(float(x) + 0.0)
+    if "e" in s:
+        from decimal import Decimal  # imported here to keep it off start-up
+
+        s = format(Decimal(s), "f")
+    return s.removesuffix(".0")
+
+
 def _require_finite(obj) -> None:
     """Every field of a parameter type must be a finite number."""
     for name in obj._fields:
@@ -300,8 +315,8 @@ class Sequence(_Value):
                     f"operation times must strictly increase ({op.t_ns} ns after {prev} ns)")
             prev = op.t_ns
             if op.f_rail not in declared:
-                raise UnknownRailError(
-                    f"operation at {op.t_ns} ns uses undeclared rail {op.f_rail} MHz")
+                raise UnknownRailError(f"operation at {op.t_ns} ns uses undeclared rail "
+                                       f"{_fmt_number(op.f_rail)} MHz")
 
     def _key(self) -> tuple:
         return (self.name, self.rails, self.ops)

@@ -23,6 +23,7 @@ from collections.abc import Iterable
 
 from . import physics, seqlang
 from .core import (
+    _FLOAT_MAX,
     DomainError,
     DuplicateRailError,
     OpKind,
@@ -35,6 +36,7 @@ from .core import (
     Trace,
     TraceEvent,
     UnknownRailError,
+    _fmt_number,
 )
 
 NS_PER_US = 1000.0
@@ -48,7 +50,7 @@ def _rail_table(rails: Iterable[RailCalibration]) -> dict[float, RailCalibration
     cals: dict[float, RailCalibration] = {}
     for cal in rails:
         if cal.f_rail in cals:
-            raise DuplicateRailError(f"rail {cal.f_rail} MHz declared twice")
+            raise DuplicateRailError(f"rail {_fmt_number(cal.f_rail)} MHz declared twice")
         cals[cal.f_rail] = cal
     return cals
 
@@ -58,17 +60,18 @@ def _calibration(cals: dict[float, RailCalibration], f_rail: float) -> RailCalib
     try:
         return cals[f_rail]
     except KeyError:
-        listing = ", ".join(map(seqlang._fmt_number, sorted(cals)))
-        raise UnknownRailError(f"rail {seqlang._fmt_number(f_rail)} MHz has no calibration "
+        listing = ", ".join(map(_fmt_number, sorted(cals)))
+        raise UnknownRailError(f"rail {_fmt_number(f_rail)} MHz has no calibration "
                                f"(calibrated rails: {listing} MHz)") from None
 
 
 class Memory:
     """Multi-rail memory state: parameters, rail calibrations, stored pulses.
 
-    All mutation goes through :meth:`apply` (or :meth:`pump`,
-    :meth:`write` and :meth:`read`) and :meth:`advance`; time never moves
-    backwards, and an operation that raises leaves the memory as it was.
+    Every change goes through an operation, :meth:`apply` (or :meth:`pump`,
+    :meth:`write` and :meth:`read`); each moves the clock to its time,
+    which never moves backwards, and an operation that raises leaves the
+    memory as it was.
 
     Each rail holds at most one live component: its amplitude, birth time,
     amplitude at birth and what off-rail reads drew from it. Its centre and
@@ -95,8 +98,8 @@ class Memory:
         by_x = sorted((v, f) for f, v in x.items())
         (lo, f_lo), (hi, f_hi) = by_x[0], by_x[-1]
         if not (hi - lo) * (hi - lo) < math.inf:
-            raise DomainError(f"squared distance between rails {f_lo} and {f_hi} MHz "
-                              f"must be a finite float")
+            raise DomainError(f"squared distance between rails {_fmt_number(f_lo)} and "
+                              f"{_fmt_number(f_hi)} MHz must be a finite float")
         # _pairs[f_op][f] = (d, dep(d)) for a pulse on f_op and a component on f
         self._pairs: dict[float, dict[float, tuple[float, float]]] = {}
         for f_op, x_op in x.items():
@@ -121,19 +124,6 @@ class Memory:
     def _rail(self, f_rail: float) -> RailCalibration:
         """Calibration of a rail; the memory acts only on rails it was given one for."""
         return _calibration(self._rails, f_rail)
-
-    def advance(self, t_ns: float) -> None:
-        """Advance time without performing an operation.
-
-        A time that is not finite, or earlier than the current time, raises
-        TimeOrderError and leaves the clock where it was.
-        """
-        if not math.isfinite(t_ns):
-            raise TimeOrderError(f"time {t_ns} ns is not finite")
-        if t_ns < self.t_now_ns:
-            raise TimeOrderError(
-                f"cannot move from {self.t_now_ns} ns back to {t_ns} ns")
-        self.t_now_ns = t_ns
 
     def stored_on(self, f_rail: float) -> float:
         """Remaining amplitude of the component stored on a rail (0.0 if none)."""
@@ -163,8 +153,7 @@ class Memory:
         perfect pump fidelity the addressed region is emptied.
         """
         self._rail(f_rail)
-        self.advance(t_ns)
-        self._pulse(f_rail, self.params.pump_fidelity)
+        self._pulse(f_rail, t_ns, self.params.pump_fidelity)
 
     def write(self, f_rail: float, t_ns: float, energy: float = 1.0) -> float:
         """Store a pulse on a rail; returns the leakage energy.
@@ -175,8 +164,7 @@ class Memory:
         cal = self._rail(f_rail)
         if not (math.isfinite(energy) and energy > 0.0):
             raise DomainError("write energy must be finite and strictly positive")
-        self.advance(t_ns)
-        self._pulse(f_rail, 1.0)
+        self._pulse(f_rail, t_ns, 1.0)
         stored = energy * cal.eta_write
         # the pulse above zeroed and dropped this rail's older component,
         # so the new one is inserted last and reads sum in write order
@@ -193,14 +181,21 @@ class Memory:
         (Gorshkov et al., PRA 76, 033804 (2007)).
         """
         eta_read = self._rail(f_rail).eta_read
-        self.advance(t_ns)
-        return self._pulse(f_rail, 1.0, eta_read)
+        return self._pulse(f_rail, t_ns, 1.0, eta_read)
 
-    def _pulse(self, f_rail: float, fidelity: float, eta_read: float | None = None) -> float:
-        """Scale each component by (1 - fidelity * dep(d)), dropping any left at 0.0.
+    def _pulse(self, f_rail: float, t_ns: float, fidelity: float,
+               eta_read: float | None = None) -> float:
+        """Move the clock to t_ns and scale each component by (1 - fidelity * dep(d)).
 
-        Only a read passes eta_read; it returns what it retrieves, 0.0 otherwise.
+        The one clock check: a time that is not finite, or before the clock,
+        raises TimeOrderError before anything changes. A component left at
+        0.0 is dropped. Only a read passes eta_read and gets what it retrieves.
         """
+        if not self.t_now_ns <= t_ns <= _FLOAT_MAX:
+            if not math.isfinite(t_ns):
+                raise TimeOrderError(f"time {t_ns} ns is not finite")
+            raise TimeOrderError(f"cannot move from {self.t_now_ns} ns back to {t_ns} ns")
+        self.t_now_ns = t_ns
         pairs = self._pairs[f_rail]
         retrieved = 0.0
         for f, slot in self._stored.items():
@@ -209,8 +204,9 @@ class Memory:
             slot[0] = amplitude * (1.0 - fidelity * dep)
             if eta_read is None:
                 continue
-            age_us = (self.t_now_ns - t_birth_ns) / NS_PER_US
-            decay = physics.temporal_decay(1.0, age_us, self._rails[f].tau_us)
+            # the clock and the calibration keep age finite and >= 0 and tau > 0
+            age_us = (t_ns - t_birth_ns) / NS_PER_US
+            decay = math.exp(-age_us / self._rails[f].tau_us)
             # the variance sigma0² + 2 D age is at least sigma0² > 0; past a
             # float it is inf, where the overlap is 1.0
             out = (amplitude * eta_read * decay

@@ -180,8 +180,8 @@ def scan_lifetime(params: PhysicsParams, rails_cal: Iterable[RailCalibration],
                   delays_us: SeqABC[float] = LIFETIME_DELAYS_US) -> ScanResult:
     """Retrieved energy against storage delay on one rail.
 
-    Each point runs on a fresh memory: pump, write a unit pulse at t = 0,
-    read after the delay. Delays that are not positive and strictly
+    Each point runs on a fresh memory: write a unit pulse at t = 0, read
+    after the delay. Delays that are not positive and strictly
     ascending, NaN included, or whose value in ns is not a finite float
     raise DomainError before any point runs.
     """
@@ -192,7 +192,6 @@ def scan_lifetime(params: PhysicsParams, rails_cal: Iterable[RailCalibration],
     retrieved = []
     for delay in delays_us:
         mem = engine.Memory(params, [cal])
-        mem.pump(f_rail, 0.0)
         mem.write(f_rail, 0.0, 1.0)
         retrieved.append(mem.read(f_rail, delay * engine.NS_PER_US))
     return ScanResult("delay_us", tuple(float(d) for d in delays_us),

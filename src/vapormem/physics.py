@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 
-from .core import _FLOAT_MAX, DomainError, OutOfBandError, PhysicsParams
+from .core import _FLOAT_MAX, DomainError, OutOfBandError, PhysicsParams, _fmt_number
 
 # variance growth conversion: 1 cm^2/s = 1e8 um^2/s = 100 um^2/us
 _CM2_PER_S_TO_UM2_PER_US = 100.0
@@ -52,9 +52,11 @@ def transit_time_us(delta_x_um: float, d_cm2_s: float) -> float:
 
 
 def _require_in_band(f_mhz: float, p: PhysicsParams) -> None:
+    """The one band check: OutOfBandError, in E002's words, for a rail outside the band."""
     if not p.in_band(f_mhz):
         lo, hi = p.band
-        raise OutOfBandError(f"{f_mhz} MHz outside deflector band [{lo}, {hi}] MHz")
+        raise OutOfBandError(f"rail {_fmt_number(f_mhz)} MHz outside deflector band "
+                             f"[{_fmt_number(lo)}, {_fmt_number(hi)}] MHz")
 
 
 def rail_position_um(f_mhz: float, p: PhysicsParams) -> float:
@@ -66,7 +68,7 @@ def rail_position_um(f_mhz: float, p: PhysicsParams) -> float:
     _require_in_band(f_mhz, p)
     x = (f_mhz - p.f_center) * p.pos_per_mhz
     if not math.isfinite(x):
-        raise DomainError(f"beam position of rail {f_mhz} MHz must be a finite float")
+        raise DomainError(f"beam position of rail {_fmt_number(f_mhz)} MHz must be a finite float")
     return x
 
 
@@ -162,16 +164,4 @@ def depletion_fraction(d_um: float, p: PhysicsParams) -> float:
         return math.exp(-(x ** (2.0 * p.m_dep)))
     except OverflowError:
         return 0.0
-
-
-def temporal_decay(amplitude: float, dt_us: float, tau_us: float) -> float:
-    """Exponential storage decay: amplitude * exp(-dt / tau)."""
-    # comparisons, not math.isfinite calls: this runs once per component per read
-    if not abs(amplitude) <= _FLOAT_MAX:
-        raise DomainError("amplitude must be a finite float")
-    if not 0.0 < tau_us <= _FLOAT_MAX:
-        raise DomainError("lifetime must be finite and strictly positive")
-    if not 0.0 <= dt_us <= _FLOAT_MAX:
-        raise DomainError("elapsed time must be finite and non-negative")
-    return amplitude * math.exp(-dt_us / tau_us)
 

@@ -29,15 +29,18 @@ from __future__ import annotations
 import math
 import re
 
+from . import physics
 from .core import (
     _FLOAT_MAX,
     OpKind,
+    OutOfBandError,
     Operation,
     ParamError,
     PhysicsParams,
     Sequence,
     VaporMemError,
     _Value,
+    _fmt_number,
 )
 
 # declared rails closer than this warn about cross-talk (W001)
@@ -79,8 +82,10 @@ class Diagnostic(_Value):
         E003  declared rail with no calibration
         W001  declared rails closer than the cross-talk-free separation
 
-    E003 needs the memory's calibrations, so ``engine.diagnose`` reports
-    it; ``validate`` sees only the parameters.
+    E002's message is the OutOfBandError sentence of
+    ``physics._require_in_band``, the one band check. E003 needs the
+    memory's calibrations, so ``engine.diagnose`` reports it; ``validate``
+    sees only the parameters.
     """
 
     _fields = ("code", "line", "message")
@@ -219,20 +224,6 @@ def parse(text: str) -> Sequence:
                     src_lines=tuple(op_lines), rails_line=rails_line)
 
 
-def _fmt_number(x: float) -> str:
-    """Shortest plain-decimal rendition (no exponent) that round-trips.
-
-    ``+ 0.0`` prints -0.0 as 0, an exponent is expanded through Decimal,
-    and an integral value drops its ``.0``.
-    """
-    s = repr(float(x) + 0.0)
-    if "e" in s:
-        from decimal import Decimal  # imported here to keep it off start-up
-
-        s = format(Decimal(s), "f")
-    return s.removesuffix(".0")
-
-
 def format_sequence(seq: Sequence) -> str:
     """Canonical text rendering; parse(format_sequence(s)) equals s.
 
@@ -275,11 +266,11 @@ def validate(seq: Sequence, p: PhysicsParams) -> list[Diagnostic]:
     def op_line(i: int) -> int:
         return seq.src_lines[i] if seq.src_lines is not None else 0
 
-    lo, hi = p.band
     for f in seq.rails:
-        if not p.in_band(f):
-            diags.append(Diagnostic("E002", rails_line, f"rail {_fmt_number(f)} MHz outside "
-                                    f"deflector band [{_fmt_number(lo)}, {_fmt_number(hi)}] MHz"))
+        try:
+            physics._require_in_band(f, p)
+        except OutOfBandError as exc:
+            diags.append(Diagnostic("E002", rails_line, str(exc)))
 
     for i in range(1, len(seq.ops)):
         dt = seq.ops[i].t_ns - seq.ops[i - 1].t_ns

@@ -80,10 +80,11 @@ OVERFLOWING_CONFIGS = [
 # error every command exits 2 with, though a 190 MHz program never uses the
 # 170 MHz rail
 UNUSABLE_RAIL_CONFIGS = [
-    ("f_halfband = 20", "170.0 MHz outside deflector band [180.0, 220.0] MHz"),
-    ("pos_per_mhz = 1e307", "beam position of rail 170.0 MHz must be a finite float"),
+    # the band's sentence is E002's
+    ("f_halfband = 20", "rail 170 MHz outside deflector band [180, 220] MHz"),
+    ("pos_per_mhz = 1e307", "beam position of rail 170 MHz must be a finite float"),
     ("pos_per_mhz = 1e153",
-     "squared distance between rails 170.0 and 230.0 MHz must be a finite float"),
+     "squared distance between rails 170 and 230 MHz must be a finite float"),
 ]
 CONFIG_KEYS = sorted(core.fields(PhysicsParams)) + [
     f"rail.{f}.{k}" for f in ("190", "230.0", "195") for k in ("tau_us", "tau_err_us", "eta_mem")]
@@ -164,6 +165,15 @@ class TestValidate:
             f"error E003 line 2: {UNCALIBRATED_198}\n"
             "warning W001 line 2: rails 190 and 198 MHz are separated by 8 MHz, "
             "below the cross-talk-free 20 MHz\n")
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_out_of_band_rail_line(self, seqfile, capsys, command):
+        rc = main([command, seqfile("SEQUENCE s\nRAILS 260MHz\nAT 0ns WRITE 260MHz\n")])
+        assert rc == 1
+        assert capsys.readouterr().out == (
+            "error E002 line 2: rail 260 MHz outside deflector band [150, 250] MHz\n"
+            "error E003 line 2: rail 260 MHz has no calibration "
+            "(calibrated rails: 170, 190, 210, 230 MHz)\n")
 
     def test_missing_file(self, capsys):
         rc = main(["validate", "/nonexistent/prog.seq"])
@@ -573,6 +583,16 @@ class TestFit:
         bad.write_text("t,y\n1,1\n2,1\n")
         assert main(["fit", str(bad)]) == 2
 
+    @pytest.mark.parametrize("row", ["0.8,0.9O", "0.8", "# comment", "0.8;0.9"])
+    def test_unreadable_row_is_named(self, tmp_path, capfd, row):
+        # with that row left out, the other three fit without an error
+        path = tmp_path / "typo.csv"
+        path.write_text(f"t,y\n0.4,1.0\n{row}\n1.2,0.8\n\n1.6,0.7\n")
+        assert main(["fit", str(path)]) == 2
+        out, err = capfd.readouterr()
+        assert out == ""
+        assert err == f"error: {path}:3: row {row!r} does not start with two numbers\n"
+
     @pytest.mark.parametrize("rows,message", [
         ("0.4,1.0\n0.8,nan\n1.2,0.5\n", "times and energies must be finite"),
         ("0.4,1.0\ninf,0.7\n1.2,0.5\n", "times and energies must be finite"),
@@ -876,7 +896,7 @@ ARGV_WORDS = sorted(
     | {flag for flag, *_ in cli.GLOBAL_OPTIONS}
     | {flag for *_, options in cli.COMMANDS.values() for flag, *_ in options}
     | {choice for _, _, positionals, _ in cli.COMMANDS.values()
-       for _, choices in positionals for choice in choices or ()}
+       for _, choices, _ in positionals for choice in choices or ()}
     | {"-h", "--help", "--", "--seed=3", "--trace", "--se", "-1", "nan", "abc", "", "1"})
 PARSER = cli.build_parser()
 
@@ -916,10 +936,15 @@ def test_help_prints_every_option_with_its_text(word):
         cli.build_parser().parse_args(argv)
     assert exc.value.code == 0
     options = cli.GLOBAL_OPTIONS if word is None else cli.COMMANDS[word][3]
+    positionals = () if word is None else cli.COMMANDS[word][2]
     printed = " ".join(out.getvalue().split())  # argparse wraps long help lines
     for flag, _, _, text in options:
         assert isinstance(text, str) and text.strip(), flag
         assert f"{flag} {cli._dest(flag).upper()} {text}" in printed
+    for name, choices, text in positionals:
+        assert isinstance(text, str) and text.strip(), name
+        shown = name if choices is None else "{" + ",".join(choices) + "}"
+        assert f"{shown} {text}" in printed
 
 
 class TestPlainArgs:

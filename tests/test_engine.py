@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
+import reference_engine
 from vapormem import cli, core, engine, harness, physics, seqlang
 from vapormem.core import (
     DomainError,
@@ -104,7 +105,7 @@ class TestConstruction:
         (dict(w_control=1e308), "read sampling variance"),
         # each position is finite, but d² between 170 and 230 MHz is not: a
         # read of a component spread to variance inf would compute inf / inf
-        (dict(pos_per_mhz=1e153), "squared distance between rails 170.0 and 230.0 MHz"),
+        (dict(pos_per_mhz=1e153), "squared distance between rails 170 and 230 MHz"),
     ])
     def test_overflowing_constant_rejected_at_construction(self, change, quantity):
         # each is computed once per memory, not on every read
@@ -159,7 +160,7 @@ class TestWrite:
         assert mem.components == [core.SpinWaveComponent(amplitude, 100.0)]
         s2 = physics.spread_variance_um2(P.sigma0 ** 2, 1.0, physics.diffusion_coefficient(P))
         d = abs(physics.rail_position_um(210.0, P) - physics.rail_position_um(190.0, P))
-        expected = (amplitude * RAILS[2].eta_read * physics.temporal_decay(1.0, 1.0, 5.4)
+        expected = (amplitude * RAILS[2].eta_read * math.exp(-1.0 / 5.4)
                     * physics._overlap(d, s2, physics.read_sampling_variance_um2(P)))
         assert expected > 0.0
         assert mem.read(210.0, 1100.0) == expected
@@ -290,7 +291,7 @@ class TestRead:
         age_us = 0.4
         s2 = 150.0 ** 2 + 2.0 * physics.diffusion_coefficient(p) * 100.0 * age_us
         d = abs(physics.rail_position_um(210.0, p) - physics.rail_position_um(190.0, p))
-        expected = (amplitude * RAILS[2].eta_read * physics.temporal_decay(1.0, age_us, 5.4)
+        expected = (amplitude * RAILS[2].eta_read * math.exp(-age_us / 5.4)
                     * math.exp(-(d * d) / (2.0 * (s2 + physics.read_sampling_variance_um2(p)))))
         assert expected > 0.0
         assert mem.read(210.0, age_us * US) == expected
@@ -329,32 +330,14 @@ class TestOffRailReads:
 
 
 class TestStateEvolution:
-    def test_composability_of_advance(self):
-        # a component's variance follows from its age alone, so moving the
-        # clock in steps gives the same bits as one move; the off-rail read
-        # samples the variance (an on-rail overlap is exp(-0) at any variance)
-        direct = fresh()
-        direct.write(190.0, 0.0, 1.0)
-        a_off = direct.read(230.0, 1.0 * US)
-        a = direct.read(190.0, 2.0 * US)
-
-        stepped = fresh()
-        stepped.write(190.0, 0.0, 1.0)
-        stepped.advance(0.3 * US)
-        stepped.advance(0.7 * US)
-        b_off = stepped.read(230.0, 1.0 * US)
-        stepped.advance(1.3 * US)
-        b = stepped.read(190.0, 2.0 * US)
-        assert b_off == a_off
-        assert b == a
-
     def test_variance_only_grows(self):
+        # a pump on 230 MHz, 1350 um away, moves the clock and depletes nothing
         diff = physics.diffusion_coefficient(P)
         mem = fresh()
         mem.write(190.0, 0.0, 1.0)
         seen = []
         for t in (0.0, 0.4, 1.0, 2.0, 5.0):
-            mem.advance(t * US)
+            mem.pump(230.0, t * US)
             [c] = mem.components
             age_us = (mem.t_now_ns - c.t_birth_ns) / US
             seen.append(physics.spread_variance_um2(P.sigma0 ** 2, age_us, diff))
@@ -382,7 +365,8 @@ class TestStateEvolution:
             assert all(after.get(k, 0.0) <= a for k, a in before.items())
 
     # each op checks its rail first, then (a write) its energy, then the time;
-    # 200 MHz is in band but uncalibrated, -1.0 is no energy, 500 ns is past
+    # 200 MHz is in band but uncalibrated, -1.0 is no energy, 500 ns is past.
+    # The pump on 230 MHz sets the clock to 1000 ns and leaves 190 MHz's pulse
     @pytest.mark.parametrize("method, args, error", [
         ("write", (200.0, 500.0, -1.0), UnknownRailError),
         ("write", (190.0, 500.0, -1.0), DomainError),
@@ -395,7 +379,7 @@ class TestStateEvolution:
     def test_failed_op_raises_in_check_order_and_changes_nothing(self, method, args, error):
         mem = fresh()
         mem.write(190.0, 0.0, 1.0)
-        mem.advance(1000.0)
+        mem.pump(230.0, 1000.0)
         before = {c.f_rail: mem.stored_on(c.f_rail) for c in RAILS}
         with pytest.raises(VaporMemError) as raised:
             getattr(mem, method)(*args)
@@ -405,66 +389,45 @@ class TestStateEvolution:
         assert before[190.0] > 0.0
 
 
-STEPS = st.lists(st.tuples(
-    st.sampled_from(list(OpKind)),
-    st.sampled_from([c.f_rail for c in RAILS]),
-    st.integers(48, 3000),
-    st.floats(1e-3, 10.0),
-), max_size=80)
+DEFAULT_MHZ = [c.f_rail for c in RAILS]
+
+
+def op_steps(rail):
+    """Up to 80 drawn (kind, rail, gap to the next op in ns, write energy)."""
+    return st.lists(st.tuples(st.sampled_from(list(OpKind)), rail, st.integers(48, 3000),
+                              st.floats(1e-3, 10.0)), max_size=80)
+
+
+STEPS = op_steps(st.sampled_from(DEFAULT_MHZ))
+# steps that may also address any whole MHz in the band
+NEIGHBOUR_STEPS = op_steps(st.sampled_from(DEFAULT_MHZ) | st.integers(150, 250).map(float))
 
 
 def steps_program(steps) -> Sequence:
-    """Validator-clean program on the default rails from drawn (kind, rail, gap, energy)."""
+    """Program from drawn (kind, rail, gap, energy) on the default rails and
+    every rail a step names, which validate accepts: rails closer than 20 MHz
+    get W001 and nothing else."""
     ops, t = [], 0
     for kind, rail, gap, energy in steps:
         ops.append(Operation(float(t), kind, rail, energy if kind is OpKind.WRITE else 1.0))
         t += gap
-    seq = Sequence("random", tuple(c.f_rail for c in RAILS), tuple(ops))
-    assert seqlang.validate(seq, P) == []
+    rails = tuple(sorted({*DEFAULT_MHZ, *(rail for _, rail, _, _ in steps)}))
+    seq = Sequence("random", rails, tuple(ops))
+    assert {d.code for d in seqlang.validate(seq, P)} <= {"W001"}
     return seq
 
 
-def assert_state_derived_from_rail_and_age(seq: Sequence) -> None:
-    """Every read retrieves, exactly, the sum over the snapshot (oldest first)
-    of amplitude * eta_read * exp(-age / tau) * overlap, with each component's
-    centre and lifetime those of the rail it was written on and its variance
-    sigma0² + 2 D age. A term of a component on another rail is capped at
-    max(a_birth - A_after * decay - drawn, 0), A_after its amplitude after the
-    read's depletion, and only reads add what they took to drawn. After every
-    op the snapshot holds, in birth order, the amplitude stored on each rail
-    and the time of that rail's last write."""
-    diff = physics.diffusion_coefficient(P)
-    v_read = physics.read_sampling_variance_um2(P)
-    cals = {c.f_rail: c for c in RAILS}
-    written_on, last_write = {}, {}
-    a_birth, drawn = {}, {}  # by birth time
-    mem = fresh()
-    for op in seq.ops:
-        expected, took = 0.0, {}
-        for c in mem.components:
-            rail = written_on[c.t_birth_ns]
-            age_us = (op.t_ns - c.t_birth_ns) / US
-            s2 = physics.spread_variance_um2(P.sigma0 ** 2, age_us, diff)
-            d = abs(physics.rail_position_um(op.f_rail, P) - physics.rail_position_um(rail, P))
-            decay = physics.temporal_decay(1.0, age_us, cals[rail].tau_us)
-            term = c.amplitude * cals[op.f_rail].eta_read * decay * physics._overlap(d, s2, v_read)
-            if rail != op.f_rail:
-                a_after = c.amplitude * (1.0 - physics.depletion_fraction(d, P))
-                budget = a_birth[c.t_birth_ns] - a_after * decay - drawn[c.t_birth_ns]
-                term = min(term, max(budget, 0.0))
-                took[c.t_birth_ns] = term
-            expected += term
-        out = mem.apply(op)
-        if op.kind is OpKind.READ:
-            assert out == expected
-            for t_birth, term in took.items():
-                drawn[t_birth] += term
-        if op.kind is OpKind.WRITE:
-            written_on[op.t_ns] = op.f_rail
-            last_write[op.f_rail] = op.t_ns
-            a_birth[op.t_ns], drawn[op.t_ns] = mem.stored_on(op.f_rail), 0.0
-        assert [(c.t_birth_ns, c.amplitude) for c in mem.components] == sorted(
-            (t, mem.stored_on(f)) for f, t in last_write.items() if mem.stored_on(f) > 0.0)
+def calibrations(seq: Sequence) -> tuple[RailCalibration, ...]:
+    """The default calibrations, and for each other rail of seq its nearest default rail's."""
+    return RAILS + tuple(core.replace(min(RAILS, key=lambda c: abs(c.f_rail - f)), f_rail=f)
+                         for f in seq.rails if f not in DEFAULT_MHZ)
+
+
+def assert_trace_equals_reference(params, seq: Sequence) -> None:
+    """run_sequence gives, float for float, the trace of tests/reference_engine.py."""
+    rails = calibrations(seq)
+    trace = engine.run_sequence(engine.Memory(params, rails), seq)
+    assert list(trace) == reference_engine.run(params, rails, seq)
 
 
 class TestPool:
@@ -477,20 +440,27 @@ class TestPool:
             assert len(mem.components) <= len(RAILS)
             assert all(c.amplitude > 0.0 for c in mem.components)
 
-    # an off-rail cap that binds at the 78th read; then the same drain cut by
-    # a pump or a write on the read rail, neither of which may draw from the
-    # 190 MHz component's budget
-    @example(steps=[(OpKind.WRITE, 190.0, 200, 1.0)] + [(OpKind.READ, 210.0, 200, 1.0)] * 79)
+    # The reference computes each read's variance from the component's age,
+    # so equal traces show the engine carries no other variance state. Rails
+    # off the four get a copy of the nearest one's calibration, and the pump
+    # fidelity is drawn. The examples: an off-rail cap that binds at the 78th
+    # read; then the same drain cut by a pump or a write on the read rail,
+    # neither of which may draw from the 190 MHz component's budget
+    @example(steps=[(OpKind.WRITE, 190.0, 200, 1.0)] + [(OpKind.READ, 210.0, 200, 1.0)] * 79,
+             fidelity=1.0)
     @example(steps=[(OpKind.WRITE, 190.0, 200, 1.0)] + [(OpKind.READ, 210.0, 200, 1.0)] * 70
-             + [(OpKind.PUMP, 210.0, 200, 1.0)] + [(OpKind.READ, 210.0, 200, 1.0)] * 9)
+             + [(OpKind.PUMP, 210.0, 200, 1.0)] + [(OpKind.READ, 210.0, 200, 1.0)] * 9,
+             fidelity=1.0)
     @example(steps=[(OpKind.WRITE, 190.0, 200, 1.0)] + [(OpKind.READ, 210.0, 200, 1.0)] * 77
-             + [(OpKind.WRITE, 230.0, 200, 1.0)] + [(OpKind.READ, 210.0, 200, 1.0)] * 2)
-    @given(steps=STEPS)
-    def test_variance_follows_age(self, steps):
-        assert_state_derived_from_rail_and_age(steps_program(steps))
+             + [(OpKind.WRITE, 230.0, 200, 1.0)] + [(OpKind.READ, 210.0, 200, 1.0)] * 2,
+             fidelity=1.0)
+    @given(steps=NEIGHBOUR_STEPS, fidelity=st.sampled_from([1.0, 0.0]) | st.floats(0.0, 1.0))
+    def test_variance_follows_age(self, steps, fidelity):
+        assert_trace_equals_reference(core.replace(P, pump_fidelity=fidelity),
+                                      steps_program(steps))
 
     def test_variance_follows_age_on_long_program(self):
-        assert_state_derived_from_rail_and_age(random_program(random.Random(0), 2000))
+        assert_trace_equals_reference(P, random_program(random.Random(0), 2000))
 
     def test_long_random_program_trace_is_pinned(self):
         seq = random_program(random.Random(0), 2000)

@@ -4,8 +4,15 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy.integrate import dblquad
 
-from vapormem import core
-from vapormem.core import DomainError, OutOfBandError, default_params
+from vapormem import core, engine
+from vapormem.core import (
+    DomainError,
+    OutOfBandError,
+    ParamError,
+    TimeOrderError,
+    default_params,
+    default_rails,
+)
 from vapormem.physics import (
     P_REF_TORR,
     T_REF_K,
@@ -16,11 +23,11 @@ from vapormem.physics import (
     rail_position_um,
     read_sampling_variance_um2,
     spread_variance_um2,
-    temporal_decay,
     transit_time_us,
 )
 
 P = default_params()
+RAILS = default_rails()
 D_DEFAULT = 49.13746514719544  # d0 * (760/5) * (333.15/273.15)^1.5
 
 
@@ -112,7 +119,7 @@ class TestRailPosition:
     def test_overflowing_position_rejected(self):
         p = core.replace(P, pos_per_mhz=1e307)
         assert rail_position_um(190.0, p) == -1e308
-        with pytest.raises(DomainError, match="beam position of rail 230.0 MHz"):
+        with pytest.raises(DomainError, match="beam position of rail 230 MHz"):
             rail_position_um(230.0, p)
 
 
@@ -263,33 +270,52 @@ class TestDepletion:
 
 
 class TestTemporalDecay:
+    """The storage decay exp(-age / tau) that a read applies to each component.
+
+    It is computed in engine.Memory's read, so these read a memory: on its
+    own rail a component's overlap is exactly 1, and a read returns
+    amplitude * eta_read * decay.
+    """
+
+    @staticmethod
+    def on_rail(cal, energy, t_read_ns):
+        """What a read at t_read_ns returns of a write at 0, over amplitude * eta_read."""
+        mem = engine.Memory(P, [cal])
+        mem.write(cal.f_rail, 0.0, energy)
+        full = mem.stored_on(cal.f_rail) * cal.eta_read
+        return mem.read(cal.f_rail, t_read_ns) / full
+
     def test_identity_at_zero_delay(self):
-        assert temporal_decay(0.73, 0.0, 3.2) == 0.73
+        assert self.on_rail(RAILS[1], 0.73, 0.0) == 1.0
 
     def test_one_lifetime_gives_1_over_e(self):
-        assert temporal_decay(1.0, 3.2, 3.2) == pytest.approx(1.0 / math.e, rel=1e-14)
+        assert self.on_rail(RAILS[1], 1.0, 5400.0) == pytest.approx(1.0 / math.e, rel=1e-14)
 
     def test_rail_230_at_late_read(self):
-        assert temporal_decay(1.0, 4.4, 2.6) == pytest.approx(0.18409420065330417, rel=1e-12)
+        assert self.on_rail(RAILS[3], 1.0, 4400.0) == pytest.approx(0.18409420065330417,
+                                                                    rel=1e-12)
 
-    @given(a=st.floats(0.0, 10.0), t1=st.floats(0.0, 20.0), t2=st.floats(0.0, 20.0),
+    @given(a=st.floats(1e-3, 10.0), t1=st.floats(0.0, 20.0), t2=st.floats(0.0, 20.0),
            tau=st.floats(0.1, 50.0))
     def test_composition(self, a, t1, t2, tau):
-        twice = temporal_decay(temporal_decay(a, t1, tau), t2, tau)
-        once = temporal_decay(a, t1 + t2, tau)
-        assert twice == pytest.approx(once, rel=1e-12, abs=1e-300)
+        # a pump on 230 MHz at t1, 2025 um from 170 MHz, moves the clock and
+        # depletes nothing; the read at t1 + t2 decays by both steps
+        cal = core.replace(RAILS[0], tau_us=tau)
+        mem = engine.Memory(P, [cal, RAILS[3]])
+        mem.write(170.0, 0.0, a)
+        full = mem.stored_on(170.0) * cal.eta_read
+        mem.pump(230.0, t1 * 1000.0)
+        twice = full * math.exp(-t1 / tau) * math.exp(-t2 / tau)
+        assert mem.read(170.0, (t1 + t2) * 1000.0) == pytest.approx(twice, rel=1e-12, abs=1e-300)
 
     def test_domain(self):
-        with pytest.raises(DomainError):
-            temporal_decay(1.0, 1.0, 0.0)
-        with pytest.raises(DomainError):
-            temporal_decay(1.0, -0.1, 3.2)
-
-    @pytest.mark.parametrize("dt,tau", [(math.nan, 3.2), (1.0, math.nan)])
-    def test_nan_is_a_domain_error(self, dt, tau):
-        with pytest.raises(DomainError):
-            temporal_decay(1.0, dt, tau)
-
-    def test_nan_amplitude_is_a_domain_error(self):
-        with pytest.raises(DomainError, match="amplitude"):
-            temporal_decay(math.nan, 1.0, 3.2)
+        # decay takes its lifetime from a calibration and its age from the
+        # clock, and each refuses what exp(-age / tau) could not take
+        for tau in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ParamError, match="tau_us"):
+                core.replace(RAILS[1], tau_us=tau)
+        for t_read in (-0.1, math.nan, math.inf):
+            mem = engine.Memory(P, RAILS)
+            mem.write(190.0, 0.0, 1.0)
+            with pytest.raises(TimeOrderError):
+                mem.read(190.0, t_read)

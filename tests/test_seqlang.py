@@ -10,10 +10,12 @@ from vapormem.core import (
     DuplicateRailError,
     OpKind,
     Operation,
+    OutOfBandError,
     ParamError,
     Sequence,
     default_params,
 )
+from vapormem.physics import rail_position_um
 from vapormem.seqlang import (
     MIN_CROSSTALK_FREE_SEPARATION_MHZ,
     Diagnostic,
@@ -373,8 +375,17 @@ class TestValidate:
 
     def test_out_of_band_rail(self):
         seq = parse("SEQUENCE s\nRAILS 260MHz\nAT 0ns WRITE 260MHz")
-        codes = [d.code for d in validate(seq, P)]
-        assert codes == ["E002"]
+        diags = validate(seq, P)
+        assert [d.code for d in diags] == ["E002"]
+        assert diags[0].message == "rail 260 MHz outside deflector band [150, 250] MHz"
+
+    @pytest.mark.parametrize("f_center,f_rail", [(200.0, 260.0), (200.25, 140.5), (1e22, 1e3)])
+    def test_e002_is_the_sentence_of_the_band_check(self, f_center, f_rail):
+        p = core.replace(P, f_center=f_center)
+        diags = validate(Sequence("s", (f_rail,), ()), p)
+        with pytest.raises(OutOfBandError) as raised:
+            rail_position_um(f_rail, p)
+        assert [(d.code, d.message) for d in diags] == [("E002", str(raised.value))]
 
     def test_close_rails_warn(self):
         seq = parse("SEQUENCE s\nRAILS 190MHz 198MHz\n"
