@@ -315,20 +315,26 @@ def cmd_scan(args, params, rails) -> Outcome:
 
 
 def cmd_fit(args, params, rails) -> Outcome:
-    # the first line may be a header; every other row that is not blank must
-    # start with two numbers, so that no row is left out of the fit unseen
+    # the first line is a header when its first field is not a number; every
+    # other row that is not blank must start with two numbers, so that no row
+    # is left out of the fit unseen
     points = []
     for lineno, raw in enumerate(_read_text(args.csvfile).split("\n"), start=1):
         row = raw.strip()
         if not row:
             continue
+        fields = row.split(",")
         try:
-            t, y = row.split(",")[:2]
+            t, y = fields[:2]
             points.append((float(t), float(y)))
         except ValueError:
-            if lineno > 1:
-                raise InputError(f"{args.csvfile}:{lineno}: row {row!r} does not start "
-                                 f"with two numbers") from None
+            try:
+                float(fields[0])
+            except ValueError:
+                if lineno == 1:
+                    continue  # a header
+            raise InputError(f"{args.csvfile}:{lineno}: row {row!r} does not start "
+                             f"with two numbers") from None
     fit = harness.fit_exponential(points)
     return 0, (f"A0={fit.a0!r}\ntau_us={fit.tau_us!r}\n"
                f"tau_err_us={fit.tau_err_us!r}\nrss={fit.rss!r}\n"), []

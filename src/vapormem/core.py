@@ -139,9 +139,13 @@ def _fmt_number(x: float) -> str:
 
     ``+ 0.0`` prints -0.0 as 0, an exponent is expanded through Decimal,
     and an integral value drops its ``.0``. Every sentence that names a
-    rail prints its MHz this way.
+    rail prints its MHz this way; an int too large for a float prints as
+    its digits.
     """
-    s = repr(float(x) + 0.0)
+    try:
+        s = repr(float(x) + 0.0)
+    except OverflowError:
+        return str(x)
     if "e" in s:
         from decimal import Decimal  # imported here to keep it off start-up
 
@@ -264,7 +268,12 @@ class SpinWaveComponent(_Value):
 
 
 class Operation(_Value):
-    """One scheduled memory operation; energy only applies to writes."""
+    """One scheduled memory operation; energy only applies to writes.
+
+    The one check of an op's values: a time that is not finite and
+    non-negative, or a write energy that is not finite and positive,
+    raises ParamError. ``Memory.write``, ``read`` and ``pump`` build one.
+    """
 
     _fields = ("t_ns", "kind", "f_rail", "energy")
 

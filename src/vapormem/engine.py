@@ -68,10 +68,11 @@ def _calibration(cals: dict[float, RailCalibration], f_rail: float) -> RailCalib
 class Memory:
     """Multi-rail memory state: parameters, rail calibrations, stored pulses.
 
-    Every change goes through an operation, :meth:`apply` (or :meth:`pump`,
-    :meth:`write` and :meth:`read`); each moves the clock to its time,
-    which never moves backwards, and an operation that raises leaves the
-    memory as it was.
+    Every change goes through :meth:`apply`, which :meth:`write`,
+    :meth:`read` and :meth:`pump` call with an :class:`Operation`. The
+    Operation owns an op's time and energy; the memory owns only its rails
+    and its clock. Each op moves the clock to its time, which never moves
+    backwards, and an op that raises leaves the memory as it was.
 
     Each rail holds at most one live component: its amplitude, birth time,
     amplitude at birth and what off-rail reads drew from it. Its centre and
@@ -134,17 +135,26 @@ class Memory:
         return slot[0]
 
     def apply(self, op: Operation) -> float:
-        """Perform one operation.
+        """Perform one operation: the one place an op acts on the memory.
 
+        Its rail must have a calibration (UnknownRailError), and its time
+        must not be before the clock (TimeOrderError, in :meth:`_pulse`).
         Returns the leakage of a write, the energy retrieved by a read and
         0.0 for a pump.
         """
-        if op.kind is OpKind.WRITE:
-            return self.write(op.f_rail, op.t_ns, op.energy)
+        f_rail, t_ns = op.f_rail, op.t_ns
+        cal = self._rail(f_rail)
         if op.kind is OpKind.READ:
-            return self.read(op.f_rail, op.t_ns)
-        self.pump(op.f_rail, op.t_ns)
-        return 0.0
+            return self._pulse(f_rail, t_ns, 1.0, cal.eta_read)
+        if op.kind is OpKind.PUMP:
+            self._pulse(f_rail, t_ns, self.params.pump_fidelity)
+            return 0.0
+        self._pulse(f_rail, t_ns, 1.0)
+        stored = op.energy * cal.eta_write
+        # the pulse above zeroed and dropped this rail's older component,
+        # so the new one is inserted last and reads sum in write order
+        self._stored[f_rail] = [stored, t_ns, 0.0, stored]
+        return op.energy - stored
 
     def pump(self, f_rail: float, t_ns: float) -> None:
         """Optically pump the addressed region, removing residual excitation.
@@ -152,8 +162,7 @@ class Memory:
         Every component is scaled by (1 - pump_fidelity * dep(d)); with
         perfect pump fidelity the addressed region is emptied.
         """
-        self._rail(f_rail)
-        self._pulse(f_rail, t_ns, self.params.pump_fidelity)
+        self.apply(Operation(t_ns, OpKind.PUMP, f_rail))
 
     def write(self, f_rail: float, t_ns: float, energy: float = 1.0) -> float:
         """Store a pulse on a rail; returns the leakage energy.
@@ -161,15 +170,7 @@ class Memory:
         Its control pulse scales every component by (1 - dep(d)) as a
         read's does, but retrieves nothing and charges no budget.
         """
-        cal = self._rail(f_rail)
-        if not (math.isfinite(energy) and energy > 0.0):
-            raise DomainError("write energy must be finite and strictly positive")
-        self._pulse(f_rail, t_ns, 1.0)
-        stored = energy * cal.eta_write
-        # the pulse above zeroed and dropped this rail's older component,
-        # so the new one is inserted last and reads sum in write order
-        self._stored[f_rail] = [stored, t_ns, 0.0, stored]
-        return energy - stored
+        return self.apply(Operation(t_ns, OpKind.WRITE, f_rail, energy))
 
     def read(self, f_rail: float, t_ns: float) -> float:
         """Retrieve from a rail; returns the total retrieved energy.
@@ -180,20 +181,17 @@ class Memory:
         at most what has left its home mode and no earlier read took
         (Gorshkov et al., PRA 76, 033804 (2007)).
         """
-        eta_read = self._rail(f_rail).eta_read
-        return self._pulse(f_rail, t_ns, 1.0, eta_read)
+        return self.apply(Operation(t_ns, OpKind.READ, f_rail))
 
     def _pulse(self, f_rail: float, t_ns: float, fidelity: float,
                eta_read: float | None = None) -> float:
         """Move the clock to t_ns and scale each component by (1 - fidelity * dep(d)).
 
-        The one clock check: a time that is not finite, or before the clock,
-        raises TimeOrderError before anything changes. A component left at
-        0.0 is dropped. Only a read passes eta_read and gets what it retrieves.
+        The one clock check: a time before the clock raises TimeOrderError
+        before anything changes. A component left at 0.0 is dropped. Only a
+        read passes eta_read and gets what it retrieves.
         """
-        if not self.t_now_ns <= t_ns <= _FLOAT_MAX:
-            if not math.isfinite(t_ns):
-                raise TimeOrderError(f"time {t_ns} ns is not finite")
+        if t_ns < self.t_now_ns:
             raise TimeOrderError(f"cannot move from {self.t_now_ns} ns back to {t_ns} ns")
         self.t_now_ns = t_ns
         pairs = self._pairs[f_rail]
@@ -287,14 +285,14 @@ def render_waveform(trace: Trace, sample_period_ns: float, noise_floor: float = 
     the span. Every exponential is ``math.exp``, the C library's, so the
     bytes do not depend on which CPU kernels numpy would dispatch to.
     """
-    if not (math.isfinite(sample_period_ns) and sample_period_ns > 0.0):
+    if not 0.0 < sample_period_ns <= _FLOAT_MAX:
         raise DomainError("sample period must be finite and strictly positive")
-    if not (math.isfinite(noise_floor) and noise_floor >= 0.0):
+    if not 0.0 <= noise_floor <= _FLOAT_MAX:
         raise DomainError("noise floor must be finite and non-negative")
     if span_ns is None:
         last = trace.events[-1].t_ns if trace.events else 0.0
         span_ns = last + 600.0
-    if not (math.isfinite(span_ns) and span_ns >= 0.0):
+    if not 0.0 <= span_ns <= _FLOAT_MAX:
         raise DomainError("waveform span must be finite and non-negative")
     samples = span_ns / sample_period_ns  # inf when the quotient overflows
     if not samples <= MAX_WAVEFORM_SAMPLES:

@@ -18,6 +18,7 @@ from collections.abc import Iterable, Sequence as SeqABC
 
 from . import engine, physics
 from .core import (
+    _FLOAT_MAX,
     DomainError,
     FitResult,
     OpKind,
@@ -75,7 +76,7 @@ def scan_grid(first: float, last: float, step: float) -> tuple[float, ...]:
     A grid of more than ``MAX_SCAN_POINTS`` points, a bound that is not
     finite, a step that is not positive and first > last raise DomainError.
     """
-    if not all(math.isfinite(v) for v in (first, last, step)):
+    if not all(abs(v) <= _FLOAT_MAX for v in (first, last, step)):
         raise DomainError("scan min, max and step must be finite")
     if step <= 0.0:
         raise DomainError("scan step must be strictly positive")

@@ -583,15 +583,23 @@ class TestFit:
         bad.write_text("t,y\n1,1\n2,1\n")
         assert main(["fit", str(bad)]) == 2
 
-    @pytest.mark.parametrize("row", ["0.8,0.9O", "0.8", "# comment", "0.8;0.9"])
-    def test_unreadable_row_is_named(self, tmp_path, capfd, row):
-        # with that row left out, the other three fit without an error
+    # with the named row left out, the other three fit without an error.
+    # Line 1 is a header only when its first field is not a number
+    @pytest.mark.parametrize("lines,lineno", [
+        *[pytest.param(["t,y", "0.4,1.0", row, "1.2,0.8", "", "1.6,0.7"], 3, id=row)
+          for row in ["0.8,0.9O", "0.8", "# comment", "0.8;0.9"]],
+        pytest.param(["0.4,1.0O", "0.8,0.9", "1.2,0.8", "1.6,0.7"], 1, id="headerless"),
+        pytest.param(["t_us,energy", "0.4,1.0", "0.8,0.9O", "1.2,0.8", "1.6,0.7"], 3,
+                     id="t_us-header"),
+    ])
+    def test_unreadable_row_is_named(self, tmp_path, capfd, lines, lineno):
         path = tmp_path / "typo.csv"
-        path.write_text(f"t,y\n0.4,1.0\n{row}\n1.2,0.8\n\n1.6,0.7\n")
+        path.write_text("\n".join(lines) + "\n")
         assert main(["fit", str(path)]) == 2
         out, err = capfd.readouterr()
         assert out == ""
-        assert err == f"error: {path}:3: row {row!r} does not start with two numbers\n"
+        row = lines[lineno - 1]
+        assert err == f"error: {path}:{lineno}: row {row!r} does not start with two numbers\n"
 
     @pytest.mark.parametrize("rows,message", [
         ("0.4,1.0\n0.8,nan\n1.2,0.5\n", "times and energies must be finite"),

@@ -230,6 +230,15 @@ class TestOperationAndSequence:
         with pytest.raises(UnknownRailError):
             Sequence("s", (190.0,), (Operation(0.0, OpKind.WRITE, 210.0),))
 
+    # the sentence names an int past a float by its digits
+    @pytest.mark.parametrize("rail,name", [
+        (210.0, "210"), pytest.param(10**400, "1" + "0" * 400, id="10**400"),
+    ])
+    def test_undeclared_rail_named(self, rail, name):
+        with pytest.raises(UnknownRailError,
+                           match=f"^operation at 0.0 ns uses undeclared rail {name} MHz$"):
+            Sequence("s", (190.0,), (Operation(0.0, OpKind.WRITE, rail),))
+
     def test_duplicate_declared_rail_rejected(self):
         with pytest.raises(DuplicateRailError):
             Sequence("s", (190.0, 190.0), ())

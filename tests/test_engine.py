@@ -16,6 +16,7 @@ from vapormem.core import (
     OpKind,
     Operation,
     OutOfBandError,
+    ParamError,
     RailCalibration,
     Sequence,
     TimeOrderError,
@@ -172,8 +173,11 @@ class TestWrite:
         assert leak + mem.components[0].amplitude == energy
 
     def test_zero_energy_rejected(self):
-        with pytest.raises(DomainError):
-            fresh().write(190.0, 0.0, 0.0)
+        # the Operation the write builds refuses it, before the memory changes
+        mem = fresh()
+        with pytest.raises(ParamError, match="strictly positive"):
+            mem.write(190.0, 0.0, 0.0)
+        assert mem.components == []
 
     def test_second_write_fully_depletes_first(self):
         mem = fresh()
@@ -195,13 +199,13 @@ class TestWrite:
         # the write refuses an infinite energy, so no infinite amplitude is
         # stored for a later depletion to turn into NaN (inf * (1 - dep(0)))
         mem = fresh()
-        with pytest.raises(DomainError, match="finite and strictly positive"):
+        with pytest.raises(ParamError, match="^operation energy must be finite$"):
             mem.write(190.0, 0.0, math.inf)
         assert mem.components == []
 
     def test_nan_energy_rejected(self):
         mem = fresh()
-        with pytest.raises(DomainError, match="finite and strictly positive"):
+        with pytest.raises(ParamError, match="^operation energy must be finite$"):
             mem.write(190.0, 0.0, math.nan)
         assert mem.components == []
 
@@ -256,10 +260,11 @@ class TestRead:
     def test_nan_time_rejected_and_clock_kept(self):
         mem = fresh()
         mem.write(190.0, 1000.0, 1.0)
+        # the Operation each builds owns the time's bounds; the memory, its clock
         for t_ns in (math.nan, math.inf):
-            with pytest.raises(TimeOrderError, match="not finite"):
+            with pytest.raises(ParamError, match="time must be finite"):
                 mem.read(190.0, t_ns)
-            with pytest.raises(TimeOrderError, match="not finite"):
+            with pytest.raises(ParamError, match="time must be finite"):
                 mem.write(190.0, t_ns, 1.0)
             assert mem.t_now_ns == 1000.0
         with pytest.raises(TimeOrderError):
@@ -364,17 +369,26 @@ class TestStateEvolution:
             assert after.keys() - before.keys() == ({t} if kind == 0 else set())
             assert all(after.get(k, 0.0) <= a for k, a in before.items())
 
-    # each op checks its rail first, then (a write) its energy, then the time;
-    # 200 MHz is in band but uncalibrated, -1.0 is no energy, 500 ns is past.
-    # The pump on 230 MHz sets the clock to 1000 ns and leaves 190 MHz's pulse
+    # each op's Operation checks its time, then (a write) its energy; then the
+    # memory checks the rail, then the clock. 200 MHz is in band but
+    # uncalibrated, -1.0 is no energy, 500 ns is past. The pump on 230 MHz
+    # sets the clock to 1000 ns and leaves 190 MHz's pulse
     @pytest.mark.parametrize("method, args, error", [
-        ("write", (200.0, 500.0, -1.0), UnknownRailError),
-        ("write", (190.0, 500.0, -1.0), DomainError),
+        ("write", (200.0, 500.0, -1.0), ParamError),
+        ("write", (190.0, 500.0, -1.0), ParamError),
         ("write", (190.0, 500.0, 1.0), TimeOrderError),
         ("read", (200.0, 500.0), UnknownRailError),
         ("read", (190.0, 500.0), TimeOrderError),
         ("pump", (200.0, 500.0), UnknownRailError),
         ("pump", (190.0, 500.0), TimeOrderError),
+        ("write", (200.0, 500.0, 1.0), UnknownRailError),
+        ("write", (200.0, -1.0, 1.0), ParamError),
+        # an int past a float is no time or energy, and a sentence that
+        # names it as a rail prints its digits
+        ("read", (190.0, 10**400), ParamError),
+        ("write", (190.0, 1500.0, 10**400), ParamError),
+        ("write", (10**400, 0.0), UnknownRailError),
+        ("stored_on", (10**400,), UnknownRailError),
     ])
     def test_failed_op_raises_in_check_order_and_changes_nothing(self, method, args, error):
         mem = fresh()
@@ -428,6 +442,40 @@ def assert_trace_equals_reference(params, seq: Sequence) -> None:
     rails = calibrations(seq)
     trace = engine.run_sequence(engine.Memory(params, rails), seq)
     assert list(trace) == reference_engine.run(params, rails, seq)
+
+
+# direct-call arguments: good values, values each check refuses, and floats
+# of every kind; 200 MHz is in band but uncalibrated, 500 ns is before the clock
+ARG_RAILS = st.sampled_from([*DEFAULT_MHZ, 200.0, math.nan, 10**400]) | st.floats()
+ARG_TIMES = st.sampled_from([1000.0, 1500.0, 500.0, -1.0, math.nan, math.inf,
+                             10**400, 2000]) | st.floats()
+ARG_ENERGIES = st.sampled_from([1.0, 0.0, -1.0, math.nan, math.inf, -math.inf,
+                                10**400, 3]) | st.floats()
+
+
+class TestOnePath:
+    @example(kind=OpKind.WRITE, f_rail=190.0, t_ns=math.nan, energy=1.0)
+    @given(kind=st.sampled_from(list(OpKind)), f_rail=ARG_RAILS, t_ns=ARG_TIMES,
+           energy=ARG_ENERGIES)
+    def test_direct_call_is_apply_of_its_operation(self, kind, f_rail, t_ns, energy):
+        # write, read and pump build an Operation and apply it, so on twin
+        # memories they raise or return as apply does and leave the same state
+        def outcome(call):
+            mem = fresh()
+            mem.write(190.0, 0.0, 1.0)
+            mem.pump(230.0, 1000.0)
+            try:
+                value = call(mem)
+            except VaporMemError as exc:
+                value = type(exc)
+            return value, mem.t_now_ns, [mem.stored_on(f) for f in DEFAULT_MHZ]
+
+        extra = (energy,) if kind is OpKind.WRITE else ()
+        direct = outcome(lambda mem: getattr(mem, kind.value.lower())(f_rail, t_ns, *extra))
+        applied = outcome(lambda mem: mem.apply(Operation(t_ns, kind, f_rail, *extra)))
+        if kind is OpKind.PUMP and applied[0] == 0.0:
+            applied = (None, *applied[1:])  # pump returns None where apply gives 0.0
+        assert direct == applied
 
 
 class TestPool:
@@ -651,14 +699,15 @@ class TestRenderWaveform:
 
     def test_bad_period(self):
         from vapormem.core import Trace
-        for period in (0.0, -1.0, math.nan, math.inf):
-            with pytest.raises(DomainError):
+        for period in (0.0, -1.0, math.nan, math.inf, 10**400):
+            with pytest.raises(DomainError, match="^sample period must be finite and strictly"):
                 engine.render_waveform(Trace(()), period)
 
-    @pytest.mark.parametrize("span", [-5.0, math.nan, math.inf])
+    @pytest.mark.parametrize("span", [-5.0, math.nan, math.inf,
+                                      pytest.param(10**400, id="10**400")])
     def test_bad_span(self, span):
         from vapormem.core import Trace
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="^waveform span must be finite and non-negative$"):
             engine.render_waveform(Trace(()), 1.0, span_ns=span)
 
     @pytest.mark.parametrize("span,period,count", [
@@ -672,10 +721,11 @@ class TestRenderWaveform:
                                               f"{engine.MAX_WAVEFORM_SAMPLES}$"):
             engine.render_waveform(Trace(()), period, span_ns=span)
 
-    @pytest.mark.parametrize("floor", [math.nan, math.inf, -math.inf, -1.0, -1e-300])
+    @pytest.mark.parametrize("floor", [math.nan, math.inf, -math.inf, -1.0, -1e-300,
+                                       pytest.param(10**400, id="10**400")])
     def test_bad_noise_floor(self, floor):
         from vapormem.core import Trace
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="^noise floor must be finite and non-negative$"):
             engine.render_waveform(Trace(()), 1.0,
                                    noise_floor=floor, span_ns=100.0)
 

@@ -85,6 +85,7 @@ class TestScanGrid:
         ((0.0, 1.0, 0.0), "strictly positive"),
         ((0.0, 1.0, -1.0), "strictly positive"),
         ((2.0, 1.0, 1.0), "must not exceed"),
+        ((0.0, 10**400, 1.0), "must be finite"),
     ])
     def test_domain(self, args, message):
         with pytest.raises(DomainError, match=message):
@@ -213,11 +214,11 @@ class TestFitExponential:
             fit_exponential([(0.4, 1.0), (0.8, 0.0), (1.2, 0.5)])
 
     def test_all_times_equal_is_singular(self):
-        with pytest.raises(FitError):
+        with pytest.raises(FitError, match="^singular system: all times are equal$"):
             fit_exponential([(0.4, 1.0), (0.4, 0.9), (0.4, 0.8)])
 
     def test_non_decaying_data(self):
-        with pytest.raises(FitError):
+        with pytest.raises(FitError, match="^data does not decay$"):
             fit_exponential([(0.4, 1.0), (0.8, 2.0), (1.2, 4.0)])
 
     def test_convergence_error_is_distinct(self, monkeypatch):
@@ -243,8 +244,10 @@ class TestFitExponential:
         # the inverse of JᵀJ overflows, so the covariance is inf
         ([(0.0, 1.394), (2.18e146, 0.741), (6.59e-174, 0.572), (1.375, 4.04e31)],
          "tau_err_us must be finite"),
+        # the first Gauss-Newton step takes tau below zero
+        ([(2.0, 2.0), (3.0, 0.2), (5.0, 0.1)], "^fit left the valid parameter domain$"),
     ], ids=["nan", "inf", "subnormal", "singular", "overflow", "underflow", "exp-overflow",
-            "inf-covariance"])
+            "inf-covariance", "left-domain"])
     def test_numeric_edges_are_fit_errors(self, pts, message):
         with pytest.raises(FitError, match=message):
             fit_exponential(pts)
@@ -284,6 +287,12 @@ class TestFitExponential:
         # loses about n eps / ratio relative to the solution
         tol = 1e-9 if ratio <= cut else 100 * cut / ratio
         assert np.allclose(x, ref, rtol=0.0, atol=tol * (1.0 + np.linalg.norm(x_true)))
+
+    # [[0, 0], [0, 1]] has a zero first pivot; [[1, 1], [1, 1]] a zero second one
+    @pytest.mark.parametrize("a,b,d", [(0.0, 0.0, 1.0), (1.0, 1.0, 1.0)])
+    def test_inverse_zero_pivot_is_singular(self, a, b, d):
+        with pytest.raises(ArithmeticError, match="^Singular matrix$"):
+            harness._inverse_11(a, b, d)
 
     @given(st.lists(st.tuples(st.floats(allow_nan=False, allow_infinity=False),
                               st.floats(min_value=0.0, exclude_min=True,
@@ -403,11 +412,14 @@ class TestWeightedMean:
         assert a[1] == pytest.approx(b[1], rel=1e-12)
 
     def test_errors(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="^values and sigmas must have equal length$"):
             weighted_mean([1.0, 2.0], [0.1])
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="^sigmas must be strictly positive$"):
             weighted_mean([1.0], [0.0])
-        with pytest.raises(DomainError):
+        # the weights check would refuse a zero sigma too, but not a negative one
+        with pytest.raises(DomainError, match="^sigmas must be strictly positive$"):
+            weighted_mean([1.0, 3.0], [-1.0, 1.0])
+        with pytest.raises(DomainError, match="^need at least one value$"):
             weighted_mean([], [])
 
     @pytest.mark.parametrize("values,sigmas", [
