@@ -46,6 +46,7 @@ import struct
 import sys
 from array import array
 from itertools import chain
+from operator import itemgetter
 from types import SimpleNamespace
 
 from . import engine, harness, physics, seqlang
@@ -259,26 +260,27 @@ def _repr_rows(t, keys: list[int], text: dict[int, str]) -> str:
     return "".join(chain.from_iterable(zip(map(repr, t.tolist()), map(text.__getitem__, keys))))
 
 
-def _checked(path: str, params: PhysicsParams, rails: tuple[RailCalibration, ...]):
-    """(memory, program, diagnostic lines, whether one is an error) for a sequence file.
-
-    The diagnostics are ``engine.diagnose``'s, so a program ``validate``
-    accepts is one ``run_sequence`` runs.
-    """
-    seq = seqlang.parse(_read_text(path))
-    mem = engine.Memory(params, rails)
-    diags = engine.diagnose(mem, seq)
+def _listing(diags) -> tuple[str, bool]:
+    """(one line per diagnostic, whether one is an error)."""
     lines = "".join(f"{d.severity} {d.code} line {d.line}: {d.message}\n" for d in diags)
-    return mem, seq, lines, any(d.severity == "error" for d in diags)
+    return lines, any(d.severity == "error" for d in diags)
 
 
 def cmd_validate(args, params, rails) -> Outcome:
-    _, _, lines, failed = _checked(args.seqfile, params, rails)
+    # one streamed pass: the diagnostics read each op's (line, time) as the
+    # reader reaches it, and no Operation or Sequence is built. They are the
+    # ones engine.diagnose gives, so a program validate accepts is one
+    # run_sequence runs.
+    program = seqlang.Reader(_read_text(args.seqfile))
+    diags = seqlang._diagnostics(program, map(itemgetter(0, 1), program), params)
+    lines, failed = _listing(engine._uncalibrated(engine.Memory(params, rails), program, diags))
     return int(failed), lines, []
 
 
 def cmd_run(args, params, rails) -> Outcome:
-    mem, seq, lines, failed = _checked(args.seqfile, params, rails)
+    seq = seqlang.parse(_read_text(args.seqfile))
+    mem = engine.Memory(params, rails)
+    lines, failed = _listing(engine.diagnose(mem, seq))
     if failed:
         return 1, lines, []
     trace = engine.run_sequence(mem, seq)

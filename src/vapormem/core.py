@@ -140,17 +140,21 @@ def _fmt_number(x: float) -> str:
     ``+ 0.0`` prints -0.0 as 0, an exponent is expanded through Decimal,
     and an integral value drops its ``.0``. Every sentence that names a
     rail prints its MHz this way; an int too large for a float prints as
-    its digits.
+    its digits, through Decimal too, since ``str`` refuses an int of more
+    than 4300 digits.
     """
     try:
         s = repr(float(x) + 0.0)
     except OverflowError:
-        return str(x)
-    if "e" in s:
-        from decimal import Decimal  # imported here to keep it off start-up
+        if not isinstance(x, int):  # a Fraction, say, which Decimal does not take
+            return str(x)
+        s = x
+    else:
+        if "e" not in s:
+            return s.removesuffix(".0")
+    from decimal import Decimal  # imported here to keep it off start-up
 
-        s = format(Decimal(s), "f")
-    return s.removesuffix(".0")
+    return format(Decimal(s), "f").removesuffix(".0")
 
 
 def _require_finite(obj) -> None:

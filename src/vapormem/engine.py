@@ -222,15 +222,25 @@ def diagnose(state: Memory, seq: Sequence) -> list[seqlang.Diagnostic]:
     """Every diagnostic of a sequence on a memory, sorted by line then code.
 
     These are ``seqlang.validate``'s, against the memory's parameters, and
-    E003, on the RAILS line, for each declared rail the memory has no
-    calibration for, since it could not act on that rail.
+    :func:`_uncalibrated`'s E003.
 
     A sequence built in Python reports line 0, as ``validate`` does.
     """
     # through the module, so a wrapper of seqlang.validate sees this call
-    diags = seqlang.validate(seq, state.params)
-    rails_line = seq.rails_line if seq.rails_line is not None else 0
-    for f in seq.rails:
+    return _uncalibrated(state, seq, seqlang.validate(seq, state.params))
+
+
+def _uncalibrated(state: Memory, program, diags: list[seqlang.Diagnostic]
+                  ) -> list[seqlang.Diagnostic]:
+    """``diags`` of a program, plus E003 for each declared rail the memory cannot use, sorted.
+
+    The one owner of E003: on the RAILS line, for each rail the memory has
+    no calibration for, since it could not act on that rail. ``program`` is
+    a Sequence or a ``seqlang.Reader`` that has read its document, and
+    ``diags`` are seqlang's diagnostics of it.
+    """
+    rails_line = program.rails_line if program.rails_line is not None else 0
+    for f in program.rails:
         try:
             state._rail(f)
         except UnknownRailError as exc:

@@ -157,9 +157,12 @@ def scan_crosstalk(params: PhysicsParams, rails_cal: Iterable[RailCalibration],
     ``CROSSTALK_WRITE_RAIL_MHZ`` at t = 0, read the displaced neighbor at
     0.4 µs (peak1), then read the write rail itself at 0.8 µs (peak2). At
     zero separation both reads address the write rail. Unmeasured neighbor
-    rails inherit the write rail's calibration.
+    rails inherit the write rail's calibration. A separation that is not
+    finite raises DomainError before any point runs.
     """
     base = engine._calibration(engine._rail_table(rails_cal), CROSSTALK_WRITE_RAIL_MHZ)
+    if not all(abs(sep) <= _FLOAT_MAX for sep in separations_mhz):
+        raise DomainError("separations must be finite")
     peak1, peak2 = [], []
     for sep in separations_mhz:
         if sep == 0.0:
@@ -187,7 +190,8 @@ def scan_lifetime(params: PhysicsParams, rails_cal: Iterable[RailCalibration],
     raise DomainError before any point runs.
     """
     cal = engine._calibration(engine._rail_table(rails_cal), f_rail)
-    if not all(b > a and b * engine.NS_PER_US < math.inf
+    # b <= _FLOAT_MAX bounds an int past a float before the product converts it
+    if not all(a < b <= _FLOAT_MAX and b * engine.NS_PER_US < math.inf
                for a, b in zip((0.0, *delays_us), delays_us)):
         raise DomainError("delays must be positive, strictly ascending and finite in ns")
     retrieved = []
@@ -222,18 +226,19 @@ def fit_exponential(points: Iterable[tuple[float, float]]) -> FitResult:
     Jacobian entry, a step) counts as an overflow. Every such failure is
     a FitError "fit failed numerically: ...".
     """
-    pts = [(float(t), float(y)) for t, y in points]
+    pts = [(t, y) for t, y in points]
     if len(pts) < 3:
         raise FitError("need at least 3 points to fit")
-    if not all(math.isfinite(t) and math.isfinite(y) for t, y in pts):
+    # abs() bounds an int past a float, which float() could not convert
+    if not all(abs(t) <= _FLOAT_MAX and abs(y) <= _FLOAT_MAX for t, y in pts):
         raise FitError("times and energies must be finite")
-    if any(y <= 0.0 for _, y in pts):
+    ts = [float(t) for t, _ in pts]
+    ys = [float(y) for _, y in pts]
+    if any(y <= 0.0 for y in ys):
         raise FitError("all energies must be strictly positive")
     # the relative-residual weight 1/y overflows for a subnormal energy
-    if not all(math.isfinite(1.0 / y) for _, y in pts):
+    if not all(math.isfinite(1.0 / y) for y in ys):
         raise FitError("relative-residual weights 1/energy must be finite")
-    ts = [t for t, _ in pts]
-    ys = [y for _, y in pts]
     if all(t == ts[0] for t in ts):
         raise FitError("singular system: all times are equal")
     try:
@@ -383,6 +388,9 @@ def weighted_mean(values: SeqABC[float], sigmas: SeqABC[float]) -> tuple[float, 
         raise DomainError("need at least one value")
     if not all(s > 0.0 for s in sigmas):
         raise DomainError("sigmas must be strictly positive")
+    # abs() bounds an int past a float before the arithmetic below converts it
+    if not all(abs(v) <= _FLOAT_MAX for v in (*values, *sigmas)):
+        raise DomainError("values and sigmas must be finite")
     # s * s underflows to 0 for a tiny sigma (1/(s * s) overflows for a slightly
     # larger one) and overflows to inf for a huge one
     weights = [1.0 / (s * s) if s * s > 0.0 else math.inf for s in sigmas]
@@ -501,12 +509,13 @@ def monte_carlo_overlaps(params: PhysicsParams, n_atoms: int,
     drawn once per distinct time, into three preallocated arrays, and
     each displacement's weights reuse one buffer.
 
-    n_atoms below 1000 or above ``MAX_ORACLE_ATOMS``, a negative seed,
-    and a negative or NaN time raise DomainError before anything is drawn.
+    n_atoms below 1000 or above ``MAX_ORACLE_ATOMS``, a negative seed, a
+    negative or NaN time, and a displacement or time that is not finite
+    raise DomainError before anything is drawn.
     """
     import numpy as np
 
-    points = [(float(d), float(t)) for d, t in points]
+    points = [(d, t) for d, t in points]
     if n_atoms < 1000:
         raise DomainError("need at least 1e3 atoms for a meaningful estimate")
     if n_atoms > MAX_ORACLE_ATOMS:
@@ -515,6 +524,10 @@ def monte_carlo_overlaps(params: PhysicsParams, n_atoms: int,
         raise DomainError(f"seed {seed} is negative; it must be a non-negative integer")
     if not all(t >= 0.0 for _, t in points):
         raise DomainError("time must be non-negative")
+    # abs() bounds an int past a float, which float() could not convert
+    if not all(abs(d) <= _FLOAT_MAX and t <= _FLOAT_MAX for d, t in points):
+        raise DomainError("displacements and times must be finite")
+    points = [(float(d), float(t)) for d, t in points]
     diff = physics.diffusion_coefficient(params)
     # the per-axis step of each distinct time, in order of first appearance
     steps = {t: math.sqrt(physics.spread_variance_um2(0.0, t, diff)) for _, t in points}

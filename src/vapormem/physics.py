@@ -90,7 +90,9 @@ def spread_variance_um2(s2_um2: float, dt_us: float, d_cm2_s: float) -> float:
         raise DomainError("variance must be non-negative")
     if dt_us < 0.0:
         raise DomainError("elapsed time must be non-negative")
-    s2 = _spread(s2_um2, dt_us, d_cm2_s)
+    # abs() bounds an int past a float without the conversion _spread makes
+    finite = all(abs(v) <= _FLOAT_MAX for v in (s2_um2, dt_us, d_cm2_s))
+    s2 = _spread(s2_um2, dt_us, d_cm2_s) if finite else math.inf
     if not math.isfinite(s2):
         raise DomainError("spread variance must be a finite float")
     return s2
@@ -134,8 +136,8 @@ def overlap_factor(d_um: float, s2_um2: float, p: PhysicsParams) -> float:
     Equals 1 iff d = 0; grows toward 1 with s2 for fixed d != 0 as the
     spreading component reaches the displaced read beam.
     """
-    if not s2_um2 >= 0.0 or math.isnan(d_um):
-        raise DomainError("variance must be non-negative and displacement not NaN")
+    if not (0.0 <= s2_um2 <= _FLOAT_MAX and abs(d_um) <= _FLOAT_MAX):
+        raise DomainError("variance must be finite and non-negative, and displacement finite")
     return _overlap(d_um, s2_um2, read_sampling_variance_um2(p))
 
 
@@ -156,9 +158,9 @@ def depletion_fraction(d_um: float, p: PhysicsParams) -> float:
     (and much flatter than) the retrieval overlap. Beyond w_dep a high
     order makes the power overflow a float, and exp(-huge) is 0.0.
     """
+    if not abs(d_um) <= _FLOAT_MAX:
+        raise DomainError("distance must be finite, not NaN or infinite")
     x = abs(d_um) / p.w_dep
-    if not x >= 0.0:
-        raise DomainError("distance must not be NaN")
     # a float exponent is inf, not an error, when 2 * m_dep is beyond a float
     try:
         return math.exp(-(x ** (2.0 * p.m_dep)))

@@ -22,12 +22,26 @@ Validation is separate from parsing: :func:`parse` enforces the grammar
 and the constructor-level invariants (monotonic times, declared rails),
 while :func:`validate` emits diagnostics for the physical rules:
 switching time, deflector band, rail separation.
+
+Every document is read by :class:`Reader`, in one pass that yields each
+operation as a row ``(lineno, t_ns, kind, f_rail, energy)``. A plain
+line, ``AT <digits>ns <VERB> <freq>MHz[ <energy>]`` with single spaces
+and no comment, is read by one ``fullmatch`` of ``_PLAIN_OP_RE`` when its
+frequency token already names a declared rail, its time is finite and
+increases, and its energy, if any, is on a WRITE and finite and
+positive. Any other line falls back to the general per-line reader, so
+every ParseError keeps its message, line, column and order. ``parse``
+builds its Operations and Sequence from the rows; ``vapormem validate``
+feeds them to :func:`_diagnostics` and builds neither.
 """
 
 from __future__ import annotations
 
 import math
 import re
+from collections.abc import Iterable, Iterator
+from itertools import repeat
+from operator import attrgetter
 
 from . import physics
 from .core import (
@@ -51,6 +65,9 @@ _NUMBER = r"[0-9]+(?:\.[0-9]+)?"
 _TIME_RE = re.compile(rf"^({_NUMBER})(ns|us)$")
 _FREQ_RE = re.compile(rf"^({_NUMBER})(MHz)$")
 _NUMBER_RE = re.compile(rf"^({_NUMBER})()$")
+# a plain op line, read whole by one fullmatch: groups (digits, verb, freq
+# token, energy or None); compiled here, not on first use, as are the above
+_PLAIN_OP_RE = re.compile(rf"AT ([0-9]+)ns (WRITE|READ|PUMP) (\S+MHz)(?: ({_NUMBER}))?")
 
 _VERBS = {"WRITE": OpKind.WRITE, "READ": OpKind.READ, "PUMP": OpKind.PUMP}
 
@@ -130,6 +147,118 @@ def _number(tok: str, pattern: re.Pattern, what: str, lineno: int, line: str, k:
     return value
 
 
+class Reader:
+    """One streamed pass over a sequence document: the one reader of its lines.
+
+    Iterating yields each operation as a row ``(lineno, t_ns, kind, f_rail,
+    energy)``, in order, and raises ParseError at the first line
+    :func:`parse` refuses. ``name``, ``rails`` and ``rails_line`` are set
+    as their lines are read: once the rows are exhausted they describe the
+    whole document, and the rails are complete before the first row, since
+    an operation's rail must already be declared. Each iteration reads the
+    text again from its start.
+
+    A plain line (see the module docstring) is read by one match of
+    ``_PLAIN_OP_RE``; every other line by the general reader below, which
+    reports each error at its own line and column, and which would give a
+    plain line the same row.
+    """
+
+    def __init__(self, text: str) -> None:
+        self.text = text
+        self.name: str | None = None
+        self.rails: list[float] = []
+        self.rails_line: int | None = None
+
+    def __iter__(self) -> Iterator[tuple[int, float, OpKind, float, float]]:
+        self.name, self.rails, self.rails_line = None, [], None
+        rails = self.rails
+        rail_of: dict[str, float] = {}  # frequency token -> the declared rail it names
+        prev_t = -math.inf
+        inf = math.inf
+        plain = _PLAIN_OP_RE.fullmatch
+
+        for lineno, raw in enumerate(self.text.split("\n"), start=1):
+            m = plain(raw)
+            if m is not None:
+                t, verb, ftok, etok = m.groups()
+                t_ns = float(t)
+                f_rail = rail_of.get(ftok)
+                energy = 1.0 if etok is None else float(etok)
+                if (f_rail is not None and prev_t < t_ns < inf and 0.0 < energy < inf
+                        and (etok is None or verb == "WRITE")):
+                    prev_t = t_ns
+                    yield lineno, t_ns, _VERBS[verb], f_rail, energy
+                    continue
+
+            hash_at = raw.find("#")
+            line = raw if hash_at < 0 else raw[:hash_at]
+            tokens = line.split()
+            if not tokens:
+                continue
+            word = tokens[0]
+
+            if self.name is None:
+                if word != "SEQUENCE":
+                    raise ParseError("expected SEQUENCE header", lineno, _col(line, 0))
+                if len(tokens) != 2:
+                    raise ParseError("SEQUENCE takes exactly one name", lineno, _col(line, 0))
+                self.name = tokens[1]
+                continue
+
+            if word == "SEQUENCE":
+                raise ParseError("duplicate SEQUENCE header", lineno, _col(line, 0))
+
+            if word == "RAILS":
+                if self.rails_line is not None:
+                    raise ParseError("duplicate RAILS directive", lineno, _col(line, 0))
+                if len(tokens) < 2:
+                    raise ParseError("RAILS needs at least one frequency", lineno, _col(line, 0))
+                for k, tok in enumerate(tokens[1:], start=1):
+                    f = _number(tok, _FREQ_RE, "frequency", lineno, line, k)
+                    if f in rails:
+                        raise ParseError(f"rail {tok} declared twice", lineno, _col(line, k))
+                    rails.append(f)
+                    rail_of[tok] = f
+                self.rails_line = lineno
+                continue
+
+            if word == "AT":
+                if len(tokens) not in (4, 5):
+                    raise ParseError("expected AT <time> <verb> <freq> [energy]",
+                                     lineno, _col(line, 0))
+                t_ns = _number(tokens[1], _TIME_RE, "time", lineno, line, 1)
+                kind = _VERBS.get(tokens[2])
+                if kind is None:
+                    raise ParseError(f"unknown operation {tokens[2]!r}", lineno, _col(line, 2))
+                ftok = tokens[3]
+                f_rail = rail_of.get(ftok)
+                if f_rail is None:
+                    f_rail = _number(ftok, _FREQ_RE, "frequency", lineno, line, 3)
+                    if f_rail not in rails:
+                        raise ParseError(f"operation on undeclared rail {ftok}",
+                                         lineno, _col(line, 3))
+                    rail_of[ftok] = f_rail
+                energy = 1.0
+                if len(tokens) == 5:
+                    if kind is not OpKind.WRITE:
+                        raise ParseError("only WRITE takes an energy", lineno, _col(line, 4))
+                    energy = _number(tokens[4], _NUMBER_RE, "energy", lineno, line, 4)
+                    if energy <= 0.0:
+                        raise ParseError("write energy must be strictly positive",
+                                         lineno, _col(line, 4))
+                if t_ns <= prev_t:
+                    raise ParseError("operation time does not increase", lineno, _col(line, 1))
+                prev_t = t_ns
+                yield lineno, t_ns, kind, f_rail, energy
+                continue
+
+            raise ParseError(f"unknown directive {word!r}", lineno, _col(line, 0))
+
+        if self.name is None:
+            raise ParseError("missing SEQUENCE header", 1)
+
+
 def parse(text: str) -> Sequence:
     """Parse a sequence document into a Sequence.
 
@@ -138,90 +267,22 @@ def parse(text: str) -> Sequence:
     duplicate header or RAILS directive, on an operation that uses an
     undeclared rail, and on non-increasing times.
 
-    Every number token goes through one reader, ``_number``, and every
-    value ``Operation`` checks is checked here first, so a bad one is
-    reported at its line and column. A frequency token resolves through a
-    table of the tokens already seen to name a declared rail; only a token
-    not in it is matched, converted and looked up, so an undeclared one
-    always gets its own error.
+    The lines are read by :class:`Reader`, which checks every value
+    ``Operation`` checks first, so a bad one is reported at its line and
+    column: a plain line's values as it matches them, and any other number
+    token in its one reader, ``_number``. A frequency token resolves through a table of
+    the tokens already seen to name a declared rail; only a token not in it
+    is matched, converted and looked up, so an undeclared one always gets
+    its own error.
     """
-    name: str | None = None
-    rails: list[float] = []
-    rail_of: dict[str, float] = {}  # frequency token -> the declared rail it names
-    rails_line: int | None = None
+    reader = Reader(text)
     ops: list[Operation] = []
     op_lines: list[int] = []
-    prev_t: float | None = None
-
-    for lineno, raw in enumerate(text.split("\n"), start=1):
-        hash_at = raw.find("#")
-        line = raw if hash_at < 0 else raw[:hash_at]
-        tokens = line.split()
-        if not tokens:
-            continue
-        word = tokens[0]
-
-        if name is None:
-            if word != "SEQUENCE":
-                raise ParseError("expected SEQUENCE header", lineno, _col(line, 0))
-            if len(tokens) != 2:
-                raise ParseError("SEQUENCE takes exactly one name", lineno, _col(line, 0))
-            name = tokens[1]
-            continue
-
-        if word == "SEQUENCE":
-            raise ParseError("duplicate SEQUENCE header", lineno, _col(line, 0))
-
-        if word == "RAILS":
-            if rails_line is not None:
-                raise ParseError("duplicate RAILS directive", lineno, _col(line, 0))
-            if len(tokens) < 2:
-                raise ParseError("RAILS needs at least one frequency", lineno, _col(line, 0))
-            for k, tok in enumerate(tokens[1:], start=1):
-                f = _number(tok, _FREQ_RE, "frequency", lineno, line, k)
-                if f in rails:
-                    raise ParseError(f"rail {tok} declared twice", lineno, _col(line, k))
-                rails.append(f)
-                rail_of[tok] = f
-            rails_line = lineno
-            continue
-
-        if word == "AT":
-            if len(tokens) not in (4, 5):
-                raise ParseError("expected AT <time> <verb> <freq> [energy]", lineno, _col(line, 0))
-            t_ns = _number(tokens[1], _TIME_RE, "time", lineno, line, 1)
-            kind = _VERBS.get(tokens[2])
-            if kind is None:
-                raise ParseError(f"unknown operation {tokens[2]!r}", lineno, _col(line, 2))
-            ftok = tokens[3]
-            f_rail = rail_of.get(ftok)
-            if f_rail is None:
-                f_rail = _number(ftok, _FREQ_RE, "frequency", lineno, line, 3)
-                if f_rail not in rails:
-                    raise ParseError(f"operation on undeclared rail {ftok}", lineno, _col(line, 3))
-                rail_of[ftok] = f_rail
-            energy = 1.0
-            if len(tokens) == 5:
-                if kind is not OpKind.WRITE:
-                    raise ParseError("only WRITE takes an energy", lineno, _col(line, 4))
-                energy = _number(tokens[4], _NUMBER_RE, "energy", lineno, line, 4)
-                if energy <= 0.0:
-                    raise ParseError("write energy must be strictly positive",
-                                     lineno, _col(line, 4))
-            if prev_t is not None and t_ns <= prev_t:
-                raise ParseError("operation time does not increase", lineno, _col(line, 1))
-            prev_t = t_ns
-            ops.append(Operation(t_ns, kind, f_rail, energy))
-            op_lines.append(lineno)
-            continue
-
-        raise ParseError(f"unknown directive {word!r}", lineno, _col(line, 0))
-
-    if name is None:
-        raise ParseError("missing SEQUENCE header", 1)
-
-    return Sequence(name=name, rails=tuple(rails), ops=tuple(ops),
-                    src_lines=tuple(op_lines), rails_line=rails_line)
+    for lineno, t_ns, kind, f_rail, energy in reader:
+        ops.append(Operation(t_ns, kind, f_rail, energy))
+        op_lines.append(lineno)
+    return Sequence(name=reader.name, rails=tuple(reader.rails), ops=tuple(ops),
+                    src_lines=tuple(op_lines), rails_line=reader.rails_line)
 
 
 def format_sequence(seq: Sequence) -> str:
@@ -260,26 +321,37 @@ def validate(seq: Sequence, p: PhysicsParams) -> list[Diagnostic]:
     sequence is clean. Line numbers refer to the source document when the
     sequence was parsed; programmatically built sequences report line 0.
     """
+    lines = seq.src_lines if seq.src_lines is not None else repeat(0)
+    return _diagnostics(seq, zip(lines, map(attrgetter("t_ns"), seq.ops)), p)
+
+
+def _diagnostics(program, times: Iterable[tuple[int, float]],
+                 p: PhysicsParams) -> list[Diagnostic]:
+    """E001, E002 and W001 of a program, sorted by line then code: their one owner.
+
+    ``times`` gives each op's (line, t_ns) in order; ``program``, a
+    Sequence or a :class:`Reader`, gives ``rails`` and ``rails_line``.
+    ``times`` is exhausted first and ``program`` read after, so a Reader
+    whose rows ``times`` draws from has read its whole document by then.
+    """
     diags: list[Diagnostic] = []
-    rails_line = seq.rails_line if seq.rails_line is not None else 0
+    prev = -math.inf  # the first op has no predecessor: its gap is inf
+    for line, t_ns in times:
+        dt = t_ns - prev
+        if dt < p.t_switch:
+            diags.append(Diagnostic("E001", line,
+                                    f"{_fmt_number(dt)} ns between operations is below the "
+                                    f"{_fmt_number(p.t_switch)} ns switching time"))
+        prev = t_ns
 
-    def op_line(i: int) -> int:
-        return seq.src_lines[i] if seq.src_lines is not None else 0
-
-    for f in seq.rails:
+    rails_line = program.rails_line if program.rails_line is not None else 0
+    for f in program.rails:
         try:
             physics._require_in_band(f, p)
         except OutOfBandError as exc:
             diags.append(Diagnostic("E002", rails_line, str(exc)))
 
-    for i in range(1, len(seq.ops)):
-        dt = seq.ops[i].t_ns - seq.ops[i - 1].t_ns
-        if dt < p.t_switch:
-            diags.append(Diagnostic("E001", op_line(i),
-                                    f"{_fmt_number(dt)} ns between operations is below the "
-                                    f"{_fmt_number(p.t_switch)} ns switching time"))
-
-    rails_sorted = sorted(seq.rails)
+    rails_sorted = sorted(program.rails)
     for a, b in zip(rails_sorted, rails_sorted[1:]):
         if b - a < MIN_CROSSTALK_FREE_SEPARATION_MHZ:
             diags.append(Diagnostic("W001", rails_line, f"rails {_fmt_number(a)} and "

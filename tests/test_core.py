@@ -233,6 +233,8 @@ class TestOperationAndSequence:
     # the sentence names an int past a float by its digits
     @pytest.mark.parametrize("rail,name", [
         (210.0, "210"), pytest.param(10**400, "1" + "0" * 400, id="10**400"),
+        # past the 4300 digits that str() of an int prints
+        pytest.param(10**5000, "1" + "0" * 5000, id="10**5000"),
     ])
     def test_undeclared_rail_named(self, rail, name):
         with pytest.raises(UnknownRailError,

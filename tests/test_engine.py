@@ -389,6 +389,9 @@ class TestStateEvolution:
         ("write", (190.0, 1500.0, 10**400), ParamError),
         ("write", (10**400, 0.0), UnknownRailError),
         ("stored_on", (10**400,), UnknownRailError),
+        # and one past the 4300 digits that str() of an int prints
+        ("write", (10**5000, 0.0), UnknownRailError),
+        ("stored_on", (10**5000,), UnknownRailError),
     ])
     def test_failed_op_raises_in_check_order_and_changes_nothing(self, method, args, error):
         mem = fresh()

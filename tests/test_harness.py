@@ -716,3 +716,45 @@ class TestMonteCarloOverlap:
     def test_minimum_sample_size(self):
         with pytest.raises(DomainError):
             monte_carlo_overlap(P, 999, 0.0, 0.0, seed=1)
+
+
+# an int past a float: each function bounds it before a float() or an
+# arithmetic conversion would raise a bare OverflowError, so its own check
+# names the error
+BIG = 10**400
+PAST_A_FLOAT = [
+    ("scan_lifetime-delay", lambda: scan_lifetime(P, RAILS, 190.0, [0.4, BIG]),
+     DomainError, "finite in ns"),
+    ("scan_crosstalk-separation", lambda: scan_crosstalk(P, RAILS, [0.0, BIG]),
+     DomainError, "separations must be finite"),
+    ("fit_exponential-time", lambda: fit_exponential([(0.4, 1.0), (BIG, 0.5), (1.2, 0.3)]),
+     FitError, "times and energies must be finite"),
+    ("weighted_mean-value", lambda: weighted_mean([1.0, BIG], [1.0, 1.0]),
+     DomainError, "values and sigmas must be finite"),
+    ("weighted_mean-sigma", lambda: weighted_mean([1.0, 2.0], [1.0, BIG]),
+     DomainError, "values and sigmas must be finite"),
+    ("spread_variance_um2-variance", lambda: physics.spread_variance_um2(BIG, 1.0, 1.0),
+     DomainError, "spread variance must be a finite float"),
+    ("spread_variance_um2-time", lambda: physics.spread_variance_um2(1.0, BIG, 1.0),
+     DomainError, "spread variance must be a finite float"),
+    ("spread_variance_um2-diffusion", lambda: physics.spread_variance_um2(1.0, 1.0, BIG),
+     DomainError, "spread variance must be a finite float"),
+    ("overlap_factor-displacement", lambda: physics.overlap_factor(BIG, 1.0, P),
+     DomainError, "displacement finite"),
+    ("overlap_factor-variance", lambda: physics.overlap_factor(1.0, BIG, P),
+     DomainError, "variance must be finite"),
+    ("depletion_fraction-distance", lambda: physics.depletion_fraction(BIG, P),
+     DomainError, "distance must be finite"),
+    ("monte_carlo_overlaps-displacement",
+     lambda: monte_carlo_overlaps(P, 1000, [(0.0, 0.4), (BIG, 0.4)], 1),
+     DomainError, "displacements and times must be finite"),
+    ("monte_carlo_overlaps-time", lambda: monte_carlo_overlaps(P, 1000, [(0.0, BIG)], 1),
+     DomainError, "displacements and times must be finite"),
+]
+
+
+@pytest.mark.parametrize("call,error,message", [c[1:] for c in PAST_A_FLOAT],
+                         ids=[c[0] for c in PAST_A_FLOAT])
+def test_int_past_a_float_is_a_named_error(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
