@@ -46,7 +46,6 @@ import struct
 import sys
 from array import array
 from itertools import chain
-from operator import itemgetter
 from types import SimpleNamespace
 
 from . import engine, harness, physics, seqlang
@@ -267,13 +266,10 @@ def _listing(diags) -> tuple[str, bool]:
 
 
 def cmd_validate(args, params, rails) -> Outcome:
-    # one streamed pass: the diagnostics read each op's (line, time) as the
-    # reader reaches it, and no Operation or Sequence is built. They are the
-    # ones engine.diagnose gives, so a program validate accepts is one
-    # run_sequence runs.
+    # one streamed pass over the rows, building no Operation or Sequence; run
+    # prints the same diagnostics, so it simulates any program validate accepts
     program = seqlang.Reader(_read_text(args.seqfile))
-    diags = seqlang._diagnostics(program, map(itemgetter(0, 1), program), params)
-    lines, failed = _listing(engine._uncalibrated(engine.Memory(params, rails), program, diags))
+    lines, failed = _listing(engine.diagnose(engine.Memory(params, rails), program))
     return int(failed), lines, []
 
 

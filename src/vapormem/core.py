@@ -139,22 +139,25 @@ def _fmt_number(x: float) -> str:
 
     ``+ 0.0`` prints -0.0 as 0, an exponent is expanded through Decimal,
     and an integral value drops its ``.0``. Every sentence that names a
-    rail prints its MHz this way; an int too large for a float prints as
-    its digits, through Decimal too, since ``str`` refuses an int of more
-    than 4300 digits.
+    rail prints its MHz this way. An int or a Fraction too large for a
+    float prints as ``str`` would, ``n`` or ``n/d``, but its digits go
+    through Decimal too, since ``str`` refuses an int of more than 4300.
     """
     try:
         s = repr(float(x) + 0.0)
     except OverflowError:
-        if not isinstance(x, int):  # a Fraction, say, which Decimal does not take
-            return str(x)
-        s = x
-    else:
-        if "e" not in s:
-            return s.removesuffix(".0")
+        n, d = x.as_integer_ratio()
+        return _plain_decimal(n) if d == 1 else f"{_plain_decimal(n)}/{_plain_decimal(d)}"
+    if "e" not in s:
+        return s.removesuffix(".0")
+    return _plain_decimal(s)
+
+
+def _plain_decimal(v: int | str) -> str:
+    """An int, or a float's repr, in plain decimal digits, with no exponent and no ``.0``."""
     from decimal import Decimal  # imported here to keep it off start-up
 
-    return format(Decimal(s), "f").removesuffix(".0")
+    return format(Decimal(v), "f").removesuffix(".0")
 
 
 def _require_finite(obj) -> None:

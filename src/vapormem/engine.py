@@ -218,35 +218,15 @@ class Memory:
         return retrieved
 
 
-def diagnose(state: Memory, seq: Sequence) -> list[seqlang.Diagnostic]:
-    """Every diagnostic of a sequence on a memory, sorted by line then code.
+def diagnose(state: Memory, program: Sequence | seqlang.Reader) -> list[seqlang.Diagnostic]:
+    """Every diagnostic of a program on a memory, sorted by line then code.
 
-    These are ``seqlang.validate``'s, against the memory's parameters, and
-    :func:`_uncalibrated`'s E003.
-
-    A sequence built in Python reports line 0, as ``validate`` does.
+    ``program`` is a Sequence or a ``seqlang.Reader``. These are
+    ``seqlang.validate``'s, against the memory's parameters, and E003 for
+    each declared rail the memory has no calibration for, since it could
+    not act on that rail. A sequence built in Python reports line 0.
     """
-    # through the module, so a wrapper of seqlang.validate sees this call
-    return _uncalibrated(state, seq, seqlang.validate(seq, state.params))
-
-
-def _uncalibrated(state: Memory, program, diags: list[seqlang.Diagnostic]
-                  ) -> list[seqlang.Diagnostic]:
-    """``diags`` of a program, plus E003 for each declared rail the memory cannot use, sorted.
-
-    The one owner of E003: on the RAILS line, for each rail the memory has
-    no calibration for, since it could not act on that rail. ``program`` is
-    a Sequence or a ``seqlang.Reader`` that has read its document, and
-    ``diags`` are seqlang's diagnostics of it.
-    """
-    rails_line = program.rails_line if program.rails_line is not None else 0
-    for f in program.rails:
-        try:
-            state._rail(f)
-        except UnknownRailError as exc:
-            diags.append(seqlang.Diagnostic("E003", rails_line, str(exc)))
-    diags.sort(key=lambda d: (d.line, d.code))
-    return diags
+    return seqlang._diagnostics(program, state.params, state._rail)
 
 
 def run_sequence(state: Memory, seq: Sequence) -> Trace:

@@ -509,9 +509,10 @@ def monte_carlo_overlaps(params: PhysicsParams, n_atoms: int,
     drawn once per distinct time, into three preallocated arrays, and
     each displacement's weights reuse one buffer.
 
-    n_atoms below 1000 or above ``MAX_ORACLE_ATOMS``, a negative seed, a
-    negative or NaN time, and a displacement or time that is not finite
-    raise DomainError before anything is drawn.
+    n_atoms below 1000, above ``MAX_ORACLE_ATOMS`` or not a whole number,
+    a seed that is negative or not an integer, a negative or NaN time, and
+    a displacement or time that is not finite raise DomainError before
+    anything is drawn.
     """
     import numpy as np
 
@@ -520,6 +521,10 @@ def monte_carlo_overlaps(params: PhysicsParams, n_atoms: int,
         raise DomainError("need at least 1e3 atoms for a meaningful estimate")
     if n_atoms > MAX_ORACLE_ATOMS:
         raise DomainError(f"{n_atoms} atoms are more than {MAX_ORACLE_ATOMS}")
+    if not n_atoms % 1 == 0:  # NaN % 1 is NaN
+        raise DomainError(f"{n_atoms} atoms is not a whole number")
+    if not isinstance(seed, (int, np.integer)):
+        raise DomainError(f"seed {seed!r} is not an integer")
     if seed < 0:
         raise DomainError(f"seed {seed} is negative; it must be a non-negative integer")
     if not all(t >= 0.0 for _, t in points):

@@ -20,8 +20,10 @@ at that value. Rails must be declared before any operation uses them.
 
 Validation is separate from parsing: :func:`parse` enforces the grammar
 and the constructor-level invariants (monotonic times, declared rails),
-while :func:`validate` emits diagnostics for the physical rules:
-switching time, deflector band, rail separation.
+while :func:`_diagnostics` is the one owner of the diagnostics for the
+physical rules: switching time, deflector band, a calibrated rail and
+rail separation. :func:`validate` calls it with the parameters alone,
+and ``engine.diagnose`` with a memory's calibrations as well.
 
 Every document is read by :class:`Reader`, in one pass that yields each
 operation as a row ``(lineno, t_ns, kind, f_rail, energy)``. A plain
@@ -31,17 +33,18 @@ frequency token already names a declared rail, its time is finite and
 increases, and its energy, if any, is on a WRITE and finite and
 positive. Any other line falls back to the general per-line reader, so
 every ParseError keeps its message, line, column and order. ``parse``
-builds its Operations and Sequence from the rows; ``vapormem validate``
-feeds them to :func:`_diagnostics` and builds neither.
+builds its Operations and Sequence from the rows; :func:`_diagnostics`
+takes a Reader as well as a Sequence and reads the rows itself, so
+``vapormem validate`` builds neither.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from itertools import repeat
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 
 from . import physics
 from .core import (
@@ -52,6 +55,7 @@ from .core import (
     ParamError,
     PhysicsParams,
     Sequence,
+    UnknownRailError,
     VaporMemError,
     _Value,
     _fmt_number,
@@ -99,10 +103,11 @@ class Diagnostic(_Value):
         E003  declared rail with no calibration
         W001  declared rails closer than the cross-talk-free separation
 
-    E002's message is the OutOfBandError sentence of
-    ``physics._require_in_band``, the one band check. E003 needs the
-    memory's calibrations, so ``engine.diagnose`` reports it; ``validate``
-    sees only the parameters.
+    All four come from :func:`_diagnostics`. E002's message is the
+    OutOfBandError sentence of ``physics._require_in_band``, the one band
+    check, and E003's the UnknownRailError sentence of the memory's
+    calibration lookup. E003 needs the memory, so ``engine.diagnose``
+    reports it; ``validate`` sees only the parameters.
     """
 
     _fields = ("code", "line", "message")
@@ -299,7 +304,7 @@ def format_sequence(seq: Sequence) -> str:
         raise ParamError(f"sequence name {name!r} is not one token without '#'")
     for f in seq.rails:
         if not (0.0 <= f <= _FLOAT_MAX and float(f) == f):
-            raise ParamError(f"rail {f!r} is not a finite non-negative float")
+            raise ParamError(f"rail {_fmt_number(f)} is not a finite non-negative float")
     lines = [f"SEQUENCE {name}"]
     if seq.rails:
         lines.append("RAILS " + " ".join(f"{_fmt_number(f)}MHz" for f in seq.rails))
@@ -320,20 +325,25 @@ def validate(seq: Sequence, p: PhysicsParams) -> list[Diagnostic]:
     Returns diagnostics sorted by line then code; an empty list means the
     sequence is clean. Line numbers refer to the source document when the
     sequence was parsed; programmatically built sequences report line 0.
+    With no memory to ask, there is no E003.
     """
-    lines = seq.src_lines if seq.src_lines is not None else repeat(0)
-    return _diagnostics(seq, zip(lines, map(attrgetter("t_ns"), seq.ops)), p)
+    return _diagnostics(seq, p)
 
 
-def _diagnostics(program, times: Iterable[tuple[int, float]],
-                 p: PhysicsParams) -> list[Diagnostic]:
-    """E001, E002 and W001 of a program, sorted by line then code: their one owner.
+def _diagnostics(program: Sequence | Reader, p: PhysicsParams, rail=None) -> list[Diagnostic]:
+    """Every diagnostic of a program, sorted by line then code: the one owner of all four codes.
 
-    ``times`` gives each op's (line, t_ns) in order; ``program``, a
-    Sequence or a :class:`Reader`, gives ``rails`` and ``rails_line``.
-    ``times`` is exhausted first and ``program`` read after, so a Reader
-    whose rows ``times`` draws from has read its whole document by then.
+    ``program`` is a Sequence, or a :class:`Reader` that this call reads,
+    raising its ParseError. ``rail`` is a memory's calibration lookup
+    (``engine.Memory._rail``); each declared rail it refuses with
+    UnknownRailError is an E003 in that sentence, and with no ``rail``
+    there is no E003. A line the program does not know, in a Sequence
+    built in Python or for a program with no RAILS line, is line 0.
     """
+    if isinstance(program, Reader):
+        times = map(itemgetter(0, 1), program)
+    else:
+        times = zip(program.src_lines or repeat(0), map(attrgetter("t_ns"), program.ops))
     diags: list[Diagnostic] = []
     prev = -math.inf  # the first op has no predecessor: its gap is inf
     for line, t_ns in times:
@@ -344,12 +354,18 @@ def _diagnostics(program, times: Iterable[tuple[int, float]],
                                     f"{_fmt_number(p.t_switch)} ns switching time"))
         prev = t_ns
 
-    rails_line = program.rails_line if program.rails_line is not None else 0
+    # read once the times are exhausted, when a Reader has read its whole document
+    rails_line = program.rails_line or 0
     for f in program.rails:
         try:
             physics._require_in_band(f, p)
         except OutOfBandError as exc:
             diags.append(Diagnostic("E002", rails_line, str(exc)))
+        if rail is not None:
+            try:
+                rail(f)
+            except UnknownRailError as exc:
+                diags.append(Diagnostic("E003", rails_line, str(exc)))
 
     rails_sorted = sorted(program.rails)
     for a, b in zip(rails_sorted, rails_sorted[1:]):

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, reject, settings, strategies as st
 
 from corpus import CANONICAL
-from vapormem import cli, core
+from vapormem import cli, core, engine
 from vapormem.cli import (
     ORACLE_GRID,
     WAVEFORM_CSV_CHUNK,
@@ -238,6 +238,25 @@ class TestRun:
         assert len(lines) == 13  # header + 12 operations
         # the event table on stdout is the trace CSV with spaces for commas
         assert capsys.readouterr().out == text.replace(",", " ") + f"wrote {trace_path}\n"
+
+    def test_run_sequence_is_called_once_through_the_module(self, seqfile, tmp_path, capsys,
+                                                           monkeypatch):
+        # a wrapper of engine.run_sequence, such as perfbench's traced mode,
+        # sees the one call that simulates, and the trace it returns is the
+        # one printed and written
+        traces = []
+
+        def recording(state, seq):
+            traces.append(run_sequence(state, seq))
+            return traces[-1]
+
+        monkeypatch.setattr(engine, "run_sequence", recording)
+        trace_path = tmp_path / "trace.csv"
+        assert main(["run", seqfile(CANONICAL), "--trace-out", str(trace_path)]) == 0
+        assert len(traces) == 1 and len(traces[0]) == 12
+        table = cli.trace_csv(traces[0])
+        assert trace_path.read_text() == table
+        assert capsys.readouterr().out == table.replace(",", " ") + f"wrote {trace_path}\n"
 
     def test_waveform_sampling(self, seqfile, tmp_path):
         wave_path = tmp_path / "wave.csv"

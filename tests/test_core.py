@@ -2,6 +2,7 @@ import copy
 import math
 import pickle
 import re
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -235,6 +236,7 @@ class TestOperationAndSequence:
         (210.0, "210"), pytest.param(10**400, "1" + "0" * 400, id="10**400"),
         # past the 4300 digits that str() of an int prints
         pytest.param(10**5000, "1" + "0" * 5000, id="10**5000"),
+        pytest.param(Fraction(10**5000), "1" + "0" * 5000, id="Fraction-10**5000"),
     ])
     def test_undeclared_rail_named(self, rail, name):
         with pytest.raises(UnknownRailError,

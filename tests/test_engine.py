@@ -406,6 +406,28 @@ class TestStateEvolution:
         assert before[190.0] > 0.0
 
 
+# a Fraction past a float, whose sentences name it by its 5001 digits, more
+# than the 4300 that str() of an int prints
+FRACTION_PAST_A_FLOAT = Fraction(10**5000)
+DIGITS_5001 = "1" + "0" * 5000
+
+
+@pytest.mark.parametrize("call", [
+    lambda: fresh().write(FRACTION_PAST_A_FLOAT, 0.0),
+    lambda: fresh().stored_on(FRACTION_PAST_A_FLOAT),
+    lambda: harness.scan_lifetime(P, RAILS, FRACTION_PAST_A_FLOAT, [1.0]),
+], ids=["write", "stored_on", "scan_lifetime"])
+def test_fraction_past_a_float_is_an_unknown_rail(call):
+    with pytest.raises(UnknownRailError, match=f"^rail {DIGITS_5001} MHz has no calibration "):
+        call()
+
+
+def test_fraction_past_a_float_is_out_of_band():
+    seq = Sequence("s", (FRACTION_PAST_A_FLOAT,), ())
+    assert [(d.code, d.line, d.message) for d in seqlang.validate(seq, P)] == [
+        ("E002", 0, f"rail {DIGITS_5001} MHz outside deflector band [150, 250] MHz")]
+
+
 DEFAULT_MHZ = [c.f_rail for c in RAILS]
 
 

@@ -690,6 +690,23 @@ class TestMonteCarloOverlaps:
         with pytest.raises(DomainError, match="^seed -1 is negative"):
             monte_carlo_overlaps(P, 1000, [(0.0, 0.4)], seed=-1)
 
+    @pytest.mark.parametrize("n,seed,message", [
+        (math.nan, 1, "^nan atoms is not a whole number$"),
+        (1000.5, 1, "^1000.5 atoms is not a whole number$"),
+        (1000, 1.5, "^seed 1.5 is not an integer$"),
+        (1000, math.nan, "^seed nan is not an integer$"),
+    ], ids=["nan-atoms", "half-atom", "fractional-seed", "nan-seed"])
+    def test_bad_count_or_seed_rejected_before_any_draw(self, monkeypatch, n, seed, message):
+        def allocate(*args, **kwargs):
+            raise _Allocated
+        monkeypatch.setattr(np, "empty", allocate)
+        monkeypatch.setattr(np.random, "default_rng", allocate)
+        with pytest.raises(DomainError, match=message):
+            monte_carlo_overlaps(P, n, [(0.0, 0.4)], seed)
+        # a whole float count and a numpy integer seed are taken
+        with pytest.raises(_Allocated):
+            monte_carlo_overlaps(P, 1000.0, [(0.0, 0.4)], np.int64(1))
+
 
 class TestMonteCarloOverlap:
     def test_self_normalized_origin(self):

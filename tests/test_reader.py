@@ -18,9 +18,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from corpus import CANONICAL, DOCUMENTS
-from vapormem import core, seqlang
+from vapormem import core, engine, seqlang
 from vapormem.cli import main
-from vapormem.seqlang import ParseError, Reader, parse
+from vapormem.seqlang import ParseError, Reader, parse, validate
 
 RAIL_TOKENS = ["170MHz", "190MHz", "198MHz", "210MHz", "230MHz", "300MHz", "190.5MHz"]
 # other spellings of 190 and 210 MHz, an undeclared rail and a malformed one
@@ -30,6 +30,10 @@ GOOD_ENERGIES = ["0.5", "2", "007.25", "1"]
 BAD_ENERGIES = ["0", "0.0", "1e3", "1" + "0" * 400]
 # each op's gap to the one before it, in ns: below and at the 48 ns switching time
 GAPS = [1, 20, 48, 400, 1000]
+P = core.default_params()
+# a memory with no calibration for 230 MHz, nor for the rails not in the
+# defaults, so programs that declare them get E003
+NO_230 = [cal for cal in core.default_rails() if cal.f_rail != 230.0]
 
 
 def _rarely(draw, n: int = 12) -> bool:
@@ -192,3 +196,28 @@ class TestValidateBuildsNoOperation:
         monkeypatch.setattr(core.Operation, "__init__", refuse)
         monkeypatch.setattr(core.Sequence, "__init__", refuse)
         assert validated(doc) == want
+
+
+class TestOneOwnerOfTheDiagnostics:
+    @given(text=programs())
+    def test_diagnose_reads_a_reader_as_it_reads_parse(self, text):
+        mem = engine.Memory(P, NO_230)
+        try:
+            seq = parse(text)
+        except ParseError as exc:
+            with pytest.raises(ParseError) as raised:
+                engine.diagnose(mem, Reader(text))
+            assert (str(raised.value), raised.value.line, raised.value.col) == (
+                str(exc), exc.line, exc.col)
+            return
+        diags = engine.diagnose(mem, Reader(text))
+        assert diags == engine.diagnose(mem, seq)
+        assert validate(seq, P) == [d for d in diags if d.code != "E003"]
+
+    def test_e003_comes_with_the_other_codes(self):
+        text = ("SEQUENCE s\nRAILS 140MHz 190MHz 198MHz 230MHz\n"
+                "AT 0ns WRITE 190MHz\nAT 20ns READ 190MHz\n")
+        diags = engine.diagnose(engine.Memory(P, NO_230), Reader(text))
+        assert [(d.code, d.line) for d in diags] == [
+            ("E002", 2), ("E003", 2), ("E003", 2), ("E003", 2), ("W001", 2), ("E001", 4)]
+        assert diags == engine.diagnose(engine.Memory(P, NO_230), parse(text))
