@@ -31,7 +31,7 @@ Configuration files, read by ``configured``, are flat ``key = value``
 text, one entry per line, ``#`` comments allowed. Keys are the physics
 parameter names (``d0``, ``t_cell``, ...) and per-rail paths such as
 ``rail.190.tau_us``, whose MHz must name a calibrated rail: another number
-is ``<path>:<line>: `` and the engine's no-calibration sentence. An unknown
+is ``<path>:<line>: `` and the memory's no-calibration sentence. An unknown
 key, or a key set twice (the error names the line that first set it), is
 rejected at its line; overridden values are re-checked against the
 construction invariants, and the configuration as a whole must give a
@@ -56,6 +56,8 @@ from .core import (
     Trace,
     UnknownRailError,
     VaporMemError,
+    _calibration,
+    _rail_table,
     default_params,
     default_rails,
     fields,
@@ -113,7 +115,7 @@ def configured(config_path: str | None) -> tuple[PhysicsParams, tuple[RailCalibr
     params, rails = default_params(), default_rails()
     if config_path is None:
         return params, rails
-    cals = engine._rail_table(rails)
+    cals = _rail_table(rails)
     over: dict[tuple, tuple[int, object]] = {}  # (rail MHz or None, field) -> (line, value)
     for lineno, raw in enumerate(_read_text(config_path).split("\n"), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -132,7 +134,7 @@ def configured(config_path: str | None) -> tuple[PhysicsParams, tuple[RailCalibr
             if len(parts) != 3 or parts[2] not in _RAIL_KEYS:
                 raise ConfigError(f"{where}: unknown key {key!r}")
             try:
-                engine._calibration(cals, f_rail)
+                _calibration(cals, f_rail)
             except UnknownRailError as exc:
                 raise ConfigError(f"{where}: {exc}") from None
             slot = (f_rail, parts[2])
@@ -266,20 +268,20 @@ def _listing(diags) -> tuple[str, bool]:
 
 
 def cmd_validate(args, params, rails) -> Outcome:
-    # one streamed pass over the rows, building no Operation or Sequence; run
-    # prints the same diagnostics, so it simulates any program validate accepts
+    # one streamed pass over the rows, building no Operation, Sequence or
+    # Memory; run prints the same diagnostics, so it simulates any program
+    # validate accepts
     program = seqlang.Reader(_read_text(args.seqfile))
-    lines, failed = _listing(engine.diagnose(engine.Memory(params, rails), program))
+    lines, failed = _listing(seqlang.validate(program, params, rails))
     return int(failed), lines, []
 
 
 def cmd_run(args, params, rails) -> Outcome:
     seq = seqlang.parse(_read_text(args.seqfile))
-    mem = engine.Memory(params, rails)
-    lines, failed = _listing(engine.diagnose(mem, seq))
+    lines, failed = _listing(seqlang.validate(seq, params, rails))
     if failed:
         return 1, lines, []
-    trace = engine.run_sequence(mem, seq)
+    trace = engine.run_sequence(engine.Memory(params, rails), seq)
     table = trace_csv(trace)
     files = [(args.trace_out, table)] if args.trace_out else []
     if args.waveform_out:

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 import sys
+from collections.abc import Iterable
 from enum import Enum
 
 
@@ -139,15 +140,19 @@ def _fmt_number(x: float) -> str:
 
     ``+ 0.0`` prints -0.0 as 0, an exponent is expanded through Decimal,
     and an integral value drops its ``.0``. Every sentence that names a
-    rail prints its MHz this way. An int or a Fraction too large for a
-    float prints as ``str`` would, ``n`` or ``n/d``, but its digits go
+    rail prints its MHz this way. An int, a Fraction or a finite Decimal
+    too large for a float prints its ``as_integer_ratio()`` as ``str``
+    prints an int or a Fraction, ``n`` or ``n/d``, but its digits go
     through Decimal too, since ``str`` refuses an int of more than 4300.
     """
     try:
-        s = repr(float(x) + 0.0)
+        f = float(x) + 0.0
+        if math.isinf(f) and f != x:
+            raise OverflowError  # float() rounds a Decimal past a float to an infinity
     except OverflowError:
         n, d = x.as_integer_ratio()
         return _plain_decimal(n) if d == 1 else f"{_plain_decimal(n)}/{_plain_decimal(d)}"
+    s = repr(f)
     if "e" not in s:
         return s.removesuffix(".0")
     return _plain_decimal(s)
@@ -256,6 +261,26 @@ class RailCalibration(_Value):
     def eta_read(self) -> float:
         """Retrieval factor applied at read time."""
         return self.eta_mem / self.eta_write
+
+
+def _rail_table(rails: Iterable[RailCalibration]) -> dict[float, RailCalibration]:
+    """Each rail's calibration by its MHz, or DuplicateRailError for a rail given twice."""
+    cals: dict[float, RailCalibration] = {}
+    for cal in rails:
+        if cal.f_rail in cals:
+            raise DuplicateRailError(f"rail {_fmt_number(cal.f_rail)} MHz declared twice")
+        cals[cal.f_rail] = cal
+    return cals
+
+
+def _calibration(cals: dict[float, RailCalibration], f_rail: float) -> RailCalibration:
+    """cals[f_rail], or the UnknownRailError every entry point prints for a rail with none."""
+    try:
+        return cals[f_rail]
+    except KeyError:
+        listing = ", ".join(map(_fmt_number, sorted(cals)))
+        raise UnknownRailError(f"rail {_fmt_number(f_rail)} MHz has no calibration "
+                               f"(calibrated rails: {listing} MHz)") from None
 
 
 class SpinWaveComponent(_Value):

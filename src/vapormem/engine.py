@@ -25,7 +25,6 @@ from . import physics, seqlang
 from .core import (
     _FLOAT_MAX,
     DomainError,
-    DuplicateRailError,
     OpKind,
     Operation,
     PhysicsParams,
@@ -35,34 +34,15 @@ from .core import (
     TimeOrderError,
     Trace,
     TraceEvent,
-    UnknownRailError,
+    _calibration,
     _fmt_number,
+    _rail_table,
 )
 
 NS_PER_US = 1000.0
 SIGNAL_FWHM_NS = 25.0  # full width at half maximum of a rendered signal pulse
 MAX_WAVEFORM_SAMPLES = 10**7  # render_waveform allocates two float64 arrays this long
 _RENDER_CHUNK = 1 << 14  # samples of the time axis built per step of render_waveform
-
-
-def _rail_table(rails: Iterable[RailCalibration]) -> dict[float, RailCalibration]:
-    """Each rail's calibration by its MHz, or DuplicateRailError for a rail given twice."""
-    cals: dict[float, RailCalibration] = {}
-    for cal in rails:
-        if cal.f_rail in cals:
-            raise DuplicateRailError(f"rail {_fmt_number(cal.f_rail)} MHz declared twice")
-        cals[cal.f_rail] = cal
-    return cals
-
-
-def _calibration(cals: dict[float, RailCalibration], f_rail: float) -> RailCalibration:
-    """cals[f_rail], or the UnknownRailError every entry point prints for a rail with none."""
-    try:
-        return cals[f_rail]
-    except KeyError:
-        listing = ", ".join(map(_fmt_number, sorted(cals)))
-        raise UnknownRailError(f"rail {_fmt_number(f_rail)} MHz has no calibration "
-                               f"(calibrated rails: {listing} MHz)") from None
 
 
 class Memory:
@@ -218,27 +198,18 @@ class Memory:
         return retrieved
 
 
-def diagnose(state: Memory, program: Sequence | seqlang.Reader) -> list[seqlang.Diagnostic]:
-    """Every diagnostic of a program on a memory, sorted by line then code.
-
-    ``program`` is a Sequence or a ``seqlang.Reader``. These are
-    ``seqlang.validate``'s, against the memory's parameters, and E003 for
-    each declared rail the memory has no calibration for, since it could
-    not act on that rail. A sequence built in Python reports line 0.
-    """
-    return seqlang._diagnostics(program, state.params, state._rail)
-
-
 def run_sequence(state: Memory, seq: Sequence) -> Trace:
     """Apply a sequence to a memory, producing one trace event per operation.
 
-    The sequence is checked by :func:`diagnose` first: besides
-    ``seqlang.validate``'s rules, every declared rail must have a
-    calibration in the memory (E003). Any error-severity diagnostic raises
+    The sequence is checked first by ``seqlang.validate`` against the
+    memory's parameters and calibrations, so every declared rail must
+    have a calibration (E003). Any error-severity diagnostic raises
     ValidationFailure before the first operation, leaving the memory
     untouched.
     """
-    errors = [d for d in diagnose(state, seq) if d.severity == "error"]
+    # looked up on the module when called, so a wrapper of it sees this pass
+    diags = seqlang.validate(seq, state.params, state._rails.values())
+    errors = [d for d in diags if d.severity == "error"]
     if errors:
         raise seqlang.ValidationFailure(errors)
     events = []

@@ -30,6 +30,8 @@ from .core import (
     Trace,
     VaporMemError,
     _Value,
+    _calibration,
+    _rail_table,
     replace,
 )
 
@@ -160,7 +162,7 @@ def scan_crosstalk(params: PhysicsParams, rails_cal: Iterable[RailCalibration],
     rails inherit the write rail's calibration. A separation that is not
     finite raises DomainError before any point runs.
     """
-    base = engine._calibration(engine._rail_table(rails_cal), CROSSTALK_WRITE_RAIL_MHZ)
+    base = _calibration(_rail_table(rails_cal), CROSSTALK_WRITE_RAIL_MHZ)
     if not all(abs(sep) <= _FLOAT_MAX for sep in separations_mhz):
         raise DomainError("separations must be finite")
     peak1, peak2 = [], []
@@ -189,7 +191,7 @@ def scan_lifetime(params: PhysicsParams, rails_cal: Iterable[RailCalibration],
     ascending, NaN included, or whose value in ns is not a finite float
     raise DomainError before any point runs.
     """
-    cal = engine._calibration(engine._rail_table(rails_cal), f_rail)
+    cal = _calibration(_rail_table(rails_cal), f_rail)
     # b <= _FLOAT_MAX bounds an int past a float before the product converts it
     if not all(a < b <= _FLOAT_MAX and b * engine.NS_PER_US < math.inf
                for a, b in zip((0.0, *delays_us), delays_us)):

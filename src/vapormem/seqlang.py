@@ -20,10 +20,10 @@ at that value. Rails must be declared before any operation uses them.
 
 Validation is separate from parsing: :func:`parse` enforces the grammar
 and the constructor-level invariants (monotonic times, declared rails),
-while :func:`_diagnostics` is the one owner of the diagnostics for the
+while :func:`validate` is the one owner of the diagnostics for the
 physical rules: switching time, deflector band, a calibrated rail and
-rail separation. :func:`validate` calls it with the parameters alone,
-and ``engine.diagnose`` with a memory's calibrations as well.
+rail separation. It reports a rail with no calibration (E003) only when
+it is given the rail calibrations.
 
 Every document is read by :class:`Reader`, in one pass that yields each
 operation as a row ``(lineno, t_ns, kind, f_rail, energy)``. A plain
@@ -33,7 +33,7 @@ frequency token already names a declared rail, its time is finite and
 increases, and its energy, if any, is on a WRITE and finite and
 positive. Any other line falls back to the general per-line reader, so
 every ParseError keeps its message, line, column and order. ``parse``
-builds its Operations and Sequence from the rows; :func:`_diagnostics`
+builds its Operations and Sequence from the rows; :func:`validate`
 takes a Reader as well as a Sequence and reads the rows itself, so
 ``vapormem validate`` builds neither.
 """
@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import math
 import re
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from itertools import repeat
 from operator import attrgetter, itemgetter
 
@@ -54,11 +54,14 @@ from .core import (
     Operation,
     ParamError,
     PhysicsParams,
+    RailCalibration,
     Sequence,
     UnknownRailError,
     VaporMemError,
     _Value,
+    _calibration,
     _fmt_number,
+    _rail_table,
 )
 
 # declared rails closer than this warn about cross-talk (W001)
@@ -103,11 +106,11 @@ class Diagnostic(_Value):
         E003  declared rail with no calibration
         W001  declared rails closer than the cross-talk-free separation
 
-    All four come from :func:`_diagnostics`. E002's message is the
+    All four come from :func:`validate`. E002's message is the
     OutOfBandError sentence of ``physics._require_in_band``, the one band
-    check, and E003's the UnknownRailError sentence of the memory's
-    calibration lookup. E003 needs the memory, so ``engine.diagnose``
-    reports it; ``validate`` sees only the parameters.
+    check, and E003's the UnknownRailError sentence of
+    ``core._calibration``, the memory's calibration lookup; E003 is
+    reported only when ``validate`` is given the rail calibrations.
     """
 
     _fields = ("code", "line", "message")
@@ -319,27 +322,20 @@ def format_sequence(seq: Sequence) -> str:
     return "\n".join(lines) + "\n"
 
 
-def validate(seq: Sequence, p: PhysicsParams) -> list[Diagnostic]:
-    """Static checks of a sequence against the instrument parameters.
-
-    Returns diagnostics sorted by line then code; an empty list means the
-    sequence is clean. Line numbers refer to the source document when the
-    sequence was parsed; programmatically built sequences report line 0.
-    With no memory to ask, there is no E003.
-    """
-    return _diagnostics(seq, p)
-
-
-def _diagnostics(program: Sequence | Reader, p: PhysicsParams, rail=None) -> list[Diagnostic]:
+def validate(program: Sequence | Reader, p: PhysicsParams,
+             rails: Iterable[RailCalibration] | None = None) -> list[Diagnostic]:
     """Every diagnostic of a program, sorted by line then code: the one owner of all four codes.
 
     ``program`` is a Sequence, or a :class:`Reader` that this call reads,
-    raising its ParseError. ``rail`` is a memory's calibration lookup
-    (``engine.Memory._rail``); each declared rail it refuses with
-    UnknownRailError is an E003 in that sentence, and with no ``rail``
-    there is no E003. A line the program does not know, in a Sequence
-    built in Python or for a program with no RAILS line, is line 0.
+    raising its ParseError; an empty list means the program is clean.
+    ``rails`` are the calibrations a memory would be built from, checked
+    first as ``engine.Memory`` checks them (a rail given twice raises
+    DuplicateRailError); each declared rail with none is an E003 in the
+    memory's no-calibration sentence. With no ``rails`` there is no E003.
+    A line the program does not know, in a Sequence built in Python or for
+    a program with no RAILS line, is line 0.
     """
+    cals = None if rails is None else _rail_table(rails)
     if isinstance(program, Reader):
         times = map(itemgetter(0, 1), program)
     else:
@@ -361,9 +357,9 @@ def _diagnostics(program: Sequence | Reader, p: PhysicsParams, rail=None) -> lis
             physics._require_in_band(f, p)
         except OutOfBandError as exc:
             diags.append(Diagnostic("E002", rails_line, str(exc)))
-        if rail is not None:
+        if cals is not None:
             try:
-                rail(f)
+                _calibration(cals, f)
             except UnknownRailError as exc:
                 diags.append(Diagnostic("E003", rails_line, str(exc)))
 

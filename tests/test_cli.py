@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, reject, settings, strategies as st
 
 from corpus import CANONICAL
-from vapormem import cli, core, engine
+from vapormem import cli, core, engine, seqlang
 from vapormem.cli import (
     ORACLE_GRID,
     WAVEFORM_CSV_CHUNK,
@@ -23,7 +23,7 @@ from vapormem.cli import (
 from vapormem.core import ParamError, PhysicsParams, default_params, default_rails
 from vapormem.engine import Memory, render_waveform, run_sequence
 from vapormem.harness import MAX_ORACLE_ATOMS, monte_carlo_overlap
-from vapormem.seqlang import ValidationFailure, parse
+from vapormem.seqlang import Diagnostic, ValidationFailure, parse
 
 TIGHT = "SEQUENCE tight\nRAILS 190MHz\nAT 0ns WRITE 190MHz\nAT 47ns READ 190MHz\n"
 CLOSE_RAILS = ("SEQUENCE close\nRAILS 190MHz 198MHz\n"
@@ -225,6 +225,38 @@ class TestValidateAgreesWithRun:
         assert raised == printed[:1] == [f"error E003 line 2: {UNCALIBRATED_198}"]
         assert mem.stored_on(190.0) == 0.0
         assert mem.t_now_ns == 0.0
+
+    @pytest.mark.parametrize("code", ["W001", "E001"])
+    def test_both_commands_print_what_validate_returns(self, seqfile, tmp_path, capsys,
+                                                       monkeypatch, code):
+        # validate and run print the list that seqlang.validate returns, looked
+        # up on the module when called, so a wrapper of it, such as perfbench's
+        # traced mode, sees every diagnostics pass; each pass is given the rails
+        table = cli.trace_csv(run_sequence(Memory(default_params(), default_rails()),
+                                           parse(CANONICAL)))
+        sentinel = Diagnostic(code, 7, "sentinel")
+        given_rails = []
+
+        def sentinel_only(program, p, rails=None):
+            given_rails.append(rails)
+            return [sentinel]
+
+        monkeypatch.setattr(seqlang, "validate", sentinel_only)
+        path = seqfile(CANONICAL)
+        printed = f"{sentinel.severity} {code} line 7: sentinel\n"
+        failed = code == "E001"
+        assert main(["validate", path]) == int(failed)
+        assert capsys.readouterr().out == printed
+        trace_path = tmp_path / "trace.csv"
+        assert main(["run", path, "--trace-out", str(trace_path)]) == int(failed)
+        if failed:
+            assert capsys.readouterr().out == printed
+            assert not trace_path.exists()
+        else:
+            assert capsys.readouterr().out == (printed + table.replace(",", " ")
+                                               + f"wrote {trace_path}\n")
+            assert trace_path.read_text() == table
+        assert len(given_rails) >= 2 and None not in given_rails
 
 
 class TestRun:

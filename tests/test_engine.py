@@ -2,6 +2,7 @@ import hashlib
 import math
 import random
 from array import array
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -407,25 +408,37 @@ class TestStateEvolution:
 
 
 # a Fraction past a float, whose sentences name it by its 5001 digits, more
-# than the 4300 that str() of an int prints
+# than the 4300 that str() of an int prints; and a finite Decimal past a
+# float, which float() rounds to inf, named by its 401 digits
 FRACTION_PAST_A_FLOAT = Fraction(10**5000)
 DIGITS_5001 = "1" + "0" * 5000
+DECIMAL_PAST_A_FLOAT = Decimal("1e400")
+DIGITS_401 = "1" + "0" * 400
 
 
-@pytest.mark.parametrize("call", [
-    lambda: fresh().write(FRACTION_PAST_A_FLOAT, 0.0),
-    lambda: fresh().stored_on(FRACTION_PAST_A_FLOAT),
-    lambda: harness.scan_lifetime(P, RAILS, FRACTION_PAST_A_FLOAT, [1.0]),
-], ids=["write", "stored_on", "scan_lifetime"])
-def test_fraction_past_a_float_is_an_unknown_rail(call):
-    with pytest.raises(UnknownRailError, match=f"^rail {DIGITS_5001} MHz has no calibration "):
+@pytest.mark.parametrize("call, digits", [
+    (lambda: fresh().write(FRACTION_PAST_A_FLOAT, 0.0), DIGITS_5001),
+    (lambda: fresh().stored_on(FRACTION_PAST_A_FLOAT), DIGITS_5001),
+    (lambda: harness.scan_lifetime(P, RAILS, FRACTION_PAST_A_FLOAT, [1.0]), DIGITS_5001),
+    (lambda: fresh().write(DECIMAL_PAST_A_FLOAT, 0.0), DIGITS_401),
+    (lambda: fresh().stored_on(DECIMAL_PAST_A_FLOAT), DIGITS_401),
+    (lambda: harness.scan_lifetime(P, RAILS, DECIMAL_PAST_A_FLOAT, [1.0]), DIGITS_401),
+    # a Decimal infinity or NaN is no number past a float, and reads as a float's
+    (lambda: fresh().write(Decimal("-Infinity"), 0.0), "-inf"),
+    (lambda: fresh().stored_on(Decimal("NaN")), "nan"),
+], ids=["write", "stored_on", "scan_lifetime", "decimal-write", "decimal-stored_on",
+        "decimal-scan_lifetime", "decimal-infinity", "decimal-nan"])
+def test_fraction_past_a_float_is_an_unknown_rail(call, digits):
+    with pytest.raises(UnknownRailError, match=f"^rail {digits} MHz has no calibration "):
         call()
 
 
 def test_fraction_past_a_float_is_out_of_band():
-    seq = Sequence("s", (FRACTION_PAST_A_FLOAT,), ())
-    assert [(d.code, d.line, d.message) for d in seqlang.validate(seq, P)] == [
-        ("E002", 0, f"rail {DIGITS_5001} MHz outside deflector band [150, 250] MHz")]
+    for rail, digits in [(FRACTION_PAST_A_FLOAT, DIGITS_5001), (DECIMAL_PAST_A_FLOAT, DIGITS_401),
+                         (-DECIMAL_PAST_A_FLOAT, "-" + DIGITS_401), (Decimal("Infinity"), "inf")]:
+        seq = Sequence("s", (rail,), ())
+        assert [(d.code, d.line, d.message) for d in seqlang.validate(seq, P)] == [
+            ("E002", 0, f"rail {digits} MHz outside deflector band [150, 250] MHz")]
 
 
 DEFAULT_MHZ = [c.f_rail for c in RAILS]
@@ -603,7 +616,7 @@ def assert_runs_as_stepped(mem: engine.Memory, rails, seq: Sequence) -> None:
     parameters and the given rails, gives."""
     stepped = engine.Memory(mem.params, rails)
     expected = [(stepped.apply(op), stepped.stored_on(op.f_rail)) for op in seq.ops]
-    assert engine.diagnose(mem, seq) == []
+    assert seqlang.validate(seq, mem.params, rails) == []
     trace = engine.run_sequence(mem, seq)
     assert [(ev.out_energy, ev.stored_after) for ev in trace] == expected
 
@@ -614,7 +627,7 @@ class TestDiagnose:
         # 190 MHz, and the two ops are 20 ns apart
         seq = seqlang.parse("SEQUENCE s\nRAILS 140MHz 190MHz 198MHz\n"
                             "AT 0ns WRITE 190MHz\nAT 20ns READ 190MHz\n")
-        diags = engine.diagnose(fresh(), seq)
+        diags = seqlang.validate(seq, P, RAILS)
         assert {d.code: d.severity for d in diags} == {
             "E001": "error", "E002": "error", "E003": "error", "W001": "warning"}
         with pytest.raises(AttributeError):
@@ -630,20 +643,20 @@ class TestDiagnose:
             times.append(times[-1] + gap)
         seq = Sequence("s", tuple(rails), tuple(
             Operation(t, OpKind.WRITE, rails[k % len(rails)]) for k, t in enumerate(times)))
-        for diags in (seqlang.validate(seq, P), engine.diagnose(fresh(), seq)):
+        for diags in (seqlang.validate(seq, P), seqlang.validate(seq, P, RAILS)):
             for d in diags:
                 assert d.severity in ("error", "warning")
                 assert (d.severity == "error") == d.code.startswith("E")
 
     def test_python_built_sequence_reports_line_0(self):
         seq = Sequence("s", (190.0, 198.0), (Operation(0.0, OpKind.WRITE, 190.0),))
-        diags = engine.diagnose(fresh(), seq)
+        diags = seqlang.validate(seq, P, RAILS)
         assert [(d.code, d.line) for d in diags] == [("E003", 0), ("W001", 0)]
 
     def test_every_uncalibrated_rail_on_the_rails_line(self):
-        mem = engine.Memory(P, [c for c in RAILS if c.f_rail in (170.0, 230.0)])
+        cals = [c for c in RAILS if c.f_rail in (170.0, 230.0)]
         seq = seqlang.parse("SEQUENCE s\n# on line 3\nRAILS 190MHz 170MHz 210.5MHz\n")
-        assert [(d.code, d.line, d.message) for d in engine.diagnose(mem, seq)] == [
+        assert [(d.code, d.line, d.message) for d in seqlang.validate(seq, P, cals)] == [
             ("E003", 3, f"rail {f} MHz has no calibration (calibrated rails: 170, 230 MHz)")
             for f in ("190", "210.5")]
 

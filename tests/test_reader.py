@@ -195,29 +195,39 @@ class TestValidateBuildsNoOperation:
         assert want[0] == (doc != CANONICAL) and not want[2]
         monkeypatch.setattr(core.Operation, "__init__", refuse)
         monkeypatch.setattr(core.Sequence, "__init__", refuse)
+        monkeypatch.setattr(engine.Memory, "__init__", refuse)
         assert validated(doc) == want
 
 
 class TestOneOwnerOfTheDiagnostics:
     @given(text=programs())
     def test_diagnose_reads_a_reader_as_it_reads_parse(self, text):
-        mem = engine.Memory(P, NO_230)
         try:
             seq = parse(text)
         except ParseError as exc:
             with pytest.raises(ParseError) as raised:
-                engine.diagnose(mem, Reader(text))
+                validate(Reader(text), P, NO_230)
             assert (str(raised.value), raised.value.line, raised.value.col) == (
                 str(exc), exc.line, exc.col)
             return
-        diags = engine.diagnose(mem, Reader(text))
-        assert diags == engine.diagnose(mem, seq)
+        diags = validate(Reader(text), P, NO_230)
+        assert diags == validate(seq, P, NO_230)
         assert validate(seq, P) == [d for d in diags if d.code != "E003"]
 
     def test_e003_comes_with_the_other_codes(self):
         text = ("SEQUENCE s\nRAILS 140MHz 190MHz 198MHz 230MHz\n"
                 "AT 0ns WRITE 190MHz\nAT 20ns READ 190MHz\n")
-        diags = engine.diagnose(engine.Memory(P, NO_230), Reader(text))
+        diags = validate(Reader(text), P, NO_230)
         assert [(d.code, d.line) for d in diags] == [
             ("E002", 2), ("E003", 2), ("E003", 2), ("E003", 2), ("W001", 2), ("E001", 4)]
-        assert diags == engine.diagnose(engine.Memory(P, NO_230), parse(text))
+        assert diags == validate(parse(text), P, NO_230)
+
+    def test_a_rail_calibrated_twice_is_refused_as_a_memory_refuses_it(self):
+        twice = [*NO_230, NO_230[1]]
+        with pytest.raises(core.DuplicateRailError) as built:
+            engine.Memory(P, twice)
+        # the calibrations are checked before the program is read
+        for program in (parse(CANONICAL), Reader(CANONICAL), Reader("not a program\n")):
+            with pytest.raises(core.DuplicateRailError) as checked:
+                validate(program, P, twice)
+            assert str(checked.value) == str(built.value) == "rail 190 MHz declared twice"
