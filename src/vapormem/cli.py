@@ -32,10 +32,10 @@ text, one entry per line, ``#`` comments allowed. Keys are the physics
 parameter names (``d0``, ``t_cell``, ...) and per-rail paths such as
 ``rail.190.tau_us``, whose MHz must name a calibrated rail: another number
 is ``<path>:<line>: `` and the memory's no-calibration sentence. An unknown
-key, or a key set twice (the error names the line that first set it), is
-rejected at its line; overridden values are re-checked against the
-construction invariants, and the configuration as a whole must give a
-memory on which every calibrated rail is usable.
+key, a key set twice (the error names the line that first set it), or a
+value the construction invariants refuse is rejected at its line, and the
+configuration as a whole must give a memory on which every calibrated rail
+is usable. An input file may start with a UTF-8 byte-order mark.
 """
 
 from __future__ import annotations
@@ -51,6 +51,7 @@ from types import SimpleNamespace
 from . import engine, harness, physics, seqlang
 from .core import (
     DomainError,
+    ParamError,
     PhysicsParams,
     RailCalibration,
     Trace,
@@ -91,10 +92,15 @@ class InputError(VaporMemError):
 
 
 def _read_text(path: str) -> str:
-    """The text of a UTF-8 input file, with its line endings read as ``\\n``."""
+    """The text of a UTF-8 input file, with its line endings read as ``\\n``.
+
+    A leading byte-order mark is dropped, though not by reading as
+    ``utf-8-sig``: that decoder reads a file of only the first one or two
+    bytes of a mark as empty text, where they are bytes that are not UTF-8.
+    """
     try:
         with open(path, encoding="utf-8") as fh:
-            return fh.read()
+            return fh.read().removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise InputError(f"{path}: not UTF-8 text "
                          f"(byte 0x{exc.object[exc.start]:02x} cannot be decoded)") from None
@@ -106,17 +112,18 @@ def configured(config_path: str | None) -> tuple[PhysicsParams, tuple[RailCalibr
     Each line, less its ``#`` comment, is blank or ``key = value``, where the
     key is a parameter name or ``rail.<MHz>.<field>`` on a calibrated rail.
     A key may be set once: a second line for it is a ConfigError that names
-    the line that first set it. The overrides then go through the
-    constructors' checks, and a memory is built from the result, so a band
-    or beam scale that leaves a calibrated rail unusable (or a diffusion
-    coefficient or read variance that overflows) is a ConfigError for every
-    command, not only for one that simulates.
+    the line that first set it. Each override goes through its
+    constructor's checks as its line is read, so a value they refuse is a
+    ConfigError at its line. A memory is then built from the result, so a
+    band or beam scale that leaves a calibrated rail unusable (or a
+    diffusion coefficient or read variance that overflows) is a ConfigError
+    for every command, not only for one that simulates.
     """
     params, rails = default_params(), default_rails()
     if config_path is None:
         return params, rails
     cals = _rail_table(rails)
-    over: dict[tuple, tuple[int, object]] = {}  # (rail MHz or None, field) -> (line, value)
+    set_on: dict[tuple, int] = {}  # (rail MHz or None, field) -> the line that set it
     for lineno, raw in enumerate(_read_text(config_path).split("\n"), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -146,12 +153,18 @@ def configured(config_path: str | None) -> tuple[PhysicsParams, tuple[RailCalibr
             number = int(value) if key == "m_dep" else float(value)
         except ValueError:
             raise ConfigError(f"{where}: bad value for {key!r}") from None
-        if slot in over:
-            raise ConfigError(f"{where}: {key!r} was already set on line {over[slot][0]}")
-        over[slot] = lineno, number
-    params = replace(params, **{k: v for (f, k), (_, v) in over.items() if f is None})
-    rails = tuple(replace(cal, **{k: v for (f, k), (_, v) in over.items() if f == cal.f_rail})
-                  for cal in rails)
+        if slot in set_on:
+            raise ConfigError(f"{where}: {key!r} was already set on line {set_on[slot]}")
+        set_on[slot] = lineno
+        f_rail, name = slot
+        try:
+            if f_rail is None:
+                params = replace(params, **{name: number})
+            else:
+                cals[f_rail] = replace(cals[f_rail], **{name: number})
+        except ParamError as exc:
+            raise ConfigError(f"{where}: {exc}") from None
+    rails = tuple(cals.values())
     try:
         engine.Memory(params, rails)
     except DomainError as exc:

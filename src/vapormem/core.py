@@ -165,10 +165,22 @@ def _plain_decimal(v: int | str) -> str:
     return format(Decimal(v), "f").removesuffix(".0")
 
 
+def _between(lo, x, hi) -> bool:
+    """lo <= x <= hi, and False for a NaN of any type: the one NaN-safe comparison.
+
+    A float NaN compares False; a Decimal NaN raises InvalidOperation, an
+    ArithmeticError, which is caught here without importing decimal.
+    """
+    try:
+        return lo <= x <= hi
+    except ArithmeticError:
+        return False
+
+
 def _require_finite(obj) -> None:
     """Every field of a parameter type must be a finite number."""
     for name in obj._fields:
-        _require(abs(getattr(obj, name)) <= _FLOAT_MAX, f"{name} must be finite")
+        _require(_between(-_FLOAT_MAX, getattr(obj, name), _FLOAT_MAX), f"{name} must be finite")
 
 
 class PhysicsParams(_Value):
@@ -179,6 +191,8 @@ class PhysicsParams(_Value):
 
     Only independent constants are fields: the spin wave starts with the
     signal beam's profile, so ``sigma0`` is the read-only w_signal / 2.
+    Nor is the deflector's edge loss: the measured rail efficiencies
+    already include it, so it is the constant ``physics.AOD_EDGE_LOSS``.
 
     Fields (units):
         d0: diffusion constant at 0 °C and 760 torr (physics.T_REF_K, P_REF_TORR), cm²/s
@@ -189,28 +203,25 @@ class PhysicsParams(_Value):
         w_dep: depletion-kernel radius, µm
         m_dep: depletion-kernel super-Gaussian order
         f_center: deflector band center, MHz
-        f_halfband: deflector half bandwidth, MHz
-        edge_loss: fractional diffraction-efficiency loss at the band edge
+        f_halfband: deflector half bandwidth, MHz; the band is f_center ± f_halfband
         pos_per_mhz: lateral beam displacement per MHz of drive, µm/MHz
         t_switch: deflector switching time, ns
         pump_fidelity: fraction of residual excitation removed by a pump
     """
 
     _fields = ("d0", "t_cell", "p_buffer", "w_signal", "w_control", "w_dep", "m_dep",
-               "f_center", "f_halfband", "edge_loss", "pos_per_mhz", "t_switch",
-               "pump_fidelity")
+               "f_center", "f_halfband", "pos_per_mhz", "t_switch", "pump_fidelity")
 
     def __init__(self, d0: float, t_cell: float, p_buffer: float, w_signal: float,
                  w_control: float, w_dep: float, m_dep: int, f_center: float,
-                 f_halfband: float, edge_loss: float, pos_per_mhz: float,
-                 t_switch: float, pump_fidelity: float) -> None:
+                 f_halfband: float, pos_per_mhz: float, t_switch: float,
+                 pump_fidelity: float) -> None:
         self._assign(d0, t_cell, p_buffer, w_signal, w_control, w_dep, m_dep, f_center,
-                     f_halfband, edge_loss, pos_per_mhz, t_switch, pump_fidelity)
+                     f_halfband, pos_per_mhz, t_switch, pump_fidelity)
         _require_finite(self)
         for name in ("d0", "t_cell", "p_buffer", "w_signal", "w_control", "w_dep",
                      "f_halfband", "pos_per_mhz", "t_switch"):
             _require(getattr(self, name) > 0.0, f"{name} must be strictly positive")
-        _require(0.0 <= edge_loss < 1.0, "edge_loss must lie in [0, 1)")
         _require(0.0 <= pump_fidelity <= 1.0, "pump_fidelity must lie in [0, 1]")
         # a component's variance starts at sigma0², which must be a positive float
         _require(0.0 < self.sigma0 * self.sigma0 <= _FLOAT_MAX,
@@ -221,15 +232,6 @@ class PhysicsParams(_Value):
     def sigma0(self) -> float:
         """Initial spin-wave standard deviation per axis, µm: half the signal radius."""
         return self.w_signal / 2.0
-
-    @property
-    def band(self) -> tuple[float, float]:
-        """Usable drive-frequency interval (min, max) in MHz."""
-        return (self.f_center - self.f_halfband, self.f_center + self.f_halfband)
-
-    def in_band(self, f_mhz: float) -> bool:
-        lo, hi = self.band
-        return lo <= f_mhz <= hi
 
 
 class RailCalibration(_Value):
@@ -313,11 +315,9 @@ class Operation(_Value):
         _set(self, "t_ns", t_ns)
         _set(self, "kind", kind)
         _set(self, "f_rail", f_rail)
-        # parse builds every op of a program here, so each check is a chained
-        # comparison, not a call
-        if not 0.0 <= t_ns <= _FLOAT_MAX:
+        if not _between(0.0, t_ns, _FLOAT_MAX):
             raise ParamError("operation time must be finite and non-negative")
-        if not -_FLOAT_MAX <= energy <= _FLOAT_MAX:
+        if not _between(-_FLOAT_MAX, energy, _FLOAT_MAX):
             raise ParamError("operation energy must be finite")
         if kind is not OpKind.WRITE:
             energy = 1.0  # ignored, so equality and the text format ignore it too
@@ -375,15 +375,14 @@ class TraceEvent(_Value):
         _set(self, "f_rail", f_rail)
         _set(self, "out_energy", out_energy)
         _set(self, "stored_after", stored_after)
-        # run_sequence builds one event per op, so the checks are comparisons
-        # as in Operation; -inf <= t_ns <= inf is False only for NaN
-        if not -math.inf <= t_ns <= math.inf:
+        # -inf <= t_ns <= inf is False only for NaN
+        if not _between(-math.inf, t_ns, math.inf):
             raise ParamError("t_ns must not be NaN")
-        if not -_FLOAT_MAX <= out_energy <= _FLOAT_MAX:
+        if not _between(-_FLOAT_MAX, out_energy, _FLOAT_MAX):
             raise ParamError("out_energy must be finite")
         if out_energy < 0.0:
             raise ParamError("out_energy must be non-negative")
-        if not -_FLOAT_MAX <= stored_after <= _FLOAT_MAX:
+        if not _between(-_FLOAT_MAX, stored_after, _FLOAT_MAX):
             raise ParamError("stored_after must be finite")
         if stored_after < 0.0:
             raise ParamError("stored_after must be non-negative")
@@ -420,7 +419,8 @@ def default_params() -> PhysicsParams:
     """Calibrated default parameters of the four-rail cesium cell.
 
     The cell runs at 60 °C with 5 torr of nitrogen buffer gas; the
-    deflector band is 200±50 MHz with 25 % diffraction loss at the edges
+    deflector band is 200±50 MHz (its 25 % diffraction loss at the edges
+    is ``physics.AOD_EDGE_LOSS``, already in the measured rail efficiencies)
     and 8 MHz of drive change moving the beam by one signal radius
     (270 µm, hence 33.75 µm/MHz). d0 is quoted at 0 °C and 760 torr.
     sigma0 = w_signal / 2 = 135 µm, the signal beam's intensity standard
@@ -438,7 +438,6 @@ def default_params() -> PhysicsParams:
         m_dep=4,
         f_center=200.0,
         f_halfband=50.0,
-        edge_loss=0.25,
         pos_per_mhz=33.75,
         t_switch=48.0,
         pump_fidelity=1.0,

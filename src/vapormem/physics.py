@@ -9,13 +9,15 @@ from __future__ import annotations
 
 import math
 
-from .core import _FLOAT_MAX, DomainError, OutOfBandError, PhysicsParams, _fmt_number
+from .core import _FLOAT_MAX, DomainError, OutOfBandError, PhysicsParams, _between, _fmt_number
 
 # variance growth conversion: 1 cm^2/s = 1e8 um^2/s = 100 um^2/us
 _CM2_PER_S_TO_UM2_PER_US = 100.0
 # d0's reference conditions, 0 °C and 760 torr (Firstenberg et al., RMP 85, 941 (2013))
 T_REF_K = 273.15
 P_REF_TORR = 760.0
+# the deflector's fractional diffraction-efficiency loss at the band edges
+AOD_EDGE_LOSS = 0.25
 
 
 def diffusion_coefficient(p: PhysicsParams) -> float:
@@ -53,8 +55,8 @@ def transit_time_us(delta_x_um: float, d_cm2_s: float) -> float:
 
 def _require_in_band(f_mhz: float, p: PhysicsParams) -> None:
     """The one band check: OutOfBandError, in E002's words, for a rail outside the band."""
-    if not p.in_band(f_mhz):
-        lo, hi = p.band
+    lo, hi = p.f_center - p.f_halfband, p.f_center + p.f_halfband
+    if not _between(lo, f_mhz, hi):
         raise OutOfBandError(f"rail {_fmt_number(f_mhz)} MHz outside deflector band "
                              f"[{_fmt_number(lo)}, {_fmt_number(hi)}] MHz")
 
@@ -75,13 +77,13 @@ def rail_position_um(f_mhz: float, p: PhysicsParams) -> float:
 def aod_efficiency(f_mhz: float, p: PhysicsParams) -> float:
     """Relative diffraction efficiency of the deflector at a drive frequency.
 
-    Parabolic roll-off from 1 at band center down to 1 - edge_loss at the
-    band edges. Not folded into the storage model: the measured per-rail
-    efficiencies already include it.
+    Parabolic roll-off from 1 at band center down to 1 - AOD_EDGE_LOSS at
+    the band edges. Not folded into the storage model, nor a parameter: the
+    measured per-rail efficiencies already include it.
     """
     _require_in_band(f_mhz, p)
     x = (f_mhz - p.f_center) / p.f_halfband
-    return 1.0 - p.edge_loss * x * x
+    return 1.0 - AOD_EDGE_LOSS * x * x
 
 
 def spread_variance_um2(s2_um2: float, dt_us: float, d_cm2_s: float) -> float:

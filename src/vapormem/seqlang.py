@@ -68,12 +68,11 @@ from .core import (
 MIN_CROSSTALK_FREE_SEPARATION_MHZ = 20.0
 
 _NUMBER = r"[0-9]+(?:\.[0-9]+)?"
-# each captures (number, unit); _number reads all three
-_TIME_RE = re.compile(rf"^({_NUMBER})(ns|us)$")
-_FREQ_RE = re.compile(rf"^({_NUMBER})(MHz)$")
-_NUMBER_RE = re.compile(rf"^({_NUMBER})()$")
+# a number token, read whole by one fullmatch: groups (number, unit), the
+# unit empty for a bare number; _number checks the unit against its caller's
+_NUMBER_RE = re.compile(rf"({_NUMBER})(ns|us|MHz|)")
 # a plain op line, read whole by one fullmatch: groups (digits, verb, freq
-# token, energy or None); compiled here, not on first use, as are the above
+# token, energy or None); compiled here, not on first use, as is the above
 _PLAIN_OP_RE = re.compile(rf"AT ([0-9]+)ns (WRITE|READ|PUMP) (\S+MHz)(?: ({_NUMBER}))?")
 
 _VERBS = {"WRITE": OpKind.WRITE, "READ": OpKind.READ, "PUMP": OpKind.PUMP}
@@ -132,17 +131,17 @@ def _col(line: str, k: int) -> int:
     return [m.start() + 1 for m in re.finditer(r"\S+", line)][k]
 
 
-def _number(tok: str, pattern: re.Pattern, what: str, lineno: int, line: str, k: int) -> float:
+def _number(tok: str, units: tuple, what: str, lineno: int, line: str, k: int) -> float:
     """A number token's value, correctly rounded once; a time's is in ns.
 
-    ``pattern`` captures the token's (number, unit). A token it does not
-    match, or whose value is past a float, raises ParseError naming
-    ``what`` at the column of the line's k-th token. 1 us = 1000 ns exactly:
-    a us token's decimal point moves three digits right in the string
-    itself, so float() sees the exact ns value.
+    ``units`` are the units the caller accepts, ``""`` for none. A token not
+    a number in one of them, or whose value is past a float, raises
+    ParseError naming ``what`` at the column of the line's k-th token.
+    1 us = 1000 ns exactly: a us token's decimal point moves three digits
+    right in the string itself, so float() sees the exact ns value.
     """
-    m = pattern.match(tok)
-    if not m:
+    m = _NUMBER_RE.fullmatch(tok)
+    if m is None or m[2] not in units:
         raise ParseError(f"malformed {what} {tok!r}", lineno, _col(line, k))
     number, unit = m.groups()
     if unit == "us":
@@ -223,7 +222,7 @@ class Reader:
                 if len(tokens) < 2:
                     raise ParseError("RAILS needs at least one frequency", lineno, _col(line, 0))
                 for k, tok in enumerate(tokens[1:], start=1):
-                    f = _number(tok, _FREQ_RE, "frequency", lineno, line, k)
+                    f = _number(tok, ("MHz",), "frequency", lineno, line, k)
                     if f in rails:
                         raise ParseError(f"rail {tok} declared twice", lineno, _col(line, k))
                     rails.append(f)
@@ -235,14 +234,14 @@ class Reader:
                 if len(tokens) not in (4, 5):
                     raise ParseError("expected AT <time> <verb> <freq> [energy]",
                                      lineno, _col(line, 0))
-                t_ns = _number(tokens[1], _TIME_RE, "time", lineno, line, 1)
+                t_ns = _number(tokens[1], ("ns", "us"), "time", lineno, line, 1)
                 kind = _VERBS.get(tokens[2])
                 if kind is None:
                     raise ParseError(f"unknown operation {tokens[2]!r}", lineno, _col(line, 2))
                 ftok = tokens[3]
                 f_rail = rail_of.get(ftok)
                 if f_rail is None:
-                    f_rail = _number(ftok, _FREQ_RE, "frequency", lineno, line, 3)
+                    f_rail = _number(ftok, ("MHz",), "frequency", lineno, line, 3)
                     if f_rail not in rails:
                         raise ParseError(f"operation on undeclared rail {ftok}",
                                          lineno, _col(line, 3))
@@ -251,7 +250,7 @@ class Reader:
                 if len(tokens) == 5:
                     if kind is not OpKind.WRITE:
                         raise ParseError("only WRITE takes an energy", lineno, _col(line, 4))
-                    energy = _number(tokens[4], _NUMBER_RE, "energy", lineno, line, 4)
+                    energy = _number(tokens[4], ("",), "energy", lineno, line, 4)
                     if energy <= 0.0:
                         raise ParseError("write energy must be strictly positive",
                                          lineno, _col(line, 4))

@@ -119,12 +119,12 @@ def test_criterion_6_oracle_equivalence():
         diff = physics.diffusion_coefficient(P)
         for d in (0.0, 270.0, 675.0):
             for t in (0.4, 2.0):
-                mc = harness.monte_carlo_overlap(P, 100_000, d, t, seed=1)
+                mc = harness.monte_carlo_overlaps(P, 100_000, [(d, t)], seed=1)[0]
                 s2 = physics.spread_variance_um2(P.sigma0 ** 2, t, diff)
                 analytic = physics.overlap_factor(d, s2, P)
                 assert abs(mc - analytic) <= 0.02
-        again = harness.monte_carlo_overlap(P, 100_000, 675.0, 2.0, seed=1)
-        assert again == harness.monte_carlo_overlap(P, 100_000, 675.0, 2.0, seed=1)
+        again = harness.monte_carlo_overlaps(P, 100_000, [(675.0, 2.0)], seed=1)[0]
+        assert again == harness.monte_carlo_overlaps(P, 100_000, [(675.0, 2.0)], seed=1)[0]
         assert time.perf_counter() - start < 60.0
 
 

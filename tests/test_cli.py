@@ -22,7 +22,7 @@ from vapormem.cli import (
 )
 from vapormem.core import ParamError, PhysicsParams, default_params, default_rails
 from vapormem.engine import Memory, render_waveform, run_sequence
-from vapormem.harness import MAX_ORACLE_ATOMS, monte_carlo_overlap
+from vapormem.harness import MAX_ORACLE_ATOMS, monte_carlo_overlaps
 from vapormem.seqlang import Diagnostic, ValidationFailure, parse
 
 TIGHT = "SEQUENCE tight\nRAILS 190MHz\nAT 0ns WRITE 190MHz\nAT 47ns READ 190MHz\n"
@@ -67,12 +67,14 @@ NON_FINITE_CONFIGS = [
     pytest.param(f"m_dep = {HUGE}", "m_dep", id="m_dep-401-digits"),
 ]
 # finite config values whose derived diffusion coefficient, variance or beam
-# position overflows a float, and the quantity the error names
+# position overflows a float, and the quantity the error names; sigma0 is
+# PhysicsParams' own check, so its error is the whole line at the config line
 OVERFLOWING_CONFIGS = [
     ("t_cell = 1e308", "diffusion coefficient"),
     ("d0 = 1e308", "diffusion coefficient"),
     ("p_buffer = 1e-304", "diffusion coefficient"),
-    ("w_signal = 1e308", "sigma0"),
+    pytest.param("w_signal = 1e308", "{cfg}:1: sigma0² = (w_signal / 2)² must be a strictly "
+                 "positive finite float\n", id="w_signal = 1e308-sigma0"),
     ("w_control = 1e308", "read sampling variance"),
     ("pos_per_mhz = 1e307", "beam position"),
 ]
@@ -731,10 +733,11 @@ class TestConfig:
         assert main(["--config", str(cfg), "report"]) == 2
         assert "unknown key 'decay_mode'" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("key", ["sigma0", "t0", "p0"])
+    @pytest.mark.parametrize("key", ["sigma0", "t0", "p0", "edge_loss"])
     def test_derived_and_reference_values_are_unknown_keys(self, seqfile, tmp_path,
                                                           capsys, key):
-        # sigma0 is w_signal / 2, and d0 is quoted at fixed reference conditions
+        # sigma0 is w_signal / 2, d0 is quoted at fixed reference conditions,
+        # and the measured rail efficiencies already hold the edge loss
         cfg = tmp_path / "removed.cfg"
         cfg.write_text(f"{key} = 1\n")
         out = tmp_path / "trace.csv"
@@ -770,8 +773,9 @@ class TestConfig:
 
     def test_override_revalidated(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
-        cfg.write_text("w_signal = -1\n")
+        cfg.write_text("# a comment\nw_signal = -1\n")
         assert main(["--config", str(cfg), "report"]) == 2
+        assert capsys.readouterr() == ("", f"error: {cfg}:2: w_signal must be strictly positive\n")
 
     def test_unknown_rail_rejected(self, seqfile, tmp_path, capsys):
         # a number that names no calibrated rail gets the engine's sentence at
@@ -797,7 +801,7 @@ class TestConfig:
         out = tmp_path / "trace.csv"
         rc = main(["--config", str(cfg), "run", seqfile(CANONICAL), "--trace-out", str(out)])
         assert rc == 2
-        assert f"error: {field} must be finite" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: {cfg}:1: {field} must be finite\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("line,quantity", OVERFLOWING_CONFIGS)
@@ -808,7 +812,7 @@ class TestConfig:
         out = tmp_path / "trace.csv"
         rc = main(["--config", str(cfg), "run", seqfile(CANONICAL), "--trace-out", str(out)])
         assert rc == 2
-        assert f"error: {quantity}" in capsys.readouterr().err
+        assert f"error: {quantity.format(cfg=cfg)}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_read_past_a_float_spread_variance_runs(self, seqfile, tmp_path, capsys):
@@ -895,7 +899,9 @@ class TestConfig:
 
 
 class TestNonUtf8Input:
-    @pytest.mark.parametrize("data", [b"\xe9", b"# fine\n\xff\n"], ids=["e9", "ff-line-2"])
+    # the first two bytes of a byte-order mark, and no more, are not UTF-8 either
+    @pytest.mark.parametrize("data", [b"\xe9", b"# fine\n\xff\n", b"\xef\xbb"],
+                             ids=["e9", "ff-line-2", "bom-prefix"])
     @pytest.mark.parametrize("argv", [
         ["validate", "{in}"],
         ["run", "{in}", "--trace-out", "{out}"],
@@ -913,6 +919,29 @@ class TestNonUtf8Input:
         assert list(tmp_path.iterdir()) == [path]
 
 
+# each input file, read as it is and after a UTF-8 byte-order mark; the fit
+# CSV has no header, so a mark that hid its first row would drop that row
+BOM_INPUTS = [
+    pytest.param(["validate", "{in}"], CANONICAL, id="validate"),
+    pytest.param(["--config", "{in}", "report"], "d0 = 0.3\nrail.190.tau_us = 5.0\n",
+                 id="config"),
+    pytest.param(["fit", "{in}"], "0.4,0.31\n2.0,0.23\n4.0,0.15\n8.0,0.07\n", id="fit"),
+]
+
+
+@pytest.mark.parametrize("argv,text", BOM_INPUTS)
+def test_byte_order_mark_changes_nothing(tmp_path, capsys, argv, text):
+    path = tmp_path / "input"
+    argv = [a.format(**{"in": path}) for a in argv]
+    results = []
+    for bom in (b"", b"\xef\xbb\xbf"):
+        path.write_bytes(bom + text.encode())
+        code = main(argv)
+        results.append((code, *capsys.readouterr()))
+    assert results[0] == results[1]
+    assert results[0][0] in (0, 1) and results[0][2] == ""
+
+
 class TestOracle:
     def test_passes_at_default_tolerance(self, capsys):
         # the default --n, 100,000 walkers
@@ -927,7 +956,7 @@ class TestOracle:
         rows = capsys.readouterr().out.splitlines()[1:-1]
         assert [row.split()[:2] for row in rows] == [[f"{d:g}", f"{t:g}"] for d, t in ORACLE_GRID]
         assert ([row.split()[2] for row in rows]
-                == [repr(monte_carlo_overlap(default_params(), 2000, d, t, 3))
+                == [repr(monte_carlo_overlaps(default_params(), 2000, [(d, t)], 3)[0])
                     for d, t in ORACLE_GRID])
 
     def test_negative_seed_is_named_error(self, capsys):

@@ -2,6 +2,7 @@ import copy
 import math
 import pickle
 import re
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from vapormem.core import (
     DuplicateRailError,
     FitResult,
     OpKind,
+    OutOfBandError,
     Operation,
     ParamError,
     PhysicsParams,
@@ -29,6 +31,11 @@ from vapormem.harness import CriteriaReport, CriterionCheck, ScanResult
 from vapormem.seqlang import Diagnostic, ParseError, parse
 
 
+# a Decimal NaN raises InvalidOperation where a float NaN compares False
+NON_FINITE_VALUES = [math.inf, -math.inf, math.nan,
+                     pytest.param(Decimal("NaN"), id="Decimal-NaN")]
+
+
 class TestDefaultParams:
     def test_calibrated_values(self):
         p = default_params()
@@ -40,7 +47,6 @@ class TestDefaultParams:
         assert p.w_control == 350.0
         assert p.f_center == 200.0
         assert p.f_halfband == 50.0
-        assert p.edge_loss == 0.25
         assert p.t_switch == 48.0
         assert p.pump_fidelity == 1.0
 
@@ -55,9 +61,9 @@ class TestDefaultParams:
 
     def test_only_independent_constants_are_fields(self):
         names = core.fields(PhysicsParams)
-        assert len(names) == 13
-        assert not {"sigma0", "t0", "p0"} & set(names)
-        for name in ("sigma0", "t0", "p0"):
+        assert len(names) == 12
+        assert not {"sigma0", "t0", "p0", "edge_loss"} & set(names)
+        for name in ("sigma0", "t0", "p0", "edge_loss"):
             with pytest.raises(TypeError):
                 core.replace(default_params(), **{name: 1.0})
 
@@ -74,17 +80,20 @@ class TestDefaultParams:
         assert default_rails() == default_rails()
 
     def test_band(self):
+        # f_center ± f_halfband, edges included; physics owns the one check
         p = default_params()
-        assert p.band == (150.0, 250.0)
-        assert p.in_band(150.0) and p.in_band(250.0)
-        assert not p.in_band(149.999) and not p.in_band(250.001)
+        physics._require_in_band(150.0, p)
+        physics._require_in_band(250.0, p)
+        for f in (149.999, 250.001):
+            with pytest.raises(OutOfBandError, match=r"deflector band \[150, 250\] MHz$"):
+                physics._require_in_band(f, p)
 
     @pytest.mark.parametrize("field,value", [
         ("d0", 0.0), ("d0", -1.0), ("p_buffer", -5.0),
         ("w_signal", 0.0), ("w_control", -1.0),
         ("w_signal", 1e-200), ("w_signal", 1e200),
         ("w_dep", 0.0), ("m_dep", 0), ("f_halfband", 0.0),
-        ("edge_loss", -0.1), ("edge_loss", 1.0), ("t_switch", 0.0),
+        ("t_switch", 0.0),
         ("pump_fidelity", -0.1), ("pump_fidelity", 1.1), ("pos_per_mhz", 0.0),
     ])
     def test_invariants_rejected(self, field, value):
@@ -92,7 +101,7 @@ class TestDefaultParams:
             core.replace(default_params(), **{field: value})
 
     @pytest.mark.parametrize("field", list(core.fields(PhysicsParams)))
-    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("value", NON_FINITE_VALUES)
     def test_non_finite_rejected(self, field, value):
         with pytest.raises(ParamError, match=f"^{field} must be finite$"):
             core.replace(default_params(), **{field: value})
@@ -142,7 +151,7 @@ class TestRailCalibration:
             RailCalibration(**base)
 
     @pytest.mark.parametrize("field", ["f_rail", "tau_us", "tau_err_us", "eta_mem"])
-    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("value", NON_FINITE_VALUES)
     def test_non_finite_rejected(self, field, value):
         base = dict(f_rail=190.0, tau_us=5.4, tau_err_us=0.7, eta_mem=0.35)
         base[field] = value
@@ -158,8 +167,8 @@ PER_OP_ARGS = {
     TraceEvent: dict(t_ns=0.0, kind=OpKind.READ, f_rail=190.0, out_energy=0.5,
                      stored_after=0.0),
 }
-_NON_FINITE = [("nan", math.nan), ("inf", math.inf), ("-inf", -math.inf),
-               ("10**400", 10**400)]
+_NAN = [("nan", math.nan), ("Decimal-NaN", Decimal("NaN"))]
+_NON_FINITE = _NAN + [("inf", math.inf), ("-inf", -math.inf), ("10**400", 10**400)]
 PER_OP_REJECTIONS = [
     pytest.param(cls, field, value, message, id=f"{cls.__name__}-{field}-{name}")
     for cls, field, message, bad in [
@@ -168,7 +177,7 @@ PER_OP_REJECTIONS = [
         (Operation, "energy", "operation energy must be finite", _NON_FINITE),
         (Operation, "energy", "write energy must be strictly positive",
          [("negative", -1.0), ("zero", 0.0)]),
-        (TraceEvent, "t_ns", "t_ns must not be NaN", [("nan", math.nan)]),
+        (TraceEvent, "t_ns", "t_ns must not be NaN", _NAN),
         (TraceEvent, "out_energy", "out_energy must be finite", _NON_FINITE),
         (TraceEvent, "out_energy", "out_energy must be non-negative", [("negative", -1e-9)]),
         (TraceEvent, "stored_after", "stored_after must be finite", _NON_FINITE),
@@ -294,7 +303,7 @@ class TestValueTypes:
             FitResult(1.0, 3.3, 0.0, -1.0)
 
     @pytest.mark.parametrize("field", ["a0", "tau_us", "tau_err_us", "rss"])
-    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("value", NON_FINITE_VALUES)
     def test_fit_result_non_finite_rejected(self, field, value):
         kwargs = dict(a0=1.0, tau_us=3.3, tau_err_us=0.1, rss=0.0)
         kwargs[field] = value
@@ -311,10 +320,10 @@ _PASS = CriterionCheck(0.5)
 VALUE_TYPES = [
     pytest.param(
         PhysicsParams,
-        (0.24, 333.15, 5.0, 270.0, 350.0, 450.0, 4, 200.0, 50.0, 0.25, 33.75, 48.0, 1.0),
+        (0.24, 333.15, 5.0, 270.0, 350.0, 450.0, 4, 200.0, 50.0, 33.75, 48.0, 1.0),
         "PhysicsParams(d0=0.24, t_cell=333.15, p_buffer=5.0, w_signal=270.0, "
         "w_control=350.0, w_dep=450.0, m_dep=4, f_center=200.0, f_halfband=50.0, "
-        "edge_loss=0.25, pos_per_mhz=33.75, t_switch=48.0, pump_fidelity=1.0)",
+        "pos_per_mhz=33.75, t_switch=48.0, pump_fidelity=1.0)",
         ("d0", 0.25), ("t_switch", 0.0, ParamError), id="PhysicsParams"),
     pytest.param(
         RailCalibration, (190.0, 5.4, 0.7, 0.35),

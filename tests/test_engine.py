@@ -435,7 +435,8 @@ def test_fraction_past_a_float_is_an_unknown_rail(call, digits):
 
 def test_fraction_past_a_float_is_out_of_band():
     for rail, digits in [(FRACTION_PAST_A_FLOAT, DIGITS_5001), (DECIMAL_PAST_A_FLOAT, DIGITS_401),
-                         (-DECIMAL_PAST_A_FLOAT, "-" + DIGITS_401), (Decimal("Infinity"), "inf")]:
+                         (-DECIMAL_PAST_A_FLOAT, "-" + DIGITS_401), (Decimal("Infinity"), "inf"),
+                         (Decimal("NaN"), "nan")]:
         seq = Sequence("s", (rail,), ())
         assert [(d.code, d.line, d.message) for d in seqlang.validate(seq, P)] == [
             ("E002", 0, f"rail {digits} MHz outside deflector band [150, 250] MHz")]
