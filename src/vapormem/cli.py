@@ -42,7 +42,6 @@ from __future__ import annotations
 
 import gc
 import os
-import struct
 import sys
 from array import array
 from itertools import chain
@@ -211,13 +210,16 @@ def waveform_csv(t, y) -> str:
 
     Times on the default 1 ns grid are not formatted at all. A chunk whose
     times are bitwise the floats ``i, i + 1, ...`` of their own row numbers
-    prints each full block of 100 rows ``100m ... 100m + 99`` (m >= 1) from
-    a template: ``repr(float(k))`` is ``f"{k}.0"`` for every integer k below
-    1e16, so row ``100m + r`` reads ``f"{m}{r:02d}.0"``, m's digits then r's
-    two. A block whose 100 intensities share one bit pattern (the noise
-    floor) is the last such block's text with m replaced, rebuilt only when
-    the intensity changes; any other block is one ``str.format`` of the
-    100-row template with the block's table texts. Block 0, whose times
+    (its bytes equal to that slice of the engine's ``_time_axis(n, 1.0)``,
+    which a 1 ns render has already built and cached) prints each full
+    block of 100 rows ``100m ... 100m + 99`` (m >= 1) from a template:
+    ``repr(float(k))`` is ``f"{k}.0"`` for every integer k below 1e16, so
+    row ``100m + r`` reads ``f"{m}{r:02d}.0"``, m's digits then r's two. A
+    block whose 100 intensities share one bit pattern (the noise floor) is
+    the last such block's text with m replaced, rebuilt only when the
+    intensity changes. Any other block slice-assigns its 100 time texts (one
+    ``replace`` and ``split`` of a template) and its 100 table texts into
+    one reused list of 200 and joins it. Block 0, whose times
     have fewer digits, a partial last block, and every chunk off the grid
     (another period, a moved time, a -0.0) take the ``repr`` path: the
     ``repr`` of each time interleaved with each intensity's table text,
@@ -241,8 +243,9 @@ def waveform_csv(t, y) -> str:
     block = _GRID_BLOCK
     csv = "t_ns,intensity\n"
     text: dict[int, str] = {}
-    # "{0}00.0{1}{0}01.0{2}...{0}99.0{100}": block m's rows, from m and 100 texts
-    rows = "".join(f"{{0}}{r:02d}.0{{{r + 1}}}" for r in range(block))
+    # "|00.0\0|01.0\0...|99.0": block m's 100 time texts, with m for "|"
+    times = "\0".join(f"|{r:02d}.0" for r in range(block))
+    row_texts = [""] * (2 * block)  # a mixed block's time and intensity texts, row by row
     same_key, same_rows = None, ""  # the last one-intensity block, "|" for its m
     for i in range(0, n, WAVEFORM_CSV_CHUNK):
         j = min(i + WAVEFORM_CSV_CHUNK, n)
@@ -251,7 +254,7 @@ def waveform_csv(t, y) -> str:
         new = array("Q", set(keys).difference(text))
         text.update({k: f",{v!r}\n" for k, v in zip(new, array("d", new.tobytes()))})
         lo, hi = max(i, block), j - j % block  # the chunk's templated rows
-        if not (lo < hi and t[i:j].tobytes() == struct.pack(f"{j - i}d", *range(i, j))):
+        if not (lo < hi and t[i:j].tobytes() == engine._time_axis(n, 1.0)[8 * i:8 * j]):
             lo = hi = j
         parts = [_repr_rows(t[i:lo], keys[:lo - i], text)]
         for b in range(lo, hi, block):
@@ -263,7 +266,9 @@ def waveform_csv(t, y) -> str:
                     same_rows = "".join(f"|{r:02d}.0{text[same_key]}" for r in range(block))
                 parts.append(same_rows.replace("|", str(b // block)))
             else:
-                parts.append(rows.format(b // block, *map(text.__getitem__, keys[o:o + block])))
+                row_texts[::2] = times.replace("|", str(b // block)).split("\0")
+                row_texts[1::2] = map(text.__getitem__, keys[o:o + block])
+                parts.append("".join(row_texts))
         parts.append(_repr_rows(t[hi:j], keys[hi - i:], text))
         csv += "".join(parts)
     return csv

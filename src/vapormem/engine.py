@@ -13,6 +13,7 @@ parallel simulations. Sequences and traces are immutable.
 
 from __future__ import annotations
 
+import functools
 import math
 import struct
 # the waveform is rendered into array('d') buffers with math.exp, so the
@@ -42,7 +43,7 @@ from .core import (
 NS_PER_US = 1000.0
 SIGNAL_FWHM_NS = 25.0  # full width at half maximum of a rendered signal pulse
 MAX_WAVEFORM_SAMPLES = 10**7  # render_waveform allocates two float64 arrays this long
-_RENDER_CHUNK = 1 << 14  # samples of the time axis built per step of render_waveform
+_RENDER_CHUNK = 1 << 14  # samples of the time axis packed per step of _time_axis
 
 
 class Memory:
@@ -224,6 +225,28 @@ def run_sequence(state: Memory, seq: Sequence) -> Trace:
     return Trace(tuple(events))
 
 
+@functools.lru_cache(maxsize=1)
+def _time_axis(n: int, period: float) -> bytes:
+    """The float64 bytes of ``float(i) * period`` for i in range(n): the one time grid.
+
+    Bytes, so no caller can change what the next one gets. The last axis
+    built stays cached (n x 8 bytes), so a waveform rendered and then
+    printed on one grid builds it once. Built a chunk at a time, so no list
+    of the whole span is alive; struct packs a chunk faster than fromlist.
+    """
+    chunks = []
+    offsets = [float(o) for o in range(min(n, _RENDER_CHUNK))]
+    for k in range(0, n, _RENDER_CHUNK):
+        j = min(k + _RENDER_CHUNK, n)
+        if period == 1.0:  # float(i) * 1.0 is float(i), which struct makes from the int
+            values = range(k, j)
+        else:  # for i < 2**53, float(k) + float(o) is exactly float(k + o)
+            fk = float(k)
+            values = [(fk + o) * period for o in offsets[:j - k]]
+        chunks.append(struct.pack(f"{j - k}d", *values))
+    return b"".join(chunks)
+
+
 def render_waveform(trace: Trace, sample_period_ns: float, noise_floor: float = 0.0,
                     span_ns: float | None = None) -> tuple[array, array]:
     """Render a trace as a sampled detector waveform.
@@ -237,7 +260,14 @@ def render_waveform(trace: Trace, sample_period_ns: float, noise_floor: float = 
     that is not finite and positive, a span that is not finite and
     non-negative, or a noise floor that is not finite and non-negative
     raises DomainError, as does a span of more than ``MAX_WAVEFORM_SAMPLES``
-    sample periods, before any buffer is allocated.
+    sample periods, before any buffer or time axis is allocated. The period
+    is read as a float once it is known to be in range, so a positive
+    Fraction that is 0.0 as a float is refused too.
+
+    ``times_ns`` is a copy of ``_time_axis(n, period)``, which stays cached
+    until a render on another grid: n x 8 bytes, 3.2 MB for a 400 us span at
+    1 ns and 80 MB at the cap. ``cli.waveform_csv`` compares a chunk's
+    times with the same axis, so printing the render builds no second grid.
 
     A pulse is added only on the samples within 40 sigma of its centre.
     Beyond that the Gaussian is exp(-800), exactly 0.0 in float64, and
@@ -246,7 +276,9 @@ def render_waveform(trace: Trace, sample_period_ns: float, noise_floor: float = 
     the span. Every exponential is ``math.exp``, the C library's, so the
     bytes do not depend on which CPU kernels numpy would dispatch to.
     """
-    if not 0.0 < sample_period_ns <= _FLOAT_MAX:
+    # converted once the range is known: a positive Fraction can still be 0.0 as a float
+    period = float(sample_period_ns) if 0.0 < sample_period_ns <= _FLOAT_MAX else 0.0
+    if period == 0.0:
         raise DomainError("sample period must be finite and strictly positive")
     if not 0.0 <= noise_floor <= _FLOAT_MAX:
         raise DomainError("noise floor must be finite and non-negative")
@@ -255,20 +287,12 @@ def render_waveform(trace: Trace, sample_period_ns: float, noise_floor: float = 
         span_ns = last + 600.0
     if not 0.0 <= span_ns <= _FLOAT_MAX:
         raise DomainError("waveform span must be finite and non-negative")
-    samples = span_ns / sample_period_ns  # inf when the quotient overflows
+    samples = span_ns / period  # inf when the quotient overflows
     if not samples <= MAX_WAVEFORM_SAMPLES:
         count = math.ceil(samples) if math.isfinite(samples) else samples
         raise DomainError(f"waveform has {count} samples, more than {MAX_WAVEFORM_SAMPLES}")
     n = math.ceil(samples)
-    # t[i] = i * period, one chunk at a time so no list of the whole span is
-    # alive. For i < 2**53, float(k) + float(j) is exactly float(k + j), which
-    # spares an int per sample; struct packs a chunk faster than fromlist
-    t = array("d")
-    offsets = [float(j) for j in range(min(n, _RENDER_CHUNK))]
-    for k in range(0, n, _RENDER_CHUNK):
-        fk = float(k)
-        chunk = [(fk + j) * sample_period_ns for j in offsets[:n - k]]
-        t.frombytes(struct.pack(f"{len(chunk)}d", *chunk))
+    t = array("d", _time_axis(n, period))  # a copy: what a caller does to t stays in t
     # + 0.0 stores a -0.0 floor as 0.0, so samples outside every pulse window
     # read the same as samples where a pulse's zero tail was added
     y = array("d", [float(noise_floor) + 0.0]) * n

@@ -507,6 +507,25 @@ class TestWaveformCsv:
         assert one_intensity_blocks(y) > len(t) // 200  # over half the blocks are templated
         assert_same_csv(waveform_csv(t, y), per_sample_waveform_csv(t, y))
 
+    def test_cached_axis_is_compared_not_trusted(self):
+        # the render leaves its 1 ns axis cached; each of these times differs
+        # from it, or from the grid of its own length, or finds it evicted
+        seq = parse(sparse_program(random.Random(5), 2 * C))
+        trace = run_sequence(Memory(default_params(), default_rails()), seq)
+        t, y = render_waveform(trace, 1.0)
+        n = len(t)
+        assert n > 2 * C
+        moved = array("d", t)
+        moved[2 * C + 50] = math.nextafter(moved[2 * C + 50], math.inf)
+        signed = array("d", t)
+        signed[0] = -0.0
+        m = n - 150
+        cases = [(moved, y), (signed, y), (array("d", range(n)), y), (t[:m], y[:m])]
+        for times, ys in cases:
+            assert_same_csv(waveform_csv(times, ys), per_sample_waveform_csv(times, ys))
+        render_waveform(trace, 0.5)  # caches the 0.5 ns axis in place of the 1 ns one
+        assert_same_csv(waveform_csv(t, y), per_sample_waveform_csv(t, y))
+
     @pytest.mark.parametrize("dtype", [np.float32, ">f8"])
     def test_rejects_intensities_that_are_not_native_float64(self, dtype):
         with pytest.raises(TypeError, match="float64"):

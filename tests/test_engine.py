@@ -742,6 +742,49 @@ class TestRenderWaveform:
             with pytest.raises(DomainError, match="^sample period must be finite and strictly"):
                 engine.render_waveform(Trace(()), period)
 
+    def test_period_that_is_zero_as_a_float(self):
+        # above 0 as a Fraction, 0.0 as a float: the sample count divided by it
+        from vapormem.core import Trace
+        with pytest.raises(DomainError, match="^sample period must be finite and strictly"):
+            engine.render_waveform(Trace(()), Fraction(1, 10**400))
+
+    def test_fraction_period_renders_its_float_grid(self):
+        from vapormem.core import Trace, TraceEvent
+        trace = Trace((TraceEvent(100.0, OpKind.READ, 190.0, 0.5, 0.0),))
+        t, y = engine.render_waveform(trace, Fraction(7, 10), span_ns=700.0)
+        t_ref, y_ref = engine.render_waveform(trace, 0.7, span_ns=700.0)
+        assert t.tobytes() == t_ref.tobytes() and y.tobytes() == y_ref.tobytes()
+
+    def test_times_are_float_i_times_period(self):
+        # float(i) * p for every sample, on both of _time_axis's paths, with n
+        # one below, at and one past a chunk; each call's (n, period) differs
+        # from the one before, so the one-entry cache never serves it
+        from vapormem.core import Trace
+        chunk = engine._RENDER_CHUNK
+        for p in (1.0, 1, Fraction(1), 0.37, 2.5, Fraction(7, 10)):
+            for n in (chunk - 1, chunk, chunk + 1):
+                misses = engine._time_axis.cache_info().misses
+                t, _ = engine.render_waveform(Trace(()), p, span_ns=(n - 0.5) * float(p))
+                assert engine._time_axis.cache_info().misses == misses + 1
+                assert t.tobytes() == array("d", [float(i) * p for i in range(n)]).tobytes()
+
+    def test_editing_times_leaves_the_next_render_alone(self):
+        from vapormem.core import Trace
+        t, _ = engine.render_waveform(Trace(()), 1.0, span_ns=300.0)
+        t[0], t[299] = -0.0, math.inf
+        again, _ = engine.render_waveform(Trace(()), 1.0, span_ns=300.0)
+        assert again.tobytes() == array("d", range(300)).tobytes()
+
+    @pytest.mark.parametrize("period, span, floor", [
+        (Fraction(1, 10**400), 100.0, 0.0), (math.nan, 100.0, 0.0), (1.0, math.inf, 0.0),
+        (1.0, 100.0, -1.0), (1.0, 1e7 + 1, 0.0), (1e-9, 5600.0, 0.0)])
+    def test_refused_render_builds_no_axis(self, period, span, floor):
+        from vapormem.core import Trace
+        before = engine._time_axis.cache_info()
+        with pytest.raises(DomainError):
+            engine.render_waveform(Trace(()), period, noise_floor=floor, span_ns=span)
+        assert engine._time_axis.cache_info() == before
+
     @pytest.mark.parametrize("span", [-5.0, math.nan, math.inf,
                                       pytest.param(10**400, id="10**400")])
     def test_bad_span(self, span):
