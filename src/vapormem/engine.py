@@ -21,6 +21,7 @@ import struct
 from array import array
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterable
+from itertools import accumulate, repeat
 
 from . import physics, seqlang
 from .core import (
@@ -35,6 +36,7 @@ from .core import (
     TimeOrderError,
     Trace,
     TraceEvent,
+    _between,
     _calibration,
     _fmt_number,
     _rail_table,
@@ -233,13 +235,16 @@ def _time_axis(n: int, period: float) -> bytes:
     built stays cached (n x 8 bytes), so a waveform rendered and then
     printed on one grid builds it once. Built a chunk at a time, so no list
     of the whole span is alive; struct packs a chunk faster than fromlist.
+    On a 1 ns grid a chunk is a running sum of 1.0 from float(k), since
+    struct takes floats faster than it converts ints; each sum is exact,
+    float(k + o), as every sample count is far below 2**53.
     """
     chunks = []
     offsets = [float(o) for o in range(min(n, _RENDER_CHUNK))]
     for k in range(0, n, _RENDER_CHUNK):
         j = min(k + _RENDER_CHUNK, n)
-        if period == 1.0:  # float(i) * 1.0 is float(i), which struct makes from the int
-            values = range(k, j)
+        if period == 1.0:  # float(i) * 1.0 is float(i)
+            values = accumulate(repeat(1.0, j - k - 1), initial=float(k))
         else:  # for i < 2**53, float(k) + float(o) is exactly float(k + o)
             fk = float(k)
             values = [(fk + o) * period for o in offsets[:j - k]]
@@ -259,10 +264,11 @@ def render_waveform(trace: Trace, sample_period_ns: float, noise_floor: float = 
     600 ns past the last event so pulse tails are captured. A sample period
     that is not finite and positive, a span that is not finite and
     non-negative, or a noise floor that is not finite and non-negative
-    raises DomainError, as does a span of more than ``MAX_WAVEFORM_SAMPLES``
-    sample periods, before any buffer or time axis is allocated. The period
-    is read as a float once it is known to be in range, so a positive
-    Fraction that is 0.0 as a float is refused too.
+    (a NaN of any type included) raises DomainError, as does a span of more
+    than ``MAX_WAVEFORM_SAMPLES`` sample periods, before any buffer or time
+    axis is allocated. Each of the three numbers is read as a float once it
+    is known to be in range, so a positive Fraction period that is 0.0 as a
+    float is refused too, and a Decimal renders as its float does.
 
     ``times_ns`` is a copy of ``_time_axis(n, period)``, which stays cached
     until a render on another grid: n x 8 bytes, 3.2 MB for a 400 us span at
@@ -275,42 +281,68 @@ def render_waveform(trace: Trace, sample_period_ns: float, noise_floor: float = 
     no bit of the result while the cost follows the number of pulses, not
     the span. Every exponential is ``math.exp``, the C library's, so the
     bytes do not depend on which CPU kernels numpy would dispatch to.
+
+    Windows share work without changing a bit. Equal distances to the grid
+    give an equal unit Gaussian, so a window reuses the one before it when
+    its distances are equal. On a 1 ns grid, sample i is float(i), and a
+    float centre t0 that is a whole number of ns is float(i) - t0 =
+    float(i - t0) from it exactly (one rounding of an exact integer), so
+    there a window's offset lo - t0 and length stand for its distances and
+    none are computed. A window that starts at or past the end of every
+    earlier one still holds the floor, so its samples are the floor plus
+    the scaled Gaussian, with no read of the waveform; on a 1 ns grid such
+    a window is built once per (scale, offset, length) and copied when that
+    repeats. Those windows do not overlap, so the copies kept take at most
+    as many bytes as the waveform.
     """
     # converted once the range is known: a positive Fraction can still be 0.0 as a float
-    period = float(sample_period_ns) if 0.0 < sample_period_ns <= _FLOAT_MAX else 0.0
+    period = float(sample_period_ns) if _between(0.0, sample_period_ns, _FLOAT_MAX) else 0.0
     if period == 0.0:
         raise DomainError("sample period must be finite and strictly positive")
-    if not 0.0 <= noise_floor <= _FLOAT_MAX:
+    if not _between(0.0, noise_floor, _FLOAT_MAX):
         raise DomainError("noise floor must be finite and non-negative")
+    # + 0.0 stores a -0.0 floor as 0.0, so samples outside every pulse window
+    # read the same as samples where a pulse's zero tail was added
+    floor = float(noise_floor) + 0.0
     if span_ns is None:
         last = trace.events[-1].t_ns if trace.events else 0.0
         span_ns = last + 600.0
-    if not 0.0 <= span_ns <= _FLOAT_MAX:
+    if not _between(0.0, span_ns, _FLOAT_MAX):
         raise DomainError("waveform span must be finite and non-negative")
-    samples = span_ns / period  # inf when the quotient overflows
+    samples = float(span_ns) / period  # inf when the quotient overflows
     if not samples <= MAX_WAVEFORM_SAMPLES:
         count = math.ceil(samples) if math.isfinite(samples) else samples
         raise DomainError(f"waveform has {count} samples, more than {MAX_WAVEFORM_SAMPLES}")
     n = math.ceil(samples)
     t = array("d", _time_axis(n, period))  # a copy: what a caller does to t stays in t
-    # + 0.0 stores a -0.0 floor as 0.0, so samples outside every pulse window
-    # read the same as samples where a pulse's zero tail was added
-    y = array("d", [float(noise_floor) + 0.0]) * n
+    y = array("d", [floor]) * n
     sigma = SIGNAL_FWHM_NS / (2.0 * math.sqrt(2.0 * math.log(2.0)))
     norm = 1.0 / (sigma * math.sqrt(2.0 * math.pi))
     half = 40.0 * sigma
-    last_ds = shape = None
+    last_key = shape = None
+    built = {}  # (scale, (offset, length)) -> samples of an isolated window on a 1 ns grid
+    reach = 0  # y[reach:] is still the floor
     for ev in trace.events:
         if ev.out_energy > 0.0:
             t0 = ev.t_ns
             lo = bisect_left(t, t0 - half)
             hi = bisect_right(t, t0 + half)
-            ds = [ti - t0 for ti in t[lo:hi]]
-            # equal distances give an equal unit Gaussian, so a pulse at the same
-            # offset from the sample grid as the one before (integer-ns times on
-            # a 1 ns grid) reuses it
-            if ds != last_ds:
-                last_ds, shape = ds, [math.exp(-(d * d) / (2.0 * sigma * sigma)) for d in ds]
+            # is_integer() is False for an infinite centre, which int() would refuse
+            on_grid = period == 1.0 and isinstance(t0, float) and t0.is_integer()
+            key = (lo - int(t0), hi - lo) if on_grid else [ti - t0 for ti in t[lo:hi]]
+            if key != last_key:
+                last_key = key
+                shape = [math.exp(-(d * d) / (2.0 * sigma * sigma))
+                         for d in (ti - t0 for ti in t[lo:hi])]
             scale = ev.out_energy * norm
-            y[lo:hi] = array("d", [v + scale * g for v, g in zip(y[lo:hi], shape)])
+            if lo < reach:
+                window = array("d", [v + scale * g for v, g in zip(y[lo:hi], shape)])
+            elif on_grid:
+                window = built.get((scale, key))
+                if window is None:
+                    window = built[scale, key] = array("d", [floor + scale * g for g in shape])
+            else:
+                window = array("d", [floor + scale * g for g in shape])
+            y[lo:hi] = window
+            reach = max(reach, hi)
     return t, y

@@ -821,6 +821,25 @@ class TestRenderWaveform:
         assert np.array_equal(np.asarray(y).view(np.int64), ref.view(np.int64))
 
 
+    @pytest.mark.parametrize("period, floor, span, message", [
+        (Decimal("NaN"), 0.0, None, "sample period must be finite and strictly positive"),
+        (1.0, Decimal("NaN"), None, "noise floor must be finite and non-negative"),
+        (1.0, 0.0, Decimal("NaN"), "waveform span must be finite and non-negative"),
+    ], ids=["period", "floor", "span"])
+    def test_decimal_nan_gets_the_named_error(self, period, floor, span, message):
+        from vapormem.core import Trace
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            engine.render_waveform(Trace(()), period, noise_floor=floor, span_ns=span)
+
+    @pytest.mark.parametrize("span", ["1", "450"])
+    def test_decimal_span_renders_as_its_float(self, span):
+        from vapormem.core import Trace, TraceEvent
+        trace = Trace((TraceEvent(100.0, OpKind.READ, 190.0, 0.5, 0.0),))
+        t, y = engine.render_waveform(trace, 1.0, noise_floor=Decimal("0.003"),
+                                      span_ns=Decimal(span))
+        t_ref, y_ref = engine.render_waveform(trace, 1.0, noise_floor=0.003, span_ns=float(span))
+        assert t.tobytes() == t_ref.tobytes() and y.tobytes() == y_ref.tobytes()
+
 def full_span_render(trace, period, floor, span):
     """The renderer without pulse windows: every pulse is added to every sample.
 
@@ -876,3 +895,42 @@ class TestRenderWindows:
         trace = engine.run_sequence(fresh(), random_program(random.Random(1), 200))
         csv = cli.waveform_csv(*engine.render_waveform(trace, 1.0))
         assert hashlib.sha256(csv.encode()).hexdigest() == PINNED_WAVEFORM_SHA256
+
+    # (centre, energy) on the 1 ns grid, a window reaching about 425 ns each way.
+    # Over a 6000 ns span: 0, 200 and 300 clipped at sample 0 and overlapping;
+    # 1500, 2500, 3500 and 4800 isolated, with 2500 and 4800 repeating 1500's
+    # energy (a built window reused) and 3500 not; 3700 overlapping 3500; 5800
+    # isolated and 5900 overlapping, both clipped at the span with the same
+    # offset and different lengths; 6300 past the span but reaching into it;
+    # 2**53 and beyond, and -2**53, with no sample in reach; 5000 with no
+    # energy. Over 500 ns, 200 and 300 are clipped at both ends: the same
+    # length at different offsets.
+    GRID_PULSES = [(0.0, 1.0), (200.0, 0.4), (300.0, 0.4), (1500.0, 1.0), (2500.0, 1.0),
+                   (3500.0, 0.4), (3700.0, 0.4), (4800.0, 1.0), (5000.0, 0.0), (5800.0, 0.37),
+                   (5900.0, 0.37), (6300.0, 1.0), (2.0 ** 53, 1.0), (2.0 ** 53 + 2.0, 0.4),
+                   (2.0 ** 60, 1.0), (-2.0 ** 53, 1.0)]
+
+    @pytest.mark.parametrize("period", [1.0, 1])
+    @pytest.mark.parametrize("floor", [-0.0, 0.0, 0.003])
+    @pytest.mark.parametrize("order", ["time", "reversed"])
+    @pytest.mark.parametrize("span", [6000.0, 500.0])
+    def test_whole_ns_centres_match_full_span_render(self, period, floor, order, span):
+        from vapormem.core import Trace, TraceEvent
+        pulses = self.GRID_PULSES if order == "time" else self.GRID_PULSES[::-1]
+        trace = Trace(tuple(TraceEvent(t0, OpKind.READ, 190.0, e, 0.0) for t0, e in pulses))
+        t, y = engine.render_waveform(trace, period, noise_floor=floor, span_ns=span)
+        ref = full_span_render(trace, period, floor, span)
+        assert np.array_equal(t, np.arange(len(ref), dtype=float))
+        assert np.array_equal(np.asarray(y).view(np.int64), ref.view(np.int64))
+
+    @pytest.mark.parametrize("centre", [math.inf, -math.inf, 700, 2**53, Fraction(1401, 2),
+                                        Fraction(700), -0.0, 0.0, 700.5],
+                             ids=["inf", "-inf", "int", "int-2**53", "fraction-half",
+                                  "fraction-whole", "-0.0", "0.0", "float-half"])
+    def test_centre_of_any_type_matches_full_span_render(self, centre):
+        from vapormem.core import Trace, TraceEvent
+        trace = Trace(tuple(TraceEvent(t0, OpKind.READ, 190.0, e, 0.0)
+                            for t0, e in [(200.0, 0.4), (centre, 1.0), (1400.0, 0.4)]))
+        _, y = engine.render_waveform(trace, 1.0, noise_floor=0.003, span_ns=1600.0)
+        ref = full_span_render(trace, 1.0, 0.003, 1600.0)
+        assert np.array_equal(np.asarray(y).view(np.int64), ref.view(np.int64))
