@@ -21,6 +21,11 @@ each time its module is imported, and ``dataclasses`` imports
 ``inspect``; every ``vapormem`` command would pay for both at start-up.
 Methods written in the source load already compiled from ``__pycache__``.
 ``fields`` and ``replace`` stand in for their ``dataclasses`` namesakes.
+
+A numeric argument may be any real number that is not text (a float, int,
+Fraction, Decimal or numpy scalar): ``_real`` reads it once, as its float,
+and refuses it with the caller's error outside the argument's range. A rail,
+an identity, is kept as given and read as a number only where it is used as one.
 """
 
 from __future__ import annotations
@@ -72,16 +77,52 @@ def _require(cond: bool, msg: str) -> None:
 
 # how an __init__ sets a field of its instance past _Value.__setattr__
 _set = object.__setattr__
-# the largest finite float; abs(x) <= _FLOAT_MAX is False for NaN, for an
-# infinity and for an int too large for a float
+# the largest finite float, the default bounds of _real
 _FLOAT_MAX = sys.float_info.max
+# the least positive float: as _real's lo, it reads "strictly positive"
+_POSITIVE = 5e-324
+
+
+def _float(x) -> float:
+    """float(x) for a real number x, and NaN for any other: text (which float() parses),
+    None, a complex or a Decimal sNaN.
+
+    An int or Fraction past a float is the infinity of its sign, as float()
+    makes a Decimal past one.
+    """
+    if isinstance(x, (str, bytes, bytearray)):
+        return math.nan
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
+    except (TypeError, ValueError):
+        return math.nan
+
+
+def _real(x, error: type[VaporMemError], message: str, lo: float = -_FLOAT_MAX,
+          hi: float = _FLOAT_MAX) -> float:
+    """x as a float within [lo, hi], or error(message): the one reader of a numeric argument.
+
+    By default the range is every finite float. A NaN of any type and a
+    value that is no number (see ``_float``) fall outside every range; an
+    infinity, or a value past a float, which reads as one, falls outside it
+    unless lo or hi is one. The caller compares and computes on the float
+    it gets back.
+    """
+    if x.__class__ is not float:
+        x = _float(x)
+    if lo <= x <= hi:
+        return x
+    raise error(message)
 
 
 class _Value:
     """Base of the immutable value types.
 
     A subclass names its fields in ``__init__`` order in ``_fields``; its
-    ``__init__`` sets them with ``_assign`` (or ``_set``) and checks them.
+    ``__init__`` sets them with ``_assign``, ``_assign_finite`` or ``_set``
+    and checks them.
     The base gives what ``@dataclass(frozen=True)`` would: assigning or
     deleting an attribute raises AttributeError, equality and hashing
     compare the values ``_key`` returns, only between instances of the same
@@ -100,6 +141,11 @@ class _Value:
         """Set the fields to values, given in ``_fields`` order."""
         for name, value in zip(self._fields, values, strict=True):
             _set(self, name, value)
+
+    def _assign_finite(self, *values) -> None:
+        """Set the fields to values read by ``_real``: ParamError "<field> must be finite"."""
+        for name, value in zip(self._fields, values, strict=True):
+            _set(self, name, _real(value, ParamError, f"{name} must be finite"))
 
     def _key(self) -> tuple:
         """The values equality and hashing compare: every field's."""
@@ -135,7 +181,7 @@ def replace(obj, /, **changes):
     return obj.__class__(**kwargs)
 
 
-def _fmt_number(x: float) -> str:
+def _fmt_number(x) -> str:
     """Shortest plain-decimal rendition (no exponent) that round-trips.
 
     ``+ 0.0`` prints -0.0 as 0, an exponent is expanded through Decimal,
@@ -144,12 +190,10 @@ def _fmt_number(x: float) -> str:
     too large for a float prints its ``as_integer_ratio()`` as ``str``
     prints an int or a Fraction, ``n`` or ``n/d``, but its digits go
     through Decimal too, since ``str`` refuses an int of more than 4300.
+    A value that is no number, such as a str, prints as nan.
     """
-    try:
-        f = float(x) + 0.0
-        if math.isinf(f) and f != x:
-            raise OverflowError  # float() rounds a Decimal past a float to an infinity
-    except OverflowError:
+    f = _float(x) + 0.0
+    if math.isinf(f) and f != x:  # a value past a float
         n, d = x.as_integer_ratio()
         return _plain_decimal(n) if d == 1 else f"{_plain_decimal(n)}/{_plain_decimal(d)}"
     s = repr(f)
@@ -163,24 +207,6 @@ def _plain_decimal(v: int | str) -> str:
     from decimal import Decimal  # imported here to keep it off start-up
 
     return format(Decimal(v), "f").removesuffix(".0")
-
-
-def _between(lo, x, hi) -> bool:
-    """lo <= x <= hi, and False for a NaN of any type: the one NaN-safe comparison.
-
-    A float NaN compares False; a Decimal NaN raises InvalidOperation, an
-    ArithmeticError, which is caught here without importing decimal.
-    """
-    try:
-        return lo <= x <= hi
-    except ArithmeticError:
-        return False
-
-
-def _require_finite(obj) -> None:
-    """Every field of a parameter type must be a finite number."""
-    for name in obj._fields:
-        _require(_between(-_FLOAT_MAX, getattr(obj, name), _FLOAT_MAX), f"{name} must be finite")
 
 
 class PhysicsParams(_Value):
@@ -216,17 +242,18 @@ class PhysicsParams(_Value):
                  w_control: float, w_dep: float, m_dep: int, f_center: float,
                  f_halfband: float, pos_per_mhz: float, t_switch: float,
                  pump_fidelity: float) -> None:
-        self._assign(d0, t_cell, p_buffer, w_signal, w_control, w_dep, m_dep, f_center,
-                     f_halfband, pos_per_mhz, t_switch, pump_fidelity)
-        _require_finite(self)
+        self._assign_finite(d0, t_cell, p_buffer, w_signal, w_control, w_dep, m_dep, f_center,
+                            f_halfband, pos_per_mhz, t_switch, pump_fidelity)
+        if isinstance(m_dep, int):
+            _set(self, "m_dep", m_dep)  # a whole order keeps its int repr
         for name in ("d0", "t_cell", "p_buffer", "w_signal", "w_control", "w_dep",
                      "f_halfband", "pos_per_mhz", "t_switch"):
             _require(getattr(self, name) > 0.0, f"{name} must be strictly positive")
-        _require(0.0 <= pump_fidelity <= 1.0, "pump_fidelity must lie in [0, 1]")
+        _require(0.0 <= self.pump_fidelity <= 1.0, "pump_fidelity must lie in [0, 1]")
         # a component's variance starts at sigma0², which must be a positive float
         _require(0.0 < self.sigma0 * self.sigma0 <= _FLOAT_MAX,
                  "sigma0² = (w_signal / 2)² must be a strictly positive finite float")
-        _require(m_dep >= 1, "m_dep must be at least 1")
+        _require(self.m_dep >= 1, "m_dep must be at least 1")
 
     @property
     def sigma0(self) -> float:
@@ -248,11 +275,10 @@ class RailCalibration(_Value):
 
     def __init__(self, f_rail: float, tau_us: float, tau_err_us: float,
                  eta_mem: float) -> None:
-        self._assign(f_rail, tau_us, tau_err_us, eta_mem)
-        _require_finite(self)
-        _require(tau_us > 0.0, "tau_us must be strictly positive")
-        _require(tau_err_us >= 0.0, "tau_err_us must be non-negative")
-        _require(0.0 < eta_mem <= 1.0, "eta_mem must lie in (0, 1]")
+        self._assign_finite(f_rail, tau_us, tau_err_us, eta_mem)
+        _require(self.tau_us > 0.0, "tau_us must be strictly positive")
+        _require(self.tau_err_us >= 0.0, "tau_err_us must be non-negative")
+        _require(0.0 < self.eta_mem <= 1.0, "eta_mem must lie in (0, 1]")
 
     @property
     def eta_write(self) -> float:
@@ -297,8 +323,8 @@ class SpinWaveComponent(_Value):
     _fields = ("amplitude", "t_birth_ns")
 
     def __init__(self, amplitude: float, t_birth_ns: float) -> None:
-        self._assign(amplitude, t_birth_ns)
-        _require(amplitude >= 0.0, "amplitude must be non-negative")
+        self._assign_finite(amplitude, t_birth_ns)
+        _require(self.amplitude >= 0.0, "amplitude must be non-negative")
 
 
 class Operation(_Value):
@@ -306,19 +332,18 @@ class Operation(_Value):
 
     The one check of an op's values: a time that is not finite and
     non-negative, or a write energy that is not finite and positive,
-    raises ParamError. ``Memory.write``, ``read`` and ``pump`` build one.
+    raises ParamError. Both are stored as floats; the rail, an identity, is
+    kept as given. ``Memory.write``, ``read`` and ``pump`` build one.
     """
 
     _fields = ("t_ns", "kind", "f_rail", "energy")
 
     def __init__(self, t_ns: float, kind: OpKind, f_rail: float, energy: float = 1.0) -> None:
-        _set(self, "t_ns", t_ns)
+        _set(self, "t_ns", _real(t_ns, ParamError, "operation time must be finite and non-negative",
+                                 0.0))
         _set(self, "kind", kind)
         _set(self, "f_rail", f_rail)
-        if not _between(0.0, t_ns, _FLOAT_MAX):
-            raise ParamError("operation time must be finite and non-negative")
-        if not _between(-_FLOAT_MAX, energy, _FLOAT_MAX):
-            raise ParamError("operation energy must be finite")
+        energy = _real(energy, ParamError, "operation energy must be finite")
         if kind is not OpKind.WRITE:
             energy = 1.0  # ignored, so equality and the text format ignore it too
         elif not energy > 0.0:
@@ -370,21 +395,15 @@ class TraceEvent(_Value):
 
     def __init__(self, t_ns: float, kind: OpKind, f_rail: float, out_energy: float,
                  stored_after: float) -> None:
-        _set(self, "t_ns", t_ns)
+        # a time may be infinite: only a NaN is no time
+        _set(self, "t_ns", _real(t_ns, ParamError, "t_ns must not be NaN", -math.inf, math.inf))
         _set(self, "kind", kind)
         _set(self, "f_rail", f_rail)
-        _set(self, "out_energy", out_energy)
-        _set(self, "stored_after", stored_after)
-        # -inf <= t_ns <= inf is False only for NaN
-        if not _between(-math.inf, t_ns, math.inf):
-            raise ParamError("t_ns must not be NaN")
-        if not _between(-_FLOAT_MAX, out_energy, _FLOAT_MAX):
-            raise ParamError("out_energy must be finite")
-        if out_energy < 0.0:
+        _set(self, "out_energy", _real(out_energy, ParamError, "out_energy must be finite"))
+        if self.out_energy < 0.0:
             raise ParamError("out_energy must be non-negative")
-        if not _between(-_FLOAT_MAX, stored_after, _FLOAT_MAX):
-            raise ParamError("stored_after must be finite")
-        if stored_after < 0.0:
+        _set(self, "stored_after", _real(stored_after, ParamError, "stored_after must be finite"))
+        if self.stored_after < 0.0:
             raise ParamError("stored_after must be non-negative")
 
 
@@ -409,10 +428,9 @@ class FitResult(_Value):
     _fields = ("a0", "tau_us", "tau_err_us", "rss")
 
     def __init__(self, a0: float, tau_us: float, tau_err_us: float, rss: float) -> None:
-        self._assign(a0, tau_us, tau_err_us, rss)
-        _require_finite(self)
-        _require(tau_us > 0.0, "fitted tau must be strictly positive")
-        _require(rss >= 0.0, "rss must be non-negative")
+        self._assign_finite(a0, tau_us, tau_err_us, rss)
+        _require(self.tau_us > 0.0, "fitted tau must be strictly positive")
+        _require(self.rss >= 0.0, "rss must be non-negative")
 
 
 def default_params() -> PhysicsParams:

@@ -25,7 +25,7 @@ from itertools import accumulate, repeat
 
 from . import physics, seqlang
 from .core import (
-    _FLOAT_MAX,
+    _POSITIVE,
     DomainError,
     OpKind,
     Operation,
@@ -36,10 +36,10 @@ from .core import (
     TimeOrderError,
     Trace,
     TraceEvent,
-    _between,
     _calibration,
     _fmt_number,
     _rail_table,
+    _real,
 )
 
 NS_PER_US = 1000.0
@@ -264,11 +264,11 @@ def render_waveform(trace: Trace, sample_period_ns: float, noise_floor: float = 
     600 ns past the last event so pulse tails are captured. A sample period
     that is not finite and positive, a span that is not finite and
     non-negative, or a noise floor that is not finite and non-negative
-    (a NaN of any type included) raises DomainError, as does a span of more
-    than ``MAX_WAVEFORM_SAMPLES`` sample periods, before any buffer or time
-    axis is allocated. Each of the three numbers is read as a float once it
-    is known to be in range, so a positive Fraction period that is 0.0 as a
-    float is refused too, and a Decimal renders as its float does.
+    raises DomainError, as does a span of more than ``MAX_WAVEFORM_SAMPLES``
+    sample periods, before any buffer or time axis is allocated. Each of
+    the three numbers is checked as the float ``core._real`` reads, so a
+    positive Fraction period that is 0.0 as a float is refused too, and a
+    Decimal renders as its float does.
 
     ``times_ns`` is a copy of ``_time_axis(n, period)``, which stays cached
     until a render on another grid: n x 8 bytes, 3.2 MB for a 400 us span at
@@ -295,21 +295,16 @@ def render_waveform(trace: Trace, sample_period_ns: float, noise_floor: float = 
     repeats. Those windows do not overlap, so the copies kept take at most
     as many bytes as the waveform.
     """
-    # converted once the range is known: a positive Fraction can still be 0.0 as a float
-    period = float(sample_period_ns) if _between(0.0, sample_period_ns, _FLOAT_MAX) else 0.0
-    if period == 0.0:
-        raise DomainError("sample period must be finite and strictly positive")
-    if not _between(0.0, noise_floor, _FLOAT_MAX):
-        raise DomainError("noise floor must be finite and non-negative")
+    period = _real(sample_period_ns, DomainError,
+                   "sample period must be finite and strictly positive", _POSITIVE)
     # + 0.0 stores a -0.0 floor as 0.0, so samples outside every pulse window
     # read the same as samples where a pulse's zero tail was added
-    floor = float(noise_floor) + 0.0
+    floor = _real(noise_floor, DomainError, "noise floor must be finite and non-negative",
+                  0.0) + 0.0
     if span_ns is None:
-        last = trace.events[-1].t_ns if trace.events else 0.0
-        span_ns = last + 600.0
-    if not _between(0.0, span_ns, _FLOAT_MAX):
-        raise DomainError("waveform span must be finite and non-negative")
-    samples = float(span_ns) / period  # inf when the quotient overflows
+        span_ns = (trace.events[-1].t_ns if trace.events else 0.0) + 600.0
+    span = _real(span_ns, DomainError, "waveform span must be finite and non-negative", 0.0)
+    samples = span / period  # inf when the quotient overflows
     if not samples <= MAX_WAVEFORM_SAMPLES:
         count = math.ceil(samples) if math.isfinite(samples) else samples
         raise DomainError(f"waveform has {count} samples, more than {MAX_WAVEFORM_SAMPLES}")
@@ -328,7 +323,7 @@ def render_waveform(trace: Trace, sample_period_ns: float, noise_floor: float = 
             lo = bisect_left(t, t0 - half)
             hi = bisect_right(t, t0 + half)
             # is_integer() is False for an infinite centre, which int() would refuse
-            on_grid = period == 1.0 and isinstance(t0, float) and t0.is_integer()
+            on_grid = period == 1.0 and t0.is_integer()
             key = (lo - int(t0), hi - lo) if on_grid else [ti - t0 for ti in t[lo:hi]]
             if key != last_key:
                 last_key = key

@@ -18,7 +18,7 @@ from collections.abc import Iterable, Sequence as SeqABC
 
 from . import engine, physics
 from .core import (
-    _FLOAT_MAX,
+    _POSITIVE,
     DomainError,
     FitResult,
     OpKind,
@@ -31,7 +31,9 @@ from .core import (
     VaporMemError,
     _Value,
     _calibration,
+    _fmt_number,
     _rail_table,
+    _real,
     replace,
 )
 
@@ -78,13 +80,13 @@ def scan_grid(first: float, last: float, step: float) -> tuple[float, ...]:
     A grid of more than ``MAX_SCAN_POINTS`` points, a bound that is not
     finite, a step that is not positive and first > last raise DomainError.
     """
-    if not all(abs(v) <= _FLOAT_MAX for v in (first, last, step)):
-        raise DomainError("scan min, max and step must be finite")
+    first, last, step = (_real(v, DomainError, "scan min, max and step must be finite")
+                         for v in (first, last, step))
     if step <= 0.0:
         raise DomainError("scan step must be strictly positive")
     if first > last:
         raise DomainError("scan min must not exceed max")
-    parts = [_decimal(float(v)) for v in (first, last, step)]
+    parts = [_decimal(v) for v in (first, last, step)]
     scale = min(0, *(e for _, e in parts))  # every bound is an integer / 10**-scale
     lo, hi, d = (m * 10 ** (e - scale) for m, e in parts)
     n = (hi - lo) // d + 1
@@ -163,10 +165,10 @@ def scan_crosstalk(params: PhysicsParams, rails_cal: Iterable[RailCalibration],
     finite raises DomainError before any point runs.
     """
     base = _calibration(_rail_table(rails_cal), CROSSTALK_WRITE_RAIL_MHZ)
-    if not all(abs(sep) <= _FLOAT_MAX for sep in separations_mhz):
-        raise DomainError("separations must be finite")
+    separations = [_real(sep, DomainError, "separations must be finite")
+                   for sep in separations_mhz]
     peak1, peak2 = [], []
-    for sep in separations_mhz:
+    for sep in separations:
         if sep == 0.0:
             mem = engine.Memory(params, [base])
             read_rail = CROSSTALK_WRITE_RAIL_MHZ
@@ -177,7 +179,7 @@ def scan_crosstalk(params: PhysicsParams, rails_cal: Iterable[RailCalibration],
         mem.write(CROSSTALK_WRITE_RAIL_MHZ, 0.0, 1.0)
         peak1.append(mem.read(read_rail, 400.0))
         peak2.append(mem.read(CROSSTALK_WRITE_RAIL_MHZ, 800.0))
-    return ScanResult("separation_mhz", tuple(float(s) for s in separations_mhz),
+    return ScanResult("separation_mhz", tuple(separations),
                       {"peak1": tuple(peak1), "peak2": tuple(peak2)})
 
 
@@ -192,16 +194,17 @@ def scan_lifetime(params: PhysicsParams, rails_cal: Iterable[RailCalibration],
     raise DomainError before any point runs.
     """
     cal = _calibration(_rail_table(rails_cal), f_rail)
-    # b <= _FLOAT_MAX bounds an int past a float before the product converts it
-    if not all(a < b <= _FLOAT_MAX and b * engine.NS_PER_US < math.inf
-               for a, b in zip((0.0, *delays_us), delays_us)):
-        raise DomainError("delays must be positive, strictly ascending and finite in ns")
+    message = "delays must be positive, strictly ascending and finite in ns"
+    delays = [_real(delay, DomainError, message) for delay in delays_us]
+    if not all(a < b and b * engine.NS_PER_US < math.inf
+               for a, b in zip((0.0, *delays), delays)):
+        raise DomainError(message)
     retrieved = []
-    for delay in delays_us:
+    for delay in delays:
         mem = engine.Memory(params, [cal])
         mem.write(f_rail, 0.0, 1.0)
         retrieved.append(mem.read(f_rail, delay * engine.NS_PER_US))
-    return ScanResult("delay_us", tuple(float(d) for d in delays_us),
+    return ScanResult("delay_us", tuple(delays),
                       {"retrieved": tuple(retrieved)})
 
 
@@ -231,11 +234,9 @@ def fit_exponential(points: Iterable[tuple[float, float]]) -> FitResult:
     pts = [(t, y) for t, y in points]
     if len(pts) < 3:
         raise FitError("need at least 3 points to fit")
-    # abs() bounds an int past a float, which float() could not convert
-    if not all(abs(t) <= _FLOAT_MAX and abs(y) <= _FLOAT_MAX for t, y in pts):
-        raise FitError("times and energies must be finite")
-    ts = [float(t) for t, _ in pts]
-    ys = [float(y) for _, y in pts]
+    message = "times and energies must be finite"
+    ts = [_real(t, FitError, message) for t, _ in pts]
+    ys = [_real(y, FitError, message) for _, y in pts]
     if any(y <= 0.0 for y in ys):
         raise FitError("all energies must be strictly positive")
     # the relative-residual weight 1/y overflows for a subnormal energy
@@ -367,19 +368,17 @@ def extrapolate_efficiency(e_read: float, t_read_us: float, tau_us: float) -> fl
 
     Undoes the storage decay over t_read: eta = e_read * exp(t_read / tau).
     Energies are in units of the normalization pulse, so e_read needs no
-    further normalization. A NaN argument, or an eta that is not a finite
-    float, raises DomainError.
+    further normalization. An argument that is not finite, or an eta
+    that is not a finite float, raises DomainError.
     """
-    if not (e_read > 0.0 and tau_us > 0.0 and t_read_us >= 0.0):
-        raise DomainError("energy and lifetime must be strictly positive, "
-                          "read time non-negative")
+    message = "energy and lifetime must be strictly positive, read time non-negative"
+    e, t, tau = (_real(v, DomainError, message, lo) for v, lo in
+                 ((e_read, _POSITIVE), (t_read_us, 0.0), (tau_us, _POSITIVE)))
     try:
-        eta = e_read * math.exp(t_read_us / tau_us)
-        if math.isfinite(eta):
-            return eta
+        eta = e * math.exp(t / tau)
     except OverflowError:
-        pass
-    raise DomainError("extrapolated efficiency must be a finite float")
+        eta = math.inf
+    return _real(eta, DomainError, "extrapolated efficiency must be a finite float")
 
 
 def weighted_mean(values: SeqABC[float], sigmas: SeqABC[float]) -> tuple[float, float]:
@@ -388,21 +387,18 @@ def weighted_mean(values: SeqABC[float], sigmas: SeqABC[float]) -> tuple[float, 
         raise DomainError("values and sigmas must have equal length")
     if not values:
         raise DomainError("need at least one value")
-    if not all(s > 0.0 for s in sigmas):
-        raise DomainError("sigmas must be strictly positive")
-    # abs() bounds an int past a float before the arithmetic below converts it
-    if not all(abs(v) <= _FLOAT_MAX for v in (*values, *sigmas)):
-        raise DomainError("values and sigmas must be finite")
+    sigmas = [_real(s, DomainError, "sigmas must be strictly positive", _POSITIVE, math.inf)
+              for s in sigmas]
+    message = "values and sigmas must be finite"
+    values, sigmas = ([_real(v, DomainError, message) for v in vs] for vs in (values, sigmas))
     # s * s underflows to 0 for a tiny sigma (1/(s * s) overflows for a slightly
     # larger one) and overflows to inf for a huge one
     weights = [1.0 / (s * s) if s * s > 0.0 else math.inf for s in sigmas]
     total = sum(weights)
     if not 0.0 < total < math.inf:
         raise DomainError("weights 1/sigma² must be finite and not all zero")
-    mean = sum(w * x for w, x in zip(weights, values)) / total
-    if not math.isfinite(mean):  # a NaN or infinite value, or an overflow
-        raise DomainError("weighted mean must be a finite float")
-    return mean, 1.0 / math.sqrt(total)
+    mean = sum(w * x for w, x in zip(weights, values)) / total  # inf or NaN on an overflow
+    return _real(mean, DomainError, "weighted mean must be a finite float"), 1.0 / math.sqrt(total)
 
 
 def random_access_sequence() -> Sequence:
@@ -518,28 +514,28 @@ def monte_carlo_overlaps(params: PhysicsParams, n_atoms: int,
     """
     import numpy as np
 
-    points = [(d, t) for d, t in points]
-    if n_atoms < 1000:
+    # an infinite count, or one past a float, is more than the cap
+    count = _real(n_atoms, DomainError, f"{_fmt_number(n_atoms)} atoms is not a whole number",
+                  -math.inf, math.inf)
+    if count < 1000:
         raise DomainError("need at least 1e3 atoms for a meaningful estimate")
-    if n_atoms > MAX_ORACLE_ATOMS:
-        raise DomainError(f"{n_atoms} atoms are more than {MAX_ORACLE_ATOMS}")
-    if not n_atoms % 1 == 0:  # NaN % 1 is NaN
-        raise DomainError(f"{n_atoms} atoms is not a whole number")
+    if count > MAX_ORACLE_ATOMS:
+        raise DomainError(f"{_fmt_number(n_atoms)} atoms are more than {MAX_ORACLE_ATOMS}")
+    if not count.is_integer():
+        raise DomainError(f"{_fmt_number(n_atoms)} atoms is not a whole number")
     if not isinstance(seed, (int, np.integer)):
         raise DomainError(f"seed {seed!r} is not an integer")
     if seed < 0:
         raise DomainError(f"seed {seed} is negative; it must be a non-negative integer")
-    if not all(t >= 0.0 for _, t in points):
-        raise DomainError("time must be non-negative")
-    # abs() bounds an int past a float, which float() could not convert
-    if not all(abs(d) <= _FLOAT_MAX and t <= _FLOAT_MAX for d, t in points):
-        raise DomainError("displacements and times must be finite")
-    points = [(float(d), float(t)) for d, t in points]
+    points = [(d, _real(t, DomainError, "time must be non-negative", 0.0, math.inf))
+              for d, t in points]
+    message = "displacements and times must be finite"
+    points = [(_real(d, DomainError, message), _real(t, DomainError, message)) for d, t in points]
     diff = physics.diffusion_coefficient(params)
     # the per-axis step of each distinct time, in order of first appearance
     steps = {t: math.sqrt(physics.spread_variance_um2(0.0, t, diff)) for _, t in points}
     two_v = 2.0 * physics.read_sampling_variance_um2(params)
-    n = int(n_atoms)
+    n = int(count)
     x, y, w = np.empty(n), np.empty(n), np.empty(n)
     means = {}
     for t, step in steps.items():

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 
-from .core import _FLOAT_MAX, DomainError, OutOfBandError, PhysicsParams, _between, _fmt_number
+from .core import _POSITIVE, DomainError, OutOfBandError, PhysicsParams, _fmt_number, _real
 
 # variance growth conversion: 1 cm^2/s = 1e8 um^2/s = 100 um^2/us
 _CM2_PER_S_TO_UM2_PER_US = 100.0
@@ -32,9 +32,8 @@ def diffusion_coefficient(p: PhysicsParams) -> float:
         diff = p.d0 * (P_REF_TORR / p.p_buffer) * (p.t_cell / T_REF_K) ** 1.5
     except OverflowError:
         diff = math.inf
-    if not math.isfinite(2.0 * diff * _CM2_PER_S_TO_UM2_PER_US):
-        raise DomainError("diffusion coefficient D and its variance growth 2 D "
-                          "must be finite floats")
+    _real(2.0 * diff * _CM2_PER_S_TO_UM2_PER_US, DomainError,
+          "diffusion coefficient D and its variance growth 2 D must be finite floats")
     return diff
 
 
@@ -44,21 +43,18 @@ def transit_time_us(delta_x_um: float, d_cm2_s: float) -> float:
     Inverts the 2D diffusion length relation delta_x = sqrt(4 D t). Raises
     DomainError when the time is not a finite positive float.
     """
-    if not (0.0 < delta_x_um <= _FLOAT_MAX and 0.0 < d_cm2_s <= _FLOAT_MAX):
-        raise DomainError("distance and diffusion coefficient must be finite and positive")
+    dx, d = (_real(v, DomainError, "distance and diffusion coefficient must be finite and "
+                   "positive", _POSITIVE) for v in (delta_x_um, d_cm2_s))
     # um^2 / (um^2/us): 4*D in um^2/us is 4*D*100
-    t = delta_x_um * delta_x_um / (4.0 * d_cm2_s * _CM2_PER_S_TO_UM2_PER_US)
-    if not 0.0 < t <= _FLOAT_MAX:
-        raise DomainError("transit time must be a finite positive float")
-    return t
+    t = dx * dx / (4.0 * d * _CM2_PER_S_TO_UM2_PER_US)
+    return _real(t, DomainError, "transit time must be a finite positive float", _POSITIVE)
 
 
-def _require_in_band(f_mhz: float, p: PhysicsParams) -> None:
-    """The one band check: OutOfBandError, in E002's words, for a rail outside the band."""
+def _require_in_band(f_mhz: float, p: PhysicsParams) -> float:
+    """The one band check: a rail's float, or OutOfBandError, in E002's words, outside the band."""
     lo, hi = p.f_center - p.f_halfband, p.f_center + p.f_halfband
-    if not _between(lo, f_mhz, hi):
-        raise OutOfBandError(f"rail {_fmt_number(f_mhz)} MHz outside deflector band "
-                             f"[{_fmt_number(lo)}, {_fmt_number(hi)}] MHz")
+    return _real(f_mhz, OutOfBandError, f"rail {_fmt_number(f_mhz)} MHz outside deflector band "
+                 f"[{_fmt_number(lo)}, {_fmt_number(hi)}] MHz", lo, hi)
 
 
 def rail_position_um(f_mhz: float, p: PhysicsParams) -> float:
@@ -67,11 +63,9 @@ def rail_position_um(f_mhz: float, p: PhysicsParams) -> float:
     Raises OutOfBandError for a frequency outside the deflector band and
     DomainError for a position that is not a finite float.
     """
-    _require_in_band(f_mhz, p)
-    x = (f_mhz - p.f_center) * p.pos_per_mhz
-    if not math.isfinite(x):
-        raise DomainError(f"beam position of rail {_fmt_number(f_mhz)} MHz must be a finite float")
-    return x
+    x = (_require_in_band(f_mhz, p) - p.f_center) * p.pos_per_mhz
+    return _real(x, DomainError, f"beam position of rail {_fmt_number(f_mhz)} MHz must be a "
+                 "finite float")
 
 
 def aod_efficiency(f_mhz: float, p: PhysicsParams) -> float:
@@ -81,23 +75,19 @@ def aod_efficiency(f_mhz: float, p: PhysicsParams) -> float:
     the band edges. Not folded into the storage model, nor a parameter: the
     measured per-rail efficiencies already include it.
     """
-    _require_in_band(f_mhz, p)
-    x = (f_mhz - p.f_center) / p.f_halfband
+    x = (_require_in_band(f_mhz, p) - p.f_center) / p.f_halfband
     return 1.0 - AOD_EDGE_LOSS * x * x
 
 
 def spread_variance_um2(s2_um2: float, dt_us: float, d_cm2_s: float) -> float:
     """Per-axis Gaussian variance after dt of free diffusion: s2 + 2 D dt."""
-    if s2_um2 < 0.0:
+    message = "spread variance must be a finite float"
+    s2, dt, d = (_real(v, DomainError, message) for v in (s2_um2, dt_us, d_cm2_s))
+    if s2 < 0.0:
         raise DomainError("variance must be non-negative")
-    if dt_us < 0.0:
+    if dt < 0.0:
         raise DomainError("elapsed time must be non-negative")
-    # abs() bounds an int past a float without the conversion _spread makes
-    finite = all(abs(v) <= _FLOAT_MAX for v in (s2_um2, dt_us, d_cm2_s))
-    s2 = _spread(s2_um2, dt_us, d_cm2_s) if finite else math.inf
-    if not math.isfinite(s2):
-        raise DomainError("spread variance must be a finite float")
-    return s2
+    return _real(_spread(s2, dt, d), DomainError, message)
 
 
 def _spread(s2_um2: float, dt_us: float, d_cm2_s: float) -> float:
@@ -124,10 +114,8 @@ def read_sampling_variance_um2(p: PhysicsParams) -> float:
         v = v_control * v_signal / (v_control + v_signal)
     except OverflowError:
         v = math.inf
-    if not math.isfinite(v):
-        raise DomainError("read sampling variance from w_signal and w_control "
-                          "must be a finite float")
-    return v
+    return _real(v, DomainError,
+                 "read sampling variance from w_signal and w_control must be a finite float")
 
 
 def overlap_factor(d_um: float, s2_um2: float, p: PhysicsParams) -> float:
@@ -138,9 +126,9 @@ def overlap_factor(d_um: float, s2_um2: float, p: PhysicsParams) -> float:
     Equals 1 iff d = 0; grows toward 1 with s2 for fixed d != 0 as the
     spreading component reaches the displaced read beam.
     """
-    if not (0.0 <= s2_um2 <= _FLOAT_MAX and abs(d_um) <= _FLOAT_MAX):
-        raise DomainError("variance must be finite and non-negative, and displacement finite")
-    return _overlap(d_um, s2_um2, read_sampling_variance_um2(p))
+    message = "variance must be finite and non-negative, and displacement finite"
+    s2 = _real(s2_um2, DomainError, message, 0.0)
+    return _overlap(_real(d_um, DomainError, message), s2, read_sampling_variance_um2(p))
 
 
 def _overlap(d_um: float, s2_um2: float, v_um2: float) -> float:
@@ -160,9 +148,7 @@ def depletion_fraction(d_um: float, p: PhysicsParams) -> float:
     (and much flatter than) the retrieval overlap. Beyond w_dep a high
     order makes the power overflow a float, and exp(-huge) is 0.0.
     """
-    if not abs(d_um) <= _FLOAT_MAX:
-        raise DomainError("distance must be finite, not NaN or infinite")
-    x = abs(d_um) / p.w_dep
+    x = abs(_real(d_um, DomainError, "distance must be finite, not NaN or infinite")) / p.w_dep
     # a float exponent is inf, not an error, when 2 * m_dep is beyond a float
     try:
         return math.exp(-(x ** (2.0 * p.m_dep)))

@@ -48,7 +48,6 @@ from operator import attrgetter, itemgetter
 
 from . import physics
 from .core import (
-    _FLOAT_MAX,
     OpKind,
     OutOfBandError,
     Operation,
@@ -60,8 +59,10 @@ from .core import (
     VaporMemError,
     _Value,
     _calibration,
+    _float,
     _fmt_number,
     _rail_table,
+    _real,
 )
 
 # declared rails closer than this warn about cross-talk (W001)
@@ -298,22 +299,22 @@ def format_sequence(seq: Sequence) -> str:
     Times are printed in ns, as integers when exact; the default write
     energy 1.0 is omitted. A sequence the text cannot hold raises
     ParamError: one whose name is not one whitespace-free token without
-    ``#``, with a rail that is not finite and non-negative, or with a rail,
-    time or energy that no float equals (the text is parsed to floats).
+    ``#``, or with a rail that is not a finite non-negative float. A rail
+    is kept as given, and the text is parsed to floats, so a rail that no
+    float equals (``2**53 + 1``) is refused too; an Operation's time and
+    energy are floats already.
     """
     name = seq.name
     if not (isinstance(name, str) and "#" not in name and name.split() == [name]):
         raise ParamError(f"sequence name {name!r} is not one token without '#'")
     for f in seq.rails:
-        if not (0.0 <= f <= _FLOAT_MAX and float(f) == f):
-            raise ParamError(f"rail {_fmt_number(f)} is not a finite non-negative float")
+        message = f"rail {_fmt_number(f)} is not a finite non-negative float"
+        if _real(f, ParamError, message, 0.0) != f:
+            raise ParamError(message)
     lines = [f"SEQUENCE {name}"]
     if seq.rails:
         lines.append("RAILS " + " ".join(f"{_fmt_number(f)}MHz" for f in seq.rails))
     for op in seq.ops:
-        # Operation bounds both to a float's range, so float() cannot overflow
-        if float(op.t_ns) != op.t_ns or float(op.energy) != op.energy:
-            raise ParamError(f"no float equals time {op.t_ns!r} ns or energy {op.energy!r}")
         parts = [f"AT {_fmt_number(op.t_ns)}ns", op.kind.value, f"{_fmt_number(op.f_rail)}MHz"]
         if op.kind is OpKind.WRITE and op.energy != 1.0:
             parts.append(_fmt_number(op.energy))
@@ -362,7 +363,8 @@ def validate(program: Sequence | Reader, p: PhysicsParams,
             except UnknownRailError as exc:
                 diags.append(Diagnostic("E003", rails_line, str(exc)))
 
-    rails_sorted = sorted(program.rails)
+    # W001 measures the rails that are finite floats; E002 names every other
+    rails_sorted = sorted(x for x in map(_float, program.rails) if math.isfinite(x))
     for a, b in zip(rails_sorted, rails_sorted[1:]):
         if b - a < MIN_CROSSTALK_FREE_SEPARATION_MHZ:
             diags.append(Diagnostic("W001", rails_line, f"rails {_fmt_number(a)} and "

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from vapormem import core, physics
+from vapormem import core, engine, harness, physics, seqlang
 from vapormem.core import (
     DomainError,
     DuplicateRailError,
@@ -186,6 +186,192 @@ PER_OP_REJECTIONS = [
     ]
     for name, value in bad
 ]
+
+# every public numeric argument is read by core._real, so each of these
+# values, none a float in a finite range (the last is text), raises the
+# function's named error with its sentence. (id, value, whether it reads as
+# an infinity)
+NO_FLOAT_IN_RANGE = [
+    ("nan", math.nan, False), ("inf", math.inf, True), ("10**400", 10**400, True),
+    ("Decimal-NaN", Decimal("NaN"), False), ("Decimal-sNaN", Decimal("sNaN"), False),
+    ("Decimal-1e400", Decimal("1e400"), True), ("Fraction-10**5000", Fraction(10**5000), True),
+    ("text", "1.0", False),
+]
+_P, _RAILS = default_params(), default_rails()
+_CAL = _RAILS[1]  # 190 MHz
+_EMPTY = Trace(())
+
+
+def _fresh():
+    return engine.Memory(_P, _RAILS)
+
+
+def _argument(name, call, error, message, infinite=None):
+    """A row: the call with x as the argument, and, as regexes, the sentence for
+    a NaN and the one for an infinity if it differs (False where one is taken)."""
+    return (name, call, error, message, message if infinite is None else infinite)
+
+
+NUMBER_ARGUMENTS = [
+    *[_argument(f"PhysicsParams-{f}", lambda x, f=f: core.replace(_P, **{f: x}), ParamError,
+                f"^{f} must be finite$") for f in core.fields(PhysicsParams)],
+    *[_argument(f"RailCalibration-{f}", lambda x, f=f: core.replace(_CAL, **{f: x}), ParamError,
+                f"^{f} must be finite$") for f in core.fields(RailCalibration)],
+    *[_argument(f"FitResult-{f}", lambda x, f=f: FitResult(**{**dict(
+        a0=1.0, tau_us=3.3, tau_err_us=0.1, rss=0.0), f: x}), ParamError, f"^{f} must be finite$")
+      for f in core.fields(FitResult)],
+    _argument("SpinWaveComponent-amplitude", lambda x: SpinWaveComponent(x, 0.0), ParamError,
+              "^amplitude must be finite$"),
+    _argument("SpinWaveComponent-t_birth_ns", lambda x: SpinWaveComponent(0.5, x), ParamError,
+              "^t_birth_ns must be finite$"),
+    _argument("Operation-t_ns", lambda x: Operation(x, OpKind.READ, 190.0), ParamError,
+              "^operation time must be finite and non-negative$"),
+    *[_argument(f"Operation-{kind.value}-energy", lambda x, k=kind: Operation(0.0, k, 190.0, x),
+                ParamError, "^operation energy must be finite$") for kind in OpKind],
+    _argument("TraceEvent-t_ns", lambda x: TraceEvent(x, OpKind.READ, 190.0, 0.5, 0.0),
+              ParamError, "^t_ns must not be NaN$", infinite=False),
+    _argument("TraceEvent-out_energy", lambda x: TraceEvent(0.0, OpKind.READ, 190.0, x, 0.0),
+              ParamError, "^out_energy must be finite$"),
+    _argument("TraceEvent-stored_after", lambda x: TraceEvent(0.0, OpKind.READ, 190.0, 0.5, x),
+              ParamError, "^stored_after must be finite$"),
+    *[_argument(f"transit_time_us-{i}", lambda x, i=i: physics.transit_time_us(
+        *[(x if j == i else 270.0) for j in range(2)]), DomainError,
+        "^distance and diffusion coefficient must be finite and positive$") for i in range(2)],
+    *[_argument(f"{f.__name__}-f_mhz", lambda x, f=f: f(x, _P), OutOfBandError,
+                r"^rail .+ MHz outside deflector band \[150, 250\] MHz$")
+      for f in (physics.rail_position_um, physics.aod_efficiency)],
+    *[_argument(f"spread_variance_um2-{i}", lambda x, i=i: physics.spread_variance_um2(
+        *[(x if j == i else 1.0) for j in range(3)]), DomainError,
+        "^spread variance must be a finite float$") for i in range(3)],
+    *[_argument(f"overlap_factor-{i}", lambda x, i=i: physics.overlap_factor(
+        *[(x if j == i else 1.0) for j in range(2)], _P), DomainError,
+        "^variance must be finite and non-negative, and displacement finite$") for i in range(2)],
+    _argument("depletion_fraction-d_um", lambda x: physics.depletion_fraction(x, _P),
+              DomainError, "^distance must be finite, not NaN or infinite$"),
+    *[_argument(f"Memory.{method}-t_ns", lambda x, m=method: getattr(_fresh(), m)(190.0, x),
+                ParamError, "^operation time must be finite and non-negative$")
+      for method in ("write", "read", "pump")],
+    _argument("Memory.write-energy", lambda x: _fresh().write(190.0, 0.0, x), ParamError,
+              "^operation energy must be finite$"),
+    _argument("render_waveform-sample_period_ns", lambda x: engine.render_waveform(_EMPTY, x),
+              DomainError, "^sample period must be finite and strictly positive$"),
+    _argument("render_waveform-noise_floor",
+              lambda x: engine.render_waveform(_EMPTY, 1.0, noise_floor=x), DomainError,
+              "^noise floor must be finite and non-negative$"),
+    _argument("render_waveform-span_ns", lambda x: engine.render_waveform(_EMPTY, 1.0, span_ns=x),
+              DomainError, "^waveform span must be finite and non-negative$"),
+    *[_argument(f"scan_grid-{i}", lambda x, i=i: harness.scan_grid(
+        *[(x if j == i else (0.0, 1.0, 1.0)[j]) for j in range(3)]), DomainError,
+        "^scan min, max and step must be finite$") for i in range(3)],
+    _argument("scan_crosstalk-separation", lambda x: harness.scan_crosstalk(_P, _RAILS, [0.0, x]),
+              DomainError, "^separations must be finite$"),
+    _argument("scan_lifetime-delay",
+              lambda x: harness.scan_lifetime(_P, _RAILS, 190.0, [0.4, x]), DomainError,
+              "^delays must be positive, strictly ascending and finite in ns$"),
+    *[_argument(f"fit_exponential-{i}", lambda x, i=i: harness.fit_exponential(
+        [(0.4, 1.0), tuple(x if j == i else (0.8, 0.5)[j] for j in range(2)), (1.2, 0.3)]),
+        harness.FitError, "^times and energies must be finite$") for i in range(2)],
+    *[_argument(f"extrapolate_efficiency-{i}", lambda x, i=i: harness.extrapolate_efficiency(
+        *[(x if j == i else (0.3, 0.4, 5.4)[j]) for j in range(3)]), DomainError,
+        "^energy and lifetime must be strictly positive, read time non-negative$")
+      for i in range(3)],
+    _argument("weighted_mean-value", lambda x: harness.weighted_mean([1.0, x], [1.0, 1.0]),
+              DomainError, "^values and sigmas must be finite$"),
+    _argument("weighted_mean-sigma", lambda x: harness.weighted_mean([1.0, 2.0], [1.0, x]),
+              DomainError, "^sigmas must be strictly positive$",
+              infinite="^values and sigmas must be finite$"),
+    _argument("monte_carlo_overlaps-n_atoms",
+              lambda x: harness.monte_carlo_overlaps(_P, x, [(0.0, 0.4)], 1), DomainError,
+              "^.+ atoms is not a whole number$", infinite="^.+ atoms are more than 10000000$"),
+    _argument("monte_carlo_overlaps-d_um",
+              lambda x: harness.monte_carlo_overlaps(_P, 1000, [(0.0, 0.4), (x, 0.4)], 1),
+              DomainError, "^displacements and times must be finite$"),
+    _argument("monte_carlo_overlaps-t_us",
+              lambda x: harness.monte_carlo_overlaps(_P, 1000, [(0.0, x)], 1), DomainError,
+              "^time must be non-negative$", infinite="^displacements and times must be finite$"),
+    _argument("monte_carlo_overlap-d_um",
+              lambda x: harness.monte_carlo_overlap(_P, 1000, x, 0.4, 1), DomainError,
+              "^displacements and times must be finite$"),
+]
+# a rail is an identity, kept as given, and named by core._fmt_number; a
+# Decimal sNaN cannot be hashed, so no rail table or Sequence holds one
+NO_CALIBRATION = r"^rail .+ MHz has no calibration \(calibrated rails: 170, 190, 210, 230 MHz\)$"
+RAIL_ARGUMENTS = [
+    *[_argument(f"Memory.{method}-f_rail", lambda x, m=method: getattr(_fresh(), m)(x, 0.0),
+                UnknownRailError, NO_CALIBRATION) for method in ("write", "read", "pump")],
+    _argument("Memory.stored_on-f_rail", lambda x: _fresh().stored_on(x), UnknownRailError,
+              NO_CALIBRATION),
+    _argument("scan_lifetime-f_rail", lambda x: harness.scan_lifetime(_P, _RAILS, x, [0.4]),
+              UnknownRailError, NO_CALIBRATION),
+    _argument("Sequence-undeclared-f_rail",
+              lambda x: Sequence("s", (190.0,), (Operation(0.0, OpKind.WRITE, x),)),
+              UnknownRailError, "^operation at 0.0 ns uses undeclared rail .+ MHz$"),
+    _argument("format_sequence-rail", lambda x: seqlang.format_sequence(Sequence("s", (x,), ())),
+              ParamError, "^rail .+ is not a finite non-negative float$"),
+]
+HASHABLE = [v for v in NO_FLOAT_IN_RANGE if v[0] != "Decimal-sNaN"]
+
+
+def _number_cases(arguments, values):
+    return [pytest.param(call, error, infinite if is_inf else message, value,
+                         id=f"{name}-{value_id}")
+            for name, call, error, message, infinite in arguments
+            for value_id, value, is_inf in values]
+
+
+@pytest.mark.parametrize("call,error,message,value",
+                         _number_cases(NUMBER_ARGUMENTS, NO_FLOAT_IN_RANGE)
+                         + _number_cases(RAIL_ARGUMENTS, HASHABLE))
+def test_number_argument_refused_with_its_named_error(call, error, message, value):
+    if message is False:  # the argument takes an infinity
+        call(value)
+        return
+    with pytest.raises(error, match=message) as raised:
+        call(value)
+    assert type(raised.value) is error
+
+
+# a lower bound given to core._real, at a value just below it, where a
+# later check in the same call would refuse it with another sentence
+@pytest.mark.parametrize("call,message", [
+    (lambda: physics.overlap_factor(270.0, -1.0, _P),
+     "^variance must be finite and non-negative, and displacement finite$"),
+    (lambda: harness.monte_carlo_overlaps(_P, 1000, [(0.0, -0.4)], 1),
+     "^time must be non-negative$"),
+], ids=["overlap_factor-variance", "monte_carlo_overlaps-time"])
+def test_lower_bound_refused_with_its_sentence(call, message):
+    with pytest.raises(DomainError, match=message):
+        call()
+
+
+@pytest.mark.parametrize("rail", [pytest.param(v, id=i) for i, v, _ in HASHABLE])
+def test_validate_reports_a_rail_no_float_is_and_measures_the_others(rail):
+    # between the two it measures, where a NaN would split a sort
+    diags = seqlang.validate(Sequence("s", (190.0, rail, 198.0), ()), _P)
+    assert [(d.code, d.message) for d in diags] == [
+        ("E002", f"rail {core._fmt_number(rail)} MHz outside deflector band [150, 250] MHz"),
+        ("W001", "rails 190 and 198 MHz are separated by 8 MHz, below the cross-talk-free "
+                 "20 MHz")]
+
+
+def test_numbers_of_any_type_give_the_trace_of_their_floats():
+    params = core.replace(_P, w_signal=Decimal("270"))
+    assert params == _P and repr(params) == repr(_P)
+
+    def program(energy):
+        return Sequence("s", (190.0,), (Operation(0.0, OpKind.WRITE, 190.0, energy),
+                                        Operation(Fraction(400), OpKind.READ, 190.0)))
+
+    want = engine.run_sequence(_fresh(), program(0.5))
+    got = engine.run_sequence(engine.Memory(params, _RAILS), program(Fraction(1, 2)))
+    assert got == want and repr(got) == repr(want)
+    # a Python-built event renders as its floats do
+    t_ref, y_ref = engine.render_waveform(Trace((TraceEvent(100.0, OpKind.READ, 190.0, 0.5, 0.0),)),
+                                          1.0)
+    for event in (TraceEvent(Decimal("100"), OpKind.READ, 190.0, 0.5, 0.0),
+                  TraceEvent(100.0, OpKind.READ, 190.0, Decimal("0.5"), 0.0)):
+        t, y = engine.render_waveform(Trace((event,)), 1.0)
+        assert t.tobytes() == t_ref.tobytes() and y.tobytes() == y_ref.tobytes()
 
 
 class TestOperationAndSequence:

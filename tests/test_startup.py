@@ -62,7 +62,7 @@ for argv in {commands!r}:
 print((before, sorted(sys.modules)))
 """
 # modules that importing vapormem and its numpy-free commands must not load
-STARTUP_FREE = {"dataclasses", "inspect", "typing", "numpy", "decimal", "fractions",
+STARTUP_FREE = {"dataclasses", "inspect", "typing", "numpy", "decimal", "fractions", "numbers",
                 "argparse", "gettext", "locale"}
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
