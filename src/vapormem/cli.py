@@ -45,6 +45,7 @@ import os
 import sys
 from array import array
 from itertools import chain
+from operator import attrgetter
 from types import SimpleNamespace
 
 from . import engine, harness, physics, seqlang
@@ -172,11 +173,14 @@ def configured(config_path: str | None) -> tuple[PhysicsParams, tuple[RailCalibr
 
 
 def trace_csv(trace: Trace) -> str:
-    lines = ["t_ns,kind,rail_mhz,out_energy,stored_after"]
-    for ev in trace:
-        lines.append(f"{ev.t_ns!r},{ev.kind.value},{ev.f_rail!r},"
-                     f"{ev.out_energy!r},{ev.stored_after!r}")
-    return "\n".join(lines) + "\n"
+    """One row per event, each field by ``repr`` and the kind by its value.
+
+    The trace is read column by column, with no TraceEvent built.
+    """
+    rows = map(",".join, zip(map(repr, trace.t_ns), map(attrgetter("value"), trace.kind),
+                             map(repr, trace.f_rail), map(repr, trace.out_energy),
+                             map(repr, trace.stored_after)))
+    return "\n".join(chain(["t_ns,kind,rail_mhz,out_energy,stored_after"], rows, [""]))
 
 
 def scan_csv(result: harness.ScanResult) -> str:

@@ -26,14 +26,23 @@ A numeric argument may be any real number that is not text (a float, int,
 Fraction, Decimal or numpy scalar): ``_real`` reads it once, as its float,
 and refuses it with the caller's error outside the argument's range. A rail,
 an identity, is kept as given and read as a number only where it is used as one.
+
+A Sequence holds its operations, and a Trace its events, as columns named
+after the fields of Operation and TraceEvent. ``seqlang.parse`` and
+``engine.run_sequence`` build them from columns with no per-op object;
+``Sequence.ops`` and ``Trace.events`` are built on first access, and the
+public constructors still take Operations and TraceEvents.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+from array import array
 from collections.abc import Iterable
 from enum import Enum
+from functools import cached_property
+from operator import attrgetter
 
 
 class VaporMemError(Exception):
@@ -122,7 +131,8 @@ class _Value:
 
     A subclass names its fields in ``__init__`` order in ``_fields``; its
     ``__init__`` sets them with ``_assign``, ``_assign_finite`` or ``_set``
-    and checks them.
+    and checks them. Sequence and Trace also set the columns they name in
+    ``_columns`` with ``_assign_columns``.
     The base gives what ``@dataclass(frozen=True)`` would: assigning or
     deleting an attribute raises AttributeError, equality and hashing
     compare the values ``_key`` returns, only between instances of the same
@@ -130,6 +140,7 @@ class _Value:
     """
 
     _fields: tuple[str, ...] = ()
+    _columns: tuple[str, ...] = ()
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -141,6 +152,11 @@ class _Value:
         """Set the fields to values, given in ``_fields`` order."""
         for name, value in zip(self._fields, values, strict=True):
             _set(self, name, value)
+
+    def _assign_columns(self, *columns) -> None:
+        """Set the columns a subclass names in ``_columns``, given in that order."""
+        for name, column in zip(self._columns, columns, strict=True):
+            _set(self, name, column)
 
     def _assign_finite(self, *values) -> None:
         """Set the fields to values read by ``_real``: ParamError "<field> must be finite"."""
@@ -302,10 +318,16 @@ def _rail_table(rails: Iterable[RailCalibration]) -> dict[float, RailCalibration
 
 
 def _calibration(cals: dict[float, RailCalibration], f_rail: float) -> RailCalibration:
-    """cals[f_rail], or the UnknownRailError every entry point prints for a rail with none."""
+    """cals[f_rail], or the UnknownRailError every entry point prints for a rail with none.
+
+    ``cals`` may be any table keyed by the calibrated rails, as the memory's
+    table of rail efficiencies is. A rail that cannot be hashed, such as a
+    ``Decimal("sNaN")``, names no rail either: it gets the same error,
+    named ``nan`` by ``_fmt_number``.
+    """
     try:
         return cals[f_rail]
-    except KeyError:
+    except (KeyError, TypeError):
         listing = ", ".join(map(_fmt_number, sorted(cals)))
         raise UnknownRailError(f"rail {_fmt_number(f_rail)} MHz has no calibration "
                                f"(calibrated rails: {listing} MHz)") from None
@@ -360,32 +382,72 @@ class Sequence(_Value):
     each operation to its line in the source document when the sequence
     was parsed from text; it and ``rails_line`` are presentation metadata
     and are ignored by equality and hashing.
+
+    The operations are held as columns, one tuple per Operation field and
+    named after it: ``seq.t_ns[i]``, ``kind[i]``, ``f_rail[i]`` and
+    ``energy[i]`` are those of ``seq.ops[i]``. ``seqlang.parse`` builds a
+    sequence from the columns its Reader read, and then ``ops`` is built on
+    first access; equality and hashing compare the columns. A rail that
+    cannot be hashed, such as a ``Decimal("sNaN")``, raises ParamError.
     """
 
     _fields = ("name", "rails", "ops", "src_lines", "rails_line")
+    _columns = Operation._fields
 
     def __init__(self, name: str, rails: tuple[float, ...], ops: tuple[Operation, ...],
                  src_lines: tuple[int, ...] | None = None,
                  rails_line: int | None = None) -> None:
         self._assign(name, tuple(rails), tuple(ops),
                      None if src_lines is None else tuple(src_lines), rails_line)
+        self._assign_columns(*(zip(*map(attrgetter(*self._columns), self.ops)) if self.ops
+                               else ((),) * 4))
         if self.src_lines is not None:
             _require(len(self.src_lines) == len(self.ops), "src_lines must parallel ops")
-        if len(set(self.rails)) != len(self.rails):
+        try:  # the rails are hashed here, and only here
+            declared = set(self.rails)
+            undeclared = [f not in declared for f in self.f_rail]
+        except TypeError:
+            raise ParamError(f"sequence {name!r} has a rail that cannot be hashed, "
+                             f"such as a Decimal sNaN") from None
+        if len(declared) != len(self.rails):
             raise DuplicateRailError(f"sequence {name!r} declares a rail twice")
-        declared = set(self.rails)
         prev = None
-        for op in self.ops:
-            if prev is not None and op.t_ns <= prev:
+        for t_ns, f_rail, missing in zip(self.t_ns, self.f_rail, undeclared):
+            if prev is not None and t_ns <= prev:
                 raise ParamError(
-                    f"operation times must strictly increase ({op.t_ns} ns after {prev} ns)")
-            prev = op.t_ns
-            if op.f_rail not in declared:
-                raise UnknownRailError(f"operation at {op.t_ns} ns uses undeclared rail "
-                                       f"{_fmt_number(op.f_rail)} MHz")
+                    f"operation times must strictly increase ({t_ns} ns after {prev} ns)")
+            prev = t_ns
+            if missing:
+                raise UnknownRailError(f"operation at {t_ns} ns uses undeclared rail "
+                                       f"{_fmt_number(f_rail)} MHz")
+
+    @classmethod
+    def _of_columns(cls, name: str, rails: tuple[float, ...], t_ns: tuple[float, ...],
+                    kind: tuple[OpKind, ...], f_rail: tuple[float, ...],
+                    energy: tuple[float, ...], src_lines: tuple[int, ...],
+                    rails_line: int | None) -> Sequence:
+        """A sequence of columns that ``seqlang.Reader`` read, with no Operation built.
+
+        The Reader has checked every rule the constructor and Operation
+        check: its rails are distinct floats, and each row's rail is
+        declared, its time a finite float above the last and its energy a
+        finite positive float, 1.0 on a READ or PUMP.
+        """
+        seq = cls.__new__(cls)
+        _set(seq, "name", name)
+        _set(seq, "rails", rails)
+        _set(seq, "src_lines", src_lines)
+        _set(seq, "rails_line", rails_line)
+        seq._assign_columns(t_ns, kind, f_rail, energy)
+        return seq
+
+    @cached_property
+    def ops(self) -> tuple[Operation, ...]:
+        """One Operation per row of the columns: built on first access, then kept."""
+        return tuple(map(Operation, self.t_ns, self.kind, self.f_rail, self.energy))
 
     def _key(self) -> tuple:
-        return (self.name, self.rails, self.ops)
+        return (self.name, self.rails, self.t_ns, self.kind, self.f_rail, self.energy)
 
 
 class TraceEvent(_Value):
@@ -408,15 +470,47 @@ class TraceEvent(_Value):
 
 
 class Trace(_Value):
-    """The deterministic record of a simulated sequence."""
+    """The deterministic record of a simulated sequence.
+
+    Its events are held as columns named after the TraceEvent fields:
+    ``t_ns``, ``out_energy`` and ``stored_after`` are ``array('d')``
+    buffers, ``kind`` and ``f_rail`` tuples, so ``trace.out_energy[i]`` is
+    ``trace.events[i].out_energy``. ``engine.run_sequence`` fills the
+    columns and builds no TraceEvent; ``events`` and iteration build them
+    on first use, and ``Trace(events)`` takes TraceEvents as before.
+    Equality and hashing compare the columns.
+    """
 
     _fields = ("events",)
+    _columns = TraceEvent._fields
 
     def __init__(self, events: tuple[TraceEvent, ...]) -> None:
         _set(self, "events", tuple(events))
+        t_ns, kind, f_rail, out_energy, stored_after = (
+            zip(*map(attrgetter(*self._columns), self.events)) if self.events else ((),) * 5)
+        self._assign_columns(array("d", t_ns), kind, f_rail, array("d", out_energy),
+                             array("d", stored_after))
+
+    @classmethod
+    def _of_columns(cls, t_ns: array, kind: tuple[OpKind, ...], f_rail: tuple[float, ...],
+                    out_energy: array, stored_after: array) -> Trace:
+        """A trace of its columns, kept as given, with no TraceEvent built."""
+        trace = cls.__new__(cls)
+        trace._assign_columns(t_ns, kind, f_rail, out_energy, stored_after)
+        return trace
+
+    @cached_property
+    def events(self) -> tuple[TraceEvent, ...]:
+        """One TraceEvent per row of the columns: built on first access, then kept."""
+        return tuple(map(TraceEvent, self.t_ns, self.kind, self.f_rail, self.out_energy,
+                         self.stored_after))
+
+    def _key(self) -> tuple:
+        return (tuple(self.t_ns), self.kind, self.f_rail, tuple(self.out_energy),
+                tuple(self.stored_after))
 
     def __len__(self) -> int:
-        return len(self.events)
+        return len(self.t_ns)
 
     def __iter__(self):
         return iter(self.events)

@@ -9,6 +9,12 @@ traces.
 
 A Memory is confined to one logical thread; run distinct instances for
 parallel simulations. Sequences and traces are immutable.
+
+:func:`run_sequence` goes from columns to columns: it feeds the time,
+kind, rail and energy columns of a Sequence to the memory's one op entry
+and fills a Trace's ``array('d')`` columns, building no Operation and no
+TraceEvent. :func:`render_waveform` reads the trace's time and energy
+columns.
 """
 
 from __future__ import annotations
@@ -35,7 +41,6 @@ from .core import (
     SpinWaveComponent,
     TimeOrderError,
     Trace,
-    TraceEvent,
     _calibration,
     _fmt_number,
     _rail_table,
@@ -51,11 +56,14 @@ _RENDER_CHUNK = 1 << 14  # samples of the time axis packed per step of _time_axi
 class Memory:
     """Multi-rail memory state: parameters, rail calibrations, stored pulses.
 
-    Every change goes through :meth:`apply`, which :meth:`write`,
-    :meth:`read` and :meth:`pump` call with an :class:`Operation`. The
-    Operation owns an op's time and energy; the memory owns only its rails
-    and its clock. Each op moves the clock to its time, which never moves
-    backwards, and an op that raises leaves the memory as it was.
+    Every change goes through one private entry, ``_op``, which takes an
+    op's four fields: :meth:`apply` passes an :class:`Operation`'s, which
+    :meth:`write`, :meth:`read` and :meth:`pump` build, and
+    :func:`run_sequence` a Sequence's columns. The Operation, or the parser
+    for a parsed Sequence, owns an op's time and energy; the memory owns
+    only its rails and its clock. Each op moves the clock to its time,
+    which never moves backwards, and an op that raises leaves the memory
+    as it was.
 
     Each rail holds at most one live component: its amplitude, birth time,
     amplitude at birth and what off-rail reads drew from it. Its centre and
@@ -84,12 +92,15 @@ class Memory:
         if not (hi - lo) * (hi - lo) < math.inf:
             raise DomainError(f"squared distance between rails {_fmt_number(f_lo)} and "
                               f"{_fmt_number(f_hi)} MHz must be a finite float")
-        # _pairs[f_op][f] = (d, dep(d)) for a pulse on f_op and a component on f
-        self._pairs: dict[float, dict[float, tuple[float, float]]] = {}
+        # _pairs[f_op][f] = (d, dep(d), tau of f in us) for a pulse on f_op
+        # and a component on f
+        self._pairs: dict[float, dict[float, tuple[float, float, float]]] = {}
         for f_op, x_op in x.items():
             ds = {f: abs(x_op - x_f) for f, x_f in x.items()}
-            self._pairs[f_op] = {f: (d, physics.depletion_fraction(d, params))
-                                 for f, d in ds.items()}
+            self._pairs[f_op] = {f: (d, physics.depletion_fraction(d, params),
+                                     self._rails[f].tau_us) for f, d in ds.items()}
+        # each rail's (eta_write, eta_read), keyed as _rails is
+        self._etas = {f: (cal.eta_write, cal.eta_read) for f, cal in self._rails.items()}
         # the live component of each rail, oldest write first:
         # [amplitude, t_birth_ns, drawn by off-rail reads, amplitude at birth]
         self._stored: dict[float, list[float]] = {}
@@ -111,33 +122,14 @@ class Memory:
 
     def stored_on(self, f_rail: float) -> float:
         """Remaining amplitude of the component stored on a rail (0.0 if none)."""
+        self._rail(f_rail)  # an uncalibrated rail raises UnknownRailError
         slot = self._stored.get(f_rail)
-        if slot is None:
-            self._rail(f_rail)  # an uncalibrated rail raises UnknownRailError
-            return 0.0
-        return slot[0]
+        return 0.0 if slot is None else slot[0]
 
     def apply(self, op: Operation) -> float:
-        """Perform one operation: the one place an op acts on the memory.
-
-        Its rail must have a calibration (UnknownRailError), and its time
-        must not be before the clock (TimeOrderError, in :meth:`_pulse`).
-        Returns the leakage of a write, the energy retrieved by a read and
-        0.0 for a pump.
-        """
-        f_rail, t_ns = op.f_rail, op.t_ns
-        cal = self._rail(f_rail)
-        if op.kind is OpKind.READ:
-            return self._pulse(f_rail, t_ns, 1.0, cal.eta_read)
-        if op.kind is OpKind.PUMP:
-            self._pulse(f_rail, t_ns, self.params.pump_fidelity)
-            return 0.0
-        self._pulse(f_rail, t_ns, 1.0)
-        stored = op.energy * cal.eta_write
-        # the pulse above zeroed and dropped this rail's older component,
-        # so the new one is inserted last and reads sum in write order
-        self._stored[f_rail] = [stored, t_ns, 0.0, stored]
-        return op.energy - stored
+        """Perform one operation. Returns the leakage of a write, the energy
+        retrieved by a read and 0.0 for a pump."""
+        return self._op(op.t_ns, op.kind, op.f_rail, op.energy)[0]
 
     def pump(self, f_rail: float, t_ns: float) -> None:
         """Optically pump the addressed region, removing residual excitation.
@@ -166,28 +158,39 @@ class Memory:
         """
         return self.apply(Operation(t_ns, OpKind.READ, f_rail))
 
-    def _pulse(self, f_rail: float, t_ns: float, fidelity: float,
-               eta_read: float | None = None) -> float:
-        """Move the clock to t_ns and scale each component by (1 - fidelity * dep(d)).
+    def _op(self, t_ns: float, kind: OpKind, f_rail: float, energy: float) -> tuple[float, float]:
+        """The one place an op acts on the memory, given its fields as an Operation holds them.
 
-        The one clock check: a time before the clock raises TimeOrderError
-        before anything changes. A component left at 0.0 is dropped. Only a
-        read passes eta_read and gets what it retrieves.
+        The time and energy are floats that an Operation or ``seqlang.Reader``
+        has checked. The rail must have a calibration (UnknownRailError) and
+        the time must not be before the clock (TimeOrderError), the one clock
+        check; either raises before anything changes. The op's control
+        pulse moves the clock to t_ns and scales each component by
+        (1 - fidelity * dep(d)). A component left at 0.0 is dropped, and the
+        dict of components is rebuilt only then. Only a read retrieves; a
+        write then stores its pulse. Returns what :meth:`apply` returns and
+        then what :meth:`stored_on` would for the op's rail.
         """
+        eta_write, eta_read = _calibration(self._etas, f_rail)
         if t_ns < self.t_now_ns:
             raise TimeOrderError(f"cannot move from {self.t_now_ns} ns back to {t_ns} ns")
         self.t_now_ns = t_ns
+        fidelity = self.params.pump_fidelity if kind is OpKind.PUMP else 1.0
+        reading = kind is OpKind.READ
         pairs = self._pairs[f_rail]
         retrieved = 0.0
+        emptied = False
         for f, slot in self._stored.items():
             amplitude, t_birth_ns, drawn, a_birth = slot
-            d, dep = pairs[f]
-            slot[0] = amplitude * (1.0 - fidelity * dep)
-            if eta_read is None:
+            d, dep, tau_us = pairs[f]
+            left = slot[0] = amplitude * (1.0 - fidelity * dep)
+            if left == 0.0:
+                emptied = True
+            if not reading:
                 continue
             # the clock and the calibration keep age finite and >= 0 and tau > 0
             age_us = (t_ns - t_birth_ns) / NS_PER_US
-            decay = math.exp(-age_us / self._rails[f].tau_us)
+            decay = math.exp(-age_us / tau_us)
             # the variance sigma0² + 2 D age is at least sigma0² > 0; past a
             # float it is inf, where the overlap is 1.0
             out = (amplitude * eta_read * decay
@@ -197,34 +200,37 @@ class Memory:
                 out = min(out, max(a_birth - slot[0] * decay - drawn, 0.0))
                 slot[2] = drawn + out
             retrieved += out
-        self._stored = {f: slot for f, slot in self._stored.items() if slot[0] != 0.0}
-        return retrieved
+        if emptied:
+            self._stored = {f: slot for f, slot in self._stored.items() if slot[0] != 0.0}
+        if kind is OpKind.WRITE:
+            # the pulse zeroed and dropped this rail's older component, so the
+            # new one is inserted last and reads sum in write order
+            stored = energy * eta_write
+            self._stored[f_rail] = [stored, t_ns, 0.0, stored]
+            return energy - stored, stored
+        slot = self._stored.get(f_rail)
+        return retrieved, 0.0 if slot is None else slot[0]
 
 
 def run_sequence(state: Memory, seq: Sequence) -> Trace:
-    """Apply a sequence to a memory, producing one trace event per operation.
+    """Apply a sequence to a memory, producing one trace row per operation.
 
     The sequence is checked first by ``seqlang.validate`` against the
     memory's parameters and calibrations, so every declared rail must
     have a calibration (E003). Any error-severity diagnostic raises
     ValidationFailure before the first operation, leaving the memory
-    untouched.
+    untouched. The trace shares the sequence's kind and rail columns.
     """
     # looked up on the module when called, so a wrapper of it sees this pass
     diags = seqlang.validate(seq, state.params, state._rails.values())
     errors = [d for d in diags if d.severity == "error"]
     if errors:
         raise seqlang.ValidationFailure(errors)
-    events = []
-    for op in seq.ops:
-        events.append(TraceEvent(
-            t_ns=op.t_ns,
-            kind=op.kind,
-            f_rail=op.f_rail,
-            out_energy=state.apply(op),
-            stored_after=state.stored_on(op.f_rail),
-        ))
-    return Trace(tuple(events))
+    out_energy, stored_after = array("d"), array("d")
+    for out, after in map(state._op, seq.t_ns, seq.kind, seq.f_rail, seq.energy):
+        out_energy.append(out)
+        stored_after.append(after)
+    return Trace._of_columns(array("d", seq.t_ns), seq.kind, seq.f_rail, out_energy, stored_after)
 
 
 @functools.lru_cache(maxsize=1)
@@ -302,7 +308,7 @@ def render_waveform(trace: Trace, sample_period_ns: float, noise_floor: float = 
     floor = _real(noise_floor, DomainError, "noise floor must be finite and non-negative",
                   0.0) + 0.0
     if span_ns is None:
-        span_ns = (trace.events[-1].t_ns if trace.events else 0.0) + 600.0
+        span_ns = (trace.t_ns[-1] if len(trace) else 0.0) + 600.0
     span = _real(span_ns, DomainError, "waveform span must be finite and non-negative", 0.0)
     samples = span / period  # inf when the quotient overflows
     if not samples <= MAX_WAVEFORM_SAMPLES:
@@ -317,9 +323,8 @@ def render_waveform(trace: Trace, sample_period_ns: float, noise_floor: float = 
     last_key = shape = None
     built = {}  # (scale, (offset, length)) -> samples of an isolated window on a 1 ns grid
     reach = 0  # y[reach:] is still the floor
-    for ev in trace.events:
-        if ev.out_energy > 0.0:
-            t0 = ev.t_ns
+    for t0, energy in zip(trace.t_ns, trace.out_energy):
+        if energy > 0.0:
             lo = bisect_left(t, t0 - half)
             hi = bisect_right(t, t0 + half)
             # is_integer() is False for an infinite centre, which int() would refuse
@@ -329,7 +334,7 @@ def render_waveform(trace: Trace, sample_period_ns: float, noise_floor: float = 
                 last_key = key
                 shape = [math.exp(-(d * d) / (2.0 * sigma * sigma))
                          for d in (ti - t0 for ti in t[lo:hi])]
-            scale = ev.out_energy * norm
+            scale = energy * norm
             if lo < reach:
                 window = array("d", [v + scale * g for v, g in zip(y[lo:hi], shape)])
             elif on_grid:

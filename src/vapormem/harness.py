@@ -442,40 +442,42 @@ def check_criteria(trace: Trace, seq: Sequence, params: PhysicsParams,
     sequence and observes each rail's occupancy before a read; a mismatch
     raises TraceMismatchError.
     """
-    if len(trace.events) != len(seq.ops):
+    if len(trace) != len(seq.t_ns):
         raise TraceMismatchError("trace length differs from sequence length")
     mem = engine.Memory(params, rails_cal)
     threshold = (1.0 - physics.depletion_fraction(0.0, params)) + REREAD_TOL
     worst_interaction = worst_empty = worst_reread = 0.0
     pending: dict[float, int] = {}  # rail -> index of its write not yet read or pumped
     prev_kind, prev_rail, prev_out = None, None, 0.0
-    for i, (op, ev) in enumerate(zip(seq.ops, trace.events)):
-        if (ev.t_ns, ev.kind, ev.f_rail) != (op.t_ns, op.kind, op.f_rail):
+    rows = zip(seq.t_ns, seq.kind, seq.f_rail, seq.energy, trace.out_energy)
+    events = zip(trace.t_ns, trace.kind, trace.f_rail)
+    for i, ((t_ns, kind, f_rail, energy, recorded), event) in enumerate(zip(rows, events)):
+        if event != (t_ns, kind, f_rail):
             raise TraceMismatchError("trace event does not match its operation")
-        empty = op.kind is OpKind.READ and not mem.stored_on(op.f_rail) > 1e-12
-        out = mem.apply(op)
-        if abs(out - ev.out_energy) > 1e-9 * max(1.0, abs(out)):
+        empty = kind is OpKind.READ and not mem.stored_on(f_rail) > 1e-12
+        out = mem._op(t_ns, kind, f_rail, energy)[0]
+        if abs(out - recorded) > 1e-9 * max(1.0, abs(out)):
             raise TraceMismatchError("trace energies do not match a replay")
-        if op.kind is OpKind.WRITE:
-            pending[op.f_rail] = i
-        elif op.kind is OpKind.PUMP:
-            pending.pop(op.f_rail, None)
+        if kind is OpKind.WRITE:
+            pending[f_rail] = i
+        elif kind is OpKind.PUMP:
+            pending.pop(f_rail, None)
         else:
-            iw = pending.pop(op.f_rail, None)
+            iw = pending.pop(f_rail, None)
             # an op on this rail since the write would have ended the pair, so
             # every op between the two is on another rail
             if iw is not None and i > iw + 1:
-                write, cal = seq.ops[iw], mem._rail(op.f_rail)
-                dt_us = (op.t_ns - write.t_ns) / engine.NS_PER_US
-                predicted = write.energy * cal.eta_mem * math.exp(-dt_us / cal.tau_us)
+                cal = mem._rail(f_rail)
+                dt_us = (t_ns - seq.t_ns[iw]) / engine.NS_PER_US
+                predicted = seq.energy[iw] * cal.eta_mem * math.exp(-dt_us / cal.tau_us)
                 if predicted > 0.0:
                     worst_interaction = max(worst_interaction, abs(out / predicted - 1.0))
             if empty:
                 worst_empty = max(worst_empty, out / REFERENCE_ENERGY)
-            if ((prev_kind, prev_rail) == (OpKind.READ, op.f_rail)
+            if ((prev_kind, prev_rail) == (OpKind.READ, f_rail)
                     and prev_out >= EMPTY_TOL * REFERENCE_ENERGY):
                 worst_reread = max(worst_reread, out / prev_out)
-        prev_kind, prev_rail, prev_out = op.kind, op.f_rail, out
+        prev_kind, prev_rail, prev_out = kind, f_rail, out
     return CriteriaReport(
         CriterionCheck(worst_interaction / INTERACTION_TOL),
         CriterionCheck(worst_empty / EMPTY_TOL),
@@ -524,9 +526,10 @@ def monte_carlo_overlaps(params: PhysicsParams, n_atoms: int,
     if not count.is_integer():
         raise DomainError(f"{_fmt_number(n_atoms)} atoms is not a whole number")
     if not isinstance(seed, (int, np.integer)):
-        raise DomainError(f"seed {seed!r} is not an integer")
+        raise DomainError(f"seed {_fmt_number(seed)} is not an integer")
     if seed < 0:
-        raise DomainError(f"seed {seed} is negative; it must be a non-negative integer")
+        raise DomainError(f"seed {_fmt_number(seed)} is negative; "
+                          "it must be a non-negative integer")
     points = [(d, _real(t, DomainError, "time must be non-negative", 0.0, math.inf))
               for d, t in points]
     message = "displacements and times must be finite"

@@ -33,9 +33,9 @@ frequency token already names a declared rail, its time is finite and
 increases, and its energy, if any, is on a WRITE and finite and
 positive. Any other line falls back to the general per-line reader, so
 every ParseError keeps its message, line, column and order. ``parse``
-builds its Operations and Sequence from the rows; :func:`validate`
-takes a Reader as well as a Sequence and reads the rows itself, so
-``vapormem validate`` builds neither.
+keeps the rows as the columns of its Sequence and builds no Operation;
+:func:`validate` reads a Sequence's time column, or takes a Reader and
+reads the rows itself, so ``vapormem validate`` builds no Sequence.
 """
 
 from __future__ import annotations
@@ -44,13 +44,12 @@ import math
 import re
 from collections.abc import Iterable, Iterator
 from itertools import repeat
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 
 from . import physics
 from .core import (
     OpKind,
     OutOfBandError,
-    Operation,
     ParamError,
     PhysicsParams,
     RailCalibration,
@@ -281,16 +280,19 @@ def parse(text: str) -> Sequence:
     token in its one reader, ``_number``. A frequency token resolves through a table of
     the tokens already seen to name a declared rail; only a token not in it
     is matched, converted and looked up, so an undeclared one always gets
-    its own error.
+    its own error. Its rows become the Sequence's columns as they are
+    read; ``Sequence.ops`` builds the Operations on first access.
     """
     reader = Reader(text)
-    ops: list[Operation] = []
-    op_lines: list[int] = []
+    lines, times, kinds, rails, energies = [], [], [], [], []
     for lineno, t_ns, kind, f_rail, energy in reader:
-        ops.append(Operation(t_ns, kind, f_rail, energy))
-        op_lines.append(lineno)
-    return Sequence(name=reader.name, rails=tuple(reader.rails), ops=tuple(ops),
-                    src_lines=tuple(op_lines), rails_line=reader.rails_line)
+        lines.append(lineno)
+        times.append(t_ns)
+        kinds.append(kind)
+        rails.append(f_rail)
+        energies.append(energy)
+    return Sequence._of_columns(reader.name, tuple(reader.rails), tuple(times), tuple(kinds),
+                                tuple(rails), tuple(energies), tuple(lines), reader.rails_line)
 
 
 def format_sequence(seq: Sequence) -> str:
@@ -314,10 +316,10 @@ def format_sequence(seq: Sequence) -> str:
     lines = [f"SEQUENCE {name}"]
     if seq.rails:
         lines.append("RAILS " + " ".join(f"{_fmt_number(f)}MHz" for f in seq.rails))
-    for op in seq.ops:
-        parts = [f"AT {_fmt_number(op.t_ns)}ns", op.kind.value, f"{_fmt_number(op.f_rail)}MHz"]
-        if op.kind is OpKind.WRITE and op.energy != 1.0:
-            parts.append(_fmt_number(op.energy))
+    for t_ns, kind, f_rail, energy in zip(seq.t_ns, seq.kind, seq.f_rail, seq.energy):
+        parts = [f"AT {_fmt_number(t_ns)}ns", kind.value, f"{_fmt_number(f_rail)}MHz"]
+        if kind is OpKind.WRITE and energy != 1.0:
+            parts.append(_fmt_number(energy))
         lines.append(" ".join(parts))
     return "\n".join(lines) + "\n"
 
@@ -339,7 +341,7 @@ def validate(program: Sequence | Reader, p: PhysicsParams,
     if isinstance(program, Reader):
         times = map(itemgetter(0, 1), program)
     else:
-        times = zip(program.src_lines or repeat(0), map(attrgetter("t_ns"), program.ops))
+        times = zip(program.src_lines or repeat(0), program.t_ns)
     diags: list[Diagnostic] = []
     prev = -math.inf  # the first op has no predecessor: its gap is inf
     for line, t_ns in times:

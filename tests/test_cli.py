@@ -1,16 +1,20 @@
 import contextlib
+import hashlib
 import io
 import math
 import random
 import struct
 from array import array
+from decimal import Decimal
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, reject, settings, strategies as st
 
+import reference_engine
 from corpus import CANONICAL
+from test_engine import PINNED_TRACE_SHA256, random_program
 from vapormem import cli, core, engine, seqlang
 from vapormem.cli import (
     ORACLE_GRID,
@@ -20,7 +24,7 @@ from vapormem.cli import (
     main,
     waveform_csv,
 )
-from vapormem.core import ParamError, PhysicsParams, default_params, default_rails
+from vapormem.core import OpKind, ParamError, PhysicsParams, default_params, default_rails
 from vapormem.engine import Memory, render_waveform, run_sequence
 from vapormem.harness import MAX_ORACLE_ATOMS, monte_carlo_overlaps
 from vapormem.seqlang import Diagnostic, ValidationFailure, parse
@@ -384,12 +388,116 @@ class TestRun:
         assert (tmp_path / "x.csv").read_bytes() == b"t_ns,intensity\n"
         assert capsys.readouterr().out.endswith(f"wrote x.csv\nwrote {second}\n")
 
+    def test_trace_csv_prints_each_field_by_its_repr(self):
+        # read from the columns of a Trace built of events: 0.0 and -0.0 in
+        # one column, and equal rails of two types, keep their own texts
+        events = [core.TraceEvent(t, OpKind.READ, f, out, after) for t, f, out, after in [
+            (0.0, 190.0, 0.0, -0.0), (-0.0, Decimal("190"), -0.0, 0.0),
+            (1e22, 190, 0.1, 0.1), (math.inf, 190.0, 0.1 + 0.2, 0.3)]]
+        rows = [f"{ev.t_ns!r},{ev.kind.value},{ev.f_rail!r},{ev.out_energy!r},{ev.stored_after!r}"
+                for ev in events]
+        assert cli.trace_csv(core.Trace(events)) == "\n".join(
+            ["t_ns,kind,rail_mhz,out_energy,stored_after"] + rows + [""])
+        assert cli.trace_csv(core.Trace(())) == "t_ns,kind,rail_mhz,out_energy,stored_after\n"
+
+    def test_long_random_program_trace_file_is_pinned(self, seqfile, tmp_path, capsys):
+        # the API path is pinned by test_engine's test of the same name; this
+        # pins what `vapormem run` writes, from the text through the file
+        path = seqfile(seqlang.format_sequence(random_program(random.Random(0), 2000)))
+        out = tmp_path / "trace.csv"
+        assert main(["run", path, "--trace-out", str(out)]) == 0
+        capsys.readouterr()
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == PINNED_TRACE_SHA256
+
     def test_reruns_are_byte_identical(self, seqfile, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         path = seqfile(CANONICAL)
         assert main(["run", path, "--trace-out", str(a)]) == 0
         assert main(["run", path, "--trace-out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+# a rail's MHz and the spellings a line may name it by
+RAIL_SPELLINGS = {f: (f"{f}MHz", f"{f}.0MHz", f"0{f}MHz", f"{f}.00MHz")
+                  for f in (170, 190, 210, 230, 198, 140)}
+# one op line: (gap ns, verb, energy text or None, rail index, spelling index,
+# time in us, comment, extra spaces, CRLF)
+OP_LINES = st.tuples(
+    st.sampled_from([48, 100, 400, 1250]), st.sampled_from(["WRITE", "READ", "PUMP"]),
+    st.sampled_from([None, None, "0.5", "2.25", "1"]), st.integers(0, 3), st.integers(0, 3),
+    st.booleans(), st.booleans(), st.booleans(), st.booleans())
+# at most one fault, on one op line: the first five fail to parse; the last
+# three fail to validate, with E001, E003, and E002 and E003
+FAULTS = st.sampled_from([None] * 8 + ["zero-gap", "read-energy", "undeclared", "zero-energy",
+                                       "unknown-directive", "tight", "uncalibrated",
+                                       "out-of-band"])
+
+
+@st.composite
+def mixed_programs(draw):
+    """Program text mixing plain op lines with every other spelling the grammar takes."""
+    rails = draw(st.lists(st.sampled_from([170, 190, 210, 230]), min_size=1, max_size=4,
+                          unique=True))
+    ops = draw(st.lists(OP_LINES, max_size=12))
+    fault, at = draw(FAULTS), draw(st.integers(0, 11)) % max(len(ops), 1)
+    rails += {"uncalibrated": [198], "out-of-band": [140]}.get(fault, [])
+    lines = ["# generated", "SEQUENCE mixed",
+             "RAILS " + " ".join(RAIL_SPELLINGS[f][0] for f in rails)]
+    t = 0
+    for i, (gap, verb, energy, k, spelling, in_us, comment, spaces, crlf) in enumerate(ops):
+        faulty = fault if i == at else None
+        t += {"zero-gap": 0, "tight": 20}.get(faulty, gap) if i else 0
+        if faulty == "read-energy":
+            verb, energy = "READ", "0.5"
+        elif faulty == "zero-energy":
+            verb, energy = "WRITE", "0"
+        elif verb != "WRITE":
+            energy = None
+        rail = RAIL_SPELLINGS[rails[k % len(rails)]][spelling]
+        if faulty == "undeclared":
+            rail = "250MHz"
+        time = f"{Decimal(t) / 1000}us" if in_us else f"{t}ns"
+        line = (" " + " " * spaces).join(["AT", time, verb, rail] + ([energy] if energy else []))
+        if faulty == "unknown-directive":
+            line = "WAIT 5ns"
+        lines.append(line + (" # note" if comment else "") + ("\r" if crlf else ""))
+    return "\n".join(lines) + "\n"
+
+
+class TestRunAgreesWithReference:
+    @given(text=mixed_programs())
+    @settings(deadline=None)
+    def test_run_prints_and_writes_what_the_reference_gives(self, tmp_path_factory, text):
+        # exit code, stdout and the trace file of `vapormem run`, against the
+        # API's parse and validate and tests/reference_engine's trace, each
+        # row formatted field by field with repr
+        base = tmp_path_factory.getbasetemp()
+        path, out = base / "mixed.seq", base / "mixed.csv"
+        path.write_bytes(text.encode())
+        out.unlink(missing_ok=True)
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main(["run", str(path), "--trace-out", str(out)])
+        params, rails = default_params(), default_rails()
+        try:
+            seq = parse(text.replace("\r\n", "\n"))
+        except seqlang.ParseError as exc:
+            assert (code, stdout.getvalue(), stderr.getvalue()) == (2, "", f"error: {exc}\n")
+            assert not out.exists()
+            return
+        diags = seqlang.validate(seq, params, rails)
+        listing = "".join(f"{d.severity} {d.code} line {d.line}: {d.message}\n" for d in diags)
+        if any(d.severity == "error" for d in diags):
+            assert (code, stdout.getvalue()) == (1, listing)
+            assert not out.exists()
+            return
+        table = "".join(f"{ev.t_ns!r},{ev.kind.value},{ev.f_rail!r},"
+                        f"{ev.out_energy!r},{ev.stored_after!r}\n"
+                        for ev in reference_engine.run(params, rails, seq))
+        table = "t_ns,kind,rail_mhz,out_energy,stored_after\n" + table
+        assert code == 0
+        assert stdout.getvalue() == listing + table.replace(",", " ") + f"wrote {out}\n"
+        assert out.read_text() == table
 
 
 def per_sample_waveform_csv(t, y) -> str:

@@ -2,6 +2,7 @@ import copy
 import math
 import pickle
 import re
+from array import array
 from decimal import Decimal
 from fractions import Fraction
 
@@ -293,16 +294,22 @@ NUMBER_ARGUMENTS = [
               lambda x: harness.monte_carlo_overlap(_P, 1000, x, 0.4, 1), DomainError,
               "^displacements and times must be finite$"),
 ]
-# a rail is an identity, kept as given, and named by core._fmt_number; a
-# Decimal sNaN cannot be hashed, so no rail table or Sequence holds one
+# a rail is an identity, kept as given, and named by core._fmt_number. A
+# Decimal sNaN cannot be hashed: a rail lookup names it nan, as it does a
+# quiet NaN, and no Sequence holds one (see SEQUENCE_RAIL_ARGUMENTS)
 NO_CALIBRATION = r"^rail .+ MHz has no calibration \(calibrated rails: 170, 190, 210, 230 MHz\)$"
 RAIL_ARGUMENTS = [
     *[_argument(f"Memory.{method}-f_rail", lambda x, m=method: getattr(_fresh(), m)(x, 0.0),
                 UnknownRailError, NO_CALIBRATION) for method in ("write", "read", "pump")],
     _argument("Memory.stored_on-f_rail", lambda x: _fresh().stored_on(x), UnknownRailError,
               NO_CALIBRATION),
+    # the raw entry that apply and run_sequence's loop call
+    *[_argument(f"Memory._op-{kind.value}-f_rail", lambda x, k=kind: _fresh()._op(0.0, k, x, 1.0),
+                UnknownRailError, NO_CALIBRATION) for kind in OpKind],
     _argument("scan_lifetime-f_rail", lambda x: harness.scan_lifetime(_P, _RAILS, x, [0.4]),
               UnknownRailError, NO_CALIBRATION),
+]
+SEQUENCE_RAIL_ARGUMENTS = [
     _argument("Sequence-undeclared-f_rail",
               lambda x: Sequence("s", (190.0,), (Operation(0.0, OpKind.WRITE, x),)),
               UnknownRailError, "^operation at 0.0 ns uses undeclared rail .+ MHz$"),
@@ -321,7 +328,8 @@ def _number_cases(arguments, values):
 
 @pytest.mark.parametrize("call,error,message,value",
                          _number_cases(NUMBER_ARGUMENTS, NO_FLOAT_IN_RANGE)
-                         + _number_cases(RAIL_ARGUMENTS, HASHABLE))
+                         + _number_cases(RAIL_ARGUMENTS, NO_FLOAT_IN_RANGE)
+                         + _number_cases(SEQUENCE_RAIL_ARGUMENTS, HASHABLE))
 def test_number_argument_refused_with_its_named_error(call, error, message, value):
     if message is False:  # the argument takes an infinity
         call(value)
@@ -329,6 +337,21 @@ def test_number_argument_refused_with_its_named_error(call, error, message, valu
     with pytest.raises(error, match=message) as raised:
         call(value)
     assert type(raised.value) is error
+
+
+SNAN = Decimal("sNaN")
+
+
+@pytest.mark.parametrize("rails,ops", [
+    pytest.param((SNAN,), (), id="declared"),
+    pytest.param((190.0, SNAN), (), id="declared-second"),
+    pytest.param((190.0,), (Operation(0.0, OpKind.WRITE, SNAN),), id="on-an-op"),
+    pytest.param((SNAN, SNAN), (), id="declared-twice"),
+])
+def test_sequence_refuses_a_rail_that_cannot_be_hashed(rails, ops):
+    with pytest.raises(ParamError, match="^sequence 's' has a rail that cannot be hashed, "
+                                         "such as a Decimal sNaN$"):
+        Sequence("s", rails, ops)
 
 
 # a lower bound given to core._real, at a value just below it, where a
@@ -399,8 +422,8 @@ class TestOperationAndSequence:
         ((0.0, OpKind.WRITE, 190.0, 0.0), "AT 0ns WRITE 190MHz 0"),
     ])
     def test_public_constructor_keeps_its_checks(self, args, line):
-        # parse rejects each of these on the text, at its line and column,
-        # before it builds the op with Operation(...)
+        # parse rejects each of these on the text, at its line and column:
+        # its Reader checks what Operation checks, and it builds no Operation
         with pytest.raises(ParamError):
             Operation(*args)
         with pytest.raises(ParseError):
@@ -628,6 +651,53 @@ class TestValueTypeContract:
             name, bad_value, error = bad
             with pytest.raises(error):
                 core.replace(value, **{name: bad_value})
+
+
+def _round_trips(value):
+    """Copies of a value by copy, deepcopy and pickle at every protocol."""
+    return [copy.copy(value), copy.deepcopy(value)] + [
+        pickle.loads(pickle.dumps(value, protocol))
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+
+
+class TestColumnBuiltValues:
+    """parse and run_sequence build their Sequence and Trace from columns, with no
+    Operation or TraceEvent; each is the value the public constructor gives."""
+
+    def parsed(self):
+        return parse(seqlang.format_sequence(harness.random_access_sequence()))
+
+    def test_parsed_sequence_is_the_constructed_one(self):
+        built = harness.random_access_sequence()
+        seq = self.parsed()
+        assert seq == built and hash(seq) == hash(built)
+        assert seq.t_ns == tuple(op.t_ns for op in built.ops)
+        assert seq.energy == tuple(op.energy for op in built.ops)
+        same = Sequence(built.name, built.rails, built.ops, seq.src_lines, seq.rails_line)
+        assert repr(seq) == repr(same)
+        assert seq.ops == built.ops and seq.ops is seq.ops  # built once, then kept
+        for other in _round_trips(self.parsed()):
+            assert type(other) is Sequence and other == seq and repr(other) == repr(same)
+
+    def test_run_trace_is_the_constructed_one(self):
+        trace = engine.run_sequence(_fresh(), self.parsed())
+        built = Trace(tuple(engine.run_sequence(_fresh(), harness.random_access_sequence())))
+        assert trace == built and hash(trace) == hash(built) and len(trace) == 12
+        assert trace.out_energy == array("d", [ev.out_energy for ev in built.events])
+        assert trace.kind == tuple(ev.kind for ev in built.events)
+        text = repr(built)
+        for other in _round_trips(engine.run_sequence(_fresh(), self.parsed())):
+            assert type(other) is Trace and other == trace and repr(other) == text
+        assert repr(trace) == text and list(trace) == list(built.events)
+        assert trace.events is trace.events  # built once, then kept
+
+    def test_columns_compare_as_the_events_did(self):
+        event = TraceEvent(0.0, OpKind.READ, 190.0, 0.0, 0.0)
+        signed = TraceEvent(-0.0, OpKind.READ, 190.0, 0.0, -0.0)
+        assert Trace((event,)) == Trace((signed,)) and event == signed
+        assert hash(Trace((event,))) == hash(Trace((signed,)))
+        assert Trace((event,)) != Trace((event, event)) != Trace(())
+        assert Trace((event,)) != Trace((TraceEvent(0.0, OpKind.PUMP, 190.0, 0.0, 0.0),))
 
 
 class TestValueTypeDefaults:

@@ -689,13 +689,17 @@ class TestMonteCarloOverlaps:
         monkeypatch.setattr(np.random, "default_rng", allocate)
         with pytest.raises(DomainError, match="^seed -1 is negative"):
             monte_carlo_overlaps(P, 1000, [(0.0, 0.4)], seed=-1)
+        with pytest.raises(DomainError, match=f"^seed -1{'0' * 5000} is negative"):
+            monte_carlo_overlaps(P, 1000, [(0.0, 0.4)], seed=-10**5000)
 
     @pytest.mark.parametrize("n,seed,message", [
         (math.nan, 1, "^nan atoms is not a whole number$"),
         (1000.5, 1, "^1000.5 atoms is not a whole number$"),
         (1000, 1.5, "^seed 1.5 is not an integer$"),
         (1000, math.nan, "^seed nan is not an integer$"),
-    ], ids=["nan-atoms", "half-atom", "fractional-seed", "nan-seed"])
+        # named by its digits, which repr would refuse past 4300 of them
+        (1000, Fraction(10**5000), f"^seed 1{'0' * 5000} is not an integer$"),
+    ], ids=["nan-atoms", "half-atom", "fractional-seed", "nan-seed", "fraction-seed-past-a-float"])
     def test_bad_count_or_seed_rejected_before_any_draw(self, monkeypatch, n, seed, message):
         def allocate(*args, **kwargs):
             raise _Allocated
