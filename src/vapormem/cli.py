@@ -45,12 +45,12 @@ import os
 import sys
 from array import array
 from itertools import chain
-from operator import attrgetter
 from types import SimpleNamespace
 
 from . import engine, harness, physics, seqlang
 from .core import (
     DomainError,
+    OpKind,
     ParamError,
     PhysicsParams,
     RailCalibration,
@@ -77,6 +77,8 @@ ORACLE_GRID = tuple((d, t) for d in (0.0, 270.0, 675.0) for t in (0.4, 2.0))
 WAVEFORM_CSV_CHUNK = 16_000
 # rows per template of waveform_csv's integer time grid: times 100m ... 100m + 99
 _GRID_BLOCK = 100
+# rows per step of trace_csv: its per-chunk row texts stay near 1 MiB
+TRACE_CSV_CHUNK = 16_000
 
 Outcome = tuple[int, str, list[tuple[str, str]]]  # exit code, stdout, (path, text) per output
 _PARAM_KEYS = set(fields(PhysicsParams))
@@ -175,12 +177,19 @@ def configured(config_path: str | None) -> tuple[PhysicsParams, tuple[RailCalibr
 def trace_csv(trace: Trace) -> str:
     """One row per event, each field by ``repr`` and the kind by its value.
 
-    The trace is read column by column, with no TraceEvent built.
+    The trace is read column by column, with no TraceEvent built, and a
+    chunk of rows at a time: each chunk's text is appended to the one
+    result string, so the call never holds a ``str`` per row of the trace.
     """
-    rows = map(",".join, zip(map(repr, trace.t_ns), map(attrgetter("value"), trace.kind),
-                             map(repr, trace.f_rail), map(repr, trace.out_energy),
-                             map(repr, trace.stored_after)))
-    return "\n".join(chain(["t_ns,kind,rail_mhz,out_energy,stored_after"], rows, [""]))
+    value = {kind: kind.value for kind in OpKind}  # not the Enum property once per row
+    csv = "t_ns,kind,rail_mhz,out_energy,stored_after\n"
+    for i in range(0, len(trace), TRACE_CSV_CHUNK):
+        rows = slice(i, i + TRACE_CSV_CHUNK)
+        csv += "\n".join(map(",".join, zip(
+            map(repr, trace.t_ns[rows]), map(value.__getitem__, trace.kind[rows]),
+            map(repr, trace.f_rail[rows]), map(repr, trace.out_energy[rows]),
+            map(repr, trace.stored_after[rows])))) + "\n"
+    return csv
 
 
 def scan_csv(result: harness.ScanResult) -> str:
@@ -258,7 +267,11 @@ def waveform_csv(t, y) -> str:
         new = array("Q", set(keys).difference(text))
         text.update({k: f",{v!r}\n" for k, v in zip(new, array("d", new.tobytes()))})
         lo, hi = max(i, block), j - j % block  # the chunk's templated rows
-        if not (lo < hi and t[i:j].tobytes() == engine._time_axis(n, 1.0)[8 * i:8 * j]):
+        # the 1 ns axis is built, or looked up, only for a chunk whose first
+        # templated time is on it: times on another grid build none, and the
+        # axis their render cached stays cached
+        if not (lo < hi and t[lo] == lo
+                and t[i:j].tobytes() == engine._time_axis(n, 1.0)[8 * i:8 * j]):
             lo = hi = j
         parts = [_repr_rows(t[i:lo], keys[:lo - i], text)]
         for b in range(lo, hi, block):

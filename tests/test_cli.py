@@ -14,6 +14,7 @@ from hypothesis import example, given, reject, settings, strategies as st
 
 import reference_engine
 from corpus import CANONICAL
+from programs import HUGE, programs
 from test_engine import PINNED_TRACE_SHA256, random_program
 from vapormem import cli, core, engine, seqlang
 from vapormem.cli import (
@@ -42,8 +43,6 @@ LATE_READ = "SEQUENCE late\nRAILS 190MHz\nAT 0ns WRITE 190MHz\nAT 2us READ 190MH
 # not a float; at a read 1.526e307 ns later, 2 (s2 + v) is not one either
 FAR_READ = ("SEQUENCE far\nRAILS 170MHz 230MHz\nAT 0ns WRITE 170MHz\n"
             f"AT 1526{'0' * 304}ns READ 230MHz\n")
-# 401 digits, which overflow a float
-HUGE = "1" + "0" * 400
 # time order, declared rails, distinct rails and numbers a float can hold are
 # parse errors, located in the text
 LOCATED_PARSE_ERRORS = [
@@ -113,24 +112,11 @@ CONFIG_LINES = st.one_of(
 )
 
 
-# programs on rails inside and outside the calibrated four (and the band),
-# with gaps below and above the 48 ns switching time
-PROGRAM_RAILS = st.lists(st.sampled_from([170, 190, 210, 230, 140, 180, 198, 200, 255]),
-                         min_size=1, max_size=4, unique=True)
-
-
-def program_text(rails, ops) -> str:
-    lines, t = ["SEQUENCE prop", "RAILS " + " ".join(f"{f}MHz" for f in rails)], 0
-    for gap, verb, k in ops:
-        t += gap
-        lines.append(f"AT {t}ns {verb} {rails[k % len(rails)]}MHz")
-    return "\n".join(lines) + "\n"
-
-
-PROGRAMS = st.builds(program_text, PROGRAM_RAILS, st.lists(st.tuples(
-    st.sampled_from([20, 48, 100, 400]),
-    st.sampled_from(["WRITE", "WRITE 0.5", "READ", "PUMP"]),
-    st.integers(0, 3)), max_size=8))
+def repr_table(events) -> str:
+    """The trace CSV of events, row by row, each field by ``repr``."""
+    return "t_ns,kind,rail_mhz,out_energy,stored_after\n" + "".join(
+        f"{ev.t_ns!r},{ev.kind.value},{ev.f_rail!r},{ev.out_energy!r},{ev.stored_after!r}\n"
+        for ev in events)
 
 
 def tree(root):
@@ -204,7 +190,7 @@ class TestValidate:
 
 
 class TestValidateAgreesWithRun:
-    @given(lines=st.lists(FINITE_CONFIG_LINES, max_size=4), text=PROGRAMS)
+    @given(lines=st.lists(FINITE_CONFIG_LINES, max_size=4), text=programs())
     @example(lines=[], text=CLOSE_RAILS)
     @example(lines=["d0 = 4e303"], text=LATE_READ)
     @example(lines=["pos_per_mhz = 1e153"], text=FAR_READ)
@@ -409,6 +395,12 @@ class TestRun:
         capsys.readouterr()
         assert hashlib.sha256(out.read_bytes()).hexdigest() == PINNED_TRACE_SHA256
 
+    def test_trace_csv_chunks_join_to_the_row_by_row_table(self):
+        trace = run_sequence(Memory(default_params(), default_rails()), parse(CANONICAL))
+        assert len(trace) > 2 * 5
+        with mock.patch.object(cli, "TRACE_CSV_CHUNK", 5):
+            assert cli.trace_csv(trace) == repr_table(trace)
+
     def test_reruns_are_byte_identical(self, seqfile, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         path = seqfile(CANONICAL)
@@ -417,55 +409,8 @@ class TestRun:
         assert a.read_bytes() == b.read_bytes()
 
 
-# a rail's MHz and the spellings a line may name it by
-RAIL_SPELLINGS = {f: (f"{f}MHz", f"{f}.0MHz", f"0{f}MHz", f"{f}.00MHz")
-                  for f in (170, 190, 210, 230, 198, 140)}
-# one op line: (gap ns, verb, energy text or None, rail index, spelling index,
-# time in us, comment, extra spaces, CRLF)
-OP_LINES = st.tuples(
-    st.sampled_from([48, 100, 400, 1250]), st.sampled_from(["WRITE", "READ", "PUMP"]),
-    st.sampled_from([None, None, "0.5", "2.25", "1"]), st.integers(0, 3), st.integers(0, 3),
-    st.booleans(), st.booleans(), st.booleans(), st.booleans())
-# at most one fault, on one op line: the first five fail to parse; the last
-# three fail to validate, with E001, E003, and E002 and E003
-FAULTS = st.sampled_from([None] * 8 + ["zero-gap", "read-energy", "undeclared", "zero-energy",
-                                       "unknown-directive", "tight", "uncalibrated",
-                                       "out-of-band"])
-
-
-@st.composite
-def mixed_programs(draw):
-    """Program text mixing plain op lines with every other spelling the grammar takes."""
-    rails = draw(st.lists(st.sampled_from([170, 190, 210, 230]), min_size=1, max_size=4,
-                          unique=True))
-    ops = draw(st.lists(OP_LINES, max_size=12))
-    fault, at = draw(FAULTS), draw(st.integers(0, 11)) % max(len(ops), 1)
-    rails += {"uncalibrated": [198], "out-of-band": [140]}.get(fault, [])
-    lines = ["# generated", "SEQUENCE mixed",
-             "RAILS " + " ".join(RAIL_SPELLINGS[f][0] for f in rails)]
-    t = 0
-    for i, (gap, verb, energy, k, spelling, in_us, comment, spaces, crlf) in enumerate(ops):
-        faulty = fault if i == at else None
-        t += {"zero-gap": 0, "tight": 20}.get(faulty, gap) if i else 0
-        if faulty == "read-energy":
-            verb, energy = "READ", "0.5"
-        elif faulty == "zero-energy":
-            verb, energy = "WRITE", "0"
-        elif verb != "WRITE":
-            energy = None
-        rail = RAIL_SPELLINGS[rails[k % len(rails)]][spelling]
-        if faulty == "undeclared":
-            rail = "250MHz"
-        time = f"{Decimal(t) / 1000}us" if in_us else f"{t}ns"
-        line = (" " + " " * spaces).join(["AT", time, verb, rail] + ([energy] if energy else []))
-        if faulty == "unknown-directive":
-            line = "WAIT 5ns"
-        lines.append(line + (" # note" if comment else "") + ("\r" if crlf else ""))
-    return "\n".join(lines) + "\n"
-
-
 class TestRunAgreesWithReference:
-    @given(text=mixed_programs())
+    @given(text=programs())
     @settings(deadline=None)
     def test_run_prints_and_writes_what_the_reference_gives(self, tmp_path_factory, text):
         # exit code, stdout and the trace file of `vapormem run`, against the
@@ -491,10 +436,7 @@ class TestRunAgreesWithReference:
             assert (code, stdout.getvalue()) == (1, listing)
             assert not out.exists()
             return
-        table = "".join(f"{ev.t_ns!r},{ev.kind.value},{ev.f_rail!r},"
-                        f"{ev.out_energy!r},{ev.stored_after!r}\n"
-                        for ev in reference_engine.run(params, rails, seq))
-        table = "t_ns,kind,rail_mhz,out_energy,stored_after\n" + table
+        table = repr_table(reference_engine.run(params, rails, seq))
         assert code == 0
         assert stdout.getvalue() == listing + table.replace(",", " ") + f"wrote {out}\n"
         assert out.read_text() == table
@@ -633,6 +575,16 @@ class TestWaveformCsv:
             assert_same_csv(waveform_csv(times, ys), per_sample_waveform_csv(times, ys))
         render_waveform(trace, 0.5)  # caches the 0.5 ns axis in place of the 1 ns one
         assert_same_csv(waveform_csv(t, y), per_sample_waveform_csv(t, y))
+
+    def test_times_off_the_grid_build_no_grid_axis(self):
+        # a 0.37 ns render caches its own axis; printing it builds no 1 ns axis
+        # in its place
+        seq = parse(sparse_program(random.Random(5), 2 * C))
+        trace = run_sequence(Memory(default_params(), default_rails()), seq)
+        t, y = render_waveform(trace, 0.37, noise_floor=0.001)
+        misses = engine._time_axis.cache_info().misses
+        assert_same_csv(waveform_csv(t, y), per_sample_waveform_csv(t, y))
+        assert engine._time_axis.cache_info().misses == misses
 
     @pytest.mark.parametrize("dtype", [np.float32, ">f8"])
     def test_rejects_intensities_that_are_not_native_float64(self, dtype):

@@ -12,106 +12,22 @@ ParseError, and the same ``vapormem validate`` output.
 import contextlib
 import io
 import os
+import random
 import tempfile
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import Phase, find, given, settings
 
 from corpus import CANONICAL, DOCUMENTS
+from programs import programs
 from vapormem import core, engine, seqlang
 from vapormem.cli import main
 from vapormem.seqlang import ParseError, Reader, parse, validate
 
-RAIL_TOKENS = ["170MHz", "190MHz", "198MHz", "210MHz", "230MHz", "300MHz", "190.5MHz"]
-# other spellings of 190 and 210 MHz, an undeclared rail and a malformed one
-OTHER_RAIL_TOKENS = ["0190MHz", "190.0MHz", "210.00MHz", "250MHz", "190Mhz"]
-SEPARATORS = [" ", "  ", "\t", "\u3000"]
-GOOD_ENERGIES = ["0.5", "2", "007.25", "1"]
-BAD_ENERGIES = ["0", "0.0", "1e3", "1" + "0" * 400]
-# each op's gap to the one before it, in ns: below and at the 48 ns switching time
-GAPS = [1, 20, 48, 400, 1000]
 P = core.default_params()
 # a memory with no calibration for 230 MHz, nor for the rails not in the
 # defaults, so programs that declare them get E003
 NO_230 = [cal for cal in core.default_rails() if cal.f_rail != 230.0]
-
-
-def _rarely(draw, n: int = 12) -> bool:
-    """True about one time in n: a line's other spelling, or (n = 60) its defect.
-
-    Hypothesis draws the ends of a range more often, so the mark is inside it.
-    """
-    return draw(st.integers(0, n - 1)) == n // 2
-
-
-def _defect(draw) -> bool:
-    return _rarely(draw, 60)
-
-
-def _time_token(t: int, form: int) -> str:
-    """t ns (t >= 0) spelled as plain ns, zero-padded ns, fractional ns or us."""
-    if form == 1:
-        return f"0{t}ns"
-    if form == 2:
-        return f"{t}.0ns"
-    if form == 3:
-        return f"{t // 1000}.{t % 1000:03d}us"
-    return f"{t}ns"
-
-
-@st.composite
-def op_lines(draw, t: int, rails: list[str]) -> str:
-    """An op line at t ns on a declared rail, now and then spelled oddly or defective."""
-    def pick(items):
-        return draw(st.sampled_from(items))
-
-    sep = pick(SEPARATORS) if _rarely(draw) else " "
-    form = pick([1, 2, 3]) if _rarely(draw) else 0
-    verb = pick(["WRITE", "READ", "PUMP"])
-    if _defect(draw):
-        verb = pick(["STORE", "write"])
-    rail = pick(OTHER_RAIL_TOKENS) if _rarely(draw) else pick(rails)
-    time = f"1{'0' * 400}ns" if _defect(draw) else _time_token(t, form)  # past a float
-    tokens = ["AT", time, verb, rail]
-    if verb == "WRITE" and draw(st.booleans()):
-        tokens.append(pick(GOOD_ENERGIES))
-    if _defect(draw):
-        tokens.append(pick(BAD_ENERGIES + GOOD_ENERGIES))
-    line = sep.join(tokens)
-    if _rarely(draw):
-        line = pick([" ", "\t"]) + line
-    if _rarely(draw):
-        line += pick([" # note", "#x", "\r", " ", "\t"])
-    return line
-
-
-@st.composite
-def programs(draw) -> str:
-    """A program of mostly plain lines among non-plain ones; some fail to parse.
-
-    Now and then a line is spelled another way (``us`` times, ``0190MHz``,
-    extra spaces, a comment, a ``\\r``) or is wrong (a time that does not
-    increase or is past a float, an undeclared rail, a bad energy, an
-    unknown word).
-    """
-    lines = []
-    if not _defect(draw):
-        lines.append(draw(st.sampled_from(["SEQUENCE s", "SEQUENCE s # c", " SEQUENCE\ts"])))
-    rails = draw(st.lists(st.sampled_from(RAIL_TOKENS), min_size=1, max_size=4, unique=True))
-    if not _defect(draw):
-        sep = draw(st.sampled_from(SEPARATORS)) if _rarely(draw) else " "
-        lines.append("RAILS " + sep.join(rails + rails[:_defect(draw)]))
-    t = 0
-    for _ in range(draw(st.integers(0, 16))):
-        if _rarely(draw):
-            lines.append(draw(st.sampled_from(["", "  ", "\r", "# AT 0ns READ 190MHz"])))
-            continue
-        if _defect(draw):
-            lines.append(draw(st.sampled_from(["HELLO", "AT 5ns", "RAILS 190MHz", "SEQUENCE t"])))
-            continue
-        t = max(0, t - 5) if _defect(draw) else t + draw(st.sampled_from(GAPS))
-        lines.append(draw(op_lines(t, rails)))
-    return "\n".join(lines) + draw(st.sampled_from(["", "\n", "\r\n"]))
 
 
 def off_the_plain_path(text: str) -> str:
@@ -231,3 +147,35 @@ class TestOneOwnerOfTheDiagnostics:
             with pytest.raises(core.DuplicateRailError) as checked:
                 validate(program, P, twice)
             assert str(checked.value) == str(built.value) == "rail 190 MHz declared twice"
+
+
+def read(text: str):
+    """(the Sequence, or None for a ParseError, and its validator codes)."""
+    try:
+        seq = parse(text)
+    except ParseError:
+        return None, set()
+    return seq, {d.code for d in validate(seq, P, core.default_rails())}
+
+
+# each kind of program the text-level properties must see, told by (the
+# Sequence or None, its codes under the default calibrations, the text)
+KINDS = {
+    "clean-with-energy-0.5": lambda seq, codes, text: (
+        seq is not None and not codes and 0.5 in seq.energy),
+    "E001-gap": lambda seq, codes, text: "E001" in codes,
+    "E002-out-of-band": lambda seq, codes, text: "E002" in codes,
+    "E003-in-band": lambda seq, codes, text: "E003" in codes and "E002" not in codes,
+    "us-CRLF-comment-tab-or-u3000": lambda seq, codes, text: (
+        seq is not None and any(token.endswith("us") for token in text.split())
+        and "\r\n" in text and "#" in text and ("\t" in text or "\u3000" in text)),
+    "ParseError": lambda seq, codes, text: seq is None,
+}
+
+
+class TestPrograms:
+    @pytest.mark.parametrize("kind", KINDS.values(), ids=KINDS)
+    def test_programs_draws_each_kind(self, kind):
+        # the first program found, not shrunk: shrinking one takes up to minutes
+        find(programs(), lambda text: kind(*read(text), text), random=random.Random(0),
+             settings=settings(database=None, max_examples=2000, phases=[Phase.generate]))
